@@ -2,9 +2,9 @@
 
 Every subcommand reads only the paths named in its arguments, writes its
 artifacts plus a run manifest into --out-dir, and exits 0 on success, 1 on
-usage/config errors, 2 on data errors, 3 on numeric aborts. All numeric
-output files are deterministic for a fixed seed; timestamps appear only in
-manifests.
+usage/config errors, 2 on data errors, 3 on numeric aborts and graph
+errors. All numeric output files are deterministic for a fixed seed;
+timestamps appear only in manifests.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .data.features import FeatureMatrix, build_features, features_to_csv
 from .data.ohlcv import repair_calendar, series_to_csv
 from .data.scaling import apply_scaler, fit_scaler, inverse_scaler
 from .data.synth import SYNTH_KINDS, make_synthetic_series
-from .errors import (ConfigError, DataError, DomainError, NumericAbort,
-                     ShapeError)
+from .errors import (ConfigError, DataError, DomainError, GraphError,
+                     NumericAbort, ShapeError, ToolkitError)
 from .evaluate import (MetricsReport, compare_models, horizon_sweep,
                        perturbation_study, persistence_report)
 from .manifest import RunManifest, file_digest, utc_now, write_manifest
@@ -48,6 +48,16 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+
+# Exit code for every ToolkitError subclass; a missing entry is a bug.
+EXIT_CODES = {
+    ConfigError: EXIT_USAGE,
+    DataError: EXIT_DATA,
+    ShapeError: EXIT_DATA,
+    DomainError: EXIT_DATA,
+    NumericAbort: EXIT_NUMERIC,
+    GraphError: EXIT_NUMERIC,
+}
 
 MODEL_KINDS = ("gru", "lstm", "gan", "wgan", "timegan")
 
@@ -549,15 +559,9 @@ def main(argv: list[str] | None = None) -> int:
                                [str(p) for p in outputs], started=started,
                                finished=utc_now())
         write_manifest(manifest, out_dir / f"{args.command}_manifest.json")
-    except ConfigError as e:
+    except ToolkitError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DataError, ShapeError, DomainError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericAbort as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_CODES[type(e)]
     for path in outputs:
         print(path)
     return EXIT_OK

@@ -15,12 +15,12 @@ import numpy as np
 
 from .data.scaling import ScalerParams, inverse_scaler
 from .data.windows import WindowDataset
-from .errors import ConfigError, DataError, DomainError, ShapeError
+from .errors import ConfigError, DataError, DomainError, ShapeError, ToolkitError
 from .models.builders import build_forecaster, scale_width
 from .numcore import RngStream
 from .training.config import TrainConfig
 from .training.forecaster import train_forecaster
-from .training.synthesis import ForecastResult, PersistencePredictor, as_predictor, forecast
+from .training.synthesis import PersistencePredictor, as_predictor
 
 DEFAULT_HORIZONS = (10, 40, 80)
 
@@ -165,13 +165,6 @@ def horizon_sweep(model, test_windows: WindowDataset, horizons=DEFAULT_HORIZONS,
                          hidden_layers, epochs, per_h_orig)
 
 
-def persistence_baseline(test_windows: WindowDataset, horizon: int,
-                         scaler: ScalerParams | None = None) -> ForecastResult:
-    """Every predicted close equals the window's last observed close."""
-    predictor = PersistencePredictor(test_windows.target_index, horizon)
-    return forecast(predictor, test_windows, horizon, mode="direct", scaler=scaler)
-
-
 def persistence_report(test_windows: WindowDataset, horizons=DEFAULT_HORIZONS,
                        weights=None, scaler: ScalerParams | None = None) -> MetricsReport:
     predictor = PersistencePredictor(test_windows.target_index,
@@ -232,7 +225,7 @@ def perturbation_study(model_kind: str, layer_grid, epoch_grid, data: dict,
                     "rmse": report.weighted["rmse"], "mape": report.weighted["mape"],
                     "manifest": manifest,
                 })
-            except Exception as e:  # a failed cell is data, not an abort
+            except ToolkitError as e:  # a failed cell is data, not an abort
                 grid.cells.append({
                     "layers": layers, "epochs": epochs, "status": "failed",
                     "error": str(e), "manifest": manifest,

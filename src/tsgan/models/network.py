@@ -25,7 +25,7 @@ from ..numcore import (
     slice_tensor,
     tanh,
 )
-from .cells import gru_cell_forward, init_gru_cell, init_lstm_cell, lstm_cell_forward
+from .cells import gru_cell_forward, lstm_cell_forward
 
 ACTIVATIONS = ("sigmoid", "tanh", "relu", "linear")
 
@@ -229,9 +229,6 @@ class Network:
 
     def __call__(self, x: Tensor, mode: str = "eval", rng: RngStream | None = None) -> Tensor:
         return self.forward(x, mode=mode, rng=rng)
-
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
 
     def param_order(self) -> list[str]:
         return [name for name, _ in _layer_param_shapes(self.spec)]

@@ -8,8 +8,6 @@ consumes it with a single backward() call; tapes are never reused.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from ..errors import DomainError, GraphError, ShapeError
@@ -20,12 +18,11 @@ _ACTIVE: list["Tape"] = []
 class Tensor:
     """A dense float64 array, optionally tracked on the active tape."""
 
-    __slots__ = ("data", "requires_grad", "grad_slot", "tape_id", "_tape")
+    __slots__ = ("data", "requires_grad", "tape_id", "_tape")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad_slot = None
         self.tape_id = None
         self._tape = None
 
@@ -109,17 +106,6 @@ class Tape:
                 self._leaves[tid] = t
         return t.tape_id
 
-    def node_list(self) -> list[dict]:
-        return [
-            {"index": i, "op": op, "output": out_id, "inputs": list(in_ids), "shape": list(shape)}
-            for i, (op, out_id, in_ids, _, shape) in enumerate(self.nodes)
-        ]
-
-    def dump_json(self, path) -> None:
-        """Debug dump of the node list for inspection."""
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.node_list(), fh, indent=2, sort_keys=True)
-
 
 def active_tape() -> Tape | None:
     return _ACTIVE[-1] if _ACTIVE else None
@@ -174,7 +160,6 @@ def backward(record: Tape, loss: Tensor) -> dict[int, Tensor]:
         g = grads.get(tid)
         if g is None:
             g = np.zeros_like(leaf.data)
-        leaf.grad_slot = g
         result[tid] = Tensor(g)
     return result
 
@@ -492,33 +477,3 @@ def dropout(x, rate: float, mode: str = "train", rng=None) -> Tensor:
 
     return _record("dropout", out, (x,), bw)
 
-
-_DISPATCH = {
-    "matmul": lambda ins, attrs: matmul(*ins),
-    "add": lambda ins, attrs: add(*ins),
-    "sub": lambda ins, attrs: sub(*ins),
-    "mul": lambda ins, attrs: mul(*ins),
-    "neg": lambda ins, attrs: neg(*ins),
-    "sigmoid": lambda ins, attrs: sigmoid(*ins),
-    "tanh": lambda ins, attrs: tanh(*ins),
-    "relu": lambda ins, attrs: relu(*ins),
-    "log": lambda ins, attrs: log(*ins),
-    "mean": lambda ins, attrs: mean(ins[0], axis=attrs.get("axis")),
-    "sum": lambda ins, attrs: tsum(ins[0], axis=attrs.get("axis")),
-    "concat": lambda ins, attrs: concat(ins, axis=attrs.get("axis", 0)),
-    "slice": lambda ins, attrs: slice_tensor(ins[0], attrs["index"]),
-    "reshape": lambda ins, attrs: reshape(ins[0], attrs["shape"]),
-    "clamp": lambda ins, attrs: clamp(ins[0], attrs["lo"], attrs["hi"]),
-    "conv1d": lambda ins, attrs: conv1d(ins[0], ins[1], stride=attrs.get("stride", 1)),
-    "dropout": lambda ins, attrs: dropout(
-        ins[0], attrs["rate"], mode=attrs.get("mode", "train"), rng=attrs.get("rng")
-    ),
-}
-
-
-def forward_op(kind: str, inputs, attrs: dict | None = None) -> Tensor:
-    """Dispatch a primitive by name; records on the active tape like the direct calls."""
-    fn = _DISPATCH.get(kind)
-    if fn is None:
-        raise GraphError(f"unknown op kind {kind!r}; known: {sorted(_DISPATCH)}")
-    return fn(list(inputs), attrs or {})

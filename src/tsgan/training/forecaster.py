@@ -2,20 +2,13 @@
 
 from __future__ import annotations
 
-from ..errors import ConfigError, DataError, NumericAbort
+from ..errors import ConfigError, DataError
 from ..models.network import Network
-from ..numcore import (
-    OptimizerState,
-    RngStream,
-    Tape,
-    Tensor,
-    backward,
-    leaf_grads,
-    optimizer_step,
-)
+from ..numcore import OptimizerState, RngStream, Tensor
 from .config import TrainConfig
-from .gan import _abort, minibatches
+from .gan import minibatches
 from .losses import mse
+from .step import train_step
 from .trace import LossTrace
 
 
@@ -44,15 +37,12 @@ def train_forecaster(net: Network, windows, cfg: TrainConfig,
         for bi, idx in enumerate(minibatches(windows.count, cfg.batch_size, perm)):
             x = Tensor(windows.inputs[idx])
             y = Tensor(windows.targets[idx])
-            with Tape() as tape:
+
+            def loss_fn():
                 pred = net.forward(x, mode="train", rng=rng.child("drop", epoch, bi))
-                loss = mse(pred, y)
-            try:
-                gmap = backward(tape, loss)
-                optimizer_step(opt, net.params, leaf_grads(tape, net.params, gmap))
-            except NumericAbort as e:
-                raise _abort("forecaster step", epoch, bi, e) from None
-            loss_sum += loss.item()
+                return mse(pred, y)
+
+            loss_sum += train_step(opt, net.params, loss_fn, "forecaster step", epoch, bi)
             nb += 1
         if hook is not None:
             hook({"event": "epoch", "epoch": epoch, "loss": loss_sum / nb})

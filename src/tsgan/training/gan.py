@@ -14,21 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError, DataError, NumericAbort
+from ..errors import ConfigError, DataError
 from ..models.network import Network
-from ..numcore import (
-    OptimizerState,
-    RngStream,
-    Tape,
-    Tensor,
-    backward,
-    concat,
-    leaf_grads,
-    optimizer_step,
-    reshape,
-)
+from ..numcore import OptimizerState, RngStream, Tensor, concat, reshape
 from .config import TrainConfig
 from .losses import discriminator_cost, gan_value, generator_cost
+from .step import train_step
 from .trace import LossTrace
 
 
@@ -76,10 +67,6 @@ def _check_gan_shapes(gen: Network, disc: Network, windows) -> int:
     return latent
 
 
-def _abort(stage: str, epoch: int, batch: int, exc: Exception) -> NumericAbort:
-    return NumericAbort(f"{stage} failed at epoch {epoch}, batch {batch}: {exc}")
-
-
 def train_gan(gen: Network, disc: Network, windows, cfg: TrainConfig,
               rng: RngStream | None = None, hook=None) -> LossTrace:
     """Alternating minimax training; updates gen/disc parameters in place."""
@@ -105,42 +92,33 @@ def train_gan(gen: Network, disc: Network, windows, cfg: TrainConfig,
             # discriminator ascent on V, generator frozen (fake detached)
             fake = gen.forward(gen_in, mode="train",
                                rng=rng.child("gdrop", epoch, bi)).detach()
-            with Tape() as tape:
+
+            def value_fn():
                 d_real = disc.forward(disc_sequence(hist, real.copy()))
                 d_fake = disc.forward(disc_sequence(hist, fake.data))
-                value = gan_value(d_real, d_fake)
-            try:
-                gmap = backward(tape, value)
-                optimizer_step(opt_d, disc.params, leaf_grads(tape, disc.params, gmap))
-            except NumericAbort as e:
-                raise _abort("discriminator step", epoch, bi, e) from None
+                return gan_value(d_real, d_fake)
+
+            v = train_step(opt_d, disc.params, value_fn, "discriminator step", epoch, bi)
             if hook is not None:
-                hook({"event": "disc_step", "epoch": epoch, "batch": bi,
-                      "value": value.item()})
+                hook({"event": "disc_step", "epoch": epoch, "batch": bi, "value": v})
 
             # generator step against the updated discriminator
-            with Tape() as tape:
+            def g_loss_fn():
                 fake2 = gen.forward(gen_in, mode="train",
                                     rng=rng.child("gdrop2", epoch, bi))
                 d_fake2 = disc.forward(disc_sequence(hist, fake2))
                 if cfg.loss_mode == "zero_sum":
                     d_real2 = disc.forward(disc_sequence(hist, real.copy()))
-                    g_loss = generator_cost(d_fake2, "zero_sum", d_real=d_real2)
-                else:
-                    g_loss = generator_cost(d_fake2, cfg.loss_mode)
-            try:
-                gmap = backward(tape, g_loss)
-                optimizer_step(opt_g, gen.params, leaf_grads(tape, gen.params, gmap))
-            except NumericAbort as e:
-                raise _abort("generator step", epoch, bi, e) from None
-            if hook is not None:
-                hook({"event": "gen_step", "epoch": epoch, "batch": bi,
-                      "g_loss": g_loss.item()})
+                    return generator_cost(d_fake2, "zero_sum", d_real=d_real2)
+                return generator_cost(d_fake2, cfg.loss_mode)
 
-            v = value.item()
+            g_loss = train_step(opt_g, gen.params, g_loss_fn, "generator step", epoch, bi)
+            if hook is not None:
+                hook({"event": "gen_step", "epoch": epoch, "batch": bi, "g_loss": g_loss})
+
             v_sum += v
             d_sum += -0.5 * v
-            g_sum += g_loss.item()
+            g_sum += g_loss
             n_batches += 1
         trace.add(epoch, g_sum / n_batches, d_sum / n_batches, v_sum / n_batches, "gan")
     return trace

@@ -13,22 +13,12 @@ phase name.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..errors import ConfigError, DataError, NumericAbort
-from ..numcore import (
-    OptimizerState,
-    RngStream,
-    Tape,
-    Tensor,
-    backward,
-    leaf_grads,
-    optimizer_step,
-    slice_tensor,
-)
+from ..errors import ConfigError, DataError
+from ..numcore import OptimizerState, RngStream, Tensor, slice_tensor
 from .config import TrainConfig
-from .gan import _abort, minibatches
+from .gan import minibatches
 from .losses import bce, mse
+from .step import train_step
 from .trace import LossTrace
 
 TIMEGAN_NET_NAMES = ("embedder", "recovery", "generator", "supervisor", "discriminator")
@@ -85,16 +75,12 @@ def train_timegan(nets: dict, windows, cfg: TrainConfig,
         loss_sum, nb = 0.0, 0
         for bi, idx in enumerate(minibatches(n, cfg.batch_size, perm)):
             x = Tensor(x_all[idx])
-            with Tape() as tape:
-                h = nets["embedder"].forward(x)
-                x_tilde = nets["recovery"].forward(h)
-                loss = mse(x_tilde, x)
-            try:
-                gmap = backward(tape, loss)
-                optimizer_step(opt_ae, ae_params, leaf_grads(tape, ae_params, gmap))
-            except NumericAbort as e:
-                raise _abort("reconstruction step", epoch, bi, e) from None
-            loss_sum += loss.item()
+
+            def recon_fn():
+                return mse(nets["recovery"].forward(nets["embedder"].forward(x)), x)
+
+            loss_sum += train_step(opt_ae, ae_params, recon_fn, "reconstruction step",
+                                   epoch, bi)
             nb += 1
         trace.add(epoch, loss_sum / nb, 0.0, 0.0, "recon")
         epoch += 1
@@ -109,15 +95,11 @@ def train_timegan(nets: dict, windows, cfg: TrainConfig,
         loss_sum, nb = 0.0, 0
         for bi, idx in enumerate(minibatches(n, cfg.batch_size, perm)):
             h_real = nets["embedder"].forward(Tensor(x_all[idx])).detach()
-            with Tape() as tape:
-                sup_out = nets["supervisor"].forward(h_real)
-                loss = _one_step_shift_loss(sup_out, h_real)
-            try:
-                gmap = backward(tape, loss)
-                optimizer_step(opt_sup, sup_params, leaf_grads(tape, sup_params, gmap))
-            except NumericAbort as e:
-                raise _abort("supervised step", epoch, bi, e) from None
-            loss_sum += loss.item()
+
+            def sup_fn():
+                return _one_step_shift_loss(nets["supervisor"].forward(h_real), h_real)
+
+            loss_sum += train_step(opt_sup, sup_params, sup_fn, "supervised step", epoch, bi)
             nb += 1
         trace.add(epoch, loss_sum / nb, 0.0, 0.0, "supervised")
         epoch += 1
@@ -141,32 +123,28 @@ def train_timegan(nets: dict, windows, cfg: TrainConfig,
             h_real = nets["embedder"].forward(x).detach()
             h_fake = nets["supervisor"].forward(
                 nets["generator"].forward(Tensor(z))).detach()
-            with Tape() as tape:
-                d_loss = (bce(nets["discriminator"].forward(h_real), 1.0)
-                          + bce(nets["discriminator"].forward(h_fake), 0.0))
-            try:
-                gmap = backward(tape, d_loss)
-                optimizer_step(opt_disc, disc_params, leaf_grads(tape, disc_params, gmap))
-            except NumericAbort as e:
-                raise _abort("joint discriminator step", epoch, bi, e) from None
 
-            # combined generator-side update
-            with Tape() as tape:
+            def d_loss_fn():
+                return (bce(nets["discriminator"].forward(h_real), 1.0)
+                        + bce(nets["discriminator"].forward(h_fake), 0.0))
+
+            d_sum += train_step(opt_disc, disc_params, d_loss_fn,
+                                "joint discriminator step", epoch, bi)
+
+            # combined generator-side update; the adversarial term is reported alone
+            terms = {}
+
+            def g_loss_fn():
                 h = nets["embedder"].forward(x)
                 h_hat = nets["supervisor"].forward(nets["generator"].forward(Tensor(z)))
-                adv = bce(nets["discriminator"].forward(h_hat), 1.0)
+                terms["adv"] = bce(nets["discriminator"].forward(h_hat), 1.0)
                 sup = _one_step_shift_loss(nets["supervisor"].forward(h), h)
                 recon = mse(nets["recovery"].forward(h), x)
-                g_loss = adv + cfg.sup_weight * sup + cfg.recon_weight * recon
-            try:
-                gmap = backward(tape, g_loss)
-                optimizer_step(opt_joint, joint_params,
-                               leaf_grads(tape, joint_params, gmap))
-            except NumericAbort as e:
-                raise _abort("joint generator step", epoch, bi, e) from None
-            g_sum += g_loss.item()
-            d_sum += d_loss.item()
-            a_sum += adv.item()
+                return terms["adv"] + cfg.sup_weight * sup + cfg.recon_weight * recon
+
+            g_sum += train_step(opt_joint, joint_params, g_loss_fn,
+                                "joint generator step", epoch, bi)
+            a_sum += terms["adv"].item()
             nb += 1
         trace.add(epoch, g_sum / nb, d_sum / nb, a_sum / nb, "joint")
         epoch += 1

@@ -1,8 +1,7 @@
 """Per-epoch loss records.
 
-Wall-clock time is kept in memory for progress inspection but never written
-to the CSV: trace files must be byte-identical across reruns of the same
-seeded command.
+Trace files must be byte-identical across reruns of the same seeded
+command, so no wall-clock time is recorded here.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import time
 
 from ..errors import NumericAbort
 
@@ -20,7 +18,6 @@ CSV_COLUMNS = ("epoch", "g_loss", "d_loss", "value", "phase")
 class LossTrace:
     def __init__(self):
         self.records: list[dict] = []
-        self._walls: list[float] = []
 
     def add(self, epoch: int, g_loss: float, d_loss: float, value: float, phase: str) -> None:
         for name, v in (("g_loss", g_loss), ("d_loss", d_loss), ("value", value)):
@@ -33,7 +30,6 @@ class LossTrace:
             "value": float(value),
             "phase": str(phase),
         })
-        self._walls.append(time.monotonic())
 
     def __len__(self) -> int:
         return len(self.records)

@@ -14,21 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError, NumericAbort
+from ..errors import ConfigError
 from ..models.network import Network
-from ..numcore import (
-    OptimizerState,
-    RngStream,
-    Tape,
-    Tensor,
-    backward,
-    clip_weights,
-    leaf_grads,
-    mean,
-    optimizer_step,
-)
+from ..numcore import OptimizerState, RngStream, Tensor, clip_weights, mean
 from .config import TrainConfig
-from .gan import _abort, _check_gan_shapes, disc_sequence, minibatches
+from .gan import _check_gan_shapes, disc_sequence, minibatches
+from .step import train_step
 from .trace import LossTrace
 
 WGAN_DEFAULT_LR = 5e-5
@@ -70,45 +61,40 @@ def train_wgan(gen: Network, critic: Network, windows, cfg: TrainConfig,
                 gen_in = Tensor(np.concatenate([feats, z], axis=2))
                 fake = gen.forward(gen_in, mode="train",
                                    rng=rng.child("gdrop", epoch, group, t)).detach()
-                with Tape() as tape:
+
+                def estimate_fn():
                     f_real = critic.forward(disc_sequence(hist, real.copy()))
                     f_fake = critic.forward(disc_sequence(hist, fake.data))
-                    w_est = critic_estimate(f_real, f_fake)
-                try:
-                    gmap = backward(tape, w_est)
-                    optimizer_step(opt_c, critic.params,
-                                   leaf_grads(tape, critic.params, gmap))
-                except NumericAbort as e:
-                    raise _abort("critic step", epoch, group * cfg.n_critic + t, e) from None
+                    return critic_estimate(f_real, f_fake)
+
+                w_est = train_step(opt_c, critic.params, estimate_fn, "critic step",
+                                   epoch, group * cfg.n_critic + t)
                 if hook is not None:
                     hook({"event": "critic_step", "epoch": epoch, "group": group,
-                          "iteration": t, "estimate": w_est.item()})
+                          "iteration": t, "estimate": w_est})
                 clip_weights(critic.params, cfg.clip_c)
                 if hook is not None:
                     max_w = max(float(np.abs(p.data).max()) for p in critic.params.values())
                     hook({"event": "clip", "epoch": epoch, "group": group,
                           "iteration": t, "max_abs_w": max_w})
-                w_sum += w_est.item()
+                w_sum += w_est
 
             # one generator step per completed critic group
             idx = batches[group * cfg.n_critic + cfg.n_critic - 1]
             feats, hist = windows.inputs[idx], history[idx]
             z = rng.child("zg", epoch, group).normal((idx.size, windows.seq_len, latent))
             gen_in = Tensor(np.concatenate([feats, z], axis=2))
-            with Tape() as tape:
+
+            def g_loss_fn():
                 fake = gen.forward(gen_in, mode="train",
                                    rng=rng.child("gdropg", epoch, group))
-                f_fake = critic.forward(disc_sequence(hist, fake))
-                g_loss = -mean(f_fake)
-            try:
-                gmap = backward(tape, g_loss)
-                optimizer_step(opt_g, gen.params, leaf_grads(tape, gen.params, gmap))
-            except NumericAbort as e:
-                raise _abort("generator step", epoch, group, e) from None
+                return -mean(critic.forward(disc_sequence(hist, fake)))
+
+            g_loss = train_step(opt_g, gen.params, g_loss_fn, "generator step", epoch, group)
             if hook is not None:
                 hook({"event": "generator_step", "epoch": epoch, "group": group,
-                      "g_loss": g_loss.item()})
-            g_sum += g_loss.item()
+                      "g_loss": g_loss})
+            g_sum += g_loss
 
         steps = n_groups * cfg.n_critic
         trace.add(epoch, g_sum / n_groups, w_sum / steps, w_sum / steps, "wgan")

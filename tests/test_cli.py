@@ -6,10 +6,12 @@ import json
 import numpy as np
 import pytest
 
+from tsgan import cli
 from tsgan.cli import main
 from tsgan.config import (PIPELINE_DEFAULTS, PRESETS, PipelineConfig, load_config,
                           preset_overrides, split_config_keys)
-from tsgan.errors import ConfigError, DataError
+from tsgan.errors import (ConfigError, DataError, DomainError, GraphError,
+                          NumericAbort, ShapeError, ToolkitError)
 from tsgan.manifest import (RunManifest, file_digest, load_manifest,
                             replace_out_dir, rerun)
 
@@ -77,6 +79,29 @@ def test_usage_and_data_exit_codes(tmp_path, capsys):
     assert main(["ingest", "--input", str(tmp_path / "absent.csv"),
                  "--out-dir", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+def test_every_toolkit_error_has_an_exit_code():
+    pending, seen = list(ToolkitError.__subclasses__()), set()
+    while pending:
+        cls = pending.pop()
+        seen.add(cls)
+        pending.extend(cls.__subclasses__())
+    assert seen <= set(cli.EXIT_CODES)
+    assert cli.EXIT_CODES == {ConfigError: 1, DataError: 2, ShapeError: 2,
+                              DomainError: 2, NumericAbort: 3, GraphError: 3}
+
+
+@pytest.mark.parametrize("exc", [GraphError, NumericAbort])
+def test_numeric_and_graph_errors_exit_3(tmp_path, capsys, monkeypatch, exc):
+    def failing(args, out_dir):
+        raise exc("step went wrong")
+
+    monkeypatch.setitem(cli._HANDLERS, "synth-data", failing)
+    rc = main(["synth-data", "--kind", "sine", "--out-dir", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == "error: step went wrong\n"
 
 
 def test_unknown_config_key_is_named(tmp_path, capsys):

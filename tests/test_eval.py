@@ -7,12 +7,12 @@ from tsgan.data import (apply_scaler, build_features, fit_scaler,
                         make_synthetic_series, make_windows, split_train_test)
 from tsgan.errors import ConfigError, DataError, DomainError, ShapeError
 from tsgan.evaluate import (ComparisonTable, MetricsReport, compare_models,
-                            horizon_sweep, mape, persistence_baseline,
-                            persistence_report, perturbation_study, rmse,
-                            spec_hidden_layers, weighted_average)
+                            horizon_sweep, mape, persistence_report,
+                            perturbation_study, rmse, spec_hidden_layers,
+                            weighted_average)
 from tsgan.models import build_forecaster
 from tsgan.numcore import RngStream
-from tsgan.training import PersistencePredictor, TrainConfig
+from tsgan.training import PersistencePredictor, TrainConfig, forecast
 
 
 def small_split(rows=60, seq_len=6, horizon=3, seed=0):
@@ -131,7 +131,8 @@ def test_persistence_report_and_baseline():
     assert rep.model == "persistence"
     assert rep.hidden_layers == 0 and rep.epochs == 0
 
-    res = persistence_baseline(ds, 3, scaler=scaler)
+    res = forecast(PersistencePredictor(ds.target_index, 3), ds, 3, mode="direct",
+                   scaler=scaler)
     last = ds.inputs[:, -1, ds.target_index]
     np.testing.assert_array_equal(res.scaled, np.repeat(last[:, None], 3, axis=1))
 
@@ -155,6 +156,18 @@ def test_perturbation_study_isolates_failures():
     with pytest.raises(ConfigError):
         perturbation_study("gru", [], [1], {"train": train, "test": test,
                                             "scaler": scaler}, cfg)
+
+
+def test_perturbation_study_propagates_programming_errors(monkeypatch):
+    train, test, scaler = small_split()
+
+    def broken(*args, **kwargs):
+        raise TypeError("bad call")
+
+    monkeypatch.setattr("tsgan.evaluate.train_forecaster", broken)
+    with pytest.raises(TypeError, match="bad call"):
+        perturbation_study("gru", [1], [1], {"train": train, "test": test,
+                                             "scaler": scaler}, TrainConfig(epochs=1))
 
 
 def test_compare_models_sorts_and_appends_baseline():

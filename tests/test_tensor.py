@@ -6,7 +6,7 @@ import pytest
 from gradtools import check_gradients
 from tsgan.errors import DomainError, GraphError, ShapeError
 from tsgan.numcore import (RngStream, Tape, Tensor, backward, clamp, concat,
-                           conv1d, dropout, forward_op, leaf_grads, log,
+                           conv1d, dropout, leaf_grads, log,
                            matmul, mean, mul, relu, reshape, sigmoid,
                            slice_tensor, sub, tanh, tsum)
 
@@ -286,18 +286,6 @@ def test_no_active_tape_means_no_recording():
     assert out.tape_id is None
 
 
-def test_forward_op_dispatch_matches_direct_calls():
-    x = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]))
-    np.testing.assert_allclose(forward_op("sigmoid", [x]).data, sigmoid(x).data)
-    np.testing.assert_allclose(
-        forward_op("mean", [x], {"axis": 0}).data, mean(x, axis=0).data
-    )
-    np.testing.assert_allclose(
-        forward_op("clamp", [x], {"lo": 0.0, "hi": 1.0}).data,
-        clamp(x, 0.0, 1.0).data,
-    )
-
-
 def test_composite_expression_gradcheck():
     rng = np.random.default_rng(6)
     w1 = Tensor(rng.normal(scale=0.5, size=(3, 4)), requires_grad=True)
@@ -317,5 +305,4 @@ def test_tape_node_list_describes_the_graph():
     x = Tensor(np.ones(2), requires_grad=True)
     with Tape() as rec:
         mean(x * x)
-    ops = [n["op"] for n in rec.node_list()]
-    assert ops == ["mul", "mean"]
+    assert [n[0] for n in rec.nodes] == ["mul", "mean"]

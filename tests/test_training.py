@@ -327,6 +327,14 @@ def test_non_finite_parameters_are_rejected():
                            scaler=scaler, windows=ds)
 
 
+def test_training_abort_names_stage_epoch_and_batch():
+    ds, _ = small_windows()
+    net = build_forecaster("gru", 1, 3, 6, 3, 18, RngStream(0, ("f",)))
+    net.params["L0.Wz"].data[0, 0] = np.nan
+    with pytest.raises(NumericAbort, match="forecaster step failed at epoch 0, batch 0"):
+        train_forecaster(net, ds, TrainConfig(epochs=1, batch_size=16))
+
+
 def test_loss_trace_contract():
     trace = LossTrace()
     trace.add(0, 1.5, 0.5, -1.0, "gan")
