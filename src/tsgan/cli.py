@@ -10,14 +10,13 @@ timestamps appear only in manifests.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .artifacts import read_json, write_csv, write_json, write_text
 from .config import (PIPELINE_DEFAULTS, PRESETS, PipelineConfig, load_config,
                      resolved_config_dict)
 from .data.features import FeatureMatrix, build_features, features_to_csv
@@ -28,7 +27,8 @@ from .errors import (ConfigError, DataError, DomainError, GraphError,
                      NumericAbort, ShapeError, ToolkitError)
 from .evaluate import (MetricsReport, compare_models, horizon_sweep,
                        perturbation_study, persistence_report)
-from .manifest import RunManifest, file_digest, utc_now, write_manifest
+from .manifest import (RunManifest, file_digest, load_manifest, utc_now,
+                       write_manifest)
 from .models.builders import (build_critic, build_discriminator,
                               build_forecaster, build_generator,
                               build_timegan, scale_width)
@@ -76,30 +76,9 @@ def _float_list(text: str) -> list[float]:
         raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    return path
-
-
-def _write_json(path: Path, doc) -> Path:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def _write_matrix_csv(path: Path, matrix: np.ndarray, prefix: str = "step") -> Path:
     header = ["window"] + [f"{prefix}_{j + 1}" for j in range(matrix.shape[1])]
-    rows = [[i] + [float(v) for v in matrix[i]] for i in range(matrix.shape[0])]
-    return _write_csv(path, header, rows)
+    return write_csv(path, header, ([i, *row] for i, row in enumerate(matrix)))
 
 
 def _override_dict(args, keys) -> dict:
@@ -135,15 +114,14 @@ def _cmd_ingest(args, out_dir: Path):
     train_cfg, pipe_cfg = _resolve_config(args)
     series = load_series(args.input)
     repaired = repair_calendar(series, pipe_cfg.knn_k)
-    out = out_dir / "repaired.csv"
-    out.write_text(series_to_csv(repaired))
+    out = write_text(out_dir / "repaired.csv", series_to_csv(repaired))
     report = {
         "input_rows": len(series),
         "repaired_rows": len(repaired),
         "imputed_rows": repaired.imputation_count,
         "date_range": [str(repaired.records[0].date), str(repaired.records[-1].date)],
     }
-    report_path = _write_json(out_dir / "ingest_report.json", report)
+    report_path = write_json(out_dir / "ingest_report.json", report)
     cfg = resolved_config_dict(train_cfg, pipe_cfg)
     return cfg, train_cfg.seed, [Path(args.input)], [out, report_path]
 
@@ -160,16 +138,15 @@ def _cmd_stats(args, out_dir: Path):
     for name in names:
         stats = describe(matrix.column(name))
         rows.append([name] + [stats.as_dict()[f] for f in DescriptiveStats.FIELD_NAMES])
-    describe_path = _write_csv(out_dir / "describe.csv",
-                               ["column", *DescriptiveStats.FIELD_NAMES], rows)
+    describe_path = write_csv(out_dir / "describe.csv",
+                              ["column", *DescriptiveStats.FIELD_NAMES], rows)
 
     cm = correlation_matrix(matrix)
-    corr_path = out_dir / "correlation.csv"
-    corr_path.write_text(cm.to_csv())
+    corr_path = write_text(out_dir / "correlation.csv", cm.to_csv())
     tree = correlation_cluster(cm)
-    cluster_path = _write_json(out_dir / "clusters.json", tree.to_nested())
-    monthly_path = out_dir / "monthly.csv"
-    monthly_path.write_text(monthly_aggregate_csv(monthly_aggregate(repaired)))
+    cluster_path = write_json(out_dir / "clusters.json", tree.to_nested())
+    monthly_path = write_text(out_dir / "monthly.csv",
+                              monthly_aggregate_csv(monthly_aggregate(repaired)))
 
     cfg = resolved_config_dict(train_cfg, pipe_cfg)
     outputs = [describe_path, corr_path, cluster_path, monthly_path]
@@ -183,11 +160,9 @@ def _cmd_features(args, out_dir: Path):
     features = build_features(repaired, pipe_cfg.sma_window)
     scaler = fit_scaler(features, pipe_cfg.train_fraction)
     scaled = apply_scaler(features, scaler)
-    features_path = out_dir / "features.csv"
-    features_path.write_text(features_to_csv(features))
-    scaled_path = out_dir / "scaled.csv"
-    scaled_path.write_text(features_to_csv(scaled))
-    scaler_path = _write_json(out_dir / "scaler.json", scaler.to_dict())
+    features_path = write_text(out_dir / "features.csv", features_to_csv(features))
+    scaled_path = write_text(out_dir / "scaled.csv", features_to_csv(scaled))
+    scaler_path = write_json(out_dir / "scaler.json", scaler.to_dict())
     cfg = resolved_config_dict(train_cfg, pipe_cfg)
     cfg["trimmed_rows"] = features.trimmed_rows
     cfg["zero_div_warnings"] = features.zero_div_warnings
@@ -233,16 +208,13 @@ def _cmd_train(args, out_dir: Path):
     bundle = _prepare(args, train_cfg, pipe_cfg)
     nets, trace = _build_and_train(args.model, bundle, train_cfg)
 
-    outputs = []
-    trace_path = out_dir / "loss_trace.csv"
-    trace.write_csv(trace_path)
-    outputs.append(trace_path)
+    outputs = [write_text(out_dir / "loss_trace.csv", trace.to_csv())]
     for name, net in nets.items():
         save_checkpoint(out_dir / name, net, seed=train_cfg.seed,
                         step=train_cfg.epochs)
         outputs += [out_dir / f"{name}.json", out_dir / f"{name}.bin"]
-    outputs.append(_write_json(out_dir / "scaler.json", bundle.scaler.to_dict()))
-    outputs.append(_write_json(out_dir / "dataset_manifest.json", bundle.manifest))
+    outputs.append(write_json(out_dir / "scaler.json", bundle.scaler.to_dict()))
+    outputs.append(write_json(out_dir / "dataset_manifest.json", bundle.manifest))
 
     cfg = resolved_config_dict(train_cfg, pipe_cfg)
     cfg["model"] = args.model
@@ -253,10 +225,8 @@ def _cmd_train(args, out_dir: Path):
 def _load_train_run(model_dir: Path):
     """Recover model kind, nets, and resolved config from a train run."""
     manifest_path = model_dir / "train_manifest.json"
-    if not manifest_path.exists():
-        raise DataError(f"no train run found in {model_dir} (missing train_manifest.json)")
-    doc = json.loads(manifest_path.read_text())
-    kind = doc.get("config", {}).get("model")
+    config = load_manifest(manifest_path).config
+    kind = config.get("model")
     if kind not in MODEL_KINDS:
         raise DataError(f"train manifest in {model_dir} names no valid model kind")
     read_paths = [manifest_path]
@@ -275,7 +245,7 @@ def _load_train_run(model_dir: Path):
             model[name], _ = load_checkpoint(model_dir / name)
     for stem in stems:
         read_paths += [model_dir / f"{stem}.json", model_dir / f"{stem}.bin"]
-    return kind, model, doc.get("config", {}), read_paths
+    return kind, model, config, read_paths
 
 
 def _cmd_forecast(args, out_dir: Path):
@@ -294,10 +264,8 @@ def _cmd_forecast(args, out_dir: Path):
     actual = inverse_scaler(bundle.test.targets[0, :horizon], bundle.scaler, "Close")
     predicted = result.original[0]
     dates = result.dates[0] if result.dates else list(range(1, horizon + 1))
-    plot_rows = [[str(d), float(a), float(p)]
-                 for d, a, p in zip(dates, actual, predicted)]
-    outputs.append(_write_csv(out_dir / "forecast_plot.csv",
-                              ["date", "actual", "predicted"], plot_rows))
+    outputs.append(write_csv(out_dir / "forecast_plot.csv", ["date", "actual", "predicted"],
+                             zip(dates, actual, predicted)))
 
     cfg = resolved_config_dict(train_cfg, pipe_cfg)
     cfg.update({"model": kind, "model_dir": str(model_dir), "mode": args.mode,
@@ -319,12 +287,8 @@ def _cmd_generate(args, out_dir: Path):
                                  scaler=bundle.scaler, windows=bundle.train)
 
     names = bundle.scaled.names if samples.shape[2] > 1 else ["Close"]
-    header = ["sample", "step", *names]
-    rows = []
-    for i in range(samples.shape[0]):
-        for t in range(samples.shape[1]):
-            rows.append([i, t, *[float(v) for v in samples[i, t]]])
-    outputs = [_write_csv(out_dir / "synthetic.csv", header, rows)]
+    rows = ([i, t, *step] for i, sample in enumerate(samples) for t, step in enumerate(sample))
+    outputs = [write_csv(out_dir / "synthetic.csv", ["sample", "step", *names], rows)]
 
     cfg = resolved_config_dict(train_cfg, pipe_cfg)
     cfg.update({"model": kind, "model_dir": str(model_dir), "count": args.count,
@@ -342,16 +306,13 @@ def _cmd_evaluate(args, out_dir: Path):
     report = horizon_sweep(model, bundle.test, horizons, weights,
                            scaler=bundle.scaler, epochs=base_cfg.get("epochs"),
                            name=args.name or kind, seed=train_cfg.seed)
-    if args.basis == "original":
-        report = MetricsReport(report.model, report.horizons,
-                               report.per_horizon_original, report.weights,
-                               "original", report.hidden_layers, report.epochs)
+    report = report.with_basis(args.basis)
 
-    report_path = _write_json(out_dir / "metrics_report.json", report.as_dict())
+    report_path = write_json(out_dir / "metrics_report.json", report.as_dict())
     rows = [[h, report.per_horizon[h]["rmse"], report.per_horizon[h]["mape"]]
             for h in report.horizons]
     rows.append(["weighted", report.weighted["rmse"], report.weighted["mape"]])
-    csv_path = _write_csv(out_dir / "metrics.csv", ["horizon", "rmse", "mape"], rows)
+    csv_path = write_csv(out_dir / "metrics.csv", ["horizon", "rmse", "mape"], rows)
 
     cfg = resolved_config_dict(train_cfg, pipe_cfg)
     cfg.update({"model": kind, "model_dir": str(model_dir), "basis": args.basis,
@@ -364,11 +325,10 @@ def _cmd_compare(args, out_dir: Path):
         raise ConfigError("compare needs at least one --report file")
     reports = []
     inputs = []
-    for path in args.report:
-        path = Path(path)
-        if not path.exists():
-            raise DataError(f"report file not found: {path}")
-        reports.append(MetricsReport.from_dict(json.loads(path.read_text())))
+    for path in map(Path, args.report):
+        doc = read_json(path, "metrics report",
+                        keys=("model", "horizons", "per_horizon", "weights", "basis"))
+        reports.append(MetricsReport.from_dict(doc))
         inputs.append(path)
 
     baseline = None
@@ -377,16 +337,12 @@ def _cmd_compare(args, out_dir: Path):
         bundle = _prepare(args, train_cfg, pipe_cfg)
         baseline = persistence_report(bundle.test, reports[0].horizons,
                                       reports[0].weights, scaler=bundle.scaler)
-        if reports[0].basis == "original":
-            baseline = MetricsReport(baseline.model, baseline.horizons,
-                                     baseline.per_horizon_original, baseline.weights,
-                                     "original", baseline.hidden_layers, baseline.epochs)
+        baseline = baseline.with_basis(reports[0].basis)
         inputs.append(Path(args.input))
 
     table = compare_models(reports, baseline)
-    csv_path = out_dir / "comparison.csv"
-    csv_path.write_text(table.to_csv())
-    json_path = _write_json(out_dir / "comparison.json", table.as_dict())
+    csv_path = write_text(out_dir / "comparison.csv", table.to_csv())
+    json_path = write_json(out_dir / "comparison.json", table.as_dict())
     cfg = resolved_config_dict(train_cfg, pipe_cfg)
     cfg["reports"] = [str(p) for p in args.report]
     return cfg, train_cfg.seed, inputs, [csv_path, json_path]
@@ -401,15 +357,10 @@ def _cmd_perturb(args, out_dir: Path):
     grid = perturbation_study(args.model, args.layers, args.epoch_grid, data,
                               train_cfg, horizons=args.horizons)
 
-    json_path = _write_json(out_dir / "perturb.json", grid.as_dict())
-    rows = []
-    for cell in grid.cells:
-        rows.append([cell["layers"], cell["epochs"], cell["status"],
-                     cell.get("rmse", ""), cell.get("mape", ""),
-                     cell.get("error", "")])
-    csv_path = _write_csv(out_dir / "perturb.csv",
-                          ["layers", "epochs", "status", "rmse", "mape", "error"],
-                          rows)
+    json_path = write_json(out_dir / "perturb.json", grid.as_dict())
+    columns = ["layers", "epochs", "status", "rmse", "mape", "error"]
+    csv_path = write_csv(out_dir / "perturb.csv", columns,
+                         ([cell.get(c) for c in columns] for cell in grid.cells))
     cfg = resolved_config_dict(train_cfg, pipe_cfg)
     cfg.update({"model": args.model, "layer_grid": args.layers,
                 "epoch_grid": args.epoch_grid, "input": str(args.input)})
@@ -419,8 +370,7 @@ def _cmd_perturb(args, out_dir: Path):
 def _cmd_synth_data(args, out_dir: Path):
     train_cfg, pipe_cfg = _resolve_config(args)
     series = make_synthetic_series(args.kind, args.rows, train_cfg.seed)
-    out = out_dir / f"synthetic_{args.kind}.csv"
-    out.write_text(series_to_csv(series))
+    out = write_text(out_dir / f"synthetic_{args.kind}.csv", series_to_csv(series))
     cfg = resolved_config_dict(train_cfg, pipe_cfg)
     cfg.update({"kind": args.kind, "rows": args.rows})
     return cfg, train_cfg.seed, [], [out]

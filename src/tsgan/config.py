@@ -9,10 +9,10 @@ family; everything a preset sets can still be overridden per run.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from .errors import ConfigError
+from .artifacts import read_json
+from .errors import ConfigError, DataError
 from .training.config import TrainConfig
 
 PIPELINE_DEFAULTS = {
@@ -111,16 +111,10 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
     """Resolve file < preset < explicit overrides into full config objects."""
     doc: dict = {}
     if path is not None:
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
-            loaded = json.loads(path.read_text())
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-        doc.update(loaded)
+            doc.update(read_json(path, "config file"))
+        except DataError as e:  # a bad config file is a usage error, exit 1
+            raise ConfigError(str(e)) from None
     if preset is not None:
         doc.update(preset_overrides(preset))
     if overrides:

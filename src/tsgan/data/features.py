@@ -8,11 +8,9 @@ matrix is dense.
 
 from __future__ import annotations
 
-import csv
-import io
-
 import numpy as np
 
+from ..artifacts import csv_text
 from ..errors import DataError
 from .ohlcv import PriceSeries
 
@@ -109,10 +107,5 @@ def build_features(series: PriceSeries, sma_window: int = 10) -> FeatureMatrix:
 
 
 def features_to_csv(features: FeatureMatrix) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["Date"] + features.names)
-    for date, row in zip(features.dates, features.values):
-        writer.writerow([date.isoformat() if hasattr(date, "isoformat") else date]
-                        + [repr(v) for v in row])
-    return out.getvalue()
+    return csv_text(["Date", *features.names],
+                    ([date, *row] for date, row in zip(features.dates, features.values)))

@@ -13,6 +13,7 @@ import csv
 import datetime as dt
 import io
 
+from ..artifacts import csv_text
 from ..errors import DataError
 
 REQUIRED_COLUMNS = ("date", "open", "high", "low", "close", "adj close", "volume")
@@ -118,12 +119,8 @@ def parse_ohlcv_csv(text: str) -> PriceSeries:
 
 
 def series_to_csv(series: PriceSeries) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"])
-    for r in series.records:
-        writer.writerow([r.date.isoformat()] + [repr(v) for v in r.values()])
-    return out.getvalue()
+    return csv_text(["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"],
+                    ([r.date, *r.values()] for r in series.records))
 
 
 def _business_days(first: dt.date, last: dt.date) -> list[dt.date]:

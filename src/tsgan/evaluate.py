@@ -8,11 +8,9 @@ rejected instead of silently blended.
 
 from __future__ import annotations
 
-import csv
-import io
-
 import numpy as np
 
+from .artifacts import csv_text
 from .data.scaling import ScalerParams, inverse_scaler
 from .data.windows import WindowDataset
 from .errors import ConfigError, DataError, DomainError, ShapeError, ToolkitError
@@ -102,6 +100,16 @@ class MetricsReport:
                 {str(h): self.per_horizon_original[h] for h in self.horizons},
             "weighted_original": self.weighted_original,
         }
+
+    def with_basis(self, basis: str) -> "MetricsReport":
+        """This report on `basis`: itself, or re-based on its original-unit metrics."""
+        if basis == self.basis:
+            return self
+        if basis != "original" or self.per_horizon_original is None:
+            raise DataError(f"report {self.model!r} cannot be re-based from "
+                            f"{self.basis} to {basis}")
+        return MetricsReport(self.model, self.horizons, self.per_horizon_original,
+                             self.weights, "original", self.hidden_layers, self.epochs)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":
@@ -244,20 +252,12 @@ class ComparisonTable:
         self.basis = basis
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        header = list(self.COLUMNS)
-        for h in self.horizons:
-            header += [f"RMSE@{h}", f"MAPE@{h}"]
-        writer.writerow(header)
-        for r in self.rows:
-            row = [r["model"], repr(r["rmse"]), repr(r["mape"]),
-                   "" if r["hidden_layers"] is None else r["hidden_layers"],
-                   "" if r["epochs"] is None else r["epochs"]]
-            for h in self.horizons:
-                row += [repr(r["per_horizon"][h]["rmse"]), repr(r["per_horizon"][h]["mape"])]
-            writer.writerow(row)
-        return out.getvalue()
+        header = [*self.COLUMNS,
+                  *(f"{m}@{h}" for h in self.horizons for m in ("RMSE", "MAPE"))]
+        return csv_text(header, (
+            [r["model"], r["rmse"], r["mape"], r["hidden_layers"], r["epochs"],
+             *(r["per_horizon"][h][m] for h in self.horizons for m in ("rmse", "mape"))]
+            for r in self.rows))
 
     def as_dict(self) -> dict:
         return {"basis": self.basis, "horizons": self.horizons, "rows": [

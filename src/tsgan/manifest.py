@@ -9,11 +9,11 @@ re-run the command and reproduce its numeric outputs byte for byte.
 from __future__ import annotations
 
 import hashlib
-import json
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
+from .artifacts import read_json, write_json
 from .errors import ConfigError, DataError
 
 MANIFEST_FORMAT = "tsgan-run-v1"
@@ -62,9 +62,6 @@ class RunManifest:
             "finished": self.finished,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
-
     @classmethod
     def from_dict(cls, d: dict) -> "RunManifest":
         if d.get("format") != MANIFEST_FORMAT:
@@ -75,19 +72,12 @@ class RunManifest:
 
 
 def write_manifest(manifest: RunManifest, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(manifest.to_json())
-    return path
+    return write_json(path, manifest.as_dict())
 
 
 def load_manifest(path: str | Path) -> RunManifest:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"manifest not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise DataError(f"manifest {path} is not valid JSON: {e}") from None
+    doc = read_json(path, "run manifest",
+                    keys=("command", "argv", "config", "seed", "inputs", "outputs"))
     return RunManifest.from_dict(doc)
 
 

@@ -7,31 +7,8 @@ standard formulations.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import ShapeError
-from ..numcore import RngStream, Tensor, concat, matmul, sigmoid, tanh
-
-
-def _uniform_init(rng: RngStream, fan_in: int, shape: tuple) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, shape)
-
-
-def init_gru_cell(input_dim: int, hidden_dim: int, rng: RngStream) -> dict[str, Tensor]:
-    """Weights for update gate (z), reset gate (r), and candidate state (h).
-
-    Kernels consume [x, h] (or [x, r*h] for the candidate), so their first
-    dimension is input_dim + hidden_dim. Biases start at zero.
-    """
-    if input_dim < 1 or hidden_dim < 1:
-        raise ShapeError(f"gru cell: dims must be positive, got ({input_dim}, {hidden_dim})")
-    fan = input_dim + hidden_dim
-    cell = {}
-    for gate in ("z", "r", "h"):
-        cell[f"W{gate}"] = Tensor(_uniform_init(rng, fan, (fan, hidden_dim)), requires_grad=True)
-        cell[f"b{gate}"] = Tensor(np.zeros(hidden_dim), requires_grad=True)
-    return cell
+from ..numcore import Tensor, concat, matmul, sigmoid, tanh
 
 
 def gru_cell_forward(cell: dict, x: Tensor, h: Tensor) -> Tensor:
@@ -50,18 +27,6 @@ def gru_cell_forward(cell: dict, x: Tensor, h: Tensor) -> Tensor:
     xrh = concat([x, r * h], axis=1)
     hhat = tanh(matmul(xrh, cell["Wh"]) + cell["bh"])
     return (1.0 - z) * hhat + z * h
-
-
-def init_lstm_cell(input_dim: int, hidden_dim: int, rng: RngStream) -> dict[str, Tensor]:
-    """Weights for forget (f), input (i), output (o) gates and cell candidate (g)."""
-    if input_dim < 1 or hidden_dim < 1:
-        raise ShapeError(f"lstm cell: dims must be positive, got ({input_dim}, {hidden_dim})")
-    fan = input_dim + hidden_dim
-    cell = {}
-    for gate in ("f", "i", "o", "g"):
-        cell[f"W{gate}"] = Tensor(_uniform_init(rng, fan, (fan, hidden_dim)), requires_grad=True)
-        cell[f"b{gate}"] = Tensor(np.zeros(hidden_dim), requires_grad=True)
-    return cell
 
 
 def lstm_cell_forward(cell: dict, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:

@@ -8,11 +8,11 @@ manifest order. Round trips are bit-exact by construction.
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
 
+from ..artifacts import read_json, write_bytes, write_json
 from ..errors import DataError
 from ..numcore import Tensor
 from .network import Network, NetSpec
@@ -36,24 +36,16 @@ def save_checkpoint(stem, net: Network, seed: int | None = None, step: int = 0) 
     blob = b"".join(
         np.ascontiguousarray(net.params[k].data, dtype="<f8").tobytes() for k in order
     )
-    with open(stem + ".json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(stem + ".bin", "wb") as fh:
-        fh.write(blob)
+    write_json(stem + ".json", manifest)
+    write_bytes(stem + ".bin", blob)
     return manifest
 
 
 def load_checkpoint(stem) -> tuple[Network, dict]:
     """Read a checkpoint pair back into a Network; bit-exact with what was saved."""
     stem = str(stem)
-    try:
-        with open(stem + ".json", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"checkpoint manifest not found: {stem}.json") from None
-    except json.JSONDecodeError as e:
-        raise DataError(f"checkpoint manifest is not valid JSON: {e}") from None
+    manifest = read_json(stem + ".json", "checkpoint manifest",
+                         keys=("spec", "params", "blob"))
     if manifest.get("format") != _MAGIC:
         raise DataError(f"not a recognized checkpoint manifest: {stem}.json")
     blob_path = os.path.join(os.path.dirname(stem) or ".", manifest["blob"])

@@ -9,11 +9,9 @@ across columns.
 
 from __future__ import annotations
 
-import csv
-import io
-
 import numpy as np
 
+from .artifacts import csv_text
 from .data.features import FeatureMatrix
 from .data.ohlcv import PriceSeries
 from .errors import DataError, DomainError
@@ -82,12 +80,8 @@ class CorrelationMatrix:
         return float(self.matrix[self.names.index(a), self.names.index(b)])
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([""] + self.names)
-        for name, row in zip(self.names, self.matrix):
-            writer.writerow([name] + [repr(v) for v in row])
-        return out.getvalue()
+        return csv_text(["", *self.names],
+                        ([name, *row] for name, row in zip(self.names, self.matrix)))
 
 
 def correlation_matrix(features: FeatureMatrix, columns: list[str] | None = None) -> CorrelationMatrix:
@@ -268,9 +262,5 @@ def monthly_aggregate(series: PriceSeries) -> list[dict]:
 
 
 def monthly_aggregate_csv(rows: list[dict]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["month", "column", "mean", "max", "min"])
-    for r in rows:
-        writer.writerow([r["month"], r["column"], repr(r["mean"]), repr(r["max"]), repr(r["min"])])
-    return out.getvalue()
+    columns = ["month", "column", "mean", "max", "min"]
+    return csv_text(columns, ([r[c] for c in columns] for r in rows))

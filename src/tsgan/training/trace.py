@@ -6,10 +6,9 @@ command, so no wall-clock time is recorded here.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 
+from ..artifacts import csv_text
 from ..errors import NumericAbort
 
 CSV_COLUMNS = ("epoch", "g_loss", "d_loss", "value", "phase")
@@ -41,14 +40,4 @@ class LossTrace:
         return pool[-1]
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in self.records:
-            writer.writerow([r["epoch"], repr(r["g_loss"]), repr(r["d_loss"]),
-                             repr(r["value"]), r["phase"]])
-        return out.getvalue()
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.to_csv())
+        return csv_text(CSV_COLUMNS, ([r[c] for c in CSV_COLUMNS] for r in self.records))

@@ -1,7 +1,9 @@
 """End-to-end command-line runs: artifacts, exit codes, manifests, reruns."""
 
+import csv
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from tsgan.config import (PIPELINE_DEFAULTS, PRESETS, PipelineConfig, load_confi
 from tsgan.errors import (ConfigError, DataError, DomainError, GraphError,
                           NumericAbort, ShapeError, ToolkitError)
 from tsgan.manifest import (RunManifest, file_digest, load_manifest,
-                            replace_out_dir, rerun)
+                            replace_out_dir, rerun, write_manifest)
 
 PIPE = ["--seq-len", "6", "--horizon", "3", "--sma-window", "3"]
 
@@ -113,6 +115,59 @@ def test_unknown_config_key_is_named(tmp_path, capsys):
     assert "learning_rte" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])
+def test_bad_config_file_exits_1(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    rc = main(["synth-data", "--kind", "sine", "--rows", "10",
+               "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config file")
+
+
+def _without(text, key):
+    doc = json.loads(text)
+    del doc[key]
+    return json.dumps(doc)
+
+
+REPORT = {"model": "gru", "horizons": [1], "weights": [1.0], "basis": "scaled",
+          "per_horizon": {"1": {"rmse": 0.5, "mape": 0.05}}}
+
+
+@pytest.mark.parametrize("target, corrupt", [
+    ("train_manifest.json", lambda text: "{not json"),
+    ("report.json", lambda text: "{not json"),
+    ("report.json", lambda text: "[1, 2]"),
+    ("report.json", lambda text: _without(text, "horizons")),
+    ("model.json", lambda text: _without(text, "blob")),
+], ids=["train-manifest-not-json", "report-not-json", "report-is-a-list",
+        "report-lacks-horizons", "checkpoint-lacks-blob"])
+def test_corrupt_inputs_exit_2(tmp_path, capsys, data_csv, gru_run, target, corrupt):
+    run = tmp_path / "run"
+    shutil.copytree(gru_run, run)
+    (run / "report.json").write_text(json.dumps(REPORT))
+    path = run / target
+    path.write_text(corrupt(path.read_text()))
+    if target == "report.json":
+        argv = ["compare", "--report", str(path)]
+    else:
+        argv = ["forecast", "--input", str(data_csv), "--model-dir", str(run), *PIPE]
+    capsys.readouterr()
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def _assert_numeric_cells(path):
+    rows = list(csv.reader(path.read_text().splitlines()))
+    for row in rows[1:]:
+        for cell in row[1:]:
+            float(cell)  # raises on cells like "np.float64(1.5)"
+
+
 def test_ingest_artifacts(tmp_path, data_csv):
     out = tmp_path / "ingest"
     assert main(["ingest", "--input", str(data_csv), *PIPE,
@@ -135,6 +190,7 @@ def test_stats_artifacts(tmp_path, data_csv):
     assert len(describe) == 7  # header + six raw columns
     corr = (out / "correlation.csv").read_text().splitlines()
     assert corr[0] == ",Open,High,Low,Close,Adj Close,Volume"
+    _assert_numeric_cells(out / "correlation.csv")
     clusters = json.loads((out / "clusters.json").read_text())
     assert isinstance(clusters, list) and len(clusters) == 3
     monthly = (out / "monthly.csv").read_text().splitlines()
@@ -150,7 +206,8 @@ def test_features_artifacts(tmp_path, data_csv):
     assert "Close_Diff" in header and "Volume_SMA" in header
     scaler = json.loads((out / "scaler.json").read_text())
     assert len(scaler["names"]) == 18
-    assert (out / "scaled.csv").exists()
+    _assert_numeric_cells(out / "features.csv")
+    _assert_numeric_cells(out / "scaled.csv")
 
 
 def test_train_gru_artifacts_and_manifest(gru_run, data_csv):
@@ -328,8 +385,7 @@ def test_manifest_helpers(tmp_path):
 
     m = RunManifest("train", ["train", "--out-dir", "old"], {"epochs": 2}, 7,
                     {"in.csv": "sha256:00"}, ["old/model.bin"])
-    doc = json.loads(m.to_json())
-    again = RunManifest.from_dict(doc)
+    again = load_manifest(write_manifest(m, tmp_path / "x_manifest.json"))
     assert again.command == "train" and again.seed == 7
     assert again.config == {"epochs": 2}
 

@@ -84,6 +84,8 @@ def test_metrics_report_weighting_and_roundtrip():
 
     with pytest.raises(ConfigError):
         _report("x", (0.1, 0.2), basis="percent")
+    with pytest.raises(DataError, match="re-based"):
+        rep.with_basis("original")  # no original-unit metrics to re-base on
 
 
 def test_spec_hidden_layers():
@@ -111,6 +113,10 @@ def test_horizon_sweep_against_hand_metrics():
     assert rep.basis == "scaled"
     assert rep.per_horizon_original is not None
     assert rep.weighted_original["rmse"] > 0
+    assert rep.with_basis("scaled") is rep
+    orig = rep.with_basis("original")
+    assert orig.basis == "original" and orig.per_horizon == rep.per_horizon_original
+    assert orig.weighted == rep.weighted_original
 
 
 def test_horizon_sweep_validation():

@@ -8,12 +8,18 @@ from tsgan.errors import ConfigError, DataError, ShapeError
 from tsgan.models import (NetSpec, Network, build_critic, build_discriminator,
                           build_forecaster, build_generator, build_network,
                           build_timegan, conv_out_len, gru_cell_forward,
-                          init_gru_cell, init_lstm_cell, load_checkpoint,
+                          init_network_params, load_checkpoint,
                           lstm_cell_forward, min_discriminator_len,
                           save_checkpoint, scale_width)
 from tsgan.models.builders import (DISC_CONV_FILTERS, DISC_DENSE_UNITS,
                                    GENERATOR_DENSE_UNITS, GENERATOR_GRU_UNITS)
 from tsgan.numcore import RngStream, Tensor, mean
+
+
+def _cell(kind, input_dim, units, rng):
+    """A cell dict drawn the way a one-layer network draws its parameters."""
+    spec = NetSpec("cell", input_dim, [{"kind": kind, "units": units}])
+    return {k.split(".", 1)[1]: v for k, v in init_network_params(spec, rng).items()}
 
 
 def _zeroed(cell):
@@ -22,7 +28,7 @@ def _zeroed(cell):
 
 def test_gru_zero_parameters_halve_the_state():
     # z = r = 1/2 and the candidate is tanh(0) = 0, so h' = h/2 exactly.
-    cell = _zeroed(init_gru_cell(3, 4, RngStream(0, ("gru",))))
+    cell = _zeroed(_cell("gru", 3, 4, RngStream(0, ("gru",))))
     h = Tensor(np.arange(8.0).reshape(2, 4))
     x = Tensor(np.ones((2, 3)))
     out = gru_cell_forward(cell, x, h)
@@ -31,7 +37,7 @@ def test_gru_zero_parameters_halve_the_state():
 
 def test_lstm_zero_parameters_oracle():
     # Gates sigma(0) = 1/2, candidate tanh(0) = 0: c' = c/2, h' = tanh(c/2)/2.
-    cell = _zeroed(init_lstm_cell(3, 4, RngStream(0, ("lstm",))))
+    cell = _zeroed(_cell("lstm", 3, 4, RngStream(0, ("lstm",))))
     c = Tensor(np.linspace(-1.0, 1.0, 8).reshape(2, 4))
     h = Tensor(np.zeros((2, 4)))
     x = Tensor(np.ones((2, 3)))
@@ -41,8 +47,8 @@ def test_lstm_zero_parameters_oracle():
 
 
 def test_cell_initialization_is_seeded_and_bounded():
-    a = init_gru_cell(5, 7, RngStream(1, ("cell",)))
-    b = init_gru_cell(5, 7, RngStream(1, ("cell",)))
+    a = _cell("gru", 5, 7, RngStream(1, ("cell",)))
+    b = _cell("gru", 5, 7, RngStream(1, ("cell",)))
     bound = 1.0 / np.sqrt(5 + 7)
     for key in a:
         np.testing.assert_array_equal(a[key].data, b[key].data)
@@ -52,7 +58,7 @@ def test_cell_initialization_is_seeded_and_bounded():
 
 
 def test_gru_cell_gradients():
-    cell = init_gru_cell(2, 3, RngStream(2, ("g",)))
+    cell = _cell("gru", 2, 3, RngStream(2, ("g",)))
     x = Tensor(np.random.default_rng(0).normal(size=(4, 2)))
     h = Tensor(np.zeros((4, 3)))
     tensors = list(cell.values())
@@ -60,7 +66,7 @@ def test_gru_cell_gradients():
 
 
 def test_lstm_cell_gradients():
-    cell = init_lstm_cell(2, 3, RngStream(3, ("l",)))
+    cell = _cell("lstm", 2, 3, RngStream(3, ("l",)))
     x = Tensor(np.random.default_rng(1).normal(size=(4, 2)))
     h = Tensor(np.zeros((4, 3)))
     c = Tensor(np.zeros((4, 3)))
