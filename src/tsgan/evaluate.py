@@ -113,13 +113,17 @@ class MetricsReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":
-        horizons = [int(h) for h in d["horizons"]]
-        per_h = {int(k): v for k, v in d["per_horizon"].items()}
-        per_ho = d.get("per_horizon_original")
-        if per_ho is not None:
-            per_ho = {int(k): v for k, v in per_ho.items()}
-        return cls(d["model"], horizons, per_h, d["weights"], d["basis"],
-                   d.get("hidden_layers"), d.get("epochs"), per_ho)
+        """Rebuild a report from as_dict() output; a malformed one is a DataError."""
+        try:
+            horizons = [int(h) for h in d["horizons"]]
+            per_h = {int(k): v for k, v in d["per_horizon"].items()}
+            per_ho = d.get("per_horizon_original")
+            if per_ho is not None:
+                per_ho = {int(k): v for k, v in per_ho.items()}
+            return cls(d["model"], horizons, per_h, d["weights"], d["basis"],
+                       d.get("hidden_layers"), d.get("epochs"), per_ho)
+        except (AttributeError, ConfigError, KeyError, TypeError, ValueError) as e:
+            raise DataError(f"malformed metrics report: {type(e).__name__}: {e}") from None
 
 
 def spec_hidden_layers(model) -> int | None:

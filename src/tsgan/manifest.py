@@ -17,6 +17,8 @@ from .artifacts import read_json, write_json
 from .errors import ConfigError, DataError
 
 MANIFEST_FORMAT = "tsgan-run-v1"
+_FIELD_TYPES = {"command": str, "argv": list, "config": dict, "seed": int,
+                "inputs": dict, "outputs": list}
 
 
 def file_digest(path: str | Path) -> str:
@@ -66,6 +68,9 @@ class RunManifest:
     def from_dict(cls, d: dict) -> "RunManifest":
         if d.get("format") != MANIFEST_FORMAT:
             raise DataError(f"not a run manifest (format {d.get('format')!r})")
+        wrong = sorted(k for k, kind in _FIELD_TYPES.items() if not isinstance(d[k], kind))
+        if wrong:
+            raise DataError(f"run manifest fields have the wrong type: {', '.join(wrong)}")
         return cls(d["command"], d["argv"], d["config"], d["seed"], d["inputs"],
                    d["outputs"], d.get("version", "unknown"), d.get("started"),
                    d.get("finished"))

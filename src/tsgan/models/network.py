@@ -15,9 +15,10 @@ from ..errors import ConfigError, ShapeError
 from ..numcore import (
     RngStream,
     Tensor,
-    concat,
     conv1d,
     dropout,
+    gru_sequence,
+    lstm_sequence,
     matmul,
     relu,
     reshape,
@@ -25,11 +26,15 @@ from ..numcore import (
     slice_tensor,
     tanh,
 )
-from .cells import gru_cell_forward, lstm_cell_forward
 
 ACTIVATIONS = ("sigmoid", "tanh", "relu", "linear")
 
 _LAYER_KINDS = ("gru", "lstm", "dense", "conv1d", "flatten", "dropout", "last_step")
+
+# Gate letters of each recurrent kind, in parameter order and in the argument
+# order of its fused sequence kernel: W<gate>, b<gate> per gate.
+_GATES = {"gru": "zrh", "lstm": "fiog"}
+_SEQUENCE_KERNELS = {"gru": gru_sequence, "lstm": lstm_sequence}
 
 
 class NetSpec:
@@ -84,18 +89,10 @@ def _layer_param_shapes(spec: NetSpec) -> list[tuple[str, tuple]]:
     for i, layer in enumerate(spec.layers):
         kind = layer["kind"]
         prefix = f"L{i}"
-        if kind == "gru":
+        if kind in _GATES:
             units = layer["units"]
-            fan = width + units
-            for gate in ("z", "r", "h"):
-                shapes.append((f"{prefix}.W{gate}", (fan, units)))
-                shapes.append((f"{prefix}.b{gate}", (units,)))
-            width = units
-        elif kind == "lstm":
-            units = layer["units"]
-            fan = width + units
-            for gate in ("f", "i", "o", "g"):
-                shapes.append((f"{prefix}.W{gate}", (fan, units)))
+            for gate in _GATES[kind]:
+                shapes.append((f"{prefix}.W{gate}", (width + units, units)))
                 shapes.append((f"{prefix}.b{gate}", (units,)))
             width = units
         elif kind == "dense":
@@ -136,30 +133,6 @@ def init_network_params(spec: NetSpec, rng: RngStream) -> dict[str, Tensor]:
     return params
 
 
-def _cell_view(params: dict, prefix: str, keys: tuple) -> dict:
-    return {k: params[f"{prefix}.{k}"] for k in keys}
-
-
-_GRU_KEYS = ("Wz", "bz", "Wr", "br", "Wh", "bh")
-_LSTM_KEYS = ("Wf", "bf", "Wi", "bi", "Wo", "bo", "Wg", "bg")
-
-
-def _run_recurrent(kind: str, cell: dict, x: Tensor, units: int) -> Tensor:
-    """Unroll a cell over (batch, seq, feat); returns the full (batch, seq, units) output."""
-    batch, seq = x.shape[0], x.shape[1]
-    h = Tensor(np.zeros((batch, units)))
-    c = Tensor(np.zeros((batch, units)))
-    steps = []
-    for t in range(seq):
-        xt = slice_tensor(x, (slice(None), t, slice(None)))
-        if kind == "gru":
-            h = gru_cell_forward(cell, xt, h)
-        else:
-            h, c = lstm_cell_forward(cell, xt, h, c)
-        steps.append(reshape(h, (batch, 1, units)))
-    return concat(steps, axis=1) if seq > 1 else steps[0]
-
-
 def net_forward(
     spec: NetSpec,
     params: dict[str, Tensor],
@@ -180,11 +153,11 @@ def net_forward(
         kind = layer["kind"]
         prefix = f"L{i}"
         where = f"{spec.name} layer {i} ({kind})"
-        if kind in ("gru", "lstm"):
+        if kind in _GATES:
             if out.ndim != 3:
                 raise ShapeError(f"{where}: needs a (batch, seq, feat) input, got {out.shape}")
-            keys = _GRU_KEYS if kind == "gru" else _LSTM_KEYS
-            out = _run_recurrent(kind, _cell_view(params, prefix, keys), out, layer["units"])
+            gate_params = (params[f"{prefix}.{p}{gate}"] for gate in _GATES[kind] for p in "Wb")
+            out = _SEQUENCE_KERNELS[kind](out, *gate_params)
         elif kind == "last_step":
             if out.ndim != 3:
                 raise ShapeError(f"{where}: needs a (batch, seq, feat) input, got {out.shape}")

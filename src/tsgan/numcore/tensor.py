@@ -269,14 +269,14 @@ def matmul(a, b) -> Tensor:
     return _record("matmul", out, (a, b), bw)
 
 
+def _sigmoid(d: np.ndarray) -> np.ndarray:
+    """Logistic function as 0.5*(1 + tanh(x/2)): no overflow at any input, one ufunc pass."""
+    return 0.5 * (1.0 + np.tanh(0.5 * d))
+
+
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
-    d = x.data
-    y = np.empty_like(d)
-    pos = d >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    y = _sigmoid(x.data)
     out = Tensor(y)
 
     def bw(g):

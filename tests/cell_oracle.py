@@ -1,14 +1,15 @@
-"""Gated recurrent cells (GRU and LSTM) as parameter dicts plus step functions.
+"""Reference GRU/LSTM cells composed from tape primitives, one timestep at a time.
 
-A cell is a plain dict of named Tensors so that networks can keep one flat
-parameter registry for optimizers and checkpoints. Gate equations are the
-standard formulations.
+The fused kernels in tsgan.numcore.recurrent replaced this per-step path in
+the networks; the tests keep it as the oracle those kernels are checked
+against. A cell is a dict of named Tensors keyed like a layer's parameters
+without the layer prefix (Wz, bz, ... or Wf, bf, ...).
 """
 
-from __future__ import annotations
+import numpy as np
 
-from ..errors import ShapeError
-from ..numcore import Tensor, concat, matmul, sigmoid, tanh
+from tsgan.errors import ShapeError
+from tsgan.numcore import Tensor, concat, matmul, reshape, sigmoid, slice_tensor, tanh
 
 
 def gru_cell_forward(cell: dict, x: Tensor, h: Tensor) -> Tensor:
@@ -46,3 +47,20 @@ def lstm_cell_forward(cell: dict, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tens
     c_new = f * c + i * g
     h_new = o * tanh(c_new)
     return h_new, c_new
+
+
+def unroll(kind: str, cell: dict, x: Tensor) -> Tensor:
+    """Run a cell over (batch, seq, feat) from a zero state; returns (batch, seq, units)."""
+    batch, seq = x.shape[0], x.shape[1]
+    units = cell["bz" if kind == "gru" else "bf"].shape[0]
+    h = Tensor(np.zeros((batch, units)))
+    c = Tensor(np.zeros((batch, units)))
+    steps = []
+    for t in range(seq):
+        xt = slice_tensor(x, (slice(None), t, slice(None)))
+        if kind == "gru":
+            h = gru_cell_forward(cell, xt, h)
+        else:
+            h, c = lstm_cell_forward(cell, xt, h, c)
+        steps.append(reshape(h, (batch, 1, units)))
+    return concat(steps, axis=1)

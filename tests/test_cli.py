@@ -133,6 +133,12 @@ def _without(text, key):
     return json.dumps(doc)
 
 
+def _with(text, key, value):
+    doc = json.loads(text)
+    doc[key] = value
+    return json.dumps(doc)
+
+
 REPORT = {"model": "gru", "horizons": [1], "weights": [1.0], "basis": "scaled",
           "per_horizon": {"1": {"rmse": 0.5, "mape": 0.05}}}
 
@@ -143,8 +149,12 @@ REPORT = {"model": "gru", "horizons": [1], "weights": [1.0], "basis": "scaled",
     ("report.json", lambda text: "[1, 2]"),
     ("report.json", lambda text: _without(text, "horizons")),
     ("model.json", lambda text: _without(text, "blob")),
+    ("report.json", lambda text: _with(text, "per_horizon", [1])),
+    ("report.json", lambda text: _with(text, "weights", [1.0, 2.0])),
+    ("train_manifest.json", lambda text: _with(text, "config", "abc")),
 ], ids=["train-manifest-not-json", "report-not-json", "report-is-a-list",
-        "report-lacks-horizons", "checkpoint-lacks-blob"])
+        "report-lacks-horizons", "checkpoint-lacks-blob", "report-wrong-types",
+        "report-weights-mismatch", "train-manifest-config-not-object"])
 def test_corrupt_inputs_exit_2(tmp_path, capsys, data_csv, gru_run, target, corrupt):
     run = tmp_path / "run"
     shutil.copytree(gru_run, run)

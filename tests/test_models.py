@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from cell_oracle import gru_cell_forward, lstm_cell_forward
 from gradtools import check_gradients
 from tsgan.errors import ConfigError, DataError, ShapeError
 from tsgan.models import (NetSpec, Network, build_critic, build_discriminator,
                           build_forecaster, build_generator, build_network,
-                          build_timegan, conv_out_len, gru_cell_forward,
-                          init_network_params, load_checkpoint,
-                          lstm_cell_forward, min_discriminator_len,
+                          build_timegan, conv_out_len, init_network_params,
+                          load_checkpoint, min_discriminator_len,
                           save_checkpoint, scale_width)
 from tsgan.models.builders import (DISC_CONV_FILTERS, DISC_DENSE_UNITS,
                                    GENERATOR_DENSE_UNITS, GENERATOR_GRU_UNITS)

@@ -1,0 +1,76 @@
+"""Fused GRU/LSTM sequence kernels against the per-step cell oracle."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cell_oracle import unroll
+from tsgan.errors import ShapeError
+from tsgan.models import NetSpec, init_network_params
+from tsgan.numcore import (RngStream, Tape, Tensor, backward, gru_sequence,
+                           lstm_sequence, mul, tsum)
+
+KERNELS = {"gru": gru_sequence, "lstm": lstm_sequence}
+GATES = {"gru": "zrh", "lstm": "fiog"}
+TOL = 1e-12
+
+
+def _cell(kind, feat, units, seed):
+    """Gate parameters drawn like a one-layer network's, with nonzero biases."""
+    spec = NetSpec("cell", feat, [{"kind": kind, "units": units}])
+    params = init_network_params(spec, RngStream(seed, ("cell",)))
+    cell = {k.split(".", 1)[1]: v for k, v in params.items()}
+    draw = np.random.default_rng(seed)
+    for gate in GATES[kind]:
+        cell[f"b{gate}"].data = draw.normal(scale=0.5, size=units)
+    return cell
+
+
+def _fused(kind, cell, x):
+    return KERNELS[kind](x, *(cell[f"{p}{g}"] for g in GATES[kind] for p in "Wb"))
+
+
+def _grads(run, x, cell, weights):
+    """Forward value and gradients of sum(run() * weights) for x and every cell tensor."""
+    leaves = [x, *cell.values()]
+    with Tape() as tape:
+        out = run()
+        loss = tsum(mul(out, weights))
+    gmap = backward(tape, loss)
+    return out.data, [gmap[t.tape_id].data for t in leaves]
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["gru", "lstm"]), batch=st.integers(1, 4),
+       seq=st.integers(1, 6), feat=st.integers(1, 4), units=st.integers(1, 5),
+       seed=st.integers(0, 2**16))
+def test_fused_kernel_matches_cell_oracle(kind, batch, seq, feat, units, seed):
+    cell = _cell(kind, feat, units, seed)
+    draw = np.random.default_rng(seed + 1)
+    x = Tensor(draw.normal(size=(batch, seq, feat)), requires_grad=True)
+    weights = draw.normal(size=(batch, seq, units))
+    fused_out, fused_grads = _grads(lambda: _fused(kind, cell, x), x, cell, weights)
+    oracle_out, oracle_grads = _grads(lambda: unroll(kind, cell, x), x, cell, weights)
+    np.testing.assert_allclose(fused_out, oracle_out, rtol=0, atol=TOL)
+    for name, f, o in zip(["x", *cell], fused_grads, oracle_grads):
+        assert f.shape == o.shape, name
+        np.testing.assert_allclose(f, o, rtol=0, atol=TOL, err_msg=name)
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+def test_fused_kernel_records_one_node(kind):
+    cell = _cell(kind, 2, 3, 0)
+    x = Tensor(np.ones((2, 5, 2)))
+    with Tape() as tape:
+        _fused(kind, cell, x)
+    assert [node[0] for node in tape.nodes] == [f"{kind}_sequence"]
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3, 2, 1), (2, 0, 2), (2, 3, 4)],
+                         ids=["rank-2", "rank-4", "empty-seq", "width-mismatch"])
+def test_fused_kernel_rejects_bad_input_shapes(kind, shape):
+    cell = _cell(kind, 2, 3, 2)
+    with pytest.raises(ShapeError):
+        _fused(kind, cell, Tensor(np.zeros(shape)))

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gradtools import check_gradients
 from tsgan.errors import DomainError, GraphError, ShapeError
-from tsgan.numcore import (RngStream, Tape, Tensor, backward, clamp, concat,
-                           conv1d, dropout, leaf_grads, log,
+from tsgan.numcore import (RngStream, Tape, Tensor, add, backward, clamp,
+                           concat, conv1d, dropout, leaf_grads, log,
                            matmul, mean, mul, relu, reshape, sigmoid,
                            slice_tensor, sub, tanh, tsum)
+from tsgan.numcore.tensor import _unbroadcast
 
 
 def test_arithmetic_forward_values():
@@ -41,6 +45,30 @@ def test_sigmoid_is_stable_at_extreme_inputs():
     assert np.all(np.isfinite(out))
     assert out[0] == pytest.approx(0.0, abs=1e-300)
     assert out[1] == pytest.approx(1.0)
+
+
+def _masked_sigmoid(x):
+    """The two-branch form sigmoid used before the tanh form."""
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return y
+
+
+def test_sigmoid_tanh_form_matches_masked_form_without_fp_warnings():
+    x = np.concatenate([np.linspace(-750.0, 750.0, 30001), [-745.2, -40.0, -1e-300, 0.0, 1e-300]])
+    with np.errstate(under="ignore"):
+        expected = _masked_sigmoid(x)
+    xt = Tensor(x, requires_grad=True)
+    with np.errstate(all="raise"):
+        with Tape() as rec:
+            out = sigmoid(xt)
+            loss = tsum(out)
+        grad = backward(rec, loss)[xt.tape_id].data
+    np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(grad, expected * (1.0 - expected), rtol=0, atol=1e-15)
 
 
 def test_log_rejects_non_positive_input():
@@ -81,6 +109,39 @@ def test_broadcast_gradient_sums_over_expanded_axes():
     assert grads[b.tape_id].data.shape == (4,)
     np.testing.assert_allclose(grads[a.tape_id].data, np.full((3, 1), 4.0))
     np.testing.assert_allclose(grads[b.tape_id].data, np.full((4,), 3.0))
+
+
+def _summed_to(full, shape):
+    """Adjoint of broadcasting `shape` up to full.shape, by explicit accumulation."""
+    out = np.zeros(shape)
+    extra = full.ndim - len(shape)
+    for idx in np.ndindex(full.shape):
+        out[tuple(0 if n == 1 else i for i, n in zip(idx[extra:], shape))] += full[idx]
+    return out
+
+
+# Rank 0 is left out: Tensor stores a 0-d value as shape (1,).
+@settings(max_examples=80, deadline=None)
+@given(shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=1, max_dims=3,
+                                                max_side=3),
+       op=st.sampled_from(["add", "sub", "mul"]), seed=st.integers(0, 2**16))
+def test_broadcast_gradients_property(shapes, op, seed):
+    (sa, sb), out_shape = shapes.input_shapes, shapes.result_shape
+    draw = np.random.default_rng(seed)
+    a = Tensor(draw.normal(size=sa), requires_grad=True)
+    b = Tensor(draw.normal(size=sb), requires_grad=True)
+    g = draw.normal(size=out_shape)
+    fn = {"add": add, "sub": sub, "mul": mul}[op]
+    with Tape() as rec:
+        loss = tsum(mul(fn(a, b), g))
+    grads = backward(rec, loss)
+    partials = {"add": (1.0, 1.0), "sub": (1.0, -1.0), "mul": (b.data, a.data)}[op]
+    for leaf, partial in zip((a, b), partials):
+        got = grads[leaf.tape_id].data
+        assert got.shape == leaf.shape
+        full = g * np.broadcast_to(partial, out_shape)
+        np.testing.assert_allclose(got, _unbroadcast(full, leaf.shape), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, _summed_to(full, leaf.shape), rtol=0, atol=1e-12)
 
 
 def test_matmul_gradients_against_finite_differences():
