@@ -21,7 +21,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "tape_id", "_tape")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=np.float64, order="C")
         self.requires_grad = bool(requires_grad)
         self.tape_id = None
         self._tape = None

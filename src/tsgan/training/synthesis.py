@@ -137,23 +137,23 @@ def as_predictor(model, windows: WindowDataset, seed: int = 0):
     raise ConfigError(f"cannot build a predictor from {type(model).__name__}")
 
 
-def _feature_row(raw: np.ndarray, names: list[str], sma_window: int) -> np.ndarray:
-    """Features for the newest raw row, given full raw history (rows, 6)."""
+def _feature_rows(raw: np.ndarray, names: list[str], sma_window: int) -> np.ndarray:
+    """Features for the newest raw row of every buffer, raw shape (n, rows, 6)."""
     raw_index = {c: i for i, c in enumerate(RAW_COLUMNS)}
-    row = np.empty(len(names))
+    rows = np.zeros((raw.shape[0], len(names)))
     for j, name in enumerate(names):
         if name in raw_index:
-            row[j] = raw[-1, raw_index[name]]
+            rows[:, j] = raw[:, -1, raw_index[name]]
         elif name.endswith("_Diff"):
             c = raw_index[name[: -len("_Diff")]]
-            prev = raw[-2, c]
-            row[j] = 0.0 if prev == 0.0 else (raw[-1, c] - prev) / prev
+            prev = raw[:, -2, c]
+            np.divide(raw[:, -1, c] - prev, prev, out=rows[:, j], where=prev != 0.0)
         elif name.endswith("_SMA"):
             c = raw_index[name[: -len("_SMA")]]
-            row[j] = raw[-sma_window:, c].mean()
+            rows[:, j] = raw[:, -sma_window:, c].mean(axis=1)
         else:
             raise DataError(f"cannot recompute unknown feature column {name!r}")
-    return row
+    return rows
 
 
 def forecast(model, windows: WindowDataset, horizon: int, mode: str = "direct",
@@ -184,9 +184,11 @@ def _iterative_forecast(predictor, windows: WindowDataset, horizon: int,
                         scaler: ScalerParams | None) -> np.ndarray:
     """Roll 1-step predictions forward, rebuilding features from raw prices.
 
-    The predicted close is appended to a raw-price buffer; the other raw
+    All windows roll forward together: each step is one predict() call over
+    the whole (count, seq_len, features) batch. The predicted closes are
+    appended to a (count, seq_len + step, 6) raw-price buffer; the other raw
     channels carry their last observed values forward; diffs and SMAs are
-    recomputed from the buffer and rescaled before the next step.
+    recomputed from the buffer and rescaled before the windows shift.
     """
     if scaler is None:
         raise ConfigError("iterative forecasting needs the fitted scaler")
@@ -203,21 +205,17 @@ def _iterative_forecast(predictor, windows: WindowDataset, horizon: int,
         raise DataError(f"windows lack raw columns needed for roll-forward: {missing}")
     raw_cols = [windows.feature_names.index(c) for c in RAW_COLUMNS]
     close_raw_pos = RAW_COLUMNS.index("Close")
-    n = windows.count
-    out = np.empty((n, horizon))
-    original = inverse_scale_matrix(windows.inputs, scaler)
-    for i in range(n):
-        window = windows.inputs[i].copy()
-        raw = original[i][:, raw_cols].copy()
-        for step in range(horizon):
-            pred = float(predictor.predict(window[None])[0, 0])
-            out[i, step] = pred
-            new_raw = raw[-1].copy()
-            new_raw[close_raw_pos] = inverse_scaler(pred, scaler, "Close")
-            raw = np.vstack([raw, new_raw])
-            feat = _feature_row(raw, windows.feature_names, sma_window)
-            feat_scaled = (feat - scaler.mins) / (scaler.maxs - scaler.mins)
-            window = np.vstack([window[1:], feat_scaled])
+    out = np.empty((windows.count, horizon))
+    window = windows.inputs
+    raw = inverse_scale_matrix(window, scaler)[:, :, raw_cols]
+    for step in range(horizon):
+        out[:, step] = predictor.predict(window)[:, 0]
+        new_raw = raw[:, -1].copy()
+        new_raw[:, close_raw_pos] = inverse_scaler(out[:, step], scaler, "Close")
+        raw = np.concatenate([raw, new_raw[:, None]], axis=1)
+        feat = _feature_rows(raw, windows.feature_names, sma_window)
+        feat_scaled = (feat - scaler.mins) / (scaler.maxs - scaler.mins)
+        window = np.concatenate([window[:, 1:], feat_scaled[:, None]], axis=1)
     return out
 
 

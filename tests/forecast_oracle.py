@@ -1,0 +1,52 @@
+"""Reference iterative forecast: one window and one step at a time.
+
+The batched roll-forward in tsgan.training.synthesis replaced this
+per-window loop; the tests keep it as the oracle that path is checked
+against. It takes validated inputs (a scaler and windows built from a
+FeatureMatrix) and calls predict() with a batch of one window.
+"""
+
+import numpy as np
+
+from tsgan.data import RAW_COLUMNS, inverse_scale_matrix, inverse_scaler
+
+
+def feature_row(raw: np.ndarray, names: list[str], sma_window: int) -> np.ndarray:
+    """Features for the newest raw row, given full raw history (rows, 6)."""
+    raw_index = {c: i for i, c in enumerate(RAW_COLUMNS)}
+    row = np.empty(len(names))
+    for j, name in enumerate(names):
+        if name in raw_index:
+            row[j] = raw[-1, raw_index[name]]
+        elif name.endswith("_Diff"):
+            c = raw_index[name[: -len("_Diff")]]
+            prev = raw[-2, c]
+            row[j] = 0.0 if prev == 0.0 else (raw[-1, c] - prev) / prev
+        elif name.endswith("_SMA"):
+            c = raw_index[name[: -len("_SMA")]]
+            row[j] = raw[-sma_window:, c].mean()
+        else:
+            raise ValueError(f"cannot recompute unknown feature column {name!r}")
+    return row
+
+
+def iterative_forecast(predictor, windows, horizon: int, scaler) -> np.ndarray:
+    """(count, horizon) scaled closes, rolling each window forward on its own."""
+    raw_cols = [windows.feature_names.index(c) for c in RAW_COLUMNS]
+    close_raw_pos = RAW_COLUMNS.index("Close")
+    n = windows.count
+    out = np.empty((n, horizon))
+    original = inverse_scale_matrix(windows.inputs, scaler)
+    for i in range(n):
+        window = windows.inputs[i].copy()
+        raw = original[i][:, raw_cols].copy()
+        for step in range(horizon):
+            pred = float(predictor.predict(window[None])[0, 0])
+            out[i, step] = pred
+            new_raw = raw[-1].copy()
+            new_raw[close_raw_pos] = inverse_scaler(pred, scaler, "Close")
+            raw = np.vstack([raw, new_raw])
+            feat = feature_row(raw, windows.feature_names, windows.sma_window)
+            feat_scaled = (feat - scaler.mins) / (scaler.maxs - scaler.mins)
+            window = np.vstack([window[1:], feat_scaled])
+    return out

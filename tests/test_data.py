@@ -4,6 +4,8 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tsgan.data import (AR1_LEVEL, AR1_PHI, FeatureMatrix, OhlcvRecord,
                         PriceSeries, apply_scaler, build_features, fit_scaler,
@@ -115,6 +117,27 @@ def test_repair_counts_imputations_and_is_idempotent():
     assert again.imputation_count == 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(start=st.integers(0, 6), present=st.lists(st.booleans(), min_size=1, max_size=40),
+       knn_k=st.integers(1, 6), seed=st.integers(0, 2**16))
+def test_repair_is_idempotent_property(start, present, knn_k, seed):
+    draw = np.random.default_rng(seed)
+    first = dt.date(2015, 1, 5) + dt.timedelta(days=start)
+    records = []
+    for i, keep in enumerate(present):
+        if keep:
+            close, vol = draw.uniform(5.0, 500.0), draw.uniform(0.0, 1e6)
+            records.append(OhlcvRecord(first + dt.timedelta(days=i), close - 1, close + 1,
+                                       close - 2, close, close, vol))
+    try:
+        once = repair_calendar(PriceSeries(records), knn_k=knn_k)
+    except DataError:
+        assume(False)
+    twice = repair_calendar(once, knn_k=knn_k)
+    assert [(r.date, r.values()) for r in twice.records] == \
+        [(r.date, r.values()) for r in once.records]
+
+
 def test_repair_rejects_gaps_beyond_the_limit():
     series = _series([("2015-01-05", 10.0), ("2015-01-21", 20.0)])
     with pytest.raises(DataError, match="11 consecutive"):
@@ -199,6 +222,22 @@ def test_scaler_roundtrip_within_relative_tolerance():
         assert np.max(np.abs(back - orig) / np.maximum(1.0, np.abs(orig))) <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(2, 30), cols=st.integers(1, 4),
+       train_fraction=st.floats(0.1, 1.0), seed=st.integers(0, 2**16))
+def test_scaler_roundtrip_property(rows, cols, train_fraction, seed):
+    draw = np.random.default_rng(seed)
+    offsets = draw.uniform(-1e3, 1e3, cols) * 10.0 ** draw.integers(-3, 4, cols)
+    scales = 10.0 ** draw.integers(-6, 7, cols)
+    values = offsets + scales * draw.normal(size=(rows, cols))
+    assume(max(1, int(rows * train_fraction)) >= 2)
+    fm = FeatureMatrix([f"c{j}" for j in range(cols)], values, list(range(rows)),
+                       sma_window=1)
+    scaler = fit_scaler(fm, train_fraction=train_fraction)
+    back = inverse_scale_matrix(apply_scaler(fm, scaler).values, scaler)
+    assert np.all(np.abs(back - values) <= 1e-12 * np.abs(values).max(axis=0))
+
+
 def test_inverse_scale_matrix_covers_all_columns():
     values = np.array([[1.0, 10.0], [3.0, 30.0]])
     fm = FeatureMatrix(["a", "b"], values, [dt.date(2015, 1, 5), dt.date(2015, 1, 6)],
@@ -246,6 +285,33 @@ def test_split_is_chronological_and_exhaustive():
     np.testing.assert_array_equal(test.inputs[0], ds.inputs[train.count])
     with pytest.raises(DataError):
         split_train_test(ds, 0.001)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(2, 40), seq_len=st.integers(1, 10), horizon=st.integers(1, 5),
+       seed=st.integers(0, 2**16))
+def test_window_count_and_targets_property(rows, seq_len, horizon, seed):
+    assume(rows >= seq_len + horizon)
+    values = np.random.default_rng(seed).normal(size=(rows, 2))
+    fm = FeatureMatrix(["x", "Close"], values, list(range(rows)), sma_window=1)
+    ds = make_windows(fm, seq_len, horizon)
+    assert ds.count == rows - seq_len - horizon + 1
+    for i in range(ds.count):
+        np.testing.assert_array_equal(ds.inputs[i], values[i:i + seq_len])
+        np.testing.assert_array_equal(ds.targets[i], values[i + seq_len:i + seq_len + horizon, 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.integers(2, 60), ratio=st.floats(0.01, 0.99))
+def test_split_property(count, ratio):
+    k = int(count * ratio)
+    assume(1 <= k < count)
+    values = np.arange(count + 1.0)[:, None]
+    ds = make_windows(FeatureMatrix(["Close"], values, list(range(count + 1)), sma_window=1),
+                      seq_len=1, horizon=1)
+    train, test = split_train_test(ds, ratio)
+    assert train.count == k and train.count + test.count == ds.count
+    assert train.origin_rows.max() < test.origin_rows.min()
 
 
 def test_windows_reject_short_series():

@@ -90,6 +90,13 @@ def test_mean_and_sum_with_axis():
     np.testing.assert_allclose(tsum(Tensor(x), axis=1).data, x.sum(axis=1))
 
 
+def test_zero_d_values_keep_shape_zero_d():
+    assert Tensor(np.float64(2.0)).shape == ()
+    x = Tensor(np.arange(6.0).reshape(2, 3))
+    assert mean(x).shape == ()
+    assert tsum(x).shape == ()
+
+
 def test_simple_chain_gradient():
     # d/dx mean((x*x)) = 2x/n, checked exactly.
     x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
@@ -120,9 +127,8 @@ def _summed_to(full, shape):
     return out
 
 
-# Rank 0 is left out: Tensor stores a 0-d value as shape (1,).
 @settings(max_examples=80, deadline=None)
-@given(shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=1, max_dims=3,
+@given(shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=3,
                                                 max_side=3),
        op=st.sampled_from(["add", "sub", "mul"]), seed=st.integers(0, 2**16))
 def test_broadcast_gradients_property(shapes, op, seed):
