@@ -20,7 +20,7 @@ from .artifacts import read_json, write_csv, write_json, write_text
 from .config import (PIPELINE_DEFAULTS, PRESETS, PipelineConfig, load_config,
                      resolved_config_dict)
 from .data.features import FeatureMatrix, build_features, features_to_csv
-from .data.ohlcv import repair_calendar, series_to_csv
+from .data.ohlcv import RAW_COLUMNS, repair_calendar, series_to_csv
 from .data.scaling import apply_scaler, fit_scaler, inverse_scaler
 from .data.synth import SYNTH_KINDS, make_synthetic_series
 from .errors import (ConfigError, DataError, DomainError, GraphError,
@@ -81,21 +81,11 @@ def _write_matrix_csv(path: Path, matrix: np.ndarray, prefix: str = "step") -> P
     return write_csv(path, header, ([i, *row] for i, row in enumerate(matrix)))
 
 
-def _override_dict(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
-
-TRAIN_FLAG_KEYS = ("seed", "epochs", "batch_size", "width_mult", "hidden_layers",
-                   "hidden_units", "latent_dim", "loss_mode", "n_critic")
-PIPE_FLAG_KEYS = ("seq_len", "horizon", "sma_window", "knn_k", "train_fraction")
-
-
 def _resolve_config(args, base: dict | None = None) -> tuple[TrainConfig, PipelineConfig]:
-    overrides = _override_dict(args, TRAIN_FLAG_KEYS + PIPE_FLAG_KEYS)
-    if base:
-        merged = {k: v for k, v in base.items()
-                  if k in TrainConfig.DEFAULTS or k in PIPELINE_DEFAULTS}
-        merged.update(overrides)
-        overrides = merged
+    """Config file < preset < a train run's config (`base`) < explicit flags."""
+    keys = [*TrainConfig.DEFAULTS, *PIPELINE_DEFAULTS]
+    overrides = {k: base[k] for k in keys if base and k in base}
+    overrides.update({k: getattr(args, k) for k in keys if getattr(args, k, None) is not None})
     return load_config(getattr(args, "config", None), getattr(args, "preset", None),
                        overrides)
 
@@ -119,7 +109,7 @@ def _cmd_ingest(args, out_dir: Path):
         "input_rows": len(series),
         "repaired_rows": len(repaired),
         "imputed_rows": repaired.imputation_count,
-        "date_range": [str(repaired.records[0].date), str(repaired.records[-1].date)],
+        "date_range": [str(repaired.dates[0]), str(repaired.dates[-1])],
     }
     report_path = write_json(out_dir / "ingest_report.json", report)
     cfg = resolved_config_dict(train_cfg, pipe_cfg)
@@ -130,12 +120,10 @@ def _cmd_stats(args, out_dir: Path):
     train_cfg, pipe_cfg = _resolve_config(args)
     series = load_series(args.input)
     repaired = repair_calendar(series, pipe_cfg.knn_k)
-    names = ["Open", "High", "Low", "Close", "Adj Close", "Volume"]
-    values = np.column_stack([repaired.column(n) for n in names])
-    matrix = FeatureMatrix(names, values, repaired.dates(), sma_window=1)
+    matrix = FeatureMatrix(list(RAW_COLUMNS), repaired.values, repaired.dates, sma_window=1)
 
     rows = []
-    for name in names:
+    for name in RAW_COLUMNS:
         stats = describe(matrix.column(name))
         rows.append([name] + [stats.as_dict()[f] for f in DescriptiveStats.FIELD_NAMES])
     describe_path = write_csv(out_dir / "describe.csv",

@@ -55,9 +55,6 @@ class PipelineConfig:
     def as_dict(self) -> dict:
         return {k: getattr(self, k) for k in PIPELINE_DEFAULTS}
 
-    def replace(self, **kwargs) -> "PipelineConfig":
-        return PipelineConfig(**{**self.as_dict(), **kwargs})
-
 
 # Full-scale training recipes, one per model family. Desk-scale runs take the
 # plain defaults; these presets restore the published-size workloads.

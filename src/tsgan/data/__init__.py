@@ -1,9 +1,9 @@
 """Data layer: OHLCV ingest, calendar repair, features, scaling, windows, fixtures."""
 
-from .features import RAW_COLUMNS, FeatureMatrix, build_features, features_to_csv, pct_change, trailing_sma
+from .features import FeatureMatrix, build_features, features_to_csv, pct_change, trailing_sma
 from .ohlcv import (
     MAX_GAP_BUSINESS_DAYS,
-    OhlcvRecord,
+    RAW_COLUMNS,
     PriceSeries,
     parse_ohlcv_csv,
     repair_calendar,
@@ -26,7 +26,6 @@ __all__ = [
     "AR1_SIGMA",
     "FeatureMatrix",
     "MAX_GAP_BUSINESS_DAYS",
-    "OhlcvRecord",
     "PriceSeries",
     "RAW_COLUMNS",
     "SYNTH_KINDS",

@@ -12,9 +12,7 @@ import numpy as np
 
 from ..artifacts import csv_text
 from ..errors import DataError
-from .ohlcv import PriceSeries
-
-RAW_COLUMNS = ("Open", "High", "Low", "Close", "Adj Close", "Volume")
+from .ohlcv import RAW_COLUMNS, PriceSeries
 
 
 class FeatureMatrix:
@@ -60,7 +58,7 @@ class FeatureMatrix:
 
 
 def pct_change(raw: np.ndarray) -> tuple[np.ndarray, int]:
-    """(v[t] - v[t-1]) / v[t-1] with zero denominators mapped to 0 and counted."""
+    """(v[t] - v[t-1]) / v[t-1] along rows, zero denominators mapped to 0 and counted."""
     prev = raw[:-1]
     cur = raw[1:]
     zero = prev == 0.0
@@ -83,25 +81,14 @@ def build_features(series: PriceSeries, sma_window: int = 10) -> FeatureMatrix:
     if n <= sma_window:
         raise DataError(f"need more than {sma_window} rows to build features, have {n}")
     trim = max(1, sma_window - 1)
-    names: list[str] = []
-    cols: list[np.ndarray] = []
-    warnings = 0
-    raws = {name: np.asarray(series.column(name)) for name in RAW_COLUMNS}
-    for name in RAW_COLUMNS:
-        names.append(name)
-        cols.append(raws[name][trim:])
-    for name in RAW_COLUMNS:
-        diff, zeros = pct_change(raws[name])
-        warnings += zeros
-        names.append(f"{name}_Diff")
-        cols.append(diff[trim - 1:])
-    for name in RAW_COLUMNS:
-        sma = trailing_sma(raws[name], sma_window)
-        names.append(f"{name}_SMA")
-        cols.append(sma[trim - (sma_window - 1):])
-    dates = series.dates()[trim:]
+    raw = series.values
+    diff, warnings = pct_change(raw)
+    sma = np.column_stack([trailing_sma(raw[:, j], sma_window) for j in range(raw.shape[1])])
+    names = [*RAW_COLUMNS, *(f"{c}_Diff" for c in RAW_COLUMNS),
+             *(f"{c}_SMA" for c in RAW_COLUMNS)]
+    values = np.hstack([raw[trim:], diff[trim - 1:], sma[trim - (sma_window - 1):]])
     return FeatureMatrix(
-        names, np.column_stack(cols), dates, sma_window,
+        names, values, series.dates[trim:], sma_window,
         trimmed_rows=trim, zero_div_warnings=warnings,
     )
 

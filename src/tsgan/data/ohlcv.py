@@ -1,10 +1,11 @@
-"""OHLCV record parsing and trading-calendar repair.
+"""OHLCV parsing, the columnar PriceSeries, and trading-calendar repair.
 
-The CSV contract: a header naming Date, Open, High, Low, Close, Adj Close,
-Volume (any order, any case), one row per calendar date. Repair drops
-weekend rows, maps a missing Monday to its preceding Friday, and fills any
-remaining business-day holes by per-field KNN averaging over calendar-day
-distance.
+RAW_COLUMNS is the one place the six OHLCV columns are named, in the
+column order of PriceSeries.values. The CSV contract: a header naming Date
+and the RAW_COLUMNS (any order, any case), one row per calendar date.
+Repair drops weekend rows, maps a missing Monday to its preceding Friday,
+and fills any remaining business-day holes by per-field KNN averaging over
+calendar-day distance.
 """
 
 from __future__ import annotations
@@ -13,68 +14,74 @@ import csv
 import datetime as dt
 import io
 
+import numpy as np
+
 from ..artifacts import csv_text
 from ..errors import DataError
 
-REQUIRED_COLUMNS = ("date", "open", "high", "low", "close", "adj close", "volume")
+RAW_COLUMNS = ("Open", "High", "Low", "Close", "Adj Close", "Volume")
+REQUIRED_COLUMNS = ("date", *(name.lower() for name in RAW_COLUMNS))
 
 MAX_GAP_BUSINESS_DAYS = 10
 
 
-class OhlcvRecord:
-    """One trading day. Prices are index points, volume a non-negative count."""
-
-    __slots__ = ("date", "open", "high", "low", "close", "adj_close", "volume")
-
-    def __init__(self, date, open, high, low, close, adj_close, volume):
-        self.date = date
-        self.open = float(open)
-        self.high = float(high)
-        self.low = float(low)
-        self.close = float(close)
-        self.adj_close = float(adj_close)
-        self.volume = float(volume)
-        if self.volume < 0:
-            raise DataError(f"{date}: negative volume {self.volume}")
-        if self.low > min(self.open, self.close) + 1e-9:
-            raise DataError(f"{date}: low {self.low} above open/close")
-        if self.high < max(self.open, self.close) - 1e-9:
-            raise DataError(f"{date}: high {self.high} below open/close")
-
-    def values(self) -> tuple:
-        return (self.open, self.high, self.low, self.close, self.adj_close, self.volume)
-
-    @classmethod
-    def from_values(cls, date, vals) -> "OhlcvRecord":
-        return cls(date, *vals)
+def _row_fault(values: np.ndarray) -> tuple[int, str] | None:
+    """(index, message) of the first row with a negative volume or a low/high
+    that does not bracket open and close."""
+    col = dict(zip(RAW_COLUMNS, values.T))
+    faults = (
+        ("Volume", "negative volume {}", col["Volume"] < 0),
+        ("Low", "low {} above open/close",
+         col["Low"] > np.minimum(col["Open"], col["Close"]) + 1e-9),
+        ("High", "high {} below open/close",
+         col["High"] < np.maximum(col["Open"], col["Close"]) - 1e-9),
+    )
+    bad = np.flatnonzero(np.logical_or.reduce([mask for _, _, mask in faults]))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    name, message = next((name, message) for name, message, mask in faults if mask[i])
+    return i, message.format(float(col[name][i]))
 
 
 class PriceSeries:
-    """Date-ordered OHLCV records with a provenance note (raw or repaired)."""
+    """Daily OHLCV rows: `dates` plus one (n, 6) float64 `values` array whose
+    columns follow RAW_COLUMNS, with a provenance note (raw or repaired).
 
-    def __init__(self, records: list[OhlcvRecord], provenance: str = "raw",
+    Prices are index points and volume a non-negative count; low and high
+    bracket open and close, and dates strictly increase.
+    """
+
+    def __init__(self, dates: list, values, provenance: str = "raw",
                  imputation_count: int = 0):
-        for a, b in zip(records, records[1:]):
-            if a.date >= b.date:
-                raise DataError(f"dates not strictly increasing at {b.date}")
+        dates = list(dates)
+        values = np.array(values, dtype=np.float64)
+        if values.shape != (len(dates), len(RAW_COLUMNS)):
+            raise DataError(f"OHLCV values of shape {values.shape} do not fit "
+                            f"{len(dates)} dates x {len(RAW_COLUMNS)} columns")
+        fault = _row_fault(values)
+        if fault is not None:
+            raise DataError(f"{dates[fault[0]]}: {fault[1]}")
+        for a, b in zip(dates, dates[1:]):
+            if a >= b:
+                raise DataError(f"dates not strictly increasing at {b}")
         if provenance == "repaired":
-            for r in records:
-                if r.date.weekday() >= 5:
-                    raise DataError(f"repaired series contains weekend date {r.date}")
-        self.records = list(records)
+            for d in dates:
+                if d.weekday() >= 5:
+                    raise DataError(f"repaired series contains weekend date {d}")
+        self.dates = dates
+        self.values = values
         self.provenance = provenance
         self.imputation_count = int(imputation_count)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.dates)
 
-    def dates(self) -> list:
-        return [r.date for r in self.records]
-
-    def column(self, name: str) -> list[float]:
-        attr = {"Open": "open", "High": "high", "Low": "low", "Close": "close",
-                "Adj Close": "adj_close", "Volume": "volume"}[name]
-        return [getattr(r, attr) for r in self.records]
+    def column(self, name: str) -> np.ndarray:
+        try:
+            return self.values[:, RAW_COLUMNS.index(name)]
+        except ValueError:
+            raise DataError(f"no OHLCV column named {name!r}") from None
 
 
 def parse_ohlcv_csv(text: str) -> PriceSeries:
@@ -89,7 +96,7 @@ def parse_ohlcv_csv(text: str) -> PriceSeries:
     if missing:
         raise DataError(f"missing required columns: {missing}")
     idx = [lookup[c] for c in REQUIRED_COLUMNS]
-    records = []
+    row_nos, dates, rows = [], [], []
     seen = set()
     for row_no, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
@@ -110,17 +117,21 @@ def parse_ohlcv_csv(text: str) -> PriceSeries:
                 raise DataError(
                     f"row {row_no}: unparseable {name} value {cell!r}"
                 ) from None
-        try:
-            records.append(OhlcvRecord(date, *numbers))
-        except DataError as e:
-            raise DataError(f"row {row_no}: {e}") from None
-    records.sort(key=lambda r: r.date)
-    return PriceSeries(records, provenance="raw")
+        row_nos.append(row_no)
+        dates.append(date)
+        rows.append(numbers)
+    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(RAW_COLUMNS))
+    fault = _row_fault(values)
+    if fault is not None:
+        i, message = fault
+        raise DataError(f"row {row_nos[i]}: {dates[i]}: {message}")
+    order = sorted(range(len(dates)), key=dates.__getitem__)
+    return PriceSeries([dates[i] for i in order], values[order], provenance="raw")
 
 
 def series_to_csv(series: PriceSeries) -> str:
-    return csv_text(["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"],
-                    ([r.date, *r.values()] for r in series.records))
+    return csv_text(["Date", *RAW_COLUMNS],
+                    ([date, *row] for date, row in zip(series.dates, series.values.tolist())))
 
 
 def _business_days(first: dt.date, last: dt.date) -> list[dt.date]:
@@ -144,9 +155,9 @@ def repair_calendar(series: PriceSeries, knn_k: int = 5) -> PriceSeries:
     """
     if knn_k < 1:
         raise DataError(f"knn_k must be >= 1, got {knn_k}")
-    if not series.records:
+    if not len(series):
         raise DataError("cannot repair an empty series")
-    present = {r.date: r for r in series.records if r.date.weekday() < 5}
+    present = {d: row for d, row in zip(series.dates, series.values) if d.weekday() < 5}
     if not present:
         raise DataError("series has no business-day rows")
     first = min(present)
@@ -161,7 +172,7 @@ def repair_calendar(series: PriceSeries, knn_k: int = 5) -> PriceSeries:
             continue
         friday = day - dt.timedelta(days=3)
         if friday in filled and friday in present:
-            filled[day] = OhlcvRecord.from_values(day, filled[friday].values())
+            filled[day] = filled[friday]
             monday_fills += 1
 
     # Longest run of still-missing business days decides imputability.
@@ -178,22 +189,21 @@ def repair_calendar(series: PriceSeries, knn_k: int = 5) -> PriceSeries:
         )
 
     # Pass 2: KNN mean over the rows available after pass 1, all holes at once.
+    # Rows are summed one at a time in neighbor order: the order fixes the rounding.
     if missing:
         available = sorted(filled)
         for day in missing:
             ranked = sorted(available, key=lambda d: (abs((d - day).days), d))
             cutoff = abs((ranked[knn_k - 1] - day).days) if len(ranked) >= knn_k else None
             neighbors = [d for d in ranked if cutoff is None or abs((d - day).days) <= cutoff]
-            k = len(neighbors)
-            sums = [0.0] * 6
+            sums = np.zeros(len(RAW_COLUMNS))
             for d in neighbors:
-                for j, v in enumerate(filled[d].values()):
-                    sums[j] += v
-            filled[day] = OhlcvRecord.from_values(day, [s / k for s in sums])
+                sums += filled[d]
+            filled[day] = sums / len(neighbors)
 
-    records = [filled[day] for day in grid]
     return PriceSeries(
-        records,
+        grid,
+        [filled[day] for day in grid],
         provenance="repaired",
         imputation_count=monday_fills + len(missing),
     )

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..numcore import RngStream
-from .ohlcv import OhlcvRecord, PriceSeries
+from .ohlcv import PriceSeries
 
 SYNTH_KINDS = ("jump", "sine", "ar1")
 
@@ -64,17 +64,15 @@ def make_synthetic_series(kind: str, rows: int, seed: int,
     spread = np.abs(rng.normal((rows,), scale=0.002)) + 1e-4
     volume = np.exp(rng.normal((rows,), loc=13.0, scale=0.3)).round()
 
+    opens = np.concatenate([[closes[0] * (1.0 - 0.001)], closes[:-1]])
+    highs = np.maximum(opens, closes) * (1.0 + spread)
+    lows = np.minimum(opens, closes) * (1.0 - spread)
+    dates = []
     date = start
-    records = []
-    prev_close = closes[0] * (1.0 - 0.001)
-    for i in range(rows):
-        while date.weekday() >= 5:
-            date += dt.timedelta(days=1)
-        open_ = prev_close
-        close = closes[i]
-        hi = max(open_, close) * (1.0 + spread[i])
-        lo = min(open_, close) * (1.0 - spread[i])
-        records.append(OhlcvRecord(date, open_, hi, lo, close, close, volume[i]))
-        prev_close = close
+    while len(dates) < rows:
+        if date.weekday() < 5:
+            dates.append(date)
         date += dt.timedelta(days=1)
-    return PriceSeries(records, provenance="repaired")
+    # columns in RAW_COLUMNS order; the adjusted close equals the close
+    values = np.column_stack([opens, highs, lows, closes, closes, volume])
+    return PriceSeries(dates, values, provenance="repaired")

@@ -18,6 +18,14 @@ from ..numcore import Tensor
 from .network import Network, NetSpec
 
 _MAGIC = "tsgan-checkpoint-v1"
+_FIELD_TYPES = {"spec": dict, "params": list, "blob": str}
+
+
+def _is_param_entry(entry) -> bool:
+    """{"name": str, "shape": [non-negative int, ...]}, as save_checkpoint writes it."""
+    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(isinstance(n, int) and n >= 0 for n in entry["shape"]))
 
 
 def save_checkpoint(stem, net: Network, seed: int | None = None, step: int = 0) -> dict:
@@ -44,10 +52,15 @@ def save_checkpoint(stem, net: Network, seed: int | None = None, step: int = 0) 
 def load_checkpoint(stem) -> tuple[Network, dict]:
     """Read a checkpoint pair back into a Network; bit-exact with what was saved."""
     stem = str(stem)
-    manifest = read_json(stem + ".json", "checkpoint manifest",
-                         keys=("spec", "params", "blob"))
+    manifest = read_json(stem + ".json", "checkpoint manifest", keys=tuple(_FIELD_TYPES))
     if manifest.get("format") != _MAGIC:
         raise DataError(f"not a recognized checkpoint manifest: {stem}.json")
+    wrong = [k for k, kind in _FIELD_TYPES.items() if not isinstance(manifest[k], kind)]
+    if "params" not in wrong and not all(map(_is_param_entry, manifest["params"])):
+        wrong.append("params")
+    if wrong:
+        raise DataError(f"checkpoint manifest {stem}.json fields have the wrong type: "
+                        f"{', '.join(wrong)}")
     blob_path = os.path.join(os.path.dirname(stem) or ".", manifest["blob"])
     try:
         with open(blob_path, "rb") as fh:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError, ShapeError
+from ..errors import ConfigError, DataError, ShapeError
 from ..numcore import (
     RngStream,
     Tensor,
@@ -35,6 +35,9 @@ _LAYER_KINDS = ("gru", "lstm", "dense", "conv1d", "flatten", "dropout", "last_st
 # order of its fused sequence kernel: W<gate>, b<gate> per gate.
 _GATES = {"gru": "zrh", "lstm": "fiog"}
 _SEQUENCE_KERNELS = {"gru": gru_sequence, "lstm": lstm_sequence}
+
+# Field types of a serialized NetSpec; `layers` holds one JSON object per layer.
+_SPEC_FIELD_TYPES = {"name": str, "input_dim": int, "input_rank": int, "layers": list}
 
 
 class NetSpec:
@@ -67,7 +70,16 @@ class NetSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetSpec":
-        return cls(d["name"], d["input_dim"], d["layers"], d.get("input_rank", 3))
+        if not isinstance(d, dict):
+            raise DataError("network spec must be a JSON object")
+        d = {"input_rank": 3, **d}
+        wrong = [k for k, kind in _SPEC_FIELD_TYPES.items() if not isinstance(d.get(k), kind)]
+        if "layers" not in wrong and not all(isinstance(layer, dict) for layer in d["layers"]):
+            wrong.append("layers")
+        if wrong:
+            raise DataError(f"network spec fields are missing or have the wrong type: "
+                            f"{', '.join(wrong)}")
+        return cls(d["name"], d["input_dim"], d["layers"], d["input_rank"])
 
 
 def _apply_activation(x: Tensor, name: str | None) -> Tensor:

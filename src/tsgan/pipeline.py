@@ -73,14 +73,7 @@ def prepare_dataset(series: PriceSeries, seq_len: int, horizon: int,
         "train_windows": train.count,
         "test_windows": test.count,
         "split_boundary_date": str(scaled.dates[boundary_row]),
-        "date_range": [str(repaired.records[0].date), str(repaired.records[-1].date)],
+        "date_range": [str(repaired.dates[0]), str(repaired.dates[-1])],
     }
     return DatasetBundle(repaired, features, scaled, scaler, windows, train, test, manifest)
 
-
-def prepare_from_csv(path: str | Path, seq_len: int, horizon: int,
-                     sma_window: int = 10, knn_k: int = 5,
-                     train_fraction: float = 0.7,
-                     target_column: str = "Close") -> DatasetBundle:
-    return prepare_dataset(load_series(path), seq_len, horizon, sma_window,
-                           knn_k, train_fraction, target_column)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .artifacts import csv_text
 from .data.features import FeatureMatrix
-from .data.ohlcv import PriceSeries
+from .data.ohlcv import RAW_COLUMNS, PriceSeries
 from .errors import DataError, DomainError
 
 
@@ -238,25 +238,21 @@ def two_sample_test(real, synthetic, alpha: float = 0.05,
     return TwoSampleResult(m_stat, per_column, reject, alpha)
 
 
-PRICE_COLUMNS = ("Open", "High", "Low", "Close", "Adj Close")
-
-
 def monthly_aggregate(series: PriceSeries) -> list[dict]:
-    """Per calendar month: mean/max/min of each price column."""
+    """Per calendar month: mean/max/min of each price column (all but Volume)."""
     if not len(series):
         raise DataError("monthly_aggregate: empty series")
-    by_month: dict[str, list] = {}
-    for rec in series.records:
-        by_month.setdefault(f"{rec.date.year:04d}-{rec.date.month:02d}", []).append(rec)
+    by_month: dict[str, list[int]] = {}
+    for i, date in enumerate(series.dates):
+        by_month.setdefault(f"{date.year:04d}-{date.month:02d}", []).append(i)
     rows = []
-    attr = {"Open": "open", "High": "high", "Low": "low",
-            "Close": "close", "Adj Close": "adj_close"}
     for month in sorted(by_month):
-        for col in PRICE_COLUMNS:
-            vals = [getattr(r, attr[col]) for r in by_month[month]]
+        block = series.values[by_month[month]]
+        for j, col in enumerate(RAW_COLUMNS[:5]):
+            vals = block[:, j]
             rows.append({
                 "month": month, "column": col,
-                "mean": float(np.mean(vals)), "max": float(max(vals)), "min": float(min(vals)),
+                "mean": float(np.mean(vals)), "max": float(vals.max()), "min": float(vals.min()),
             })
     return rows
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data.features import RAW_COLUMNS
+from ..data.ohlcv import RAW_COLUMNS
 from ..data.scaling import ScalerParams, inverse_scale_matrix, inverse_scaler
 from ..data.windows import WindowDataset
 from ..errors import ConfigError, DataError, NumericAbort

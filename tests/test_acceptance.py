@@ -352,8 +352,8 @@ def test_criterion_06_pipeline_reproduces_hand_oracle():
     assert len(series) == 40
     repaired = repair_calendar(series, knn_k=5)
 
-    dates_ok = repaired.dates() == grid and repaired.imputation_count == 2
-    rows = np.array([r.values() for r in repaired.records])
+    dates_ok = repaired.dates == grid and repaired.imputation_count == 2
+    rows = repaired.values
 
     # Monday 2015-03-02 inherits Friday 2015-02-27 (grid index 19).
     monday_dev = float(np.abs(rows[20] - np.array(_fixture_row(19))).max())

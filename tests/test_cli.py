@@ -127,15 +127,20 @@ def test_bad_config_file_exits_1(tmp_path, capsys, text):
     assert len(err) == 1 and err[0].startswith("error: config file")
 
 
-def _without(text, key):
-    doc = json.loads(text)
-    del doc[key]
-    return json.dumps(doc)
+_DROP = object()
 
 
-def _with(text, key, value):
+def _edit(text, *path, value=_DROP):
+    """JSON text with the item at `path` set to `value`, or dropped without one."""
     doc = json.loads(text)
-    doc[key] = value
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is _DROP:
+        del node[last]
+    else:
+        node[last] = value
     return json.dumps(doc)
 
 
@@ -147,14 +152,19 @@ REPORT = {"model": "gru", "horizons": [1], "weights": [1.0], "basis": "scaled",
     ("train_manifest.json", lambda text: "{not json"),
     ("report.json", lambda text: "{not json"),
     ("report.json", lambda text: "[1, 2]"),
-    ("report.json", lambda text: _without(text, "horizons")),
-    ("model.json", lambda text: _without(text, "blob")),
-    ("report.json", lambda text: _with(text, "per_horizon", [1])),
-    ("report.json", lambda text: _with(text, "weights", [1.0, 2.0])),
-    ("train_manifest.json", lambda text: _with(text, "config", "abc")),
+    ("report.json", lambda text: _edit(text, "horizons")),
+    ("model.json", lambda text: _edit(text, "blob")),
+    ("report.json", lambda text: _edit(text, "per_horizon", value=[1])),
+    ("report.json", lambda text: _edit(text, "weights", value=[1.0, 2.0])),
+    ("train_manifest.json", lambda text: _edit(text, "config", value="abc")),
+    ("model.json", lambda text: _edit(text, "spec", "name")),
+    ("model.json", lambda text: _edit(text, "params", 0, "shape", value="abc")),
+    ("model.json", lambda text: _edit(text, "spec", "layers", 0, value=3)),
 ], ids=["train-manifest-not-json", "report-not-json", "report-is-a-list",
         "report-lacks-horizons", "checkpoint-lacks-blob", "report-wrong-types",
-        "report-weights-mismatch", "train-manifest-config-not-object"])
+        "report-weights-mismatch", "train-manifest-config-not-object",
+        "checkpoint-spec-lacks-name", "checkpoint-shape-is-a-string",
+        "checkpoint-layer-is-an-int"])
 def test_corrupt_inputs_exit_2(tmp_path, capsys, data_csv, gru_run, target, corrupt):
     run = tmp_path / "run"
     shutil.copytree(gru_run, run)
@@ -189,6 +199,46 @@ def test_ingest_artifacts(tmp_path, data_csv):
     assert "date_range" in report
     manifest = load_manifest(out / "ingest_manifest.json")
     assert manifest.inputs[str(data_csv)].startswith("sha256:")
+
+
+# sha256 of the ingest and features outputs for _damaged_csv, recorded when
+# PriceSeries still held one Python object per day: the columnar data layer
+# must reproduce them byte for byte.
+DAMAGED_DIGESTS = {
+    "repaired.csv":
+        "sha256:dbdbf86b4e2a4029acd6d0290c6551ec78084ad200178506eb222deea3479beb",
+    "ingest_report.json":
+        "sha256:2bec21f623a21185ec729d82bad338f1d362d26893ae39a4890ed1e57b9a97ca",
+    "features.csv":
+        "sha256:f5a1dc3c4fe04079dac8d61a983db1cb82b17e66a187ccd42caaf038df6e7d35",
+    "scaled.csv":
+        "sha256:183793b840e53ade3a97c221b82452f89aeaa0bbc22411109374365e07e9d139",
+    "scaler.json":
+        "sha256:1416d7417518915b721eb918ab522d68b15f3599eb0d48eb644697b3f7aa5723",
+}
+
+
+def _damaged_csv(out):
+    """A 60-day jump fixture with a Saturday row, a missing Monday and a two-day hole."""
+    assert main(["synth-data", "--kind", "jump", "--rows", "60", "--seed", "3",
+                 "--out-dir", str(out)]) == 0
+    drop = ("2015-01-19", "2015-02-04", "2015-02-05")  # Monday; Wednesday + Thursday
+    lines = [line for line in (out / "synthetic_jump.csv").read_text().splitlines()
+             if line[:10] not in drop]
+    lines.append("2015-02-14,1.0,3.0,0.5,2.0,2.0,7.0")  # a Saturday, out of order
+    path = out / "damaged.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_data_layer_outputs_are_byte_identical(tmp_path):
+    damaged = _damaged_csv(tmp_path / "data")
+    out = tmp_path / "out"
+    for command in ("ingest", "features"):
+        assert main([command, "--input", str(damaged), *PIPE, "--out-dir", str(out)]) == 0
+    report = json.loads((out / "ingest_report.json").read_text())
+    assert (report["input_rows"], report["repaired_rows"], report["imputed_rows"]) == (58, 60, 3)
+    assert {name: file_digest(out / name) for name in DAMAGED_DIGESTS} == DAMAGED_DIGESTS
 
 
 def test_stats_artifacts(tmp_path, data_csv):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tsgan.data import (AR1_LEVEL, AR1_PHI, FeatureMatrix, OhlcvRecord,
+from tsgan.data import (AR1_LEVEL, AR1_PHI, RAW_COLUMNS, FeatureMatrix,
                         PriceSeries, apply_scaler, build_features, fit_scaler,
                         inverse_scale_matrix, inverse_scaler, make_synthetic_series,
                         make_windows, parse_ohlcv_csv, pct_change,
@@ -23,9 +23,9 @@ def _row(date, close, volume=1000.0):
 
 
 def _series(dates_closes):
-    records = [OhlcvRecord(dt.date.fromisoformat(d), c - 1, c + 1, c - 2, c, c, 1000.0)
-               for d, c in dates_closes]
-    return PriceSeries(records)
+    dates = [dt.date.fromisoformat(d) for d, _ in dates_closes]
+    values = [[c - 1, c + 1, c - 2, c, c, 1000.0] for _, c in dates_closes]
+    return PriceSeries(dates, values)
 
 
 REPAIR_CSV = "\n".join([
@@ -47,15 +47,15 @@ def test_parser_accepts_reordered_case_insensitive_headers():
            "500,2015-01-05,10,10,8,11,9\n"
     series = parse_ohlcv_csv(text)
     assert len(series) == 1
-    r = series.records[0]
-    assert (r.open, r.high, r.low, r.close, r.adj_close, r.volume) == \
-        (9.0, 11.0, 8.0, 10.0, 10.0, 500.0)
+    assert {c: float(series.column(c)[0]) for c in RAW_COLUMNS} == \
+        {"Open": 9.0, "High": 11.0, "Low": 8.0, "Close": 10.0, "Adj Close": 10.0,
+         "Volume": 500.0}
 
 
 def test_parser_sorts_rows_and_skips_blank_lines():
     text = "\n".join([HEADER, _row("2015-01-06", 12.0), "", _row("2015-01-05", 10.0)])
     series = parse_ohlcv_csv(text)
-    assert [r.date.isoformat() for r in series.records] == ["2015-01-05", "2015-01-06"]
+    assert [d.isoformat() for d in series.dates] == ["2015-01-05", "2015-01-06"]
 
 
 def test_parser_diagnostics_carry_row_numbers():
@@ -74,46 +74,61 @@ def test_parser_diagnostics_carry_row_numbers():
 
 
 def test_record_invariants():
+    day = [dt.date(2015, 1, 5)]
     with pytest.raises(DataError):
-        OhlcvRecord(dt.date(2015, 1, 5), 10, 11, 8, 10, 10, -1.0)
+        PriceSeries(day, [[10, 11, 8, 10, 10, -1.0]])
     with pytest.raises(DataError):
-        OhlcvRecord(dt.date(2015, 1, 5), 10, 11, 10.5, 10, 10, 1.0)
+        PriceSeries(day, [[10, 11, 10.5, 10, 10, 1.0]])
+    days = [dt.date(2015, 1, 5), dt.date(2015, 1, 6), dt.date(2015, 1, 10)]
+    rows = [[10, 11, 8, 10, 10, 1.0], [10, 9, 8, 10, 10, 1.0], [10, 11, 8, 10, 10, -1.0]]
+    with pytest.raises(DataError, match="^2015-01-06: high 9.0 below open/close$"):
+        PriceSeries(days, rows)
+    rows[1][1] = 11
+    with pytest.raises(DataError, match="^2015-01-10: negative volume -1.0$"):
+        PriceSeries(days, rows)
+    rows[2][5] = 1.0
+    with pytest.raises(DataError, match="not strictly increasing at 2015-01-06"):
+        PriceSeries(days[::-1], rows)
+    with pytest.raises(DataError, match="weekend date 2015-01-10"):
+        PriceSeries(days, rows, provenance="repaired")
+    with pytest.raises(DataError, match="shape"):
+        PriceSeries(days, rows[:2])
 
 
 def test_csv_roundtrip_preserves_values_exactly():
     series = parse_ohlcv_csv(REPAIR_CSV)
     again = parse_ohlcv_csv(series_to_csv(series))
-    assert [r.values() for r in again.records] == [r.values() for r in series.records]
+    assert again.values.tolist() == series.values.tolist()
 
 
 def test_repair_drops_weekends_fills_monday_from_friday():
     series = parse_ohlcv_csv(REPAIR_CSV)
     repaired = repair_calendar(series, knn_k=2)
-    dates = [r.date.isoformat() for r in repaired.records]
+    dates = [d.isoformat() for d in repaired.dates]
     assert dates == ["2015-01-05", "2015-01-06", "2015-01-07", "2015-01-08",
                      "2015-01-09", "2015-01-12", "2015-01-13", "2015-01-14"]
-    assert all(r.date.weekday() < 5 for r in repaired.records)
-    monday = repaired.records[5]
-    friday = repaired.records[4]
-    assert monday.values() == friday.values()
+    assert all(d.weekday() < 5 for d in repaired.dates)
+    monday = repaired.values[5]
+    friday = repaired.values[4]
+    assert monday.tolist() == friday.tolist()
     assert repaired.provenance == "repaired"
 
 
 def test_repair_knn_mean_and_distance_ties():
     series = parse_ohlcv_csv(REPAIR_CSV)
     # k=2: both distance-1 neighbors (Jan 6 close 12, Jan 8 close 16).
-    wed = repair_calendar(series, knn_k=2).records[2]
-    assert wed.close == pytest.approx((12.0 + 16.0) / 2.0)
+    wed = repair_calendar(series, knn_k=2).column("Close")[2]
+    assert wed == pytest.approx((12.0 + 16.0) / 2.0)
     # k=3: the cutoff lands on a distance tie, so both Jan 5 and Jan 9 join.
-    wed3 = repair_calendar(series, knn_k=3).records[2]
-    assert wed3.close == pytest.approx((12.0 + 16.0 + 10.0 + 20.0) / 4.0)
+    wed3 = repair_calendar(series, knn_k=3).column("Close")[2]
+    assert wed3 == pytest.approx((12.0 + 16.0 + 10.0 + 20.0) / 4.0)
 
 
 def test_repair_counts_imputations_and_is_idempotent():
     repaired = repair_calendar(parse_ohlcv_csv(REPAIR_CSV), knn_k=2)
     assert repaired.imputation_count == 2  # one Monday fill + one KNN hole
     again = repair_calendar(repaired, knn_k=2)
-    assert [r.values() for r in again.records] == [r.values() for r in repaired.records]
+    assert again.values.tolist() == repaired.values.tolist()
     assert again.imputation_count == 0
 
 
@@ -123,19 +138,19 @@ def test_repair_counts_imputations_and_is_idempotent():
 def test_repair_is_idempotent_property(start, present, knn_k, seed):
     draw = np.random.default_rng(seed)
     first = dt.date(2015, 1, 5) + dt.timedelta(days=start)
-    records = []
+    dates, values = [], []
     for i, keep in enumerate(present):
         if keep:
             close, vol = draw.uniform(5.0, 500.0), draw.uniform(0.0, 1e6)
-            records.append(OhlcvRecord(first + dt.timedelta(days=i), close - 1, close + 1,
-                                       close - 2, close, close, vol))
+            dates.append(first + dt.timedelta(days=i))
+            values.append([close - 1, close + 1, close - 2, close, close, vol])
     try:
-        once = repair_calendar(PriceSeries(records), knn_k=knn_k)
+        once = repair_calendar(PriceSeries(dates, np.reshape(values, (-1, 6))), knn_k=knn_k)
     except DataError:
         assume(False)
     twice = repair_calendar(once, knn_k=knn_k)
-    assert [(r.date, r.values()) for r in twice.records] == \
-        [(r.date, r.values()) for r in once.records]
+    assert twice.dates == once.dates
+    assert twice.values.tolist() == once.values.tolist()
 
 
 def test_repair_rejects_gaps_beyond_the_limit():
@@ -327,16 +342,16 @@ def test_synthetic_series_are_seeded_and_valid():
     c = make_synthetic_series("sine", 120, seed=5)
     assert series_to_csv(a) != series_to_csv(c)
     assert len(a) == 120
-    assert all(r.date.weekday() < 5 for r in a.records)
-    for r in a.records:
-        assert r.high >= max(r.open, r.close)
-        assert r.low <= min(r.open, r.close)
-        assert r.volume >= 0
+    assert all(d.weekday() < 5 for d in a.dates)
+    for o, h, lo, c, _, v in a.values:
+        assert h >= max(o, c)
+        assert lo <= min(o, c)
+        assert v >= 0
 
 
 def test_synthetic_jump_contains_a_crash_regime():
     series = make_synthetic_series("jump", 500, seed=1)
-    closes = np.array([r.close for r in series.records])
+    closes = series.column("Close")
     returns = np.diff(np.log(closes))
     # The jump regime forces a clearly negative multi-day stretch.
     worst8 = min(returns[i:i + 8].sum() for i in range(len(returns) - 8))
@@ -345,7 +360,7 @@ def test_synthetic_jump_contains_a_crash_regime():
 
 def test_synthetic_ar1_mean_reverts_at_the_configured_rate():
     series = make_synthetic_series("ar1", 2000, seed=2)
-    x = np.array([r.close for r in series.records]) - AR1_LEVEL
+    x = series.column("Close") - AR1_LEVEL
     phi_hat = np.dot(x[1:], x[:-1]) / np.dot(x[:-1], x[:-1])
     assert abs(phi_hat - AR1_PHI) < 0.05
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forecast_oracle import iterative_forecast
-from tsgan.data import (OhlcvRecord, PriceSeries, apply_scaler, build_features,
+from tsgan.data import (PriceSeries, apply_scaler, build_features,
                         fit_scaler, make_synthetic_series, make_windows)
 from tsgan.models import NetSpec, build_forecaster, build_network, build_timegan
 from tsgan.numcore import RngStream
@@ -17,10 +17,9 @@ TOL = 1e-12
 def _windows(rows=60, seq_len=6, horizon=4, zero_volume_row=None):
     series = make_synthetic_series("sine", rows, seed=0)
     if zero_volume_row is not None:
-        records = list(series.records)
-        r = records[zero_volume_row]
-        records[zero_volume_row] = OhlcvRecord.from_values(r.date, [*r.values()[:5], 0.0])
-        series = PriceSeries(records)
+        values = series.values.copy()
+        values[zero_volume_row, 5] = 0.0
+        series = PriceSeries(series.dates, values)
     fm = build_features(series, sma_window=3)
     scaler = fit_scaler(fm)
     return make_windows(apply_scaler(fm, scaler), seq_len, horizon), scaler

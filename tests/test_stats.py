@@ -12,7 +12,7 @@ import scipy.cluster.hierarchy
 import scipy.spatial.distance
 import scipy.stats
 
-from tsgan.data import FeatureMatrix, OhlcvRecord, PriceSeries
+from tsgan.data import FeatureMatrix, PriceSeries
 from tsgan.errors import DataError, DomainError
 from tsgan.stats import (CorrelationMatrix, correlation_cluster, correlation_matrix,
                          describe, ks_pvalue, ks_statistic, monthly_aggregate,
@@ -198,12 +198,13 @@ def test_two_sample_test_validates_inputs():
 
 
 def test_monthly_aggregate_hand_oracle():
-    records = [
-        OhlcvRecord(dt.date(2015, 1, 5), 9, 11, 8, 10, 10, 100),
-        OhlcvRecord(dt.date(2015, 1, 6), 19, 21, 18, 20, 20, 100),
-        OhlcvRecord(dt.date(2015, 2, 2), 29, 31, 28, 30, 30, 100),
+    dates = [dt.date(2015, 1, 5), dt.date(2015, 1, 6), dt.date(2015, 2, 2)]
+    values = [
+        [9, 11, 8, 10, 10, 100],
+        [19, 21, 18, 20, 20, 100],
+        [29, 31, 28, 30, 30, 100],
     ]
-    rows = monthly_aggregate(PriceSeries(records))
+    rows = monthly_aggregate(PriceSeries(dates, values))
     assert len(rows) == 10  # 2 months x 5 price columns
     jan_close = next(r for r in rows if r["month"] == "2015-01" and r["column"] == "Close")
     assert jan_close == {"month": "2015-01", "column": "Close",
@@ -217,4 +218,4 @@ def test_monthly_aggregate_hand_oracle():
     assert len(csv_text.splitlines()) == 11
 
     with pytest.raises(DataError):
-        monthly_aggregate(PriceSeries([]))
+        monthly_aggregate(PriceSeries([], np.empty((0, 6))))
