@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import math
 
 import numpy as np
 
@@ -112,11 +113,14 @@ def parse_ohlcv_csv(text: str) -> PriceSeries:
         numbers = []
         for name, cell in zip(REQUIRED_COLUMNS[1:], cells[1:]):
             try:
-                numbers.append(float(cell))
+                number = float(cell)
             except ValueError:
                 raise DataError(
                     f"row {row_no}: unparseable {name} value {cell!r}"
                 ) from None
+            if not math.isfinite(number):
+                raise DataError(f"row {row_no}: non-finite {name} value {cell!r}")
+            numbers.append(number)
         row_nos.append(row_no)
         dates.append(date)
         rows.append(numbers)

@@ -29,7 +29,10 @@ from ..numcore import (
 
 ACTIVATIONS = ("sigmoid", "tanh", "relu", "linear")
 
-_LAYER_KINDS = ("gru", "lstm", "dense", "conv1d", "flatten", "dropout", "last_step")
+# The fields each layer kind reads: positive ints, except dropout's rate, in [0, 1).
+_LAYER_FIELDS = {"gru": ("units",), "lstm": ("units",), "dense": ("units",),
+                 "conv1d": ("filters", "kernel", "stride"), "flatten": ("flat_width",),
+                 "dropout": ("rate",), "last_step": ()}
 
 # Gate letters of each recurrent kind, in parameter order and in the argument
 # order of its fused sequence kernel: W<gate>, b<gate> per gate.
@@ -50,7 +53,7 @@ class NetSpec:
             raise ConfigError(f"{name}: input_rank must be 2 or 3, got {input_rank}")
         for i, layer in enumerate(layers):
             kind = layer.get("kind")
-            if kind not in _LAYER_KINDS:
+            if not isinstance(kind, str) or kind not in _LAYER_FIELDS:
                 raise ConfigError(f"{name}: layer {i} has unknown kind {kind!r}")
             act = layer.get("activation")
             if act is not None and act not in ACTIVATIONS:
@@ -79,7 +82,25 @@ class NetSpec:
         if wrong:
             raise DataError(f"network spec fields are missing or have the wrong type: "
                             f"{', '.join(wrong)}")
-        return cls(d["name"], d["input_dim"], d["layers"], d["input_rank"])
+        for i, layer in enumerate(d["layers"]):
+            kind = layer.get("kind")
+            fields = _LAYER_FIELDS.get(kind, ()) if isinstance(kind, str) else ()
+            bad = [f for f in fields if not _valid_layer_field(f, layer.get(f))]
+            if bad:
+                raise DataError(f"network spec layer {i} ({kind}) fields are missing or "
+                                f"invalid: {', '.join(bad)}")
+        try:
+            return cls(d["name"], d["input_dim"], d["layers"], d["input_rank"])
+        except ConfigError as exc:  # a bad value in a loaded file is a data error
+            raise DataError(str(exc)) from None
+
+
+def _valid_layer_field(name: str, value) -> bool:
+    if isinstance(value, bool):
+        return False
+    if name == "rate":
+        return isinstance(value, (int, float)) and 0.0 <= value < 1.0
+    return isinstance(value, int) and value >= 1
 
 
 def _apply_activation(x: Tensor, name: str | None) -> Tensor:

@@ -7,14 +7,26 @@ layout follows the cuDNN RNN design (Appleyard et al., arXiv:1604.01946):
 - every stored gate kernel W* is (feat + units, units); its first `feat`
   rows act on the input and the rest on the hidden state, so the kernels
   split by rows and checkpoints keep their parameter names and shapes;
-- the input rows of all gates project every timestep in one matmul;
-- the time loop multiplies only the hidden state by the stacked hidden rows;
-- the backward collects the gate pre-activation gradients of all timesteps
-  in one (batch, seq, k*units) buffer, so the input, weight and bias
-  gradients each come from one matmul over (batch, time).
+- the input rows of all gates project every timestep in one matmul, which
+  is then copied into a time-major, gate-contiguous (seq, k, batch, units)
+  buffer, so every per-step operand is one contiguous (batch, units) block;
+- the time loop multiplies only the hidden state by the stacked hidden rows,
+  and works with `out=` and in-place ufuncs on those blocks;
+- the gate sigmoid is 0.5*(1 + tanh(a/2)); its a/2 is folded once into
+  halved sigmoid-gate columns of the projection and of the hidden rows.
+  Halving is exact, so the forward matches the plain formula bit for bit;
+- the hidden states live in a private (seq+1, batch, units) buffer whose
+  row 0 is the zero initial state; the output is a batch-major copy.
 
-Forward intermediates live in preallocated (batch, seq, .) arrays. The
-initial hidden (and cell) state is zero.
+A tape is single-use, so the backward consumes the forward's private
+buffers. Before the time loop it turns the stored gates and states into
+the loop-invariant BPTT factors in place, and the loop overwrites each
+factor with its gate's pre-activation gradient. After the loop the spent
+state buffer takes each gate's gradient batch-major, so the input, weight
+and bias gradients are matmuls over all (batch, time) rows at once. The
+output array and x.data are never written, and the backward closure holds
+arrays only: a Tensor in it would tie the tape into a reference cycle that
+only the cycle collector frees.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from .tensor import Tensor, _record, _sigmoid, as_tensor
+from .tensor import Tensor, _record, as_tensor
 
 
 def _check(op: str, x: Tensor, kernels: tuple, biases: tuple) -> tuple:
@@ -39,38 +51,59 @@ def _check(op: str, x: Tensor, kernels: tuple, biases: tuple) -> tuple:
     return batch, seq, feat, units
 
 
-def _project(xd: np.ndarray, kernels: tuple, biases: tuple, feat: int) -> tuple:
-    """Input projection of every timestep: (batch, seq, k*units), plus the stacked x-rows."""
-    wx = np.concatenate([w.data[:feat] for w in kernels], axis=1)
+def _project(xd: np.ndarray, ws: tuple, biases: tuple, feat: int, halved: int) -> np.ndarray:
+    """Input projection of every timestep as a (seq, k, batch, units) buffer.
+
+    The first `halved` gates are scaled by 0.5 (the sigmoid's a/2).
+    """
+    wx = np.concatenate([w[:feat] for w in ws], axis=1)
     b = np.concatenate([bias.data for bias in biases])
     batch, seq = xd.shape[:2]
-    gates = xd.reshape(batch * seq, feat) @ wx
-    gates += b
-    return gates.reshape(batch, seq, -1), wx
+    k = len(ws)
+    proj = xd.reshape(batch * seq, feat) @ wx
+    proj += b
+    view = proj.reshape(batch, seq, k, -1).transpose(1, 2, 0, 3)
+    gates = np.empty(view.shape)
+    np.multiply(view[:, :halved], 0.5, out=gates[:, :halved])
+    gates[:, halved:] = view[:, halved:]
+    return gates
 
 
-def _gradients(xd, dgates, wx, dw_h_parts) -> tuple:
-    """(dx, dW0, db0, dW1, db1, ...) from the pre-activation gradients of all timesteps.
+def _hidden_rows(ws: tuple, feat: int) -> np.ndarray:
+    """The stacked hidden rows of the gate kernels, (units, k*units)."""
+    return np.concatenate([w[feat:] for w in ws], axis=1)
 
-    dw_h_parts holds each gate's hidden-row gradient.
+
+def _hidden_grads(h_in: np.ndarray, dgates: np.ndarray) -> list:
+    """Each gate's hidden-row gradient: sum over (time, batch) of h_in[t]^T @ dgates[k, t]."""
+    rows = h_in.reshape(-1, h_in.shape[-1]).T
+    return [rows @ dg.reshape(rows.shape[1], -1) for dg in dgates]
+
+
+def _gradients(xd: np.ndarray, x_grad: bool, ws: tuple, dgates: np.ndarray, dw_h: list,
+               spent: np.ndarray) -> tuple:
+    """(dx, dW0, db0, dW1, db1, ...) from the (k, seq, batch, units) pre-activation gradients.
+
+    Each gate's gradient is copied batch-major into the spent state buffer,
+    so its input-row and bias gradients and its share of dx are matmuls over
+    the (batch*seq) rows of x. dx is None when x needs no gradient.
     """
-    batch, seq, feat = xd.shape
-    width = dgates.shape[-1]
-    flat = dgates.reshape(batch * seq, width)
-    dwx = xd.reshape(batch * seq, feat).T @ flat
-    db = flat.sum(axis=0)
-    dx = (flat @ wx.T).reshape(xd.shape)
-    units = width // len(dw_h_parts)
-    grads = [dx]
-    for k, dw_h in enumerate(dw_h_parts):
-        cols = slice(k * units, (k + 1) * units)
-        grads += [np.concatenate([dwx[:, cols], dw_h]), db[cols].copy()]
-    return tuple(grads)
-
-
-def _hidden_grad(h_in: np.ndarray, dgates: np.ndarray) -> np.ndarray:
-    """Sum over (batch, time) of h_in[t]^T @ dgates[t], skipping the zero initial state."""
-    return np.tensordot(h_in[:, :-1], dgates[:, 1:], axes=([0, 1], [0, 1]))
+    _, seq, batch, units = dgates.shape
+    rows = batch * seq
+    xf = xd.reshape(rows, xd.shape[2])
+    flat = spent.reshape(-1)[:rows * units].reshape(rows, units)
+    dx = None
+    grads = []
+    for w, dg, dwh in zip(ws, dgates, dw_h):
+        np.copyto(flat.reshape(batch, seq, units), dg.transpose(1, 0, 2))
+        grads += [np.concatenate([xf.T @ flat, dwh]), flat.sum(axis=0)]
+        if x_grad:
+            part = flat @ w[:xf.shape[1]].T
+            if dx is None:
+                dx = part
+            else:
+                dx += part
+    return (None if dx is None else dx.reshape(xd.shape), *grads)
 
 
 def gru_sequence(x, Wz, bz, Wr, br, Wh, bh) -> Tensor:
@@ -83,47 +116,76 @@ def gru_sequence(x, Wz, bz, Wr, br, Wh, bh) -> Tensor:
     params = tuple(as_tensor(p) for p in (Wz, bz, Wr, br, Wh, bh))
     kernels, biases = params[0::2], params[1::2]
     batch, seq, feat, units = _check("gru_sequence", x, kernels, biases)
-    xd = x.data
-    u2 = 2 * units
-    w_zr = np.concatenate([w.data[feat:] for w in kernels[:2]], axis=1)
-    w_hh = kernels[2].data[feat:]
-    # pre-activations, overwritten step by step with the gate values z | r | hhat
-    gates, wx = _project(xd, kernels, biases, feat)
-    hs = np.empty((batch, seq, units))
-    rhs = np.empty((batch, seq, units))
-    h = np.zeros((batch, units))
+    # the backward holds arrays only: a Tensor would tie its tape into a reference cycle
+    xd, x_grad, ws = x.data, x.requires_grad, tuple(w.data for w in kernels)
+    w_zr = _hidden_rows(ws[:2], feat)
+    w_zr *= 0.5
+    w_hh = ws[2][feat:]
+    # pre-activations z | r (halved) | hhat, overwritten step by step with the gate values
+    gates = _project(xd, ws, biases, feat, halved=2)
+    hs = np.empty((seq + 1, batch, units))
+    hs[0] = 0.0
+    s2 = np.empty((batch, 2 * units))
+    s2_gates = s2.reshape(batch, 2, units).transpose(1, 0, 2)
+    s1 = np.empty((batch, units))
+    rh = np.empty((batch, units))
     for t in range(seq):
-        g = gates[:, t]
-        zr = _sigmoid(g[:, :u2] + h @ w_zr)
-        rh = zr[:, units:] * h
-        hhat = np.tanh(g[:, u2:] + rh @ w_hh)
-        g[:, :u2] = zr
-        g[:, u2:] = hhat
-        rhs[:, t] = rh
-        h = hhat + zr[:, :units] * (h - hhat)
-        hs[:, t] = h
-    out = Tensor(hs)
+        g = gates[t]
+        zr, hhat = g[:2], g[2]
+        h, h_new = hs[t], hs[t + 1]
+        np.dot(h, w_zr, out=s2)
+        zr += s2_gates
+        np.tanh(zr, out=zr)
+        zr += 1.0
+        zr *= 0.5
+        np.multiply(g[1], h, out=rh)
+        np.dot(rh, w_hh, out=s1)
+        hhat += s1
+        np.tanh(hhat, out=hhat)
+        np.subtract(h, hhat, out=h_new)
+        h_new *= g[0]
+        h_new += hhat
+    out = Tensor(hs[1:].transpose(1, 0, 2).copy())  # a view when batch == 1
 
     def bw(g_out):
-        dgates = np.empty_like(gates)
-        zero = np.zeros((batch, units))
-        dh = zero
+        z, r, hhat = gates.transpose(1, 0, 2, 3)
+        h_prev = hs[:-1]
+        # loop-invariant factors, each overwritten in the loop by its gate's gradient
+        d = np.empty((3, seq, batch, units))
+        dz, dr, dhh = d
+        np.subtract(1.0, z, out=dhh)
+        np.subtract(h_prev, hhat, out=dz)
+        dz *= z
+        dz *= dhh  # (h_prev - hhat) z(1-z)
+        np.multiply(hhat, hhat, out=hhat)
+        np.subtract(1.0, hhat, out=hhat)
+        dhh *= hhat  # (1-z)(1-hhat^2)
+        np.subtract(1.0, r, out=dr)
+        dr *= r
+        dr *= h_prev  # h_prev r(1-r)
+        np.copyto(hhat, g_out.transpose(1, 0, 2))  # hhat's slot: the output gradient
+        w_hh_t = np.ascontiguousarray(w_hh.T)
+        w_zr_t = np.ascontiguousarray(_hidden_rows(ws[:2], feat).T)
+        dh = np.zeros((batch, units))
+        d_rh = np.empty((batch, units))
         for t in range(seq - 1, -1, -1):
-            g = gates[:, t]
-            z, r, hhat = g[:, :units], g[:, units:u2], g[:, u2:]
-            h_prev = hs[:, t - 1] if t else zero
-            dh = dh + g_out[:, t]
-            da_h = dh * (1.0 - z) * (1.0 - hhat * hhat)
-            d_rh = da_h @ w_hh.T
-            dg = dgates[:, t]
-            dg[:, :units] = dh * (h_prev - hhat) * z * (1.0 - z)
-            dg[:, units:u2] = d_rh * h_prev * r * (1.0 - r)
-            dg[:, u2:] = da_h
-            dh = dh * z + d_rh * r + dg[:, :u2] @ w_zr.T
-        dw_zr = _hidden_grad(hs, dgates[:, :, :u2])
-        dw_hh = np.tensordot(rhs, dgates[:, :, u2:], axes=([0, 1], [0, 1]))
-        dw_h_parts = (dw_zr[:, :units], dw_zr[:, units:], dw_hh)
-        return _gradients(xd, dgates, wx, dw_h_parts)
+            z_t, r_t, g_t = gates[t]
+            dz_t, dr_t, da_t = d[:, t]
+            dh += g_t
+            da_t *= dh
+            np.dot(da_t, w_hh_t, out=d_rh)
+            dz_t *= dh
+            dr_t *= d_rh
+            dh *= z_t
+            d_rh *= r_t
+            dh += d_rh
+            np.copyto(s2_gates, d[:2, t])
+            np.dot(s2, w_zr_t, out=s1)
+            dh += s1
+        dw_h = _hidden_grads(h_prev, d[:2])
+        np.multiply(r, h_prev, out=h_prev)  # what the candidate's hidden rows saw: r*h
+        dw_h += _hidden_grads(h_prev, d[2:])
+        return _gradients(xd, x_grad, ws, d, dw_h, hs)
 
     return _record("gru_sequence", out, (x, *params), bw)
 
@@ -138,49 +200,75 @@ def lstm_sequence(x, Wf, bf, Wi, bi, Wo, bo, Wg, bg) -> Tensor:
     params = tuple(as_tensor(p) for p in (Wf, bf, Wi, bi, Wo, bo, Wg, bg))
     kernels, biases = params[0::2], params[1::2]
     batch, seq, feat, units = _check("lstm_sequence", x, kernels, biases)
-    xd = x.data
-    u2, u3 = 2 * units, 3 * units
-    w_h = np.concatenate([w.data[feat:] for w in kernels], axis=1)
-    # pre-activations, overwritten step by step with the gate values f | i | o | g
-    gates, wx = _project(xd, kernels, biases, feat)
-    hs = np.empty((batch, seq, units))
-    cs = np.empty((batch, seq, units))
-    tcs = np.empty((batch, seq, units))
-    h = np.zeros((batch, units))
-    c = h
+    xd, x_grad, ws = x.data, x.requires_grad, tuple(w.data for w in kernels)
+    w_h = _hidden_rows(ws, feat)
+    w_h[:, :3 * units] *= 0.5
+    # pre-activations f | i | o (halved) | g, overwritten step by step with the gate values
+    gates = _project(xd, ws, biases, feat, halved=3)
+    hs = np.empty((seq + 1, batch, units))
+    cs = np.empty((seq + 1, batch, units))
+    hs[0] = cs[0] = 0.0
+    s4 = np.empty((batch, 4 * units))
+    s4_gates = s4.reshape(batch, 4, units).transpose(1, 0, 2)
+    s1 = np.empty((batch, units))
     for t in range(seq):
-        g = gates[:, t]
-        a = g + h @ w_h
-        g[:, :u3] = _sigmoid(a[:, :u3])
-        g[:, u3:] = np.tanh(a[:, u3:])
-        c = g[:, :units] * c + g[:, units:u2] * g[:, u3:]
-        tc = np.tanh(c)
-        h = g[:, u2:u3] * tc
-        cs[:, t] = c
-        tcs[:, t] = tc
-        hs[:, t] = h
-    out = Tensor(hs)
+        g = gates[t]
+        sig = g[:3]
+        f, i, o, cand = g
+        c = cs[t + 1]
+        np.dot(hs[t], w_h, out=s4)
+        g += s4_gates
+        np.tanh(g, out=g)
+        sig += 1.0
+        sig *= 0.5
+        np.multiply(f, cs[t], out=c)
+        np.multiply(i, cand, out=s1)
+        c += s1
+        np.tanh(c, out=s1)
+        np.multiply(o, s1, out=hs[t + 1])
+    out = Tensor(hs[1:].transpose(1, 0, 2).copy())  # a view when batch == 1
 
     def bw(g_out):
-        dgates = np.empty_like(gates)
-        zero = np.zeros((batch, units))
-        dh = dc = zero
+        f, i, o, cand = gates.transpose(1, 0, 2, 3)
+        c_prev, tc = cs[:-1], cs[1:]
+        # loop-invariant factors, each overwritten in the loop by its gate's gradient
+        d = np.empty((4, seq, batch, units))
+        df, di, do, dg = d
+        np.subtract(1.0, f, out=df)
+        df *= f
+        df *= c_prev  # c_prev f(1-f)
+        np.tanh(tc, out=tc)  # c_prev has been read; the cell states become tanh(c)
+        np.subtract(1.0, o, out=do)
+        do *= o
+        do *= tc  # tanh(c) o(1-o)
+        np.multiply(tc, tc, out=tc)
+        np.subtract(1.0, tc, out=tc)
+        o *= tc  # o's slot: o(1-tanh^2 c)
+        np.subtract(1.0, i, out=di)
+        di *= i
+        di *= cand  # g i(1-i)
+        np.multiply(cand, cand, out=dg)
+        np.subtract(1.0, dg, out=dg)
+        dg *= i  # i(1-g^2)
+        np.copyto(i, g_out.transpose(1, 0, 2))  # i's slot: the output gradient
+        w_h_t = np.ascontiguousarray(_hidden_rows(ws, feat).T)
+        dh = np.zeros((batch, units))
+        dc = np.zeros((batch, units))
         for t in range(seq - 1, -1, -1):
-            g = gates[:, t]
-            f, i, o, cand = g[:, :units], g[:, units:u2], g[:, u2:u3], g[:, u3:]
-            tc = tcs[:, t]
-            c_prev = cs[:, t - 1] if t else zero
-            dh = dh + g_out[:, t]
-            dc = dc + dh * o * (1.0 - tc * tc)
-            dg = dgates[:, t]
-            dg[:, :units] = dc * c_prev * f * (1.0 - f)
-            dg[:, units:u2] = dc * cand * i * (1.0 - i)
-            dg[:, u2:u3] = dh * tc * o * (1.0 - o)
-            dg[:, u3:] = dc * i * (1.0 - cand * cand)
-            dc = dc * f
-            dh = dg @ w_h.T
-        dw_h = _hidden_grad(hs, dgates)
-        dw_h_parts = tuple(dw_h[:, k * units:(k + 1) * units] for k in range(4))
-        return _gradients(xd, dgates, wx, dw_h_parts)
+            f_t, g_t, fo_t, _ = gates[t]
+            d_t = d[:, t]
+            df_t, di_t, do_t, dg_t = d_t
+            dh += g_t
+            fo_t *= dh
+            dc += fo_t
+            df_t *= dc
+            di_t *= dc
+            do_t *= dh
+            dg_t *= dc
+            dc *= f_t
+            np.copyto(s4_gates, d_t)
+            np.dot(s4, w_h_t, out=dh)
+        dw_h = _hidden_grads(hs[:-1], d)
+        return _gradients(xd, x_grad, ws, d, dw_h, hs)
 
     return _record("lstm_sequence", out, (x, *params), bw)

@@ -160,11 +160,15 @@ REPORT = {"model": "gru", "horizons": [1], "weights": [1.0], "basis": "scaled",
     ("model.json", lambda text: _edit(text, "spec", "name")),
     ("model.json", lambda text: _edit(text, "params", 0, "shape", value="abc")),
     ("model.json", lambda text: _edit(text, "spec", "layers", 0, value=3)),
+    ("model.json", lambda text: _edit(text, "spec", "layers", 0, "units")),
+    ("model.json", lambda text: _edit(text, "spec", "layers", 0, "units", value="3")),
+    ("model.json", lambda text: _edit(text, "spec", "layers", 0, "kind", value="rnn")),
 ], ids=["train-manifest-not-json", "report-not-json", "report-is-a-list",
         "report-lacks-horizons", "checkpoint-lacks-blob", "report-wrong-types",
         "report-weights-mismatch", "train-manifest-config-not-object",
         "checkpoint-spec-lacks-name", "checkpoint-shape-is-a-string",
-        "checkpoint-layer-is-an-int"])
+        "checkpoint-layer-is-an-int", "checkpoint-layer-lacks-units",
+        "checkpoint-units-is-a-string", "checkpoint-unknown-layer-kind"])
 def test_corrupt_inputs_exit_2(tmp_path, capsys, data_csv, gru_run, target, corrupt):
     run = tmp_path / "run"
     shutil.copytree(gru_run, run)
@@ -179,6 +183,21 @@ def test_corrupt_inputs_exit_2(tmp_path, capsys, data_csv, gru_run, target, corr
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["ingest", "features"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_non_finite_ohlcv_cell_exits_2(tmp_path, capsys, data_csv, command, cell):
+    lines = data_csv.read_text().splitlines()
+    row = lines[5].split(",")
+    row[-1] = cell  # Volume
+    lines[5] = ",".join(row)
+    path = tmp_path / "nonfinite.csv"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main([command, "--input", str(path), *PIPE, "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: row 6: non-finite volume value '{cell}'\n"
+    assert not (tmp_path / "o" / "repaired.csv").exists()
 
 
 def _assert_numeric_cells(path):

@@ -1,5 +1,8 @@
 """Fused GRU/LSTM sequence kernels against the per-step cell oracle."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,8 +45,8 @@ def _grads(run, x, cell, weights):
 
 
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(["gru", "lstm"]), batch=st.integers(1, 4),
-       seq=st.integers(1, 6), feat=st.integers(1, 4), units=st.integers(1, 5),
+@given(kind=st.sampled_from(["gru", "lstm"]), batch=st.integers(1, 33),
+       seq=st.integers(1, 40), feat=st.integers(1, 4), units=st.integers(1, 16),
        seed=st.integers(0, 2**16))
 def test_fused_kernel_matches_cell_oracle(kind, batch, seq, feat, units, seed):
     cell = _cell(kind, feat, units, seed)
@@ -56,6 +59,48 @@ def test_fused_kernel_matches_cell_oracle(kind, batch, seq, feat, units, seed):
     for name, f, o in zip(["x", *cell], fused_grads, oracle_grads):
         assert f.shape == o.shape, name
         np.testing.assert_allclose(f, o, rtol=0, atol=TOL, err_msg=name)
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_backward_leaves_output_and_input_untouched(kind, batch, x_grad):
+    """The backward consumes the kernel's private buffers, never its output or x."""
+    cell = _cell(kind, 3, 4, 1)
+    draw = np.random.default_rng(1)
+    x = Tensor(draw.normal(size=(batch, 7, 3)), requires_grad=x_grad)
+    x_bytes = x.data.tobytes()
+    with Tape() as tape:
+        out = _fused(kind, cell, x)
+        out_bytes = out.data.tobytes()
+        loss = tsum(mul(out, draw.normal(size=out.shape)))
+    gmap = backward(tape, loss)
+    assert out.data.tobytes() == out_bytes
+    assert x.data.tobytes() == x_bytes
+    assert (x.tape_id in gmap) == x_grad
+
+
+def _spent_tape(kind):
+    """A weak reference to the first of two two-layer training steps' tapes."""
+    cells = _cell(kind, 2, 3, 0), _cell(kind, 3, 3, 1)
+    x = Tensor(np.ones((2, 5, 2)), requires_grad=True)
+    refs = []
+    for _ in range(2):  # the second step moves every leaf onto a fresh tape
+        with Tape() as tape:
+            loss = tsum(_fused(kind, cells[1], _fused(kind, cells[0], x)))
+        backward(tape, loss)
+        refs.append(weakref.ref(tape))
+    return refs[0]
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+def test_spent_tape_is_freed_without_the_cycle_collector(kind):
+    """The backward closure holds arrays only, so no reference cycle keeps its buffers alive."""
+    gc.disable()
+    try:
+        assert _spent_tape(kind)() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("kind", ["gru", "lstm"])
