@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +21,8 @@ from .artifacts import read_json, write_csv, write_json, write_text
 from .config import (PIPELINE_DEFAULTS, PRESETS, PipelineConfig, load_config,
                      resolved_config_dict)
 from .data.features import FeatureMatrix, build_features, features_to_csv
-from .data.ohlcv import RAW_COLUMNS, repair_calendar, series_to_csv
+from .data.ohlcv import (RAW_COLUMNS, TARGET_COLUMN, PriceSeries, repair_calendar,
+                         series_to_csv)
 from .data.scaling import apply_scaler, fit_scaler, inverse_scaler
 from .data.synth import SYNTH_KINDS, make_synthetic_series
 from .errors import (ConfigError, DataError, DomainError, GraphError,
@@ -59,7 +61,23 @@ EXIT_CODES = {
     GraphError: EXIT_NUMERIC,
 }
 
-MODEL_KINDS = ("gru", "lstm", "gan", "wgan", "timegan")
+# The checkpoint stems each model kind's train run loads for inference.
+_INFERENCE_STEMS = {
+    "gru": ("model",),
+    "lstm": ("model",),
+    "gan": ("generator",),
+    "wgan": ("generator",),
+    "timegan": TIMEGAN_NET_NAMES,
+}
+MODEL_KINDS = tuple(_INFERENCE_STEMS)
+
+
+class TrainRun(NamedTuple):
+    """A loaded train run; `model` is one Network, or TimeGAN's dict of sub-networks."""
+    kind: str
+    model: object
+    config: dict
+    paths: list[Path]
 
 
 def _int_list(text: str) -> list[int]:
@@ -76,12 +94,12 @@ def _float_list(text: str) -> list[float]:
         raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _write_matrix_csv(path: Path, matrix: np.ndarray, prefix: str = "step") -> Path:
-    header = ["window"] + [f"{prefix}_{j + 1}" for j in range(matrix.shape[1])]
+def _write_matrix_csv(path: Path, matrix: np.ndarray) -> Path:
+    header = ["window"] + [f"step_{j + 1}" for j in range(matrix.shape[1])]
     return write_csv(path, header, ([i, *row] for i, row in enumerate(matrix)))
 
 
-def _resolve_config(args, base: dict | None = None) -> tuple[TrainConfig, PipelineConfig]:
+def _resolve_config(args, base: dict | None) -> tuple[TrainConfig, PipelineConfig]:
     """Config file < preset < a train run's config (`base`) < explicit flags."""
     keys = [*TrainConfig.DEFAULTS, *PIPELINE_DEFAULTS]
     overrides = {k: base[k] for k in keys if base and k in base}
@@ -90,20 +108,36 @@ def _resolve_config(args, base: dict | None = None) -> tuple[TrainConfig, Pipeli
                        overrides)
 
 
-def _prepare(args, train_cfg: TrainConfig, pipe_cfg: PipelineConfig) -> DatasetBundle:
+def _load_train_run(model_dir: Path) -> TrainRun:
+    manifest_path = model_dir / "train_manifest.json"
+    config = load_manifest(manifest_path).config
+    kind = config.get("model")
+    if kind not in MODEL_KINDS:
+        raise DataError(f"train manifest in {model_dir} names no valid model kind")
+    nets = {stem: load_checkpoint(model_dir / stem)[0] for stem in _INFERENCE_STEMS[kind]}
+    paths = [manifest_path, *(model_dir / f"{stem}{ext}" for stem in nets
+                              for ext in (".json", ".bin"))]
+    model = next(iter(nets.values())) if len(nets) == 1 else nets
+    return TrainRun(kind, model, config, paths)
+
+
+def _prepare(args, pipe_cfg: PipelineConfig) -> DatasetBundle:
+    return prepare_dataset(load_series(args.input), pipe_cfg.seq_len, pipe_cfg.horizon,
+                           pipe_cfg.sma_window, pipe_cfg.knn_k, pipe_cfg.train_fraction)
+
+
+def _load_repaired(args, pipe_cfg: PipelineConfig) -> tuple[PriceSeries, PriceSeries]:
     series = load_series(args.input)
-    return prepare_dataset(series, pipe_cfg.seq_len, pipe_cfg.horizon,
-                           pipe_cfg.sma_window, pipe_cfg.knn_k,
-                           pipe_cfg.train_fraction, pipe_cfg.target_column)
+    return series, repair_calendar(series, pipe_cfg.knn_k)
 
 
 # --- subcommand handlers ------------------------------------------------
-# Each returns (config_dict, seed, input_paths, output_paths).
+# Each takes (args, out_dir, train_cfg, pipe_cfg, run), `run` being the train
+# run loaded from --model-dir or None, and returns (its own manifest config
+# entries, inputs besides --input and the run's files, output paths).
 
-def _cmd_ingest(args, out_dir: Path):
-    train_cfg, pipe_cfg = _resolve_config(args)
-    series = load_series(args.input)
-    repaired = repair_calendar(series, pipe_cfg.knn_k)
+def _cmd_ingest(args, out_dir: Path, train_cfg, pipe_cfg, run):
+    series, repaired = _load_repaired(args, pipe_cfg)
     out = write_text(out_dir / "repaired.csv", series_to_csv(repaired))
     report = {
         "input_rows": len(series),
@@ -111,15 +145,11 @@ def _cmd_ingest(args, out_dir: Path):
         "imputed_rows": repaired.imputation_count,
         "date_range": [str(repaired.dates[0]), str(repaired.dates[-1])],
     }
-    report_path = write_json(out_dir / "ingest_report.json", report)
-    cfg = resolved_config_dict(train_cfg, pipe_cfg)
-    return cfg, train_cfg.seed, [Path(args.input)], [out, report_path]
+    return {}, [], [out, write_json(out_dir / "ingest_report.json", report)]
 
 
-def _cmd_stats(args, out_dir: Path):
-    train_cfg, pipe_cfg = _resolve_config(args)
-    series = load_series(args.input)
-    repaired = repair_calendar(series, pipe_cfg.knn_k)
+def _cmd_stats(args, out_dir: Path, train_cfg, pipe_cfg, run):
+    _, repaired = _load_repaired(args, pipe_cfg)
     matrix = FeatureMatrix(list(RAW_COLUMNS), repaired.values, repaired.dates, sma_window=1)
 
     rows = []
@@ -135,26 +165,20 @@ def _cmd_stats(args, out_dir: Path):
     cluster_path = write_json(out_dir / "clusters.json", tree.to_nested())
     monthly_path = write_text(out_dir / "monthly.csv",
                               monthly_aggregate_csv(monthly_aggregate(repaired)))
-
-    cfg = resolved_config_dict(train_cfg, pipe_cfg)
-    outputs = [describe_path, corr_path, cluster_path, monthly_path]
-    return cfg, train_cfg.seed, [Path(args.input)], outputs
+    return {}, [], [describe_path, corr_path, cluster_path, monthly_path]
 
 
-def _cmd_features(args, out_dir: Path):
-    train_cfg, pipe_cfg = _resolve_config(args)
-    series = load_series(args.input)
-    repaired = repair_calendar(series, pipe_cfg.knn_k)
+def _cmd_features(args, out_dir: Path, train_cfg, pipe_cfg, run):
+    _, repaired = _load_repaired(args, pipe_cfg)
     features = build_features(repaired, pipe_cfg.sma_window)
     scaler = fit_scaler(features, pipe_cfg.train_fraction)
     scaled = apply_scaler(features, scaler)
     features_path = write_text(out_dir / "features.csv", features_to_csv(features))
     scaled_path = write_text(out_dir / "scaled.csv", features_to_csv(scaled))
     scaler_path = write_json(out_dir / "scaler.json", scaler.to_dict())
-    cfg = resolved_config_dict(train_cfg, pipe_cfg)
-    cfg["trimmed_rows"] = features.trimmed_rows
-    cfg["zero_div_warnings"] = features.zero_div_warnings
-    return cfg, train_cfg.seed, [Path(args.input)], [features_path, scaled_path, scaler_path]
+    own = {"trimmed_rows": features.trimmed_rows,
+           "zero_div_warnings": features.zero_div_warnings}
+    return own, [], [features_path, scaled_path, scaler_path]
 
 
 def _build_and_train(kind: str, bundle: DatasetBundle, cfg: TrainConfig):
@@ -167,8 +191,7 @@ def _build_and_train(kind: str, bundle: DatasetBundle, cfg: TrainConfig):
         units = scale_width(cfg.hidden_units, cfg.width_mult)
         net = build_forecaster(kind, cfg.hidden_layers, units, seq_len, horizon,
                                n_features, build_rng)
-        trace = train_forecaster(net, bundle.train, cfg)
-        return {"model": net}, trace
+        return {"model": net}, train_forecaster(net, bundle.train, cfg)
     if kind in ("gan", "wgan"):
         gen = build_generator(cfg.latent_dim, seq_len, horizon,
                               build_rng.child("generator"), feature_dim=n_features,
@@ -183,17 +206,12 @@ def _build_and_train(kind: str, bundle: DatasetBundle, cfg: TrainConfig):
                               width_mult=cfg.width_mult)
         trace = train_wgan(gen, critic, bundle.train, cfg)
         return {"generator": gen, "critic": critic}, trace
-    if kind == "timegan":
-        nets = build_timegan(n_features, cfg.timegan_hidden, seq_len=seq_len,
-                             rng=build_rng)
-        trace = train_timegan(nets, bundle.train, cfg)
-        return nets, trace
-    raise ConfigError(f"unknown model kind {kind!r}")
+    nets = build_timegan(n_features, cfg.timegan_hidden, seq_len=seq_len, rng=build_rng)
+    return nets, train_timegan(nets, bundle.train, cfg)
 
 
-def _cmd_train(args, out_dir: Path):
-    train_cfg, pipe_cfg = _resolve_config(args)
-    bundle = _prepare(args, train_cfg, pipe_cfg)
+def _cmd_train(args, out_dir: Path, train_cfg, pipe_cfg, run):
+    bundle = _prepare(args, pipe_cfg)
     nets, trace = _build_and_train(args.model, bundle, train_cfg)
 
     outputs = [write_text(out_dir / "loss_trace.csv", trace.to_csv())]
@@ -203,97 +221,47 @@ def _cmd_train(args, out_dir: Path):
         outputs += [out_dir / f"{name}.json", out_dir / f"{name}.bin"]
     outputs.append(write_json(out_dir / "scaler.json", bundle.scaler.to_dict()))
     outputs.append(write_json(out_dir / "dataset_manifest.json", bundle.manifest))
-
-    cfg = resolved_config_dict(train_cfg, pipe_cfg)
-    cfg["model"] = args.model
-    cfg["input"] = str(args.input)
-    return cfg, train_cfg.seed, [Path(args.input)], outputs
+    return {"model": args.model}, [], outputs
 
 
-def _load_train_run(model_dir: Path):
-    """Recover model kind, nets, and resolved config from a train run."""
-    manifest_path = model_dir / "train_manifest.json"
-    config = load_manifest(manifest_path).config
-    kind = config.get("model")
-    if kind not in MODEL_KINDS:
-        raise DataError(f"train manifest in {model_dir} names no valid model kind")
-    read_paths = [manifest_path]
-    if kind in ("gru", "lstm"):
-        net, _ = load_checkpoint(model_dir / "model")
-        model = net
-        stems = ["model"]
-    elif kind in ("gan", "wgan"):
-        net, _ = load_checkpoint(model_dir / "generator")
-        model = net
-        stems = ["generator"]
-    else:
-        model = {}
-        stems = list(TIMEGAN_NET_NAMES)
-        for name in stems:
-            model[name], _ = load_checkpoint(model_dir / name)
-    for stem in stems:
-        read_paths += [model_dir / f"{stem}.json", model_dir / f"{stem}.bin"]
-    return kind, model, config, read_paths
-
-
-def _cmd_forecast(args, out_dir: Path):
-    model_dir = Path(args.model_dir)
-    kind, model, base_cfg, read_paths = _load_train_run(model_dir)
-    train_cfg, pipe_cfg = _resolve_config(args, base=base_cfg)
-    bundle = _prepare(args, train_cfg, pipe_cfg)
+def _cmd_forecast(args, out_dir: Path, train_cfg, pipe_cfg, run):
+    bundle = _prepare(args, pipe_cfg)
     horizon = args.steps if args.steps is not None else pipe_cfg.horizon
-    result = forecast(model, bundle.test, horizon, mode=args.mode,
+    result = forecast(run.model, bundle.test, horizon, mode=args.mode,
                       scaler=bundle.scaler, seed=train_cfg.seed)
 
-    outputs = [_write_matrix_csv(out_dir / "forecast_scaled.csv", result.scaled)]
-    if result.original is not None:
-        outputs.append(_write_matrix_csv(out_dir / "forecast_original.csv",
-                                         result.original))
-    actual = inverse_scaler(bundle.test.targets[0, :horizon], bundle.scaler, "Close")
+    outputs = [_write_matrix_csv(out_dir / "forecast_scaled.csv", result.scaled),
+               _write_matrix_csv(out_dir / "forecast_original.csv", result.original)]
+    actual = inverse_scaler(bundle.test.targets[0, :horizon], bundle.scaler, TARGET_COLUMN)
     predicted = result.original[0]
     dates = result.dates[0] if result.dates else list(range(1, horizon + 1))
     outputs.append(write_csv(out_dir / "forecast_plot.csv", ["date", "actual", "predicted"],
                              zip(dates, actual, predicted)))
-
-    cfg = resolved_config_dict(train_cfg, pipe_cfg)
-    cfg.update({"model": kind, "model_dir": str(model_dir), "mode": args.mode,
-                "forecast_horizon": horizon, "input": str(args.input)})
-    return cfg, train_cfg.seed, [Path(args.input), *read_paths], outputs
+    return {"mode": args.mode, "forecast_horizon": horizon}, [], outputs
 
 
-def _cmd_generate(args, out_dir: Path):
-    model_dir = Path(args.model_dir)
-    kind, model, base_cfg, read_paths = _load_train_run(model_dir)
-    if kind in ("gru", "lstm"):
-        raise ConfigError(f"model kind {kind!r} is a forecaster; "
+def _cmd_generate(args, out_dir: Path, train_cfg, pipe_cfg, run):
+    if run.kind in ("gru", "lstm"):
+        raise ConfigError(f"model kind {run.kind!r} is a forecaster; "
                           "generate needs gan, wgan, or timegan")
-    train_cfg, pipe_cfg = _resolve_config(args, base=base_cfg)
-    bundle = _prepare(args, train_cfg, pipe_cfg)
+    bundle = _prepare(args, pipe_cfg)
     seq_len = (args.seq_len_sample if args.seq_len_sample is not None
                else pipe_cfg.seq_len)
-    samples = generate_synthetic(model, args.count, seq_len, train_cfg.seed,
+    samples = generate_synthetic(run.model, args.count, seq_len, train_cfg.seed,
                                  scaler=bundle.scaler, windows=bundle.train)
 
-    names = bundle.scaled.names if samples.shape[2] > 1 else ["Close"]
+    names = bundle.scaled.names if samples.shape[2] > 1 else [TARGET_COLUMN]
     rows = ([i, t, *step] for i, sample in enumerate(samples) for t, step in enumerate(sample))
     outputs = [write_csv(out_dir / "synthetic.csv", ["sample", "step", *names], rows)]
-
-    cfg = resolved_config_dict(train_cfg, pipe_cfg)
-    cfg.update({"model": kind, "model_dir": str(model_dir), "count": args.count,
-                "sample_seq_len": seq_len, "input": str(args.input)})
-    return cfg, train_cfg.seed, [Path(args.input), *read_paths], outputs
+    return {"count": args.count, "sample_seq_len": seq_len}, [], outputs
 
 
-def _cmd_evaluate(args, out_dir: Path):
-    model_dir = Path(args.model_dir)
-    kind, model, base_cfg, read_paths = _load_train_run(model_dir)
-    train_cfg, pipe_cfg = _resolve_config(args, base=base_cfg)
-    bundle = _prepare(args, train_cfg, pipe_cfg)
+def _cmd_evaluate(args, out_dir: Path, train_cfg, pipe_cfg, run):
+    bundle = _prepare(args, pipe_cfg)
     horizons = args.horizons if args.horizons else [pipe_cfg.horizon]
-    weights = args.weights
-    report = horizon_sweep(model, bundle.test, horizons, weights,
-                           scaler=bundle.scaler, epochs=base_cfg.get("epochs"),
-                           name=args.name or kind, seed=train_cfg.seed)
+    report = horizon_sweep(run.model, bundle.test, horizons, args.weights,
+                           scaler=bundle.scaler, epochs=run.config.get("epochs"),
+                           name=args.name or run.kind, seed=train_cfg.seed)
     report = report.with_basis(args.basis)
 
     report_path = write_json(out_dir / "metrics_report.json", report.as_dict())
@@ -301,46 +269,30 @@ def _cmd_evaluate(args, out_dir: Path):
             for h in report.horizons]
     rows.append(["weighted", report.weighted["rmse"], report.weighted["mape"]])
     csv_path = write_csv(out_dir / "metrics.csv", ["horizon", "rmse", "mape"], rows)
-
-    cfg = resolved_config_dict(train_cfg, pipe_cfg)
-    cfg.update({"model": kind, "model_dir": str(model_dir), "basis": args.basis,
-                "horizons": horizons, "input": str(args.input)})
-    return cfg, train_cfg.seed, [Path(args.input), *read_paths], [report_path, csv_path]
+    return {"basis": args.basis, "horizons": horizons}, [], [report_path, csv_path]
 
 
-def _cmd_compare(args, out_dir: Path):
+def _cmd_compare(args, out_dir: Path, train_cfg, pipe_cfg, run):
     if not args.report:
         raise ConfigError("compare needs at least one --report file")
-    reports = []
-    inputs = []
-    for path in map(Path, args.report):
-        doc = read_json(path, "metrics report",
-                        keys=("model", "horizons", "per_horizon", "weights", "basis"))
-        reports.append(MetricsReport.from_dict(doc))
-        inputs.append(path)
+    paths = [Path(p) for p in args.report]
+    keys = ("model", "horizons", "per_horizon", "weights", "basis")
+    reports = [MetricsReport.from_dict(read_json(p, "metrics report", keys=keys)) for p in paths]
 
     baseline = None
-    train_cfg, pipe_cfg = _resolve_config(args)
     if args.input is not None:
-        bundle = _prepare(args, train_cfg, pipe_cfg)
-        baseline = persistence_report(bundle.test, reports[0].horizons,
-                                      reports[0].weights, scaler=bundle.scaler)
-        baseline = baseline.with_basis(reports[0].basis)
-        inputs.append(Path(args.input))
+        bundle = _prepare(args, pipe_cfg)
+        baseline = persistence_report(bundle.test, reports[0].horizons, reports[0].weights,
+                                      scaler=bundle.scaler).with_basis(reports[0].basis)
 
     table = compare_models(reports, baseline)
     csv_path = write_text(out_dir / "comparison.csv", table.to_csv())
     json_path = write_json(out_dir / "comparison.json", table.as_dict())
-    cfg = resolved_config_dict(train_cfg, pipe_cfg)
-    cfg["reports"] = [str(p) for p in args.report]
-    return cfg, train_cfg.seed, inputs, [csv_path, json_path]
+    return {"reports": args.report}, paths, [csv_path, json_path]
 
 
-def _cmd_perturb(args, out_dir: Path):
-    if args.model not in ("gru", "lstm"):
-        raise ConfigError("perturb sweeps forecasters; --model must be gru or lstm")
-    train_cfg, pipe_cfg = _resolve_config(args)
-    bundle = _prepare(args, train_cfg, pipe_cfg)
+def _cmd_perturb(args, out_dir: Path, train_cfg, pipe_cfg, run):
+    bundle = _prepare(args, pipe_cfg)
     data = {"train": bundle.train, "test": bundle.test, "scaler": bundle.scaler}
     grid = perturbation_study(args.model, args.layers, args.epoch_grid, data,
                               train_cfg, horizons=args.horizons)
@@ -349,19 +301,14 @@ def _cmd_perturb(args, out_dir: Path):
     columns = ["layers", "epochs", "status", "rmse", "mape", "error"]
     csv_path = write_csv(out_dir / "perturb.csv", columns,
                          ([cell.get(c) for c in columns] for cell in grid.cells))
-    cfg = resolved_config_dict(train_cfg, pipe_cfg)
-    cfg.update({"model": args.model, "layer_grid": args.layers,
-                "epoch_grid": args.epoch_grid, "input": str(args.input)})
-    return cfg, train_cfg.seed, [Path(args.input)], [json_path, csv_path]
+    own = {"model": args.model, "layer_grid": args.layers, "epoch_grid": args.epoch_grid}
+    return own, [], [json_path, csv_path]
 
 
-def _cmd_synth_data(args, out_dir: Path):
-    train_cfg, pipe_cfg = _resolve_config(args)
+def _cmd_synth_data(args, out_dir: Path, train_cfg, pipe_cfg, run):
     series = make_synthetic_series(args.kind, args.rows, train_cfg.seed)
     out = write_text(out_dir / f"synthetic_{args.kind}.csv", series_to_csv(series))
-    cfg = resolved_config_dict(train_cfg, pipe_cfg)
-    cfg.update({"kind": args.kind, "rows": args.rows})
-    return cfg, train_cfg.seed, [], [out]
+    return {"kind": args.kind, "rows": args.rows}, [], [out]
 
 
 _HANDLERS = {
@@ -489,11 +436,22 @@ def main(argv: list[str] | None = None) -> int:
 
     started = utc_now()
     out_dir = Path(args.out_dir)
+    model_dir = getattr(args, "model_dir", None)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        cfg, seed, inputs, outputs = _HANDLERS[args.command](args, out_dir)
+        run = _load_train_run(Path(model_dir)) if model_dir is not None else None
+        train_cfg, pipe_cfg = _resolve_config(args, run.config if run else None)
+        own, inputs, outputs = _HANDLERS[args.command](args, out_dir, train_cfg, pipe_cfg, run)
+        cfg = resolved_config_dict(train_cfg, pipe_cfg)
+        if getattr(args, "input", None) is not None:
+            cfg["input"] = args.input
+            inputs.append(Path(args.input))
+        if run is not None:
+            cfg.update({"model": run.kind, "model_dir": model_dir})
+            inputs += run.paths
+        cfg.update(own)
         digests = {str(p): file_digest(p) for p in inputs}
-        manifest = RunManifest(args.command, argv, cfg, seed, digests,
+        manifest = RunManifest(args.command, argv, cfg, train_cfg.seed, digests,
                                [str(p) for p in outputs], started=started,
                                finished=utc_now())
         write_manifest(manifest, out_dir / f"{args.command}_manifest.json")

@@ -21,7 +21,6 @@ PIPELINE_DEFAULTS = {
     "sma_window": 10,
     "knn_k": 5,
     "train_fraction": 0.7,
-    "target_column": "Close",
 }
 
 
@@ -38,7 +37,6 @@ class PipelineConfig:
         self.sma_window = int(merged["sma_window"])
         self.knn_k = int(merged["knn_k"])
         self.train_fraction = float(merged["train_fraction"])
-        self.target_column = str(merged["target_column"])
         if self.seq_len < 1 or self.horizon < 1:
             raise ConfigError(
                 f"seq_len and horizon must be >= 1, got ({self.seq_len}, {self.horizon})"
@@ -56,8 +54,10 @@ class PipelineConfig:
         return {k: getattr(self, k) for k in PIPELINE_DEFAULTS}
 
 
-# Full-scale training recipes, one per model family. Desk-scale runs take the
-# plain defaults; these presets restore the published-size workloads.
+# Full-scale training recipes, one per model family. The plain defaults are
+# already full scale (full-gan and full-timegan equal them); full-gru and
+# full-lstm change the epochs, full-wgan the learning rates and optimizer.
+# Desk-scale runs lower epochs, widths and batch size by flag or config file.
 PRESETS = {
     "full-gan": {
         "epochs": 250, "batch_size": 128, "lr_g": 1e-5, "lr_d": 1e-5,

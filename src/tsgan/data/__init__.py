@@ -4,6 +4,7 @@ from .features import FeatureMatrix, build_features, features_to_csv, pct_change
 from .ohlcv import (
     MAX_GAP_BUSINESS_DAYS,
     RAW_COLUMNS,
+    TARGET_COLUMN,
     PriceSeries,
     parse_ohlcv_csv,
     repair_calendar,
@@ -29,6 +30,7 @@ __all__ = [
     "PriceSeries",
     "RAW_COLUMNS",
     "SYNTH_KINDS",
+    "TARGET_COLUMN",
     "ScalerParams",
     "WindowDataset",
     "apply_scaler",

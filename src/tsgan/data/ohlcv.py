@@ -21,6 +21,8 @@ from ..artifacts import csv_text
 from ..errors import DataError
 
 RAW_COLUMNS = ("Open", "High", "Low", "Close", "Adj Close", "Volume")
+# The column every model forecasts and every report scores.
+TARGET_COLUMN = "Close"
 REQUIRED_COLUMNS = ("date", *(name.lower() for name in RAW_COLUMNS))
 
 MAX_GAP_BUSINESS_DAYS = 10

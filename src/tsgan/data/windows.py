@@ -12,6 +12,7 @@ import numpy as np
 
 from ..errors import DataError
 from .features import FeatureMatrix
+from .ohlcv import TARGET_COLUMN
 
 
 class WindowDataset:
@@ -60,8 +61,7 @@ class WindowDataset:
         )
 
 
-def make_windows(features: FeatureMatrix, seq_len: int, horizon: int,
-                 target_column: str = "Close") -> WindowDataset:
+def make_windows(features: FeatureMatrix, seq_len: int, horizon: int) -> WindowDataset:
     """All stride-1 windows: count = rows - seq_len - horizon + 1."""
     if seq_len < 1 or horizon < 1:
         raise DataError(f"seq_len and horizon must be >= 1, got ({seq_len}, {horizon})")
@@ -69,7 +69,7 @@ def make_windows(features: FeatureMatrix, seq_len: int, horizon: int,
     need = seq_len + horizon
     if n < need:
         raise DataError(f"need at least {need} feature rows for windows, have {n}")
-    target_index = features.index_of(target_column)
+    target_index = features.index_of(TARGET_COLUMN)
     count = n - seq_len - horizon + 1
     inputs = np.empty((count, seq_len, features.values.shape[1]))
     targets = np.empty((count, horizon))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .artifacts import csv_text
+from .data.ohlcv import TARGET_COLUMN
 from .data.scaling import ScalerParams, inverse_scaler
 from .data.windows import WindowDataset
 from .errors import ConfigError, DataError, DomainError, ShapeError, ToolkitError
@@ -163,8 +164,8 @@ def horizon_sweep(model, test_windows: WindowDataset, horizons=DEFAULT_HORIZONS,
     per_h_orig = None
     if scaler is not None:
         per_h_orig = {}
-        preds_orig = inverse_scaler(preds, scaler, "Close")
-        targets_orig = inverse_scaler(targets, scaler, "Close")
+        preds_orig = inverse_scaler(preds, scaler, TARGET_COLUMN)
+        targets_orig = inverse_scaler(targets, scaler, TARGET_COLUMN)
     for h in horizons:
         per_h[h] = {"rmse": rmse(targets[:, :h], preds[:, :h]),
                     "mape": mape(targets[:, :h], preds[:, :h])}

@@ -47,7 +47,6 @@ def build_generator(
     rng: RngStream,
     feature_dim: int = 0,
     width_mult: float = 1.0,
-    dropout_rate: float = GENERATOR_DROPOUT,
 ) -> Network:
     """Stacked GRU tower, then a dense head on the final state.
 
@@ -68,7 +67,7 @@ def build_generator(
         {"kind": "gru", "units": g3},
         {"kind": "last_step"},
         {"kind": "dense", "units": d1, "activation": "relu"},
-        {"kind": "dropout", "rate": dropout_rate},
+        {"kind": "dropout", "rate": GENERATOR_DROPOUT},
         {"kind": "dense", "units": d2, "activation": "relu"},
         {"kind": "dense", "units": out_dim, "activation": "sigmoid"},
     ]
@@ -82,9 +81,6 @@ def build_discriminator(
     rng: RngStream,
     width_mult: float = 1.0,
     head: str = "sigmoid",
-    kernel: int = DISC_KERNEL,
-    stride: int = DISC_STRIDE,
-    name: str | None = None,
 ) -> Network:
     """Three stride-4 conv blocks, flatten, two relu dense layers, 1-unit head.
 
@@ -93,41 +89,37 @@ def build_discriminator(
     """
     if head not in ("sigmoid", "linear"):
         raise ConfigError(f"discriminator: head must be 'sigmoid' or 'linear', got {head!r}")
-    min_len = min_discriminator_len(kernel, stride, len(DISC_CONV_FILTERS))
+    min_len = min_discriminator_len(n_layers=len(DISC_CONV_FILTERS))
     if seq_len < min_len:
         raise ShapeError(
             f"discriminator: input length {seq_len} too short for "
-            f"{len(DISC_CONV_FILTERS)} conv layers (kernel {kernel}, stride {stride}); "
-            f"minimum is {min_len}"
+            f"{len(DISC_CONV_FILTERS)} conv layers (kernel {DISC_KERNEL}, "
+            f"stride {DISC_STRIDE}); minimum is {min_len}"
         )
     f1, f2, f3 = (scale_width(f, width_mult) for f in DISC_CONV_FILTERS)
     u1, u2 = (scale_width(u, width_mult) for u in DISC_DENSE_UNITS)
     length = seq_len
     for _ in DISC_CONV_FILTERS:
-        length = conv_out_len(length, kernel, stride)
+        length = conv_out_len(length, DISC_KERNEL, DISC_STRIDE)
     layers = [
-        {"kind": "conv1d", "filters": f1, "kernel": kernel, "stride": stride,
+        {"kind": "conv1d", "filters": f1, "kernel": DISC_KERNEL, "stride": DISC_STRIDE,
          "activation": "relu"},
-        {"kind": "conv1d", "filters": f2, "kernel": kernel, "stride": stride,
+        {"kind": "conv1d", "filters": f2, "kernel": DISC_KERNEL, "stride": DISC_STRIDE,
          "activation": "relu"},
-        {"kind": "conv1d", "filters": f3, "kernel": kernel, "stride": stride,
+        {"kind": "conv1d", "filters": f3, "kernel": DISC_KERNEL, "stride": DISC_STRIDE,
          "activation": "relu"},
         {"kind": "flatten", "flat_width": length * f3},
         {"kind": "dense", "units": u1, "activation": "relu"},
         {"kind": "dense", "units": u2, "activation": "relu"},
         {"kind": "dense", "units": 1, "activation": head},
     ]
-    default_name = "discriminator" if head == "sigmoid" else "critic"
-    spec = NetSpec(name or default_name, in_dim, layers, input_rank=3)
+    name = "discriminator" if head == "sigmoid" else "critic"
+    spec = NetSpec(name, in_dim, layers, input_rank=3)
     return build_network(spec, rng)
 
 
-def build_critic(seq_len: int, in_dim: int, rng: RngStream, width_mult: float = 1.0,
-                 kernel: int = DISC_KERNEL, stride: int = DISC_STRIDE) -> Network:
-    return build_discriminator(
-        seq_len, in_dim, rng, width_mult=width_mult, head="linear",
-        kernel=kernel, stride=stride,
-    )
+def build_critic(seq_len: int, in_dim: int, rng: RngStream, width_mult: float = 1.0) -> Network:
+    return build_discriminator(seq_len, in_dim, rng, width_mult=width_mult, head="linear")
 
 
 def build_forecaster(
@@ -159,7 +151,6 @@ def build_timegan(
     hidden_dim: int = TIMEGAN_HIDDEN,
     seq_len: int | None = None,
     rng: RngStream | None = None,
-    latent_noise_dim: int | None = None,
 ) -> dict[str, Network]:
     """Five sub-networks over a shared latent space of width hidden_dim.
 
@@ -172,7 +163,6 @@ def build_timegan(
         raise ConfigError("timegan: an RngStream is required for initialization")
     if feature_dim < 1 or hidden_dim < 1:
         raise ConfigError(f"timegan: bad dims (features={feature_dim}, hidden={hidden_dim})")
-    noise_dim = latent_noise_dim or feature_dim
 
     def stack(name: str, in_dim: int, out_dim: int, depth: int = TIMEGAN_STACK) -> Network:
         layers = [{"kind": "gru", "units": hidden_dim} for _ in range(depth)]
@@ -182,7 +172,7 @@ def build_timegan(
     return {
         "embedder": stack("embedder", feature_dim, hidden_dim),
         "recovery": stack("recovery", hidden_dim, feature_dim),
-        "generator": stack("generator", noise_dim, hidden_dim),
+        "generator": stack("generator", feature_dim, hidden_dim),
         "supervisor": stack("supervisor", hidden_dim, hidden_dim),
         "discriminator": stack("discriminator", hidden_dim, 1),
     }

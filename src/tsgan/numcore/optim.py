@@ -19,7 +19,7 @@ ADAM_EPS = 1e-8
 RMSPROP_DECAY = 0.9
 RMSPROP_EPS = 1e-8
 
-_ALGOS = ("sgd", "adam", "rmsprop")
+OPTIMIZERS = ("sgd", "adam", "rmsprop")
 _DIRECTIONS = ("descend", "ascend")
 
 
@@ -27,8 +27,8 @@ class OptimizerState:
     """Per-parameter moment buffers plus a shared step counter."""
 
     def __init__(self, algo: str, lr: float, direction: str = "descend"):
-        if algo not in _ALGOS:
-            raise ConfigError(f"unknown optimizer {algo!r}; expected one of {_ALGOS}")
+        if algo not in OPTIMIZERS:
+            raise ConfigError(f"unknown optimizer {algo!r}; expected one of {OPTIMIZERS}")
         if direction not in _DIRECTIONS:
             raise ConfigError(f"unknown direction {direction!r}; expected one of {_DIRECTIONS}")
         if not (lr > 0.0):

@@ -134,7 +134,9 @@ def backward(record: Tape, loss: Tensor) -> dict[int, Tensor]:
     """Reverse pass from a scalar loss; returns {tape_id: gradient} for every leaf.
 
     Leaves on the record that the loss does not reach get zero gradients.
-    The record is consumed; a second backward on it is rejected.
+    The record is consumed; a second backward on it is rejected. Its nodes are
+    dropped, so the backward closures and the arrays they hold are freed even
+    while a parameter's `_tape` still points at the record.
     """
     if record.consumed:
         raise GraphError("double backward: this computation record was already consumed")
@@ -154,6 +156,7 @@ def backward(record: Tape, loss: Tensor) -> dict[int, Tensor]:
             held = grads.get(in_id)
             grads[in_id] = contrib if held is None else held + contrib
     record.consumed = True
+    record.nodes.clear()
 
     result: dict[int, Tensor] = {}
     for tid, leaf in record._leaves.items():

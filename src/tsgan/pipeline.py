@@ -10,7 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .data.features import FeatureMatrix, build_features
-from .data.ohlcv import PriceSeries, parse_ohlcv_csv, repair_calendar
+from .data.ohlcv import TARGET_COLUMN, PriceSeries, parse_ohlcv_csv, repair_calendar
 from .data.scaling import ScalerParams, apply_scaler, fit_scaler
 from .data.windows import WindowDataset, make_windows, split_train_test
 from .errors import DataError
@@ -43,15 +43,14 @@ class DatasetBundle:
 
 def prepare_dataset(series: PriceSeries, seq_len: int, horizon: int,
                     sma_window: int = 10, knn_k: int = 5,
-                    train_fraction: float = 0.7,
-                    target_column: str = "Close") -> DatasetBundle:
+                    train_fraction: float = 0.7) -> DatasetBundle:
     """Repair, featurize, scale, window, and split one price series."""
     raw_rows = len(series)
     repaired = series if series.provenance == "repaired" else repair_calendar(series, knn_k)
     features = build_features(repaired, sma_window)
     scaler = fit_scaler(features, train_fraction)
     scaled = apply_scaler(features, scaler)
-    windows = make_windows(scaled, seq_len, horizon, target_column)
+    windows = make_windows(scaled, seq_len, horizon)
     train, test = split_train_test(windows, train_fraction)
     boundary_row = int(test.origin_rows[0])
     manifest = {
@@ -66,7 +65,7 @@ def prepare_dataset(series: PriceSeries, seq_len: int, horizon: int,
         "knn_k": knn_k,
         "seq_len": seq_len,
         "horizon": horizon,
-        "target_column": target_column,
+        "target_column": TARGET_COLUMN,
         "train_fraction": train_fraction,
         "scaler_train_rows": scaler.train_rows,
         "window_count": windows.count,

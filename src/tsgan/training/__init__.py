@@ -1,6 +1,6 @@
 """Training loops, objectives, traces, and model-output synthesis."""
 
-from .config import OPTIMIZERS, TrainConfig
+from .config import TrainConfig
 from .forecaster import train_forecaster
 from .gan import disc_sequence, gen_latent_dim, gen_output_dim, minibatches, train_gan
 from .losses import (
@@ -29,7 +29,7 @@ from .synthesis import (
 )
 from .timegan import TIMEGAN_NET_NAMES, phase_budgets, train_timegan
 from .trace import CSV_COLUMNS, LossTrace
-from .wgan import WGAN_DEFAULT_LR, critic_estimate, train_wgan
+from .wgan import critic_estimate, train_wgan
 
 __all__ = [
     "CSV_COLUMNS",
@@ -39,13 +39,11 @@ __all__ = [
     "GENERATOR_LOSS_MODES",
     "GanPredictor",
     "LossTrace",
-    "OPTIMIZERS",
     "PROB_FLOOR",
     "PersistencePredictor",
     "TIMEGAN_NET_NAMES",
     "TimeganPredictor",
     "TrainConfig",
-    "WGAN_DEFAULT_LR",
     "as_predictor",
     "bce",
     "clamp_probs",

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from ..errors import ConfigError
+from ..numcore.optim import OPTIMIZERS
 from .losses import GENERATOR_LOSS_MODES
-
-OPTIMIZERS = ("sgd", "adam", "rmsprop")
 
 
 class TrainConfig:

@@ -43,13 +43,13 @@ def gen_output_dim(gen: Network) -> int:
 
 
 def disc_sequence(history: np.ndarray, path) -> Tensor:
-    """(batch, L) close history + (batch, H) close path -> (batch, L+H, 1) input."""
-    if isinstance(path, Tensor):
-        b = history.shape[0]
-        h = path.shape[1]
-        hist = Tensor(history[:, :, None])
-        return concat([hist, reshape(path, (b, h, 1))], axis=1)
-    return Tensor(np.concatenate([history, path], axis=1)[:, :, None])
+    """(batch, L) close history + (batch, H) close path -> (batch, L+H, 1) input.
+
+    `path` is a Tensor or an array; the concat records no tape node unless the
+    path requires a gradient.
+    """
+    b, h = path.shape
+    return concat([history[:, :, None], reshape(path, (b, h, 1))], axis=1)
 
 
 def _check_gan_shapes(gen: Network, disc: Network, windows) -> int:

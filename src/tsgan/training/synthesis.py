@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data.ohlcv import RAW_COLUMNS
+from ..data.ohlcv import RAW_COLUMNS, TARGET_COLUMN
 from ..data.scaling import ScalerParams, inverse_scale_matrix, inverse_scaler
 from ..data.windows import WindowDataset
 from ..errors import ConfigError, DataError, NumericAbort
@@ -174,7 +174,7 @@ def forecast(model, windows: WindowDataset, horizon: int, mode: str = "direct",
         scaled = _iterative_forecast(predictor, windows, horizon, scaler)
     original = None
     if scaler is not None:
-        original = inverse_scaler(scaled, scaler, "Close")
+        original = inverse_scaler(scaled, scaler, TARGET_COLUMN)
     dates = [windows.target_dates(i)[:horizon] for i in range(windows.count)] \
         if windows.dates else None
     return ForecastResult(scaled, original, horizon, mode, predictor.name, dates)
@@ -204,14 +204,14 @@ def _iterative_forecast(predictor, windows: WindowDataset, horizon: int,
     if missing:
         raise DataError(f"windows lack raw columns needed for roll-forward: {missing}")
     raw_cols = [windows.feature_names.index(c) for c in RAW_COLUMNS]
-    close_raw_pos = RAW_COLUMNS.index("Close")
+    close_raw_pos = RAW_COLUMNS.index(TARGET_COLUMN)
     out = np.empty((windows.count, horizon))
     window = windows.inputs
     raw = inverse_scale_matrix(window, scaler)[:, :, raw_cols]
     for step in range(horizon):
         out[:, step] = predictor.predict(window)[:, 0]
         new_raw = raw[:, -1].copy()
-        new_raw[:, close_raw_pos] = inverse_scaler(out[:, step], scaler, "Close")
+        new_raw[:, close_raw_pos] = inverse_scaler(out[:, step], scaler, TARGET_COLUMN)
         raw = np.concatenate([raw, new_raw[:, None]], axis=1)
         feat = _feature_rows(raw, windows.feature_names, sma_window)
         feat_scaled = (feat - scaler.mins) / (scaler.maxs - scaler.mins)
@@ -253,5 +253,5 @@ def generate_synthetic(model, count: int, seq_len: int, seed: int,
         predictor = GanPredictor(model, windows.inputs.shape[2], seed)
         pick = rng.integers(0, windows.count, (count,))
         paths = predictor.predict(windows.inputs[pick])
-        return inverse_scaler(paths, scaler, "Close")[:, :, None]
+        return inverse_scaler(paths, scaler, TARGET_COLUMN)[:, :, None]
     raise ConfigError(f"cannot generate from {type(model).__name__}")

@@ -22,8 +22,6 @@ from .gan import _check_gan_shapes, disc_sequence, minibatches
 from .step import train_step
 from .trace import LossTrace
 
-WGAN_DEFAULT_LR = 5e-5
-
 
 def critic_estimate(f_real: Tensor, f_fake: Tensor) -> Tensor:
     """(1/m) sum f(x) - (1/m) sum f(g(z)), the quantity the critic ascends."""

@@ -16,6 +16,7 @@ from tsgan.errors import (ConfigError, DataError, DomainError, GraphError,
                           NumericAbort, ShapeError, ToolkitError)
 from tsgan.manifest import (RunManifest, file_digest, load_manifest,
                             replace_out_dir, rerun, write_manifest)
+from tsgan.training import TIMEGAN_NET_NAMES, TrainConfig
 
 PIPE = ["--seq-len", "6", "--horizon", "3", "--sma-window", "3"]
 
@@ -96,7 +97,7 @@ def test_every_toolkit_error_has_an_exit_code():
 
 @pytest.mark.parametrize("exc", [GraphError, NumericAbort])
 def test_numeric_and_graph_errors_exit_3(tmp_path, capsys, monkeypatch, exc):
-    def failing(args, out_dir):
+    def failing(args, out_dir, train_cfg, pipe_cfg, run):
         raise exc("step went wrong")
 
     monkeypatch.setitem(cli._HANDLERS, "synth-data", failing)
@@ -113,6 +114,17 @@ def test_unknown_config_key_is_named(tmp_path, capsys):
                "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
     assert rc == 1
     assert "learning_rte" in capsys.readouterr().err
+
+
+def test_target_column_is_not_a_config_key(tmp_path, capsys, data_csv):
+    """Every stage forecasts and scores Close, so a config cannot name another column."""
+    cfg = tmp_path / "volume.json"
+    cfg.write_text(json.dumps({"target_column": "Volume"}))
+    rc = main(["train", "--input", str(data_csv), "--model", "gru", "--epochs", "1",
+               "--hidden-layers", "1", "--hidden-units", "2", "--config", str(cfg), *PIPE,
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: unknown config key: 'target_column'\n"
 
 
 @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])
@@ -429,6 +441,63 @@ def test_perturb_cli(tmp_path, data_csv):
     lines = (out / "perturb.csv").read_text().splitlines()
     assert lines[0] == "layers,epochs,status,rmse,mape,error"
     assert len(lines) == 3
+
+
+# Each subcommand's manifest config beyond the resolved TrainConfig and
+# PipelineConfig keys: --input whenever it is given, model and model_dir for a
+# loaded train run, then the handler's own entries.
+_MANIFEST_EXTRA_KEYS = {
+    "synth-data": {"kind", "rows"},
+    "ingest": {"input"},
+    "stats": {"input"},
+    "features": {"input", "trimmed_rows", "zero_div_warnings"},
+    "train": {"input", "model"},
+    "forecast": {"input", "model", "model_dir", "mode", "forecast_horizon"},
+    "generate": {"input", "model", "model_dir", "count", "sample_seq_len"},
+    "evaluate": {"input", "model", "model_dir", "basis", "horizons"},
+    "compare": {"input", "reports"},
+    "compare-no-input": {"reports"},
+    "perturb": {"input", "model", "layer_grid", "epoch_grid"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MANIFEST_EXTRA_KEYS))
+def test_manifest_config_of_every_subcommand(tmp_path, data_csv, gru_run, timegan_run, case):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(REPORT))
+    data, fit = ["--input", str(data_csv), *PIPE], ["--hidden-units", "2", "--epochs", "1"]
+    run = timegan_run if case == "generate" else gru_run
+    argv = {
+        "synth-data": ["synth-data", "--kind", "sine", "--rows", "40"],
+        "ingest": ["ingest", *data],
+        "stats": ["stats", *data],
+        "features": ["features", *data],
+        "train": ["train", "--model", "gru", "--hidden-layers", "1", *fit, *data],
+        "forecast": ["forecast", "--model-dir", str(run), *data],
+        "generate": ["generate", "--model-dir", str(run), "--count", "2", *data],
+        "evaluate": ["evaluate", "--model-dir", str(run), "--horizons", "1", *data],
+        "compare": ["compare", "--report", str(report), *data],
+        "compare-no-input": ["compare", "--report", str(report)],
+        "perturb": ["perturb", "--model", "gru", "--layers", "1", "--epoch-grid", "1",
+                    *fit, *data],
+    }[case]
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    manifest = load_manifest(out / f"{argv[0]}_manifest.json")
+    resolved = set(TrainConfig.DEFAULTS) | set(PIPELINE_DEFAULTS)
+    assert set(manifest.config) - resolved == _MANIFEST_EXTRA_KEYS[case]
+    assert resolved <= set(manifest.config)
+    expected_inputs = {str(report)} if case.startswith("compare") else set()
+    if "input" in manifest.config:
+        assert manifest.config["input"] == str(data_csv)
+        expected_inputs.add(str(data_csv))
+    if "model_dir" in manifest.config:
+        kind, stems = ("timegan", TIMEGAN_NET_NAMES) if run is timegan_run else ("gru", ["model"])
+        assert (manifest.config["model"], manifest.config["model_dir"]) == (kind, str(run))
+        expected_inputs |= {str(run / f"{stem}{ext}") for stem in stems
+                            for ext in (".json", ".bin")}
+        expected_inputs.add(str(run / "train_manifest.json"))
+    assert set(manifest.inputs) == expected_inputs
 
 
 def test_config_resolution_order(tmp_path):

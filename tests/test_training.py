@@ -1,5 +1,8 @@
 """Training loops: batching, schedules, hooks, traces, and forecasting paths."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,13 +10,14 @@ from tsgan.data import (apply_scaler, build_features, fit_scaler,
                         make_synthetic_series, make_windows)
 from tsgan.errors import ConfigError, DataError, NumericAbort
 from tsgan.models import NetSpec, build_forecaster, build_network, build_timegan
-from tsgan.numcore import RngStream, Tensor
+from tsgan.numcore import OptimizerState, RngStream, Tensor, active_tape, mean
 from tsgan.training import (LossTrace, PersistencePredictor, TrainConfig,
                             as_predictor, critic_estimate, disc_sequence,
                             forecast, gen_latent_dim, gen_output_dim,
                             generate_synthetic, minibatches, phase_budgets,
                             train_forecaster, train_gan, train_timegan,
                             train_wgan)
+from tsgan.training.step import train_step
 
 
 def small_windows(rows=60, seq_len=6, horizon=3, seed=0):
@@ -56,6 +60,26 @@ def test_disc_sequence_concatenates_history_and_path():
     np.testing.assert_array_equal(seq.data[0, :, 0], [0, 1, 2, 10, 11])
     seq_t = disc_sequence(hist, Tensor(path))
     np.testing.assert_array_equal(seq_t.data, seq.data)
+
+
+def test_train_step_frees_the_spent_tape_closures():
+    """The parameters still point at their last tape, which must not hold its closures."""
+    gen = tiny_gen(3, 2, 4)
+    x = Tensor(np.ones((5, 6, 5)))
+    closures = []
+
+    def loss_fn():
+        loss = mean(gen.forward(x))
+        closures.extend(weakref.ref(node[3]) for node in active_tape().nodes)
+        return loss
+
+    gc.disable()
+    try:
+        train_step(OptimizerState("sgd", 0.1), gen.params, loss_fn, "step", 0, 0)
+        assert all(p._tape is not None for p in gen.params.values())
+        assert closures and all(ref() is None for ref in closures)
+    finally:
+        gc.enable()
 
 
 def test_generator_dimension_helpers():
