@@ -44,7 +44,7 @@ from .training.forecaster import train_forecaster
 from .training.gan import train_gan
 from .training.timegan import TIMEGAN_NET_NAMES, train_timegan
 from .training.synthesis import forecast, generate_synthetic
-from .training.wgan import train_wgan
+from .training.wgan import WGAN_OPTIMIZER, train_wgan
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -221,7 +221,10 @@ def _cmd_train(args, out_dir: Path, train_cfg, pipe_cfg, run):
         outputs += [out_dir / f"{name}.json", out_dir / f"{name}.bin"]
     outputs.append(write_json(out_dir / "scaler.json", bundle.scaler.to_dict()))
     outputs.append(write_json(out_dir / "dataset_manifest.json", bundle.manifest))
-    return {"model": args.model}, [], outputs
+    own = {"model": args.model}
+    if args.model == "wgan":  # the WGAN steps with its own optimizer, whatever the config says
+        own["optimizer"] = WGAN_OPTIMIZER
+    return own, [], outputs
 
 
 def _cmd_forecast(args, out_dir: Path, train_cfg, pipe_cfg, run):

@@ -53,9 +53,17 @@ def weighted_average(values: list[float], weights: list[float]) -> float:
     v = np.asarray(values, dtype=np.float64)
     if w.size != v.size or w.size == 0:
         raise ConfigError("weighted_average: weights and values disagree")
-    if np.any(w < 0) or w.sum() == 0:
-        raise ConfigError("weights must be non-negative and not all zero")
+    if not np.all(np.isfinite(w)) or np.any(w < 0) or w.sum() == 0:
+        raise ConfigError(f"weights must be finite, non-negative and not all zero: {weights}")
     return float(np.sum(w * v) / np.sum(w))
+
+
+def check_horizons(horizons) -> list[int]:
+    """The horizons as a non-empty list of ints, each at least one step."""
+    horizons = [int(h) for h in horizons]
+    if not horizons or min(horizons) < 1:
+        raise ConfigError(f"horizons must be one or more steps >= 1, got {horizons}")
+    return horizons
 
 
 class MetricsReport:
@@ -67,7 +75,7 @@ class MetricsReport:
         if basis not in ("scaled", "original"):
             raise ConfigError(f"basis must be 'scaled' or 'original', got {basis!r}")
         self.model = model
-        self.horizons = list(horizons)
+        self.horizons = check_horizons(horizons)
         self.per_horizon = per_horizon
         self.weights = list(weights)
         self.basis = basis
@@ -142,9 +150,7 @@ def horizon_sweep(model, test_windows: WindowDataset, horizons=DEFAULT_HORIZONS,
                   hidden_layers: int | None = None, epochs: int | None = None,
                   name: str | None = None, seed: int = 0) -> MetricsReport:
     """Direct-head metrics at each horizon plus the weighted average."""
-    horizons = [int(h) for h in horizons]
-    if not horizons:
-        raise ConfigError("horizon_sweep: no horizons given")
+    horizons = check_horizons(horizons)
     too_long = [h for h in horizons if h > test_windows.horizon]
     if too_long:
         raise DataError(
@@ -180,8 +186,8 @@ def horizon_sweep(model, test_windows: WindowDataset, horizons=DEFAULT_HORIZONS,
 
 def persistence_report(test_windows: WindowDataset, horizons=DEFAULT_HORIZONS,
                        weights=None, scaler: ScalerParams | None = None) -> MetricsReport:
-    predictor = PersistencePredictor(test_windows.target_index,
-                                     max(int(h) for h in horizons))
+    horizons = check_horizons(horizons)
+    predictor = PersistencePredictor(test_windows.target_index, max(horizons))
     return horizon_sweep(predictor, test_windows, horizons, weights, scaler,
                          hidden_layers=0, epochs=0, name="persistence")
 
@@ -214,8 +220,7 @@ def perturbation_study(model_kind: str, layer_grid, epoch_grid, data: dict,
         raise ConfigError("perturbation grids must be non-empty")
     train, test = data["train"], data["test"]
     scaler = data.get("scaler")
-    if horizons is None:
-        horizons = [test.horizon]
+    horizons = check_horizons([test.horizon] if horizons is None else horizons)
     grid = PerturbationGrid(model_kind, layer_grid, epoch_grid)
     units = scale_width(cfg.hidden_units, cfg.width_mult)
     for layers in layer_grid:

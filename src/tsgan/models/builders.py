@@ -31,12 +31,11 @@ def conv_out_len(length: int, kernel: int, stride: int) -> int:
     return (length - kernel) // stride + 1
 
 
-def min_discriminator_len(kernel: int = DISC_KERNEL, stride: int = DISC_STRIDE,
-                          n_layers: int = 3) -> int:
-    """Shortest input that keeps every conv layer's output length >= 1."""
+def min_discriminator_len() -> int:
+    """Shortest input that keeps every discriminator conv layer's output length >= 1."""
     need = 1
-    for _ in range(n_layers):
-        need = kernel + stride * (need - 1)
+    for _ in DISC_CONV_FILTERS:
+        need = DISC_KERNEL + DISC_STRIDE * (need - 1)
     return need
 
 
@@ -89,7 +88,7 @@ def build_discriminator(
     """
     if head not in ("sigmoid", "linear"):
         raise ConfigError(f"discriminator: head must be 'sigmoid' or 'linear', got {head!r}")
-    min_len = min_discriminator_len(n_layers=len(DISC_CONV_FILTERS))
+    min_len = min_discriminator_len()
     if seq_len < min_len:
         raise ShapeError(
             f"discriminator: input length {seq_len} too short for "

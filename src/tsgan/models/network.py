@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError, DataError, ShapeError
+from ..errors import ConfigError, DataError, NumericAbort, ShapeError
 from ..numcore import (
     RngStream,
     Tensor,
@@ -245,6 +245,12 @@ class Network:
             k: Tensor(v.data.copy(), requires_grad=v.requires_grad) for k, v in self.params.items()
         }
         return Network(self.spec, copied)
+
+
+def require_finite_params(net: Network) -> None:
+    for name, p in net.params.items():
+        if not np.all(np.isfinite(p.data)):
+            raise NumericAbort(f"{net.name}: parameter {name!r} contains non-finite values")
 
 
 def build_network(spec: NetSpec, rng: RngStream) -> Network:

@@ -2,7 +2,7 @@
 
 from .config import TrainConfig
 from .forecaster import train_forecaster
-from .gan import disc_sequence, gen_latent_dim, gen_output_dim, minibatches, train_gan
+from .gan import disc_sequence, gen_latent_dim, gen_output_dim, train_gan
 from .losses import (
     GENERATOR_LOSS_MODES,
     PROB_FLOOR,
@@ -25,8 +25,8 @@ from .synthesis import (
     as_predictor,
     forecast,
     generate_synthetic,
-    require_finite_params,
 )
+from .step import minibatches
 from .timegan import TIMEGAN_NET_NAMES, phase_budgets, train_timegan
 from .trace import CSV_COLUMNS, LossTrace
 from .wgan import critic_estimate, train_wgan
@@ -61,7 +61,6 @@ __all__ = [
     "mse",
     "optimal_discriminator",
     "phase_budgets",
-    "require_finite_params",
     "train_forecaster",
     "train_gan",
     "train_timegan",

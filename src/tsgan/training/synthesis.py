@@ -14,19 +14,13 @@ import numpy as np
 from ..data.ohlcv import RAW_COLUMNS, TARGET_COLUMN
 from ..data.scaling import ScalerParams, inverse_scale_matrix, inverse_scaler
 from ..data.windows import WindowDataset
-from ..errors import ConfigError, DataError, NumericAbort
-from ..models.network import Network
+from ..errors import ConfigError, DataError
+from ..models.network import Network, require_finite_params
 from ..numcore import RngStream, Tensor
 from .gan import gen_latent_dim
-from .timegan import TIMEGAN_NET_NAMES
+from .timegan import require_timegan_nets
 
 FORECAST_MODES = ("direct", "iterative")
-
-
-def require_finite_params(net: Network) -> None:
-    for name, p in net.params.items():
-        if not np.all(np.isfinite(p.data)):
-            raise NumericAbort(f"{net.name}: parameter {name!r} contains non-finite values")
 
 
 class ForecasterPredictor:
@@ -70,11 +64,7 @@ class TimeganPredictor:
     """
 
     def __init__(self, nets: dict, close_index: int, head_width: int):
-        missing = [n for n in TIMEGAN_NET_NAMES if n not in nets]
-        if missing:
-            raise ConfigError(f"timegan predictor missing sub-networks: {missing}")
-        for name in ("embedder", "recovery", "supervisor"):
-            require_finite_params(nets[name])
+        require_timegan_nets(nets, finite=("embedder", "recovery", "supervisor"))
         self.nets = nets
         self.name = "timegan"
         self.close_index = close_index
@@ -234,13 +224,9 @@ def generate_synthetic(model, count: int, seq_len: int, seed: int,
         raise ConfigError(f"count must be >= 1, got {count}")
     rng = RngStream(seed, ("generate",))
     if isinstance(model, dict):
-        missing = [n for n in TIMEGAN_NET_NAMES if n not in model]
-        if missing:
-            raise ConfigError(f"timegan model missing sub-networks: {missing}")
+        require_timegan_nets(model, finite=("generator", "supervisor", "recovery"))
         if scaler is None:
             raise ConfigError("timegan generation needs the fitted scaler")
-        for name in ("generator", "supervisor", "recovery"):
-            require_finite_params(model[name])
         noise_dim = model["generator"].spec.input_dim
         z = rng.uniform(0.0, 1.0, (count, seq_len, noise_dim))
         latent = model["supervisor"].forward(model["generator"].forward(Tensor(z))).data

@@ -14,14 +14,23 @@ phase name.
 from __future__ import annotations
 
 from ..errors import ConfigError, DataError
+from ..models.network import require_finite_params
 from ..numcore import OptimizerState, RngStream, Tensor, slice_tensor
 from .config import TrainConfig
-from .gan import minibatches
 from .losses import bce, mse
-from .step import train_step
+from .step import run_epochs, train_step
 from .trace import LossTrace
 
 TIMEGAN_NET_NAMES = ("embedder", "recovery", "generator", "supervisor", "discriminator")
+
+
+def require_timegan_nets(nets: dict, finite: tuple) -> None:
+    """Every TimeGAN sub-network is present; those named in `finite` have finite parameters."""
+    missing = [n for n in TIMEGAN_NET_NAMES if n not in nets]
+    if missing:
+        raise ConfigError(f"timegan model lacks sub-networks: {missing}")
+    for name in finite:
+        require_finite_params(nets[name])
 
 
 def phase_budgets(epochs: int) -> tuple[int, int, int]:
@@ -46,16 +55,12 @@ def _one_step_shift_loss(sup_out: Tensor, h: Tensor) -> Tensor:
     return mse(ahead, target)
 
 
-def train_timegan(nets: dict, windows, cfg: TrainConfig,
-                  rng: RngStream | None = None, hook=None) -> LossTrace:
+def train_timegan(nets: dict, windows, cfg: TrainConfig, hook=None) -> LossTrace:
     """Run all three phases; updates every sub-network's parameters in place."""
-    missing = [n for n in TIMEGAN_NET_NAMES if n not in nets]
-    if missing:
-        raise ConfigError(f"timegan nets missing sub-networks: {missing}")
+    require_timegan_nets(nets, finite=())
     if windows.count == 0:
         raise DataError("empty training set")
-    if rng is None:
-        rng = RngStream(cfg.seed, ("timegan",))
+    rng = RngStream(cfg.seed, ("timegan",))
     x_all = windows.inputs
     n, seq_len, _ = x_all.shape
     noise_dim = nets["generator"].spec.input_dim
@@ -63,89 +68,77 @@ def train_timegan(nets: dict, windows, cfg: TrainConfig,
         raise ConfigError("timegan needs seq_len >= 2 for the supervised objective")
     e1, e2, e3 = phase_budgets(cfg.epochs)
     trace = LossTrace()
-    epoch = 0
+
+    def run_phase(phase, epochs, batch_fn):
+        if hook is not None:
+            hook({"event": "phase", "phase": phase, "epochs": len(epochs)})
+        for row in run_epochs(rng, epochs, n, cfg.batch_size, batch_fn):
+            trace.add(*row, phase)
 
     # Phase 1: reconstruction
-    if hook is not None:
-        hook({"event": "phase", "phase": "recon", "epochs": e1})
     opt_ae = OptimizerState(cfg.optimizer, cfg.lr_g)
     ae_params = _merged(nets, ("embedder", "recovery"))
-    for _ in range(e1):
-        perm = rng.child("shuffle", epoch).permutation(n)
-        loss_sum, nb = 0.0, 0
-        for bi, idx in enumerate(minibatches(n, cfg.batch_size, perm)):
-            x = Tensor(x_all[idx])
 
-            def recon_fn():
-                return mse(nets["recovery"].forward(nets["embedder"].forward(x)), x)
+    def recon_batch(epoch, bi, idx):
+        x = Tensor(x_all[idx])
 
-            loss_sum += train_step(opt_ae, ae_params, recon_fn, "reconstruction step",
-                                   epoch, bi)
-            nb += 1
-        trace.add(epoch, loss_sum / nb, 0.0, 0.0, "recon")
-        epoch += 1
+        def recon_fn():
+            return mse(nets["recovery"].forward(nets["embedder"].forward(x)), x)
+
+        return train_step(opt_ae, ae_params, recon_fn, "reconstruction step",
+                          epoch, bi), None, None
+
+    run_phase("recon", range(e1), recon_batch)
 
     # Phase 2: supervised one-step-ahead in latent space
-    if hook is not None:
-        hook({"event": "phase", "phase": "supervised", "epochs": e2})
     opt_sup = OptimizerState(cfg.optimizer, cfg.lr_g)
     sup_params = _merged(nets, ("supervisor",))
-    for _ in range(e2):
-        perm = rng.child("shuffle", epoch).permutation(n)
-        loss_sum, nb = 0.0, 0
-        for bi, idx in enumerate(minibatches(n, cfg.batch_size, perm)):
-            h_real = nets["embedder"].forward(Tensor(x_all[idx])).detach()
 
-            def sup_fn():
-                return _one_step_shift_loss(nets["supervisor"].forward(h_real), h_real)
+    def sup_batch(epoch, bi, idx):
+        h_real = nets["embedder"].forward(Tensor(x_all[idx])).detach()
 
-            loss_sum += train_step(opt_sup, sup_params, sup_fn, "supervised step", epoch, bi)
-            nb += 1
-        trace.add(epoch, loss_sum / nb, 0.0, 0.0, "supervised")
-        epoch += 1
+        def sup_fn():
+            return _one_step_shift_loss(nets["supervisor"].forward(h_real), h_real)
+
+        return train_step(opt_sup, sup_params, sup_fn, "supervised step", epoch, bi), None, None
+
+    run_phase("supervised", range(e1, e1 + e2), sup_batch)
 
     # Phase 3: joint adversarial training
-    if hook is not None:
-        hook({"event": "phase", "phase": "joint", "epochs": e3})
     opt_disc = OptimizerState(cfg.optimizer, cfg.lr_d)
     opt_joint = OptimizerState(cfg.optimizer, cfg.lr_g)
     disc_params = _merged(nets, ("discriminator",))
     joint_params = _merged(nets, ("embedder", "recovery", "generator", "supervisor"))
-    for _ in range(e3):
-        perm = rng.child("shuffle", epoch).permutation(n)
-        g_sum = d_sum = a_sum = 0.0
-        nb = 0
-        for bi, idx in enumerate(minibatches(n, cfg.batch_size, perm)):
-            x = Tensor(x_all[idx])
-            z = rng.child("z", epoch, bi).uniform(0.0, 1.0, (idx.size, seq_len, noise_dim))
 
-            # discriminator: real embeddings vs supervised generator latents
-            h_real = nets["embedder"].forward(x).detach()
-            h_fake = nets["supervisor"].forward(
-                nets["generator"].forward(Tensor(z))).detach()
+    def joint_batch(epoch, bi, idx):
+        x = Tensor(x_all[idx])
+        z = rng.child("z", epoch, bi).uniform(0.0, 1.0, (idx.size, seq_len, noise_dim))
 
-            def d_loss_fn():
-                return (bce(nets["discriminator"].forward(h_real), 1.0)
-                        + bce(nets["discriminator"].forward(h_fake), 0.0))
+        # discriminator: real embeddings vs supervised generator latents
+        h_real = nets["embedder"].forward(x).detach()
+        h_fake = nets["supervisor"].forward(nets["generator"].forward(Tensor(z))).detach()
 
-            d_sum += train_step(opt_disc, disc_params, d_loss_fn,
-                                "joint discriminator step", epoch, bi)
+        def d_loss_fn():
+            return (bce(nets["discriminator"].forward(h_real), 1.0)
+                    + bce(nets["discriminator"].forward(h_fake), 0.0))
 
-            # combined generator-side update; the adversarial term is reported alone
-            terms = {}
+        d_loss = train_step(opt_disc, disc_params, d_loss_fn, "joint discriminator step",
+                            epoch, bi)
 
-            def g_loss_fn():
-                h = nets["embedder"].forward(x)
-                h_hat = nets["supervisor"].forward(nets["generator"].forward(Tensor(z)))
-                terms["adv"] = bce(nets["discriminator"].forward(h_hat), 1.0)
-                sup = _one_step_shift_loss(nets["supervisor"].forward(h), h)
-                recon = mse(nets["recovery"].forward(h), x)
-                return terms["adv"] + cfg.sup_weight * sup + cfg.recon_weight * recon
+        # combined generator-side update; the adversarial term is reported alone
+        terms = {}
 
-            g_sum += train_step(opt_joint, joint_params, g_loss_fn,
-                                "joint generator step", epoch, bi)
-            a_sum += terms["adv"].item()
-            nb += 1
-        trace.add(epoch, g_sum / nb, d_sum / nb, a_sum / nb, "joint")
-        epoch += 1
+        def g_loss_fn():
+            h = nets["embedder"].forward(x)
+            h_hat = nets["supervisor"].forward(nets["generator"].forward(Tensor(z)))
+            terms["adv"] = bce(nets["discriminator"].forward(h_hat), 1.0)
+            sup = _one_step_shift_loss(nets["supervisor"].forward(h), h)
+            recon = mse(nets["recovery"].forward(h), x)
+            return terms["adv"] + cfg.sup_weight * sup + cfg.recon_weight * recon
+
+        g_loss = train_step(opt_joint, joint_params, g_loss_fn, "joint generator step",
+                            epoch, bi)
+        return g_loss, d_loss, terms["adv"].item()
+
+    run_phase("joint", range(e1 + e2, e1 + e2 + e3), joint_batch)
     return trace

@@ -443,6 +443,74 @@ def test_perturb_cli(tmp_path, data_csv):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--horizons=-2,3"],
+    ["evaluate", "--horizons", "0"],
+    ["evaluate", "--weights", "nan"],
+    ["evaluate", "--horizons", "1,3", "--weights", "1,inf"],
+    ["perturb", "--model", "gru", "--layers", "1", "--epoch-grid", "1",
+     "--hidden-units", "2", "--horizons", "0"],
+], ids=["negative-horizon", "zero-horizon", "nan-weight", "inf-weight", "perturb-zero-horizon"])
+def test_bad_horizons_and_weights_exit_1(tmp_path, capsys, data_csv, gru_run, argv):
+    if argv[0] == "evaluate":
+        argv = [*argv, "--model-dir", str(gru_run)]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*argv, "--input", str(data_csv), *PIPE, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not any(out.glob("*.json"))
+
+
+@pytest.mark.parametrize("edit", [
+    {"horizons": [-1], "per_horizon": {"-1": REPORT["per_horizon"]["1"]}},
+    {"weights": [float("nan")]},
+    {"weights": [float("inf")]},
+], ids=["negative-horizon", "nan-weight", "inf-weight"])
+def test_compare_rejects_reports_with_bad_horizons_or_weights(tmp_path, capsys, edit):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({**REPORT, **edit}))
+    capsys.readouterr()
+    assert main(["compare", "--report", str(report), "--out-dir", str(tmp_path / "c")]) == 2
+    assert "malformed metrics report" in capsys.readouterr().err
+
+
+# The discriminator and the critic need seq_len + horizon >= 85.
+GAN_PIPE = ["--seq-len", "80", "--horizon", "5", "--sma-window", "3"]
+TINY = ["--batch-size", "32", "--n-critic", "1", "--width-mult", "0.03125", "--latent-dim", "2",
+        "--hidden-layers", "1", "--hidden-units", "3"]
+
+
+def test_wgan_manifest_records_the_optimizer_it_steps_with(tmp_path, data_csv):
+    """The WGAN always steps with RMSProp; the `optimizer` config key does not apply."""
+    sgd = tmp_path / "sgd.json"
+    sgd.write_text(json.dumps({"optimizer": "sgd"}))
+    for name, extra in {"default": [], "sgd": ["--config", str(sgd)]}.items():
+        assert main(["train", "--input", str(data_csv), "--model", "wgan", *GAN_PIPE, *TINY,
+                     "--epochs", "1", *extra, "--out-dir", str(tmp_path / name)]) == 0
+        manifest = load_manifest(tmp_path / name / "train_manifest.json")
+        assert manifest.config["optimizer"] == "rmsprop"
+    for stem in ("generator", "critic"):
+        assert ((tmp_path / "default" / f"{stem}.bin").read_bytes()
+                == (tmp_path / "sgd" / f"{stem}.bin").read_bytes())
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gan", "wgan", "timegan"])
+def test_train_replays_byte_identical(tmp_path, data_csv, kind):
+    """A second train run with the same seed writes the same trace and checkpoints."""
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps({"timegan_hidden": 3}))
+    pipe = GAN_PIPE if kind in ("gan", "wgan") else PIPE
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["train", "--input", str(data_csv), "--model", kind, "--config", str(cfg),
+                     *pipe, *TINY, "--epochs", "5", "--seed", "12", "--out-dir", str(out)]) == 0
+    names = sorted(p.name for p in outs[0].iterdir() if p.name != "train_manifest.json")
+    assert "loss_trace.csv" in names and any(n.endswith(".bin") for n in names)
+    for name in names:
+        assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes(), name
+
+
 # Each subcommand's manifest config beyond the resolved TrainConfig and
 # PipelineConfig keys: --input whenever it is given, model and model_dir for a
 # loaded train run, then the handler's own entries.

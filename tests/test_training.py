@@ -5,19 +5,21 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsgan.data import (apply_scaler, build_features, fit_scaler,
                         make_synthetic_series, make_windows)
 from tsgan.errors import ConfigError, DataError, NumericAbort
 from tsgan.models import NetSpec, build_forecaster, build_network, build_timegan
 from tsgan.numcore import OptimizerState, RngStream, Tensor, active_tape, mean
-from tsgan.training import (LossTrace, PersistencePredictor, TrainConfig,
-                            as_predictor, critic_estimate, disc_sequence,
+from tsgan.training import (LossTrace, PersistencePredictor, TimeganPredictor,
+                            TrainConfig, as_predictor, critic_estimate, disc_sequence,
                             forecast, gen_latent_dim, gen_output_dim,
                             generate_synthetic, minibatches, phase_budgets,
                             train_forecaster, train_gan, train_timegan,
                             train_wgan)
-from tsgan.training.step import train_step
+from tsgan.training.step import epoch_batches, run_epochs, train_step
 
 
 def small_windows(rows=60, seq_len=6, horizon=3, seed=0):
@@ -50,6 +52,78 @@ def test_minibatches_chunk_a_permutation():
     chunks = minibatches(10, 4, perm)
     assert [c.tolist() for c in chunks] == [[3, 1, 4, 0], [2, 7, 5, 6], [9, 8]]
     assert sorted(np.concatenate(chunks).tolist()) == list(range(10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.integers(1, 70), batch_size=st.integers(1, 80), seed=st.integers(0, 2**31),
+       epoch=st.integers(0, 500))
+def test_epoch_batches_partition_the_shuffle_order(count, batch_size, seed, epoch):
+    rng = RngStream(seed, ("prop",))
+    chunks = epoch_batches(rng, epoch, count, batch_size)
+    order = rng.child("shuffle", epoch).permutation(count)
+    np.testing.assert_array_equal(np.concatenate(chunks), order)
+    assert sorted(order.tolist()) == list(range(count))
+    assert all(c.size == batch_size for c in chunks[:-1])
+    assert 1 <= chunks[-1].size <= batch_size
+
+
+def test_run_epochs_means_skip_missing_readings():
+    seen = []
+
+    def batch_fn(epoch, bi, idx):
+        seen.append((epoch, bi, idx.size))
+        return float(bi), (None if bi else 4.0), None
+
+    rows = list(run_epochs(RngStream(0, ("r",)), range(3, 5), 10, 4, batch_fn))
+    # 10 items in batches of 4 -> readings 0, 1, 2 in column 0; one in column 1
+    assert rows == [(3, 1.0, 4.0, 0.0), (4, 1.0, 4.0, 0.0)]
+    assert seen == [(e, b, n) for e in (3, 4) for b, n in enumerate((4, 4, 2))]
+
+
+def _batch_order_mean(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
+def test_train_gan_trace_rows_are_means_of_hook_values():
+    ds, _ = small_windows()
+    events = []
+    trace = train_gan(tiny_gen(18, 2, 3), tiny_disc(), ds,
+                      TrainConfig(epochs=2, batch_size=16, lr_g=1e-3, lr_d=1e-3, seed=8),
+                      hook=events.append)
+    for row in trace.records:
+        values = [e["value"] for e in events
+                  if e["event"] == "disc_step" and e["epoch"] == row["epoch"]]
+        g_losses = [e["g_loss"] for e in events
+                    if e["event"] == "gen_step" and e["epoch"] == row["epoch"]]
+        assert len(values) == len(g_losses) == 4  # 50 windows / 16
+        assert row["value"] == _batch_order_mean(values)
+        assert row["d_loss"] == _batch_order_mean([-0.5 * v for v in values])
+        assert row["g_loss"] == _batch_order_mean(g_losses)
+
+
+@pytest.mark.parametrize("batch_size, n_critic, groups", [
+    (16, 2, 2),  # 50 windows -> 4 batches: two whole groups
+    (7, 3, 2),   # 8 batches: two groups, then a dropped partial group of 2
+    (9, 4, 1),   # 6 batches: one group, then a dropped partial group of 2
+])
+def test_train_wgan_trace_rows_are_means_of_hook_values(batch_size, n_critic, groups):
+    ds, _ = small_windows()
+    events = []
+    trace = train_wgan(tiny_gen(18, 2, 3), tiny_disc(head="linear"), ds,
+                       TrainConfig(epochs=2, batch_size=batch_size, n_critic=n_critic,
+                                   lr_g=1e-3, lr_d=1e-3, seed=9),
+                       hook=events.append)
+    for row in trace.records:
+        estimates = [e["estimate"] for e in events
+                     if e["event"] == "critic_step" and e["epoch"] == row["epoch"]]
+        g_losses = [e["g_loss"] for e in events
+                    if e["event"] == "generator_step" and e["epoch"] == row["epoch"]]
+        assert (len(g_losses), len(estimates)) == (groups, groups * n_critic)
+        assert row["d_loss"] == row["value"] == _batch_order_mean(estimates)
+        assert row["g_loss"] == _batch_order_mean(g_losses)
 
 
 def test_disc_sequence_concatenates_history_and_path():
@@ -340,6 +414,22 @@ def test_generate_synthetic_timegan_and_gan_paths():
         generate_synthetic(nets, count=2, seq_len=5, seed=9)
     with pytest.raises(ConfigError):
         generate_synthetic(gen, count=2, seq_len=6, seed=9, scaler=scaler)
+
+
+def test_timegan_entry_points_share_one_sub_network_check():
+    ds, scaler = small_windows()
+    nets = build_timegan(feature_dim=18, hidden_dim=3, rng=RngStream(6, ("tg",)))
+    incomplete = {k: v for k, v in nets.items() if k != "discriminator"}
+    for call in (lambda: train_timegan(incomplete, ds, TrainConfig(epochs=5)),
+                 lambda: TimeganPredictor(incomplete, ds.target_index, 3),
+                 lambda: generate_synthetic(incomplete, 2, 6, seed=1, scaler=scaler)):
+        with pytest.raises(ConfigError, match=r"lacks sub-networks: \['discriminator'\]"):
+            call()
+    nets["recovery"].params["L0.Wz"].data[0, 0] = np.inf
+    for call in (lambda: TimeganPredictor(nets, ds.target_index, 3),
+                 lambda: generate_synthetic(nets, 2, 6, seed=1, scaler=scaler)):
+        with pytest.raises(NumericAbort, match="recovery: parameter 'L0.Wz'"):
+            call()
 
 
 def test_non_finite_parameters_are_rejected():
