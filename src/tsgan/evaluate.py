@@ -58,11 +58,17 @@ def weighted_average(values: list[float], weights: list[float]) -> float:
     return float(np.sum(w * v) / np.sum(w))
 
 
-def check_horizons(horizons) -> list[int]:
-    """The horizons as a non-empty list of ints, each at least one step."""
+def check_horizons(horizons, span: int | None = None) -> list[int]:
+    """The horizons as a non-empty list of ints, each at least one step.
+
+    Given the test windows' `span`, a horizon past it is a DataError.
+    """
     horizons = [int(h) for h in horizons]
     if not horizons or min(horizons) < 1:
         raise ConfigError(f"horizons must be one or more steps >= 1, got {horizons}")
+    too_long = [h for h in horizons if span is not None and h > span]
+    if too_long:
+        raise DataError(f"test windows span horizon {span}, cannot evaluate {too_long}")
     return horizons
 
 
@@ -150,12 +156,7 @@ def horizon_sweep(model, test_windows: WindowDataset, horizons=DEFAULT_HORIZONS,
                   hidden_layers: int | None = None, epochs: int | None = None,
                   name: str | None = None, seed: int = 0) -> MetricsReport:
     """Direct-head metrics at each horizon plus the weighted average."""
-    horizons = check_horizons(horizons)
-    too_long = [h for h in horizons if h > test_windows.horizon]
-    if too_long:
-        raise DataError(
-            f"test windows span horizon {test_windows.horizon}, cannot evaluate {too_long}"
-        )
+    horizons = check_horizons(horizons, test_windows.horizon)
     if weights is None:
         weights = [1.0] * len(horizons)
     predictor = as_predictor(model, test_windows, seed)
@@ -220,7 +221,7 @@ def perturbation_study(model_kind: str, layer_grid, epoch_grid, data: dict,
         raise ConfigError("perturbation grids must be non-empty")
     train, test = data["train"], data["test"]
     scaler = data.get("scaler")
-    horizons = check_horizons([test.horizon] if horizons is None else horizons)
+    horizons = check_horizons([test.horizon] if horizons is None else horizons, test.horizon)
     grid = PerturbationGrid(model_kind, layer_grid, epoch_grid)
     units = scale_width(cfg.hidden_units, cfg.width_mult)
     for layers in layer_grid:

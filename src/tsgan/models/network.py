@@ -166,23 +166,44 @@ def init_network_params(spec: NetSpec, rng: RngStream) -> dict[str, Tensor]:
     return params
 
 
+def trunk_end(spec: NetSpec) -> int:
+    """Index of the spec's first dropout layer, or the layer count if it has none.
+
+    The layers before it draw no randomness, so every train-mode forward on one
+    input gives the same trunk values; only the head from here on differs.
+    """
+    return next((i for i, layer in enumerate(spec.layers) if layer["kind"] == "dropout"),
+                len(spec.layers))
+
+
 def net_forward(
     spec: NetSpec,
     params: dict[str, Tensor],
     x: Tensor,
     mode: str = "eval",
     rng: RngStream | None = None,
+    start: int = 0,
+    stop: int | None = None,
 ) -> Tensor:
-    """Run the network. Dropout fires only in train mode (needs an rng)."""
+    """Run layers [start, stop) of the network (all of them by default).
+
+    Dropout fires only in train mode (needs an rng). The input contract is
+    checked when the range begins at layer 0; a later start takes the output
+    of the layer before it.
+    """
     if mode not in ("train", "eval"):
         raise ConfigError(f"{spec.name}: mode must be 'train' or 'eval', got {mode!r}")
-    if x.ndim != spec.input_rank or x.shape[-1] != spec.input_dim:
+    stop = len(spec.layers) if stop is None else stop
+    if not 0 <= start <= stop <= len(spec.layers):
+        raise ConfigError(f"{spec.name}: layer range [{start}, {stop}) is outside "
+                          f"its {len(spec.layers)} layers")
+    if start == 0 and (x.ndim != spec.input_rank or x.shape[-1] != spec.input_dim):
         raise ShapeError(
             f"{spec.name}: expected rank-{spec.input_rank} input with width "
             f"{spec.input_dim}, got shape {x.shape}"
         )
     out = x
-    for i, layer in enumerate(spec.layers):
+    for i, layer in enumerate(spec.layers[start:stop], start):
         kind = layer["kind"]
         prefix = f"L{i}"
         where = f"{spec.name} layer {i} ({kind})"
@@ -230,8 +251,10 @@ class Network:
     def name(self) -> str:
         return self.spec.name
 
-    def forward(self, x: Tensor, mode: str = "eval", rng: RngStream | None = None) -> Tensor:
-        return net_forward(self.spec, self.params, x, mode=mode, rng=rng)
+    def forward(self, x: Tensor, mode: str = "eval", rng: RngStream | None = None,
+                start: int = 0, stop: int | None = None) -> Tensor:
+        return net_forward(self.spec, self.params, x, mode=mode, rng=rng,
+                           start=start, stop=stop)
 
     def __call__(self, x: Tensor, mode: str = "eval", rng: RngStream | None = None) -> Tensor:
         return self.forward(x, mode=mode, rng=rng)

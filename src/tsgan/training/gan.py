@@ -7,7 +7,9 @@ window's close history followed by a (real or generated) close path.
 
 Per minibatch the discriminator takes one ascent step on
 (1/m) sum[log D(x) + log(1 - D(G(z)))], then the generator takes one step
-(nonsaturating by default; minimax and zero_sum by flag).
+(nonsaturating by default; minimax and zero_sum by flag). The generator's
+layers before its first dropout run once per minibatch: both steps apply
+their own dropout head to that one trunk.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from ..models.network import Network
-from ..numcore import OptimizerState, RngStream, Tensor, concat, reshape
+from ..models.network import Network, trunk_end
+from ..numcore import OptimizerState, RngStream, Tape, Tensor, concat, reshape
 from .config import TrainConfig
 from .losses import gan_value, generator_cost
 from .step import run_epochs, train_step
@@ -71,6 +73,8 @@ def train_gan(gen: Network, disc: Network, windows, cfg: TrainConfig,
     opt_g = OptimizerState(cfg.optimizer, cfg.lr_g, direction="descend")
     history = windows.history_paths()
 
+    cut = trunk_end(gen.spec)
+
     def batch_fn(epoch, bi, idx):
         feats = windows.inputs[idx]
         hist = history[idx]
@@ -79,9 +83,15 @@ def train_gan(gen: Network, disc: Network, windows, cfg: TrainConfig,
         z = rng.child("z", epoch, bi).normal((m, windows.seq_len, latent))
         gen_in = Tensor(np.concatenate([feats, z], axis=2))
 
-        # discriminator ascent on V, generator frozen (fake detached)
-        fake = gen.forward(gen_in, mode="train",
-                           rng=rng.child("gdrop", epoch, bi)).detach()
+        # the generator's dropout-free trunk runs once, on the generator step's
+        # tape; the discriminator step sees its values only
+        g_tape = Tape()
+        with g_tape:
+            trunk = gen.forward(gen_in, mode="train", stop=cut)
+
+        # discriminator ascent on V, generator frozen (fake off every tape)
+        fake = gen.forward(trunk.detach(), mode="train",
+                           rng=rng.child("gdrop", epoch, bi), start=cut)
 
         def value_fn():
             d_real = disc.forward(disc_sequence(hist, real.copy()))
@@ -92,17 +102,18 @@ def train_gan(gen: Network, disc: Network, windows, cfg: TrainConfig,
         if hook is not None:
             hook({"event": "disc_step", "epoch": epoch, "batch": bi, "value": v})
 
-        # generator step against the updated discriminator
+        # generator step against the updated discriminator, finishing g_tape
         def g_loss_fn():
-            fake2 = gen.forward(gen_in, mode="train",
-                                rng=rng.child("gdrop2", epoch, bi))
+            fake2 = gen.forward(trunk, mode="train",
+                                rng=rng.child("gdrop2", epoch, bi), start=cut)
             d_fake2 = disc.forward(disc_sequence(hist, fake2))
             if cfg.loss_mode == "zero_sum":
                 d_real2 = disc.forward(disc_sequence(hist, real.copy()))
                 return generator_cost(d_fake2, "zero_sum", d_real=d_real2)
             return generator_cost(d_fake2, cfg.loss_mode)
 
-        g_loss = train_step(opt_g, gen.params, g_loss_fn, "generator step", epoch, bi)
+        g_loss = train_step(opt_g, gen.params, g_loss_fn, "generator step", epoch, bi,
+                            tape=g_tape)
         if hook is not None:
             hook({"event": "gen_step", "epoch": epoch, "batch": bi, "g_loss": g_loss})
         return g_loss, -0.5 * v, v

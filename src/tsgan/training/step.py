@@ -9,13 +9,17 @@ from ..numcore import OptimizerState, RngStream, Tape, backward, leaf_grads, opt
 
 
 def train_step(opt: OptimizerState, params: dict, loss_fn, stage: str,
-               epoch: int, batch: int) -> float:
-    """Record loss_fn() on a fresh tape, step `params` along its gradient.
+               epoch: int, batch: int, tape: Tape | None = None) -> float:
+    """Record loss_fn() on a tape, step `params` along its gradient.
 
-    A NumericAbort from the backward pass or the update is re-raised with
-    the stage, epoch and batch that produced it. Returns the loss value.
+    The tape is a fresh one unless the caller passes a tape it opened and
+    already recorded part of the loss on (a shared trunk); either way the
+    backward pass consumes it. A NumericAbort from the backward pass or the
+    update is re-raised with the stage, epoch and batch that produced it.
+    Returns the loss value.
     """
-    with Tape() as tape:
+    tape = Tape() if tape is None else tape
+    with tape:
         loss = loss_fn()
     try:
         optimizer_step(opt, params, leaf_grads(tape, params, backward(tape, loss)))

@@ -6,6 +6,8 @@ latent space on embedded real sequences.
 Phase 3 (joint): discriminator BCE steps alternate with a combined update
 of generator + supervisor + embedder + recovery minimizing
 adversarial + sup_weight * supervised + recon_weight * reconstruction.
+The embedder and generator-supervisor forwards of a joint batch run once, on
+the combined update's tape, and the discriminator step reads their values.
 
 Phases run strictly in order 1, 2, 3 and the trace tags each epoch with its
 phase name.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from ..errors import ConfigError, DataError
 from ..models.network import require_finite_params
-from ..numcore import OptimizerState, RngStream, Tensor, slice_tensor
+from ..numcore import OptimizerState, RngStream, Tape, Tensor, slice_tensor
 from .config import TrainConfig
 from .losses import bce, mse
 from .step import run_epochs, train_step
@@ -114,9 +116,13 @@ def train_timegan(nets: dict, windows, cfg: TrainConfig, hook=None) -> LossTrace
         x = Tensor(x_all[idx])
         z = rng.child("z", epoch, bi).uniform(0.0, 1.0, (idx.size, seq_len, noise_dim))
 
-        # discriminator: real embeddings vs supervised generator latents
-        h_real = nets["embedder"].forward(x).detach()
-        h_fake = nets["supervisor"].forward(nets["generator"].forward(Tensor(z))).detach()
+        # real embeddings and supervised generator latents, recorded once on
+        # the joint generator tape; the discriminator step sees their values
+        joint_tape = Tape()
+        with joint_tape:
+            h = nets["embedder"].forward(x)
+            h_hat = nets["supervisor"].forward(nets["generator"].forward(Tensor(z)))
+        h_real, h_fake = h.detach(), h_hat.detach()
 
         def d_loss_fn():
             return (bce(nets["discriminator"].forward(h_real), 1.0)
@@ -129,15 +135,13 @@ def train_timegan(nets: dict, windows, cfg: TrainConfig, hook=None) -> LossTrace
         terms = {}
 
         def g_loss_fn():
-            h = nets["embedder"].forward(x)
-            h_hat = nets["supervisor"].forward(nets["generator"].forward(Tensor(z)))
             terms["adv"] = bce(nets["discriminator"].forward(h_hat), 1.0)
             sup = _one_step_shift_loss(nets["supervisor"].forward(h), h)
             recon = mse(nets["recovery"].forward(h), x)
             return terms["adv"] + cfg.sup_weight * sup + cfg.recon_weight * recon
 
         g_loss = train_step(opt_joint, joint_params, g_loss_fn, "joint generator step",
-                            epoch, bi)
+                            epoch, bi, tape=joint_tape)
         return g_loss, d_loss, terms["adv"].item()
 
     run_phase("joint", range(e1 + e2, e1 + e2 + e3), joint_batch)

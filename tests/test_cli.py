@@ -443,6 +443,23 @@ def test_perturb_cli(tmp_path, data_csv):
     assert len(lines) == 3
 
 
+def test_perturb_rejects_horizons_past_the_test_windows_before_training(
+        tmp_path, capsys, monkeypatch, data_csv):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a perturbation cell trained")
+
+    monkeypatch.setattr("tsgan.evaluate.train_forecaster", no_training)
+    out = tmp_path / "perturb"
+    capsys.readouterr()
+    rc = main(["perturb", "--input", str(data_csv), "--model", "gru", "--layers", "1",
+               "--epoch-grid", "1,2", "--hidden-units", "2", "--horizons", "5", *PIPE,
+               "--out-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: test windows span horizon 3, cannot evaluate [5]"]
+    assert not (out / "perturb.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["evaluate", "--horizons=-2,3"],
     ["evaluate", "--horizons", "0"],

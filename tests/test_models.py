@@ -10,7 +10,7 @@ from tsgan.models import (NetSpec, Network, build_critic, build_discriminator,
                           build_forecaster, build_generator, build_network,
                           build_timegan, conv_out_len, init_network_params,
                           load_checkpoint, min_discriminator_len,
-                          save_checkpoint, scale_width)
+                          save_checkpoint, scale_width, trunk_end)
 from tsgan.models.builders import (DISC_CONV_FILTERS, DISC_DENSE_UNITS,
                                    GENERATOR_DENSE_UNITS, GENERATOR_GRU_UNITS)
 from tsgan.numcore import RngStream, Tensor, mean
@@ -104,6 +104,35 @@ def test_forward_validates_input_rank_and_width():
         net(Tensor(np.zeros((5, 3))))
     with pytest.raises(ShapeError):
         net(Tensor(np.zeros((5, 6, 7))))
+
+
+def test_forward_runs_a_layer_range():
+    gen = build_generator(2, 6, 3, RngStream(0, ("g",)), feature_dim=4, width_mult=1 / 64)
+    x = Tensor(np.random.default_rng(1).normal(size=(5, 6, 6)))
+    full = gen(x).data
+    for cut in range(len(gen.spec.layers) + 1):
+        np.testing.assert_array_equal(gen.forward(gen.forward(x, stop=cut), start=cut).data,
+                                      full)
+    # only a range that begins at layer 0 checks the network's input contract
+    last = gen.forward(x, stop=4)
+    assert last.shape[-1] != gen.spec.input_dim
+    np.testing.assert_array_equal(gen.forward(last, start=4).data, full)
+    with pytest.raises(ShapeError):
+        gen.forward(last, stop=4)
+    for start, stop in [(-1, None), (3, 2), (0, 9)]:
+        with pytest.raises(ConfigError, match="layer range"):
+            gen.forward(x, start=start, stop=stop)
+
+
+def test_trunk_end_is_the_first_dropout_layer():
+    gen = build_generator(2, 6, 3, RngStream(0, ("g",)), feature_dim=4, width_mult=1 / 64)
+    assert trunk_end(gen.spec) == 5 and gen.spec.layers[5]["kind"] == "dropout"
+    spec = NetSpec("two_drops", 3, [{"kind": "dropout", "rate": 0.1},
+                                    {"kind": "dense", "units": 2},
+                                    {"kind": "dropout", "rate": 0.1}])
+    assert trunk_end(spec) == 0
+    forecaster = build_forecaster("gru", 2, 3, 4, 2, 2, RngStream(0, ("f",)))
+    assert trunk_end(forecaster.spec) == len(forecaster.spec.layers)
 
 
 def test_time_distributed_dense_applies_per_step():

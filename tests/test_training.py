@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from tsgan.data import (apply_scaler, build_features, fit_scaler,
                         make_synthetic_series, make_windows)
-from tsgan.errors import ConfigError, DataError, NumericAbort
+from tsgan.errors import ConfigError, DataError, GraphError, NumericAbort
 from tsgan.models import NetSpec, build_forecaster, build_network, build_timegan
-from tsgan.numcore import OptimizerState, RngStream, Tensor, active_tape, mean
+from tsgan.numcore import OptimizerState, RngStream, Tape, Tensor, active_tape, mean
 from tsgan.training import (LossTrace, PersistencePredictor, TimeganPredictor,
                             TrainConfig, as_predictor, critic_estimate, disc_sequence,
                             forecast, gen_latent_dim, gen_output_dim,
@@ -154,6 +154,38 @@ def test_train_step_frees_the_spent_tape_closures():
         assert closures and all(ref() is None for ref in closures)
     finally:
         gc.enable()
+
+
+def test_train_step_finishes_a_caller_opened_tape():
+    """A trunk recorded first on the caller's tape steps like one fresh-tape loss."""
+    gen, x = tiny_gen(3, 2, 4), Tensor(np.ones((5, 6, 5)))
+    ref = gen.clone()
+    tape = Tape()
+    with tape:
+        trunk = gen.forward(x, stop=2)
+
+    def head_loss():
+        return mean(gen.forward(trunk, start=2))
+
+    value = train_step(OptimizerState("sgd", 0.1), gen.params, head_loss, "head step", 0, 0,
+                       tape=tape)
+    want = train_step(OptimizerState("sgd", 0.1), ref.params, lambda: mean(ref.forward(x)),
+                      "head step", 0, 0)
+    assert value == want
+    for name, p in gen.params.items():
+        assert p.data.tobytes() == ref.params[name].data.tobytes()
+    assert tape.consumed and not tape.nodes
+    with pytest.raises(GraphError, match="consumed"):
+        train_step(OptimizerState("sgd", 0.1), gen.params, head_loss, "head step", 0, 1,
+                   tape=tape)
+
+    gen.params["L0.Wz"].data[0, 0] = np.nan
+    tape = Tape()
+    with tape:
+        trunk = gen.forward(x, stop=2)
+    with pytest.raises(NumericAbort, match="head step failed at epoch 3, batch 4"):
+        train_step(OptimizerState("sgd", 0.1), gen.params, head_loss, "head step", 3, 4,
+                   tape=tape)
 
 
 def test_generator_dimension_helpers():
