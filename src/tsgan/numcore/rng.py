@@ -1,7 +1,10 @@
 """Seeded counter-based random streams.
 
 Built on numpy's Philox bit generator, so an identical seed and draw sequence
-yields bit-identical values across runs and platforms.
+yields bit-identical values across runs and platforms. A stream builds its
+generator on its first draw: deriving a child that is never drawn from (the
+dropout stream of a generator without dropout) costs no SeedSequence or
+Philox set-up.
 """
 
 from __future__ import annotations
@@ -24,21 +27,27 @@ class RngStream:
     def __init__(self, seed: int, key: tuple = ()):
         self.seed = int(seed)
         self.key = tuple(_key_to_int(k) for k in key)
-        entropy = [self.seed & 0xFFFFFFFFFFFFFFFF, *self.key]
-        self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+        self._gen = None
+
+    def _bits(self) -> np.random.Generator:
+        """The stream's generator; its state depends only on (seed, key), not on when it is built."""
+        if self._gen is None:
+            entropy = [self.seed & 0xFFFFFFFFFFFFFFFF, *self.key]
+            self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+        return self._gen
 
     def child(self, *key_parts) -> "RngStream":
         """Derive an independent stream; same (seed, key parts) always gives the same stream."""
         return RngStream(self.seed, self.key + tuple(key_parts))
 
     def normal(self, shape, loc=0.0, scale=1.0) -> np.ndarray:
-        return self._gen.normal(loc, scale, size=shape).astype(np.float64, copy=False)
+        return self._bits().normal(loc, scale, size=shape).astype(np.float64, copy=False)
 
     def uniform(self, low, high, shape) -> np.ndarray:
-        return self._gen.uniform(low, high, size=shape).astype(np.float64, copy=False)
+        return self._bits().uniform(low, high, size=shape).astype(np.float64, copy=False)
 
     def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
+        return self._bits().permutation(n)
 
     def integers(self, low, high, shape=None) -> np.ndarray:
-        return self._gen.integers(low, high, size=shape)
+        return self._bits().integers(low, high, size=shape)

@@ -9,7 +9,10 @@ Per minibatch the discriminator takes one ascent step on
 (1/m) sum[log D(x) + log(1 - D(G(z)))], then the generator takes one step
 (nonsaturating by default; minimax and zero_sum by flag). The generator's
 layers before its first dropout run once per minibatch: both steps apply
-their own dropout head to that one trunk.
+their own dropout head to that one trunk. Wherever a step reads D on both
+the real and the fake paths (the discriminator step, the zero_sum generator
+step), one forward runs over the two batches stacked and each mean reads its
+half; losses and gradients match two separate forwards within 1e-12.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from ..models.network import Network, trunk_end
+from ..models.network import Network, forward_stacked, trunk_end
 from ..numcore import OptimizerState, RngStream, Tape, Tensor, concat, reshape
 from .config import TrainConfig
 from .losses import gan_value, generator_cost
@@ -47,6 +50,11 @@ def disc_sequence(history: np.ndarray, path) -> Tensor:
     """
     b, h = path.shape
     return concat([history[:, :, None], reshape(path, (b, h, 1))], axis=1)
+
+
+def disc_real_fake(disc: Network, history: np.ndarray, real, fake) -> tuple[Tensor, Tensor]:
+    """disc on the real and the fake paths after one history, from one stacked forward."""
+    return forward_stacked(disc, disc_sequence(history, real), disc_sequence(history, fake))
 
 
 def _check_gan_shapes(gen: Network, disc: Network, windows) -> int:
@@ -94,9 +102,7 @@ def train_gan(gen: Network, disc: Network, windows, cfg: TrainConfig,
                            rng=rng.child("gdrop", epoch, bi), start=cut)
 
         def value_fn():
-            d_real = disc.forward(disc_sequence(hist, real.copy()))
-            d_fake = disc.forward(disc_sequence(hist, fake.data))
-            return gan_value(d_real, d_fake)
+            return gan_value(*disc_real_fake(disc, hist, real, fake.data))
 
         v = train_step(opt_d, disc.params, value_fn, "discriminator step", epoch, bi)
         if hook is not None:
@@ -106,11 +112,10 @@ def train_gan(gen: Network, disc: Network, windows, cfg: TrainConfig,
         def g_loss_fn():
             fake2 = gen.forward(trunk, mode="train",
                                 rng=rng.child("gdrop2", epoch, bi), start=cut)
-            d_fake2 = disc.forward(disc_sequence(hist, fake2))
             if cfg.loss_mode == "zero_sum":
-                d_real2 = disc.forward(disc_sequence(hist, real.copy()))
+                d_real2, d_fake2 = disc_real_fake(disc, hist, real, fake2)
                 return generator_cost(d_fake2, "zero_sum", d_real=d_real2)
-            return generator_cost(d_fake2, cfg.loss_mode)
+            return generator_cost(disc.forward(disc_sequence(hist, fake2)), cfg.loss_mode)
 
         g_loss = train_step(opt_g, gen.params, g_loss_fn, "generator step", epoch, bi,
                             tape=g_tape)

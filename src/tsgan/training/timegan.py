@@ -8,6 +8,10 @@ of generator + supervisor + embedder + recovery minimizing
 adversarial + sup_weight * supervised + recon_weight * reconstruction.
 The embedder and generator-supervisor forwards of a joint batch run once, on
 the combined update's tape, and the discriminator step reads their values.
+The supervisor runs once per joint batch, on the generator's latents and the
+real embeddings stacked, and the discriminator step runs one forward over the
+real and fake latents stacked; losses and gradients match separate forwards
+within 1e-12.
 
 Phases run strictly in order 1, 2, 3 and the trace tags each epoch with its
 phase name.
@@ -16,7 +20,7 @@ phase name.
 from __future__ import annotations
 
 from ..errors import ConfigError, DataError
-from ..models.network import require_finite_params
+from ..models.network import forward_stacked, require_finite_params
 from ..numcore import OptimizerState, RngStream, Tape, Tensor, slice_tensor
 from .config import TrainConfig
 from .losses import bce, mse
@@ -55,6 +59,12 @@ def _one_step_shift_loss(sup_out: Tensor, h: Tensor) -> Tensor:
     ahead = slice_tensor(sup_out, (slice(None), slice(None, -1), slice(None)))
     target = slice_tensor(h, (slice(None), slice(1, None), slice(None)))
     return mse(ahead, target)
+
+
+def joint_disc_loss(disc, h_real: Tensor, h_fake: Tensor) -> Tensor:
+    """BCE of disc on real (target 1) and fake (target 0) latents, one stacked forward."""
+    d_real, d_fake = forward_stacked(disc, h_real, h_fake)
+    return bce(d_real, 1.0) + bce(d_fake, 0.0)
 
 
 def train_timegan(nets: dict, windows, cfg: TrainConfig, hook=None) -> LossTrace:
@@ -116,17 +126,19 @@ def train_timegan(nets: dict, windows, cfg: TrainConfig, hook=None) -> LossTrace
         x = Tensor(x_all[idx])
         z = rng.child("z", epoch, bi).uniform(0.0, 1.0, (idx.size, seq_len, noise_dim))
 
-        # real embeddings and supervised generator latents, recorded once on
-        # the joint generator tape; the discriminator step sees their values
+        # h, h_hat and the supervised term's supervisor(h), recorded once on the
+        # joint generator tape; recording supervisor(h) ahead of the
+        # discriminator step changes no value, since that step leaves the
+        # supervisor as it is. The discriminator step sees h and h_hat's values
         joint_tape = Tape()
         with joint_tape:
             h = nets["embedder"].forward(x)
-            h_hat = nets["supervisor"].forward(nets["generator"].forward(Tensor(z)))
+            h_hat, sup_h = forward_stacked(nets["supervisor"],
+                                           nets["generator"].forward(Tensor(z)), h)
         h_real, h_fake = h.detach(), h_hat.detach()
 
         def d_loss_fn():
-            return (bce(nets["discriminator"].forward(h_real), 1.0)
-                    + bce(nets["discriminator"].forward(h_fake), 0.0))
+            return joint_disc_loss(nets["discriminator"], h_real, h_fake)
 
         d_loss = train_step(opt_disc, disc_params, d_loss_fn, "joint discriminator step",
                             epoch, bi)
@@ -136,7 +148,7 @@ def train_timegan(nets: dict, windows, cfg: TrainConfig, hook=None) -> LossTrace
 
         def g_loss_fn():
             terms["adv"] = bce(nets["discriminator"].forward(h_hat), 1.0)
-            sup = _one_step_shift_loss(nets["supervisor"].forward(h), h)
+            sup = _one_step_shift_loss(sup_h, h)
             recon = mse(nets["recovery"].forward(h), x)
             return terms["adv"] + cfg.sup_weight * sup + cfg.recon_weight * recon
 

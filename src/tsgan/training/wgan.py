@@ -4,7 +4,10 @@ Epoch structure: walk the shuffled batch list in groups of n_critic. Each
 group drives n_critic critic updates (ascent on mean f(x) - mean f(g(z)),
 RMSProp, clip to [-c, c] after every update), then one generator update
 (descent on -mean f(g(z))). A trailing partial group is dropped so every
-generator step follows a fully refreshed critic.
+generator step follows a fully refreshed critic. A critic step runs one
+critic forward over the real and fake batches stacked and takes each mean
+over its half; the estimate and its gradient match two separate forwards
+within 1e-12.
 
 The optional hook receives one event per update (critic_step, clip,
 generator_step) so the realized schedule is auditable.
@@ -18,7 +21,7 @@ from ..errors import ConfigError
 from ..models.network import Network
 from ..numcore import OptimizerState, RngStream, Tensor, clip_weights, mean
 from .config import TrainConfig
-from .gan import _check_gan_shapes, disc_sequence
+from .gan import _check_gan_shapes, disc_real_fake, disc_sequence
 from .step import run_epochs, train_step
 from .trace import LossTrace
 
@@ -61,9 +64,7 @@ def train_wgan(gen: Network, critic: Network, windows, cfg: TrainConfig,
                            rng=rng.child("gdrop", epoch, group, t)).detach()
 
         def estimate_fn():
-            f_real = critic.forward(disc_sequence(hist, real.copy()))
-            f_fake = critic.forward(disc_sequence(hist, fake.data))
-            return critic_estimate(f_real, f_fake)
+            return critic_estimate(*disc_real_fake(critic, hist, real, fake.data))
 
         w_est = train_step(opt_c, critic.params, estimate_fn, "critic step", epoch, bi)
         if hook is not None:

@@ -1,21 +1,54 @@
-"""Reference GAN and TimeGAN loops: every generator forward run in full.
+"""Reference GAN and TimeGAN loops, and the two-forward step objectives.
 
 tsgan.training records the generator's dropout-free trunk (and TimeGAN's
 joint embedder and generator-supervisor latents) once per minibatch and
-shares it between the discriminator and generator steps. These loops keep
-the two-forward batch bodies that sharing replaced; the tests hold the
+shares it between the discriminator and generator steps. The loops here
+keep the two-forward batch bodies that sharing replaced; the tests hold the
 shared-trunk loops to them for trace rows, hook events and parameter bytes.
+They take the same stacked real|fake discriminator, critic and supervisor
+calls as tsgan.training, so that comparison stays exact.
+
+Each step objective tsgan.training now computes from one forward over a
+stacked real|fake batch is kept below as its separate-forward original; the
+tests hold the stacked objectives to these within a stated tolerance.
 """
 
 import numpy as np
 
+from tsgan.models.network import forward_stacked
 from tsgan.numcore import OptimizerState, RngStream, Tensor
-from tsgan.training import LossTrace
-from tsgan.training.gan import _check_gan_shapes, disc_sequence
+from tsgan.training import LossTrace, critic_estimate
+from tsgan.training.gan import _check_gan_shapes, disc_real_fake, disc_sequence
 from tsgan.training.losses import bce, gan_value, generator_cost, mse
 from tsgan.training.step import run_epochs, train_step
-from tsgan.training.timegan import (_merged, _one_step_shift_loss, phase_budgets,
-                                    require_timegan_nets)
+from tsgan.training.timegan import (_merged, _one_step_shift_loss, joint_disc_loss,
+                                    phase_budgets, require_timegan_nets)
+
+
+def critic_estimate_two_forward(critic, hist, real, fake):
+    return critic_estimate(critic.forward(disc_sequence(hist, real.copy())),
+                           critic.forward(disc_sequence(hist, fake)))
+
+
+def gan_value_two_forward(disc, hist, real, fake):
+    d_real = disc.forward(disc_sequence(hist, real.copy()))
+    d_fake = disc.forward(disc_sequence(hist, fake))
+    return gan_value(d_real, d_fake)
+
+
+def zero_sum_cost_two_forward(disc, hist, real, fake):
+    d_fake = disc.forward(disc_sequence(hist, fake))
+    d_real = disc.forward(disc_sequence(hist, real.copy()))
+    return generator_cost(d_fake, "zero_sum", d_real=d_real)
+
+
+def timegan_disc_bce_two_forward(disc, h_real, h_fake):
+    return bce(disc.forward(h_real), 1.0) + bce(disc.forward(h_fake), 0.0)
+
+
+def supervisor_two_forward(supervisor, e_hat, h):
+    """h_hat = supervisor(generator latents) and the supervised term's supervisor(h)."""
+    return supervisor.forward(e_hat), supervisor.forward(h)
 
 
 def train_gan(gen, disc, windows, cfg, hook=None) -> LossTrace:
@@ -36,9 +69,7 @@ def train_gan(gen, disc, windows, cfg, hook=None) -> LossTrace:
                            rng=rng.child("gdrop", epoch, bi)).detach()
 
         def value_fn():
-            d_real = disc.forward(disc_sequence(hist, real.copy()))
-            d_fake = disc.forward(disc_sequence(hist, fake.data))
-            return gan_value(d_real, d_fake)
+            return gan_value(*disc_real_fake(disc, hist, real, fake.data))
 
         v = train_step(opt_d, disc.params, value_fn, "discriminator step", epoch, bi)
         if hook is not None:
@@ -47,11 +78,10 @@ def train_gan(gen, disc, windows, cfg, hook=None) -> LossTrace:
         def g_loss_fn():
             fake2 = gen.forward(gen_in, mode="train",
                                 rng=rng.child("gdrop2", epoch, bi))
-            d_fake2 = disc.forward(disc_sequence(hist, fake2))
             if cfg.loss_mode == "zero_sum":
-                d_real2 = disc.forward(disc_sequence(hist, real.copy()))
+                d_real2, d_fake2 = disc_real_fake(disc, hist, real, fake2)
                 return generator_cost(d_fake2, "zero_sum", d_real=d_real2)
-            return generator_cost(d_fake2, cfg.loss_mode)
+            return generator_cost(disc.forward(disc_sequence(hist, fake2)), cfg.loss_mode)
 
         g_loss = train_step(opt_g, gen.params, g_loss_fn, "generator step", epoch, bi)
         if hook is not None:
@@ -115,12 +145,12 @@ def train_timegan(nets, windows, cfg, hook=None) -> LossTrace:
         x = Tensor(x_all[idx])
         z = rng.child("z", epoch, bi).uniform(0.0, 1.0, (idx.size, seq_len, noise_dim))
 
-        h_real = nets["embedder"].forward(x).detach()
-        h_fake = nets["supervisor"].forward(nets["generator"].forward(Tensor(z))).detach()
+        h = nets["embedder"].forward(x)
+        h_hat, _ = forward_stacked(nets["supervisor"], nets["generator"].forward(Tensor(z)), h)
+        h_real, h_fake = h.detach(), h_hat.detach()
 
         def d_loss_fn():
-            return (bce(nets["discriminator"].forward(h_real), 1.0)
-                    + bce(nets["discriminator"].forward(h_fake), 0.0))
+            return joint_disc_loss(nets["discriminator"], h_real, h_fake)
 
         d_loss = train_step(opt_disc, disc_params, d_loss_fn, "joint discriminator step",
                             epoch, bi)
@@ -128,9 +158,10 @@ def train_timegan(nets, windows, cfg, hook=None) -> LossTrace:
 
         def g_loss_fn():
             h = nets["embedder"].forward(x)
-            h_hat = nets["supervisor"].forward(nets["generator"].forward(Tensor(z)))
+            h_hat, sup_h = forward_stacked(nets["supervisor"],
+                                           nets["generator"].forward(Tensor(z)), h)
             terms["adv"] = bce(nets["discriminator"].forward(h_hat), 1.0)
-            sup = _one_step_shift_loss(nets["supervisor"].forward(h), h)
+            sup = _one_step_shift_loss(sup_h, h)
             recon = mse(nets["recovery"].forward(h), x)
             return terms["adv"] + cfg.sup_weight * sup + cfg.recon_weight * recon
 

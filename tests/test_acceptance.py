@@ -26,7 +26,8 @@ from tsgan.manifest import load_manifest, rerun
 from tsgan.models import (NetSpec, build_forecaster, build_network,
                           build_timegan, scale_width)
 from tsgan.numcore import (OptimizerState, RngStream, Tape, Tensor, backward,
-                           clip_weights, leaf_grads, mean, optimizer_step)
+                           clip_weights, concat, leaf_grads, mean, optimizer_step,
+                           slice_tensor)
 from tsgan.stats import ks_statistic
 from tsgan.training import (TrainConfig, critic_estimate, disc_sequence,
                             discriminator_cost, gan_value, generate_synthetic,
@@ -287,8 +288,11 @@ def test_criterion_05_wgan_schedule_and_update_signs():
                          mode="train", rng=rng.child("gdrop", 0, 0, 0)).detach()
     opt_c = OptimizerState("rmsprop", cfg1.lr_d, direction="ascend")
     with Tape() as tape:
-        estimate = critic_estimate(critic_b.forward(disc_sequence(hist, real.copy())),
-                                   critic_b.forward(disc_sequence(hist, fake.data)))
+        # one critic forward over the real and fake batches stacked, as the loop
+        # runs it; tests/test_stacked_forward.py holds this to two forwards
+        f = critic_b.forward(concat([disc_sequence(hist, real), disc_sequence(hist, fake.data)]))
+        estimate = critic_estimate(slice_tensor(f, slice(None, idx.size)),
+                                   slice_tensor(f, slice(idx.size, None)))
     gmap = backward(tape, estimate)
     optimizer_step(opt_c, critic_b.params, leaf_grads(tape, critic_b.params, gmap))
     clip_weights(critic_b.params, cfg1.clip_c)

@@ -175,12 +175,14 @@ REPORT = {"model": "gru", "horizons": [1], "weights": [1.0], "basis": "scaled",
     ("model.json", lambda text: _edit(text, "spec", "layers", 0, "units")),
     ("model.json", lambda text: _edit(text, "spec", "layers", 0, "units", value="3")),
     ("model.json", lambda text: _edit(text, "spec", "layers", 0, "kind", value="rnn")),
+    ("model.json", lambda text: _edit(text, "params", 0, "shape", 0, value=True)),
 ], ids=["train-manifest-not-json", "report-not-json", "report-is-a-list",
         "report-lacks-horizons", "checkpoint-lacks-blob", "report-wrong-types",
         "report-weights-mismatch", "train-manifest-config-not-object",
         "checkpoint-spec-lacks-name", "checkpoint-shape-is-a-string",
         "checkpoint-layer-is-an-int", "checkpoint-layer-lacks-units",
-        "checkpoint-units-is-a-string", "checkpoint-unknown-layer-kind"])
+        "checkpoint-units-is-a-string", "checkpoint-unknown-layer-kind",
+        "checkpoint-shape-entry-is-a-bool"])
 def test_corrupt_inputs_exit_2(tmp_path, capsys, data_csv, gru_run, target, corrupt):
     run = tmp_path / "run"
     shutil.copytree(gru_run, run)

@@ -2,7 +2,9 @@
 
 import numpy as np
 
+from test_training import small_windows, tiny_disc, tiny_gen
 from tsgan.numcore import RngStream
+from tsgan.training import TrainConfig, train_wgan
 
 
 def test_same_seed_and_key_reproduce_bitwise():
@@ -53,3 +55,44 @@ def test_draw_order_matters_within_a_stream():
     first = s.normal((3,))
     second = s.normal((3,))
     assert not np.array_equal(first, second)
+
+
+def test_a_stream_drawn_late_matches_one_drawn_at_once():
+    parent = RngStream(13, ("root",))
+    late = parent.child("late")  # built now, drawn from last
+    parent.child("sibling").normal((50,))
+    parent.normal((50,))
+    parent.child("late").uniform(0.0, 1.0, (7,))  # a twin of `late`, drawn first
+    np.testing.assert_array_equal(late.normal((6,)),
+                                  RngStream(13, ("root", "late")).normal((6,)))
+
+
+def test_wgan_epoch_builds_one_philox_per_stream_drawn_from(monkeypatch):
+    ds, _ = small_windows()
+    gen, critic = tiny_gen(18, 2, 3), tiny_disc(head="linear")
+    built, drawn, derived = [0], [], [0]
+    philox, init = np.random.Philox, RngStream.__init__
+
+    def counting_philox(*args, **kwargs):
+        built[0] += 1
+        return philox(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        derived[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    monkeypatch.setattr(RngStream, "__init__", counting_init)
+    for name in ("normal", "uniform", "permutation", "integers"):
+        draw = getattr(RngStream, name)
+
+        def recording(self, *args, _draw=draw, **kwargs):
+            if not any(s is self for s in drawn):
+                drawn.append(self)
+            return _draw(self, *args, **kwargs)
+
+        monkeypatch.setattr(RngStream, name, recording)
+    train_wgan(gen, critic, ds, TrainConfig(epochs=1, batch_size=16, n_critic=2, seed=3))
+    assert built[0] == len(drawn) > 0
+    # the generator has no dropout: its gdrop and gdropg streams are never drawn
+    assert derived[0] > len(drawn)
