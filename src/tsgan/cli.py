@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .artifacts import read_json, write_csv, write_json, write_text
-from .config import (PIPELINE_DEFAULTS, PRESETS, PipelineConfig, load_config,
+from .config import (CONFIG_KEYS, PRESETS, PipelineConfig, load_config,
                      resolved_config_dict)
 from .data.features import FeatureMatrix, build_features, features_to_csv
 from .data.ohlcv import (RAW_COLUMNS, TARGET_COLUMN, PriceSeries, repair_calendar,
@@ -27,11 +27,11 @@ from .data.scaling import apply_scaler, fit_scaler, inverse_scaler
 from .data.synth import SYNTH_KINDS, make_synthetic_series
 from .errors import (ConfigError, DataError, DomainError, GraphError,
                      NumericAbort, ShapeError, ToolkitError)
-from .evaluate import (MetricsReport, compare_models, horizon_sweep,
+from .evaluate import (METRIC_BASES, MetricsReport, compare_models, horizon_sweep,
                        perturbation_study, persistence_report)
 from .manifest import (RunManifest, file_digest, load_manifest, utc_now,
                        write_manifest)
-from .models.builders import (build_critic, build_discriminator,
+from .models.builders import (FORECASTER_KINDS, build_critic, build_discriminator,
                               build_forecaster, build_generator,
                               build_timegan, scale_width)
 from .models.checkpoint import load_checkpoint, save_checkpoint
@@ -39,11 +39,11 @@ from .numcore import RngStream
 from .pipeline import DatasetBundle, load_series, prepare_dataset
 from .stats import (DescriptiveStats, correlation_cluster, correlation_matrix,
                     describe, monthly_aggregate, monthly_aggregate_csv)
-from .training.config import TrainConfig
+from .training.config import TrainConfig, check_keys
 from .training.forecaster import train_forecaster
 from .training.gan import train_gan
 from .training.timegan import TIMEGAN_NET_NAMES, train_timegan
-from .training.synthesis import forecast, generate_synthetic
+from .training.synthesis import FORECAST_MODES, forecast, generate_synthetic
 from .training.wgan import WGAN_OPTIMIZER, train_wgan
 
 EXIT_OK = 0
@@ -63,8 +63,7 @@ EXIT_CODES = {
 
 # The checkpoint stems each model kind's train run loads for inference.
 _INFERENCE_STEMS = {
-    "gru": ("model",),
-    "lstm": ("model",),
+    **dict.fromkeys(FORECASTER_KINDS, ("model",)),
     "gan": ("generator",),
     "wgan": ("generator",),
     "timegan": TIMEGAN_NET_NAMES,
@@ -80,18 +79,18 @@ class TrainRun(NamedTuple):
     paths: list[Path]
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
+def _list_of(cast, what: str):
+    """An argparse type: comma-separated values, each read by `cast`."""
+    def parse(text: str) -> list:
+        try:
+            return [cast(x) for x in text.split(",") if x.strip() != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}") from None
+    return parse
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
+_int_list, _float_list = _list_of(int, "integers"), _list_of(float, "numbers")
 
 
 def _write_matrix_csv(path: Path, matrix: np.ndarray) -> Path:
@@ -101,11 +100,10 @@ def _write_matrix_csv(path: Path, matrix: np.ndarray) -> Path:
 
 def _resolve_config(args, base: dict | None) -> tuple[TrainConfig, PipelineConfig]:
     """Config file < preset < a train run's config (`base`) < explicit flags."""
-    keys = [*TrainConfig.DEFAULTS, *PIPELINE_DEFAULTS]
-    overrides = {k: base[k] for k in keys if base and k in base}
-    overrides.update({k: getattr(args, k) for k in keys if getattr(args, k, None) is not None})
-    return load_config(getattr(args, "config", None), getattr(args, "preset", None),
-                       overrides)
+    overrides = {k: base[k] for k in CONFIG_KEYS if base and k in base}
+    overrides.update({k: getattr(args, k) for k in CONFIG_KEYS
+                      if getattr(args, k, None) is not None})
+    return load_config(args.config, args.preset, overrides)
 
 
 def _load_train_run(model_dir: Path) -> TrainRun:
@@ -114,6 +112,8 @@ def _load_train_run(model_dir: Path) -> TrainRun:
     kind = config.get("model")
     if kind not in MODEL_KINDS:
         raise DataError(f"train manifest in {model_dir} names no valid model kind")
+    # the run's config is a layer of the user's config, but a bad value in it is corrupt input
+    check_keys({k: v for k, v in config.items() if k in CONFIG_KEYS}, CONFIG_KEYS, DataError)
     nets = {stem: load_checkpoint(model_dir / stem)[0] for stem in _INFERENCE_STEMS[kind]}
     paths = [manifest_path, *(model_dir / f"{stem}{ext}" for stem in nets
                               for ext in (".json", ".bin"))]
@@ -122,8 +122,7 @@ def _load_train_run(model_dir: Path) -> TrainRun:
 
 
 def _prepare(args, pipe_cfg: PipelineConfig) -> DatasetBundle:
-    return prepare_dataset(load_series(args.input), pipe_cfg.seq_len, pipe_cfg.horizon,
-                           pipe_cfg.sma_window, pipe_cfg.knn_k, pipe_cfg.train_fraction)
+    return prepare_dataset(load_series(args.input), **pipe_cfg.as_dict())
 
 
 def _load_repaired(args, pipe_cfg: PipelineConfig) -> tuple[PriceSeries, PriceSeries]:
@@ -187,7 +186,7 @@ def _build_and_train(kind: str, bundle: DatasetBundle, cfg: TrainConfig):
     seq_len = bundle.train.seq_len
     horizon = bundle.train.horizon
     build_rng = RngStream(cfg.seed, ("build", kind))
-    if kind in ("gru", "lstm"):
+    if kind in FORECASTER_KINDS:
         units = scale_width(cfg.hidden_units, cfg.width_mult)
         net = build_forecaster(kind, cfg.hidden_layers, units, seq_len, horizon,
                                n_features, build_rng)
@@ -244,7 +243,7 @@ def _cmd_forecast(args, out_dir: Path, train_cfg, pipe_cfg, run):
 
 
 def _cmd_generate(args, out_dir: Path, train_cfg, pipe_cfg, run):
-    if run.kind in ("gru", "lstm"):
+    if run.kind in FORECASTER_KINDS:
         raise ConfigError(f"model kind {run.kind!r} is a forecaster; "
                           "generate needs gan, wgan, or timegan")
     bundle = _prepare(args, pipe_cfg)
@@ -328,34 +327,34 @@ _HANDLERS = {
 }
 
 
+def _config_flag(parser: argparse.ArgumentParser, key: str, **kwargs) -> None:
+    """--key-name for config key `key`, typed (or given its choices) by the key's row."""
+    row = CONFIG_KEYS[key]
+    kind = {"choices": row.type} if isinstance(row.type, tuple) else {"type": row.type}
+    parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                        **kind, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", default="out", help="artifact directory")
-    common.add_argument("--seed", type=int, default=None, help="run seed")
+    _config_flag(common, "seed", help="run seed")
     common.add_argument("--preset", choices=sorted(PRESETS), default=None,
                         help="named full-scale training recipe")
     common.add_argument("--config", default=None, help="JSON config file")
 
     pipe = argparse.ArgumentParser(add_help=False)
-    pipe.add_argument("--seq-len", type=int, default=None, dest="seq_len")
-    pipe.add_argument("--horizon", type=int, default=None)
-    pipe.add_argument("--sma-window", type=int, default=None, dest="sma_window")
-    pipe.add_argument("--knn-k", type=int, default=None, dest="knn_k")
-    pipe.add_argument("--train-fraction", type=float, default=None,
-                      dest="train_fraction")
+    for key in ("seq_len", "horizon", "sma_window", "knn_k", "train_fraction"):
+        _config_flag(pipe, key)
+    data = argparse.ArgumentParser(add_help=False, parents=[pipe])
+    data.add_argument("--input", required=True)
+    run = argparse.ArgumentParser(add_help=False, parents=[data])
+    run.add_argument("--model-dir", required=True, dest="model_dir")
 
     train_flags = argparse.ArgumentParser(add_help=False)
-    train_flags.add_argument("--epochs", type=int, default=None)
-    train_flags.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    train_flags.add_argument("--width-mult", type=float, default=None, dest="width_mult")
-    train_flags.add_argument("--hidden-layers", type=int, default=None,
-                             dest="hidden_layers")
-    train_flags.add_argument("--hidden-units", type=int, default=None,
-                             dest="hidden_units")
-    train_flags.add_argument("--latent-dim", type=int, default=None, dest="latent_dim")
-    train_flags.add_argument("--loss-mode", default=None, dest="loss_mode",
-                             choices=("nonsaturating", "minimax", "zero_sum"))
-    train_flags.add_argument("--n-critic", type=int, default=None, dest="n_critic")
+    for key in ("epochs", "batch_size", "width_mult", "hidden_layers", "hidden_units",
+                "latent_dim", "loss_mode", "n_critic"):
+        _config_flag(train_flags, key)
 
     parser = argparse.ArgumentParser(
         prog="tsgan",
@@ -364,45 +363,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tsgan {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", parents=[common, pipe],
-                       help="parse and calendar-repair one OHLCV CSV")
-    p.add_argument("--input", required=True)
+    sub.add_parser("ingest", parents=[common, data],
+                   help="parse and calendar-repair one OHLCV CSV")
+    sub.add_parser("stats", parents=[common, data],
+                   help="descriptive statistics, correlations, monthly aggregates")
+    sub.add_parser("features", parents=[common, data],
+                   help="derived feature matrix and fitted scaler")
 
-    p = sub.add_parser("stats", parents=[common, pipe],
-                       help="descriptive statistics, correlations, monthly aggregates")
-    p.add_argument("--input", required=True)
-
-    p = sub.add_parser("features", parents=[common, pipe],
-                       help="derived feature matrix and fitted scaler")
-    p.add_argument("--input", required=True)
-
-    p = sub.add_parser("train", parents=[common, pipe, train_flags],
+    p = sub.add_parser("train", parents=[common, data, train_flags],
                        help="train one model and write its checkpoint")
-    p.add_argument("--input", required=True)
     p.add_argument("--model", required=True, choices=MODEL_KINDS)
 
-    p = sub.add_parser("forecast", parents=[common, pipe],
+    p = sub.add_parser("forecast", parents=[common, run],
                        help="predict future closes from a trained model")
-    p.add_argument("--input", required=True)
-    p.add_argument("--model-dir", required=True, dest="model_dir")
-    p.add_argument("--mode", choices=("direct", "iterative"), default="direct")
+    p.add_argument("--mode", choices=FORECAST_MODES, default="direct")
     p.add_argument("--steps", type=int, default=None,
                    help="forecast length (default: the window horizon)")
 
-    p = sub.add_parser("generate", parents=[common, pipe],
+    p = sub.add_parser("generate", parents=[common, run],
                        help="sample synthetic sequences from a trained generator")
-    p.add_argument("--input", required=True)
-    p.add_argument("--model-dir", required=True, dest="model_dir")
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--seq-len-sample", type=int, default=None, dest="seq_len_sample")
 
-    p = sub.add_parser("evaluate", parents=[common, pipe],
+    p = sub.add_parser("evaluate", parents=[common, run],
                        help="RMSE/MAPE report over forecast horizons")
-    p.add_argument("--input", required=True)
-    p.add_argument("--model-dir", required=True, dest="model_dir")
     p.add_argument("--horizons", type=_int_list, default=None)
     p.add_argument("--weights", type=_float_list, default=None)
-    p.add_argument("--basis", choices=("scaled", "original"), default="scaled")
+    p.add_argument("--basis", choices=METRIC_BASES, default="scaled")
     p.add_argument("--name", default=None)
 
     p = sub.add_parser("compare", parents=[common, pipe],
@@ -411,10 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default=None,
                    help="OHLCV CSV for the persistence baseline row")
 
-    p = sub.add_parser("perturb", parents=[common, pipe, train_flags],
+    p = sub.add_parser("perturb", parents=[common, data, train_flags],
                        help="layer/epoch sensitivity grid for a forecaster")
-    p.add_argument("--input", required=True)
-    p.add_argument("--model", required=True, choices=("gru", "lstm"))
+    p.add_argument("--model", required=True, choices=FORECASTER_KINDS)
     p.add_argument("--layers", type=_int_list, required=True)
     p.add_argument("--epoch-grid", type=_int_list, required=True, dest="epoch_grid")
     p.add_argument("--horizons", type=_int_list, default=None)

@@ -13,45 +13,24 @@ from pathlib import Path
 
 from .artifacts import read_json
 from .errors import ConfigError, DataError
-from .training.config import TrainConfig
-
-PIPELINE_DEFAULTS = {
-    "seq_len": 30,
-    "horizon": 10,
-    "sma_window": 10,
-    "knn_k": 5,
-    "train_fraction": 0.7,
-}
+from .training.config import Key, KeyedConfig, TrainConfig, check_keys
 
 
-class PipelineConfig:
+class PipelineConfig(KeyedConfig):
     """Dataset preparation settings (windowing, repair, split)."""
 
-    def __init__(self, **kwargs):
-        unknown = sorted(set(kwargs) - set(PIPELINE_DEFAULTS))
-        if unknown:
-            raise ConfigError(f"unknown pipeline config key: {unknown[0]!r}")
-        merged = {**PIPELINE_DEFAULTS, **kwargs}
-        self.seq_len = int(merged["seq_len"])
-        self.horizon = int(merged["horizon"])
-        self.sma_window = int(merged["sma_window"])
-        self.knn_k = int(merged["knn_k"])
-        self.train_fraction = float(merged["train_fraction"])
-        if self.seq_len < 1 or self.horizon < 1:
-            raise ConfigError(
-                f"seq_len and horizon must be >= 1, got ({self.seq_len}, {self.horizon})"
-            )
-        if self.sma_window < 1:
-            raise ConfigError(f"sma_window must be >= 1, got {self.sma_window}")
-        if self.knn_k < 1:
-            raise ConfigError(f"knn_k must be >= 1, got {self.knn_k}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError(
-                f"train_fraction must be in (0, 1), got {self.train_fraction}"
-            )
+    KEYS = {
+        "seq_len": Key(30, int, ">= 1"),
+        "horizon": Key(10, int, ">= 1"),
+        "sma_window": Key(10, int, ">= 1"),
+        "knn_k": Key(5, int, ">= 1"),
+        "train_fraction": Key(0.7, float, "in (0, 1)"),
+    }
 
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in PIPELINE_DEFAULTS}
+
+PIPELINE_DEFAULTS = PipelineConfig.DEFAULTS
+# Every config key's row, training keys first.
+CONFIG_KEYS = {**TrainConfig.KEYS, **PipelineConfig.KEYS}
 
 
 # Full-scale training recipes, one per model family. The plain defaults are
@@ -89,39 +68,36 @@ def preset_overrides(name: str) -> dict:
 
 
 def split_config_keys(doc: dict) -> tuple[dict, dict]:
-    """Split a flat config document into (train keys, pipeline keys)."""
-    train_keys = set(TrainConfig.DEFAULTS)
-    pipe_keys = set(PIPELINE_DEFAULTS)
-    train, pipe = {}, {}
-    for key, value in doc.items():
-        if key in train_keys:
-            train[key] = value
-        elif key in pipe_keys:
-            pipe[key] = value
-        else:
-            raise ConfigError(f"unknown config key: {key!r}")
-    return train, pipe
+    """Split a flat config document into (train keys, pipeline keys), each checked."""
+    doc = check_keys(doc, CONFIG_KEYS, ConfigError)
+    return ({k: v for k, v in doc.items() if k in TrainConfig.KEYS},
+            {k: v for k, v in doc.items() if k in PipelineConfig.KEYS})
 
 
 def load_config(path: str | Path | None = None, preset: str | None = None,
                 overrides: dict | None = None) -> tuple[TrainConfig, PipelineConfig]:
-    """Resolve file < preset < explicit overrides into full config objects."""
-    doc: dict = {}
+    """Resolve file < preset < explicit overrides into full config objects.
+
+    Each layer is checked against CONFIG_KEYS before the merge, so a bad value
+    is a ConfigError even where a later layer would have replaced it.
+    """
+    layers = []
     if path is not None:
         try:
-            doc.update(read_json(path, "config file"))
+            layers.append(read_json(path, "config file"))
         except DataError as e:  # a bad config file is a usage error, exit 1
             raise ConfigError(str(e)) from None
     if preset is not None:
-        doc.update(preset_overrides(preset))
+        layers.append(preset_overrides(preset))
     if overrides:
-        doc.update({k: v for k, v in overrides.items() if v is not None})
+        layers.append({k: v for k, v in overrides.items() if v is not None})
+    doc: dict = {}
+    for layer in layers:
+        doc.update(check_keys(layer, CONFIG_KEYS, ConfigError))
     train_kw, pipe_kw = split_config_keys(doc)
     return TrainConfig(**train_kw), PipelineConfig(**pipe_kw)
 
 
 def resolved_config_dict(train_cfg: TrainConfig, pipe_cfg: PipelineConfig) -> dict:
     """Every setting made explicit, for manifests."""
-    merged = dict(train_cfg.as_dict())
-    merged.update(pipe_cfg.as_dict())
-    return merged
+    return {**train_cfg.as_dict(), **pipe_cfg.as_dict()}

@@ -22,6 +22,7 @@ from .training.forecaster import train_forecaster
 from .training.synthesis import PersistencePredictor, as_predictor
 
 DEFAULT_HORIZONS = (10, 40, 80)
+METRIC_BASES = ("scaled", "original")
 
 
 def rmse(y, yhat) -> float:
@@ -78,8 +79,8 @@ class MetricsReport:
     def __init__(self, model: str, horizons: list[int], per_horizon: dict,
                  weights: list[float], basis: str, hidden_layers: int | None = None,
                  epochs: int | None = None, per_horizon_original: dict | None = None):
-        if basis not in ("scaled", "original"):
-            raise ConfigError(f"basis must be 'scaled' or 'original', got {basis!r}")
+        if basis not in METRIC_BASES:
+            raise ConfigError(f"basis must be one of {METRIC_BASES}, got {basis!r}")
         self.model = model
         self.horizons = check_horizons(horizons)
         self.per_horizon = per_horizon

@@ -20,6 +20,7 @@ DISC_KERNEL = 5
 DISC_STRIDE = 4
 TIMEGAN_HIDDEN = 24
 TIMEGAN_STACK = 3
+FORECASTER_KINDS = ("gru", "lstm")
 
 
 def scale_width(base: int, mult: float) -> int:
@@ -131,8 +132,8 @@ def build_forecaster(
     rng: RngStream,
 ) -> Network:
     """Stacked recurrent layers of one cell kind, linear dense head of width horizon."""
-    if kind not in ("gru", "lstm"):
-        raise ConfigError(f"forecaster: kind must be 'gru' or 'lstm', got {kind!r}")
+    if kind not in FORECASTER_KINDS:
+        raise ConfigError(f"forecaster: kind must be one of {FORECASTER_KINDS}, got {kind!r}")
     if layers < 1 or units < 1 or seq_len < 1 or horizon < 1 or input_dim < 1:
         raise ConfigError(
             f"forecaster: bad dims (layers={layers}, units={units}, seq={seq_len}, "

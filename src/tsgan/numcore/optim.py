@@ -39,29 +39,21 @@ class OptimizerState:
         self.step_count = 0
         self.slots: dict[str, dict[str, np.ndarray]] = {}
 
-    def _slot(self, name: str, shape: tuple) -> dict:
-        s = self.slots.get(name)
-        if s is None:
-            if self.algo == "adam":
-                s = {"m": np.zeros(shape), "v": np.zeros(shape)}
-            elif self.algo == "rmsprop":
-                s = {"sq": np.zeros(shape)}
-            else:
-                s = {}
-            self.slots[name] = s
-        return s
-
 
 def optimizer_step(state: OptimizerState, params: dict[str, Tensor], grads: dict) -> None:
-    """Apply one update to every parameter. Ascent on L is exactly descent on -L."""
+    """Apply one update to every parameter. Ascent on L is exactly descent on -L.
+
+    Every gradient is checked and every new value and moment computed before
+    any is written, so an update that aborts leaves the parameters, the
+    moments and the step count as they were.
+    """
     missing = sorted(set(params) - set(grads))
     if missing:
         raise GraphError(f"gradients missing for parameters: {missing}")
-    state.step_count += 1
-    t = state.step_count
+    t = state.step_count + 1
     sign = 1.0 if state.direction == "descend" else -1.0
-    for name in params:
-        p = params[name]
+    staged = []
+    for name, p in params.items():
         g = grads[name]
         g = g.data if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64)
         if g.shape != p.data.shape:
@@ -72,21 +64,26 @@ def optimizer_step(state: OptimizerState, params: dict[str, Tensor], grads: dict
             raise NumericAbort(f"non-finite gradient for parameter {name!r}")
         g = sign * g
         if state.algo == "sgd":
+            moments = {}
             new = p.data - state.lr * g
         elif state.algo == "adam":
-            s = state._slot(name, p.data.shape)
-            s["m"] = ADAM_BETA1 * s["m"] + (1.0 - ADAM_BETA1) * g
-            s["v"] = ADAM_BETA2 * s["v"] + (1.0 - ADAM_BETA2) * (g * g)
-            m_hat = s["m"] / (1.0 - ADAM_BETA1 ** t)
-            v_hat = s["v"] / (1.0 - ADAM_BETA2 ** t)
+            s = state.slots.get(name) or {"m": np.zeros(g.shape), "v": np.zeros(g.shape)}
+            moments = {"m": ADAM_BETA1 * s["m"] + (1.0 - ADAM_BETA1) * g,
+                       "v": ADAM_BETA2 * s["v"] + (1.0 - ADAM_BETA2) * (g * g)}
+            m_hat = moments["m"] / (1.0 - ADAM_BETA1 ** t)
+            v_hat = moments["v"] / (1.0 - ADAM_BETA2 ** t)
             new = p.data - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         else:
-            s = state._slot(name, p.data.shape)
-            s["sq"] = RMSPROP_DECAY * s["sq"] + (1.0 - RMSPROP_DECAY) * (g * g)
-            new = p.data - state.lr * g / (np.sqrt(s["sq"]) + RMSPROP_EPS)
+            s = state.slots.get(name) or {"sq": np.zeros(g.shape)}
+            moments = {"sq": RMSPROP_DECAY * s["sq"] + (1.0 - RMSPROP_DECAY) * (g * g)}
+            new = p.data - state.lr * g / (np.sqrt(moments["sq"]) + RMSPROP_EPS)
         if not np.all(np.isfinite(new)):
             raise NumericAbort(f"non-finite value for parameter {name!r} after update")
+        staged.append((name, p, new, moments))
+    state.step_count = t
+    for name, p, new, moments in staged:
         p.data = new
+        state.slots[name] = moments
 
 
 def clip_weights(params: dict[str, Tensor], c: float) -> None:

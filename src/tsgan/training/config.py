@@ -1,13 +1,81 @@
-"""Training configuration shared by all four training loops."""
+"""Training configuration shared by all four training loops, and the key table check."""
 
 from __future__ import annotations
+
+import sys
+from typing import NamedTuple
+
+import numpy as np
 
 from ..errors import ConfigError
 from ..numcore.optim import OPTIMIZERS
 from .losses import GENERATOR_LOSS_MODES
 
 
-class TrainConfig:
+class Key(NamedTuple):
+    """One config key's row: its default, its type and its bound.
+
+    `type` is int (an int or numpy integer, never a bool; stored as int),
+    float (a finite int or float, not a bool; stored as given) or a tuple of
+    the allowed strings. `bound` names an entry of BOUNDS, or is None.
+    """
+    default: object
+    type: object
+    bound: str | None = None
+
+
+BOUNDS = {">= 1": lambda v: v >= 1, "> 0": lambda v: v > 0, "in (0, 1)": lambda v: 0 < v < 1}
+
+
+def check_keys(values: dict, table: dict[str, Key], error: type) -> dict:
+    """`values` checked against `table`'s rows, each stored as its row says.
+
+    Raises `error` naming the first unknown key or bad value, so the caller
+    decides what a bad value is: a usage error or corrupt input.
+    """
+    checked = {}
+    for key, value in values.items():
+        row = table.get(key)
+        if row is None:
+            raise error(f"unknown config key: {key!r}")
+        if isinstance(value, np.integer):
+            value = int(value)
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if isinstance(row.type, tuple):
+            ok, want = isinstance(value, str) and value in row.type, f"one of {row.type}"
+        elif row.type is int:
+            ok, want = number and isinstance(value, int), "an integer"
+        else:  # abs() of nan, inf or an int past float range fails the comparison
+            ok, want = number and abs(value) <= sys.float_info.max, "a finite number"
+        if not ok:
+            raise error(f"{key} must be {want}, got {value!r}")
+        if row.bound is not None and not BOUNDS[row.bound](value):
+            raise error(f"{key} must be {row.bound}, got {value!r}")
+        checked[key] = value
+    return checked
+
+
+class KeyedConfig:
+    """Settings checked against a key table: one attribute per row of KEYS.
+
+    A subclass sets KEYS; DEFAULTS (key -> default) is derived from it.
+    """
+
+    KEYS: dict[str, Key] = {}
+
+    def __init_subclass__(cls):
+        cls.DEFAULTS = {key: row.default for key, row in cls.KEYS.items()}
+
+    def __init__(self, **kwargs):
+        values = {**self.DEFAULTS, **check_keys(kwargs, self.KEYS, ConfigError)}
+        for key, value in values.items():
+            setattr(self, key, value)
+
+    def as_dict(self) -> dict:
+        return {key: getattr(self, key) for key in self.KEYS}
+
+
+class TrainConfig(KeyedConfig):
     """Every knob a loop reads, with explicit defaults.
 
     Unused fields are harmless (a forecaster ignores n_critic), so one type
@@ -15,57 +83,24 @@ class TrainConfig:
     resolved configuration.
     """
 
-    DEFAULTS = {
-        "lr_g": 1e-5,
-        "lr_d": 1e-5,
-        "batch_size": 128,
-        "epochs": 250,
-        "optimizer": "adam",
-        "n_critic": 5,
-        "clip_c": 0.01,
-        "seed": 0,
-        "width_mult": 1.0,
-        "loss_mode": "nonsaturating",
-        "latent_dim": 8,
-        "hidden_layers": 6,
-        "hidden_units": 64,
-        "timegan_hidden": 24,
-        "sup_weight": 1.0,
-        "recon_weight": 10.0,
+    KEYS = {
+        "lr_g": Key(1e-5, float, "> 0"),
+        "lr_d": Key(1e-5, float, "> 0"),
+        "batch_size": Key(128, int, ">= 1"),
+        "epochs": Key(250, int, ">= 1"),
+        "optimizer": Key("adam", OPTIMIZERS),
+        "n_critic": Key(5, int, ">= 1"),
+        "clip_c": Key(0.01, float, "> 0"),
+        "seed": Key(0, int),
+        "width_mult": Key(1.0, float, "> 0"),
+        "loss_mode": Key("nonsaturating", GENERATOR_LOSS_MODES),
+        "latent_dim": Key(8, int),
+        "hidden_layers": Key(6, int),
+        "hidden_units": Key(64, int),
+        "timegan_hidden": Key(24, int),
+        "sup_weight": Key(1.0, float),
+        "recon_weight": Key(10.0, float),
     }
-
-    def __init__(self, **kwargs):
-        unknown = sorted(set(kwargs) - set(self.DEFAULTS))
-        if unknown:
-            raise ConfigError(f"unknown TrainConfig keys: {unknown}")
-        for key, default in self.DEFAULTS.items():
-            setattr(self, key, kwargs.get(key, default))
-        self.batch_size = int(self.batch_size)
-        self.epochs = int(self.epochs)
-        self.n_critic = int(self.n_critic)
-        self.seed = int(self.seed)
-        self.hidden_layers = int(self.hidden_layers)
-        self.hidden_units = int(self.hidden_units)
-        self.latent_dim = int(self.latent_dim)
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.n_critic < 1:
-            raise ConfigError(f"n_critic must be >= 1, got {self.n_critic}")
-        if not self.clip_c > 0:
-            raise ConfigError(f"clip_c must be > 0, got {self.clip_c}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.loss_mode not in GENERATOR_LOSS_MODES:
-            raise ConfigError(f"unknown loss_mode {self.loss_mode!r}")
-        if not self.lr_g > 0 or not self.lr_d > 0:
-            raise ConfigError("learning rates must be positive")
-        if not self.width_mult > 0:
-            raise ConfigError(f"width_mult must be > 0, got {self.width_mult}")
-
-    def as_dict(self) -> dict:
-        return {key: getattr(self, key) for key in self.DEFAULTS}
 
     def replace(self, **kwargs) -> "TrainConfig":
         merged = self.as_dict()

@@ -628,3 +628,158 @@ def test_manifest_helpers(tmp_path):
     assert argv == ["train", "--seed", "1", "--out-dir", "new"]
     argv2 = replace_out_dir(["train", "--out-dir=old"], "new")
     assert argv2 == ["train", "--out-dir", "new"]
+
+
+# --- the config key table and its trust boundary ----------------------------
+# Every config key against a fixed catalogue of JSON values, in two layers: a
+# --config file (a bad value is a usage error, exit 1) and the config of a
+# loaded train run (a bad value is corrupt input, exit 2). The catalogue is
+# JSON text, so 1e999 reaches the program as the float json reads it as.
+FUZZ_VALUES = ["null", "0", "-1", "3.5", '"x"', "[]", "{}", "true", "1e12", "1e999"]
+FUZZ_KEYS = sorted([*TrainConfig.DEFAULTS, *PIPELINE_DEFAULTS])
+
+
+def _run_once(capsys, argv, allowed):
+    """main(argv)'s exit code, which must be in `allowed`; a nonzero one prints one error line."""
+    capsys.readouterr()
+    rc = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert rc in allowed
+    if rc:
+        assert len(err) == 1 and err[0].startswith("error: "), err
+    else:
+        assert not any(line.startswith("error:") for line in err)
+    return rc
+
+
+@pytest.fixture(scope="module")
+def fuzz_run(workdir, gru_run):
+    """A private copy of the tiny gru run whose train manifest each case rewrites."""
+    run = workdir / "fuzz_run"
+    shutil.copytree(gru_run, run)
+    return run
+
+
+@pytest.mark.parametrize("value", FUZZ_VALUES)
+@pytest.mark.parametrize("key", FUZZ_KEYS)
+def test_fuzzed_config_file_exits_0_or_1(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"{key}": {value}}}')
+    _run_once(capsys, ["synth-data", "--kind", "sine", "--rows", "10", "--config", str(cfg),
+                       "--out-dir", str(tmp_path / "o")], (0, 1))
+
+
+@pytest.mark.parametrize("value", FUZZ_VALUES)
+@pytest.mark.parametrize("key", FUZZ_KEYS)
+def test_fuzzed_train_run_config_exits_0_or_2(tmp_path, capsys, data_csv, gru_run, fuzz_run,
+                                              key, value):
+    doc = json.loads((gru_run / "train_manifest.json").read_text())
+    doc["config"][key] = "@FUZZ@"
+    (fuzz_run / "train_manifest.json").write_text(json.dumps(doc).replace('"@FUZZ@"', value))
+    _run_once(capsys, ["forecast", "--input", str(data_csv), "--model-dir", str(fuzz_run),
+                       "--out-dir", str(tmp_path / "o")], (0, 2))
+
+
+@pytest.mark.parametrize("command, text", [
+    ("train", '{"epochs": "x"}'),
+    ("features", '{"seq_len": "x"}'),
+    ("train", '{"lr_g": 1e999, "epochs": 1}'),
+    ("train", '{"sup_weight": "x", "epochs": 1}'),
+], ids=["train-epochs-string", "features-seq-len-string", "train-lr-inf",
+        "train-sup-weight-string"])
+def test_bad_config_file_values_exit_1(tmp_path, capsys, data_csv, command, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    argv = [command, "--input", str(data_csv), *PIPE, "--config", str(cfg),
+            "--out-dir", str(tmp_path / "o")]
+    if command == "train":
+        argv += ["--model", "gru", "--hidden-layers", "1", "--hidden-units", "2"]
+    _run_once(capsys, argv, (1,))
+    assert not (tmp_path / "o" / f"{command}_manifest.json").exists()
+
+
+def test_bad_value_in_a_loaded_run_exits_2(tmp_path, capsys, data_csv, gru_run):
+    run = tmp_path / "run"
+    shutil.copytree(gru_run, run)
+    path = run / "train_manifest.json"
+    path.write_text(_edit(path.read_text(), "config", "batch_size", value=0))
+    capsys.readouterr()
+    assert main(["forecast", "--input", str(data_csv), "--model-dir", str(run),
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: batch_size must be >= 1, got 0\n"
+
+
+def test_a_bad_file_value_is_an_error_even_under_a_flag(tmp_path):
+    """Each layer is checked before the merge: a flag does not hide a bad file value."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"epochs": "x"}')
+    with pytest.raises(ConfigError, match="epochs must be an integer, got 'x'"):
+        load_config(path=str(cfg), overrides={"epochs": 2})
+
+
+def test_non_numeric_list_flag_is_a_usage_error(tmp_path, capsys, data_csv, gru_run):
+    assert main(["evaluate", "--input", str(data_csv), "--model-dir", str(gru_run),
+                 "--horizons", "a,b", "--out-dir", str(tmp_path / "o")]) == 1
+    assert "expected comma-separated integers, got 'a,b'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["epochs", "seed", "seq_len"])
+@pytest.mark.parametrize("value", ["3", 3.0, True, None, [3]])
+def test_int_keys_take_only_ints(key, value):
+    cls = TrainConfig if key in TrainConfig.DEFAULTS else PipelineConfig
+    with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+        cls(**{key: value})
+
+
+def test_numpy_integers_are_stored_as_int():
+    cfg = TrainConfig(epochs=np.int64(3), lr_g=np.int32(1))
+    pipe = PipelineConfig(seq_len=np.int16(4))
+    assert (type(cfg.epochs), type(cfg.lr_g), type(pipe.seq_len)) == (int, int, int)
+
+
+@pytest.mark.parametrize("value", [True, float("nan"), float("inf"), -float("inf"), 10 ** 400,
+                                   "0.1", None],
+                         ids=["bool", "nan", "inf", "-inf", "int-past-float-range", "string",
+                              "none"])
+def test_number_keys_take_only_finite_numbers(value):
+    with pytest.raises(ConfigError, match="sup_weight must be a finite number"):
+        TrainConfig(sup_weight=value)
+
+
+def test_number_keys_are_stored_as_given():
+    cfg = TrainConfig(lr_g=1, sup_weight=-2.5)
+    assert (cfg.lr_g, type(cfg.lr_g), cfg.sup_weight) == (1, int, -2.5)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("batch_size", 0), ("epochs", -1), ("n_critic", 0), ("seq_len", 0), ("horizon", 0),
+    ("sma_window", 0), ("knn_k", 0), ("lr_g", 0.0), ("lr_d", -1e-3), ("clip_c", 0),
+    ("width_mult", -0.5), ("train_fraction", 0.0), ("train_fraction", 1),
+    ("optimizer", "lion"), ("loss_mode", "hinge"),
+])
+def test_bounds_and_choices_are_kept(key, value):
+    cls = TrainConfig if key in TrainConfig.DEFAULTS else PipelineConfig
+    with pytest.raises(ConfigError, match=key):
+        cls(**{key: value})
+
+
+def test_unbounded_keys_take_any_int_or_number():
+    cfg = TrainConfig(seed=-1, hidden_layers=0, hidden_units=-3, latent_dim=0,
+                      timegan_hidden=0, sup_weight=-1.0, recon_weight=0)
+    assert (cfg.seed, cfg.hidden_layers, cfg.recon_weight) == (-1, 0, 0)
+
+
+def test_config_flags_read_the_key_table():
+    """The 14 config flags take their type or choices from their key's row."""
+    subparsers = next(a.choices for a in cli.build_parser()._actions
+                      if isinstance(a.choices, dict))
+    flags = {a.dest: a for parser in subparsers.values() for a in parser._actions
+             if a.dest in cli.CONFIG_KEYS}
+    assert len(cli.CONFIG_KEYS) == 21 and len(flags) == 14
+    for key, action in flags.items():
+        row = cli.CONFIG_KEYS[key]
+        if isinstance(row.type, tuple):
+            assert action.choices is row.type and action.type is None
+        else:
+            assert action.type is row.type and action.choices is None
+        assert action.option_strings == ["--" + key.replace("_", "-")]

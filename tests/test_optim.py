@@ -7,6 +7,7 @@ from tsgan.errors import ConfigError, GraphError, NumericAbort
 from tsgan.numcore import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, RMSPROP_DECAY,
                            RMSPROP_EPS, OptimizerState, Tensor, clip_weights,
                            optimizer_step)
+from tsgan.numcore.optim import OPTIMIZERS
 
 
 def _params(values):
@@ -98,6 +99,47 @@ def test_non_finite_update_aborts():
     params = _params({"w": [1.0]})
     with np.errstate(over="ignore"), pytest.raises(NumericAbort):
         optimizer_step(OptimizerState("sgd", 1e308), params, {"w": np.array([1e308])})
+
+
+def _snapshot(state, params):
+    slots = {n: {k: v.copy() for k, v in s.items()} for n, s in state.slots.items()}
+    return state.step_count, slots, {n: p.data.copy() for n, p in params.items()}
+
+
+def _assert_same(snapshot, state, params):
+    step_count, slots, values = snapshot
+    assert state.step_count == step_count
+    assert state.slots.keys() == slots.keys()
+    for name, moments in slots.items():
+        assert state.slots[name].keys() == moments.keys()
+        for key, value in moments.items():
+            np.testing.assert_array_equal(state.slots[name][key], value)
+    for name, value in values.items():
+        np.testing.assert_array_equal(params[name].data, value)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "after-one-step"])
+@pytest.mark.parametrize("algo", OPTIMIZERS)
+def test_aborted_update_changes_nothing(algo, warm):
+    """A non-finite gradient on a later parameter must not move the earlier ones."""
+    params = _params({"a": [1.0], "b": [2.0]})
+    state = OptimizerState(algo, 0.1)
+    if warm:
+        optimizer_step(state, params, {"a": np.array([0.5]), "b": np.array([-0.5])})
+    before = _snapshot(state, params)
+    with pytest.raises(NumericAbort, match="'b'"):
+        optimizer_step(state, params, {"a": np.array([1.0]), "b": np.array([np.nan])})
+    _assert_same(before, state, params)
+
+
+def test_update_that_overflows_changes_nothing():
+    """A finite gradient whose update overflows on a later parameter aborts the whole step."""
+    params = _params({"a": [1.0], "b": [1.0]})
+    state = OptimizerState("sgd", 1e308)
+    before = _snapshot(state, params)
+    with np.errstate(over="ignore"), pytest.raises(NumericAbort, match="after update"):
+        optimizer_step(state, params, {"a": np.array([1.0]), "b": np.array([1e308])})
+    _assert_same(before, state, params)
 
 
 def test_invalid_configuration_rejected():

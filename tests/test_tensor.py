@@ -9,8 +9,8 @@ from hypothesis.extra import numpy as hnp
 from gradtools import check_gradients
 from tsgan.errors import DomainError, GraphError, ShapeError
 from tsgan.numcore import (RngStream, Tape, Tensor, add, backward, clamp,
-                           concat, conv1d, dropout, leaf_grads, log,
-                           matmul, mean, mul, relu, reshape, sigmoid,
+                           concat, conv1d, dropout, gru_sequence, leaf_grads, log,
+                           lstm_sequence, matmul, mean, mul, relu, reshape, sigmoid,
                            slice_tensor, sub, tanh, tsum)
 from tsgan.numcore.tensor import _unbroadcast
 
@@ -373,3 +373,113 @@ def test_tape_node_list_describes_the_graph():
     with Tape() as rec:
         mean(x * x)
     assert [n[0] for n in rec.nodes] == ["mul", "mean"]
+
+
+# --- random op graphs against central differences ---------------------------
+# Every node is 2-D and at most MAX_DIM on a side. mean, concat, slice and
+# reshape act on one axis or view; gru/lstm read an (r, c) node as r sequences
+# of c one-feature steps and flatten their (r, c, units) output back to 2-D.
+GRAPH_OPS = ("add", "sub", "mul", "matmul", "sigmoid", "tanh", "mean", "concat",
+             "slice", "reshape", "gru", "lstm")
+MAX_DIM = 6
+_GATES = {"gru": 3, "lstm": 4}
+
+
+def _recurrent(kind, x, *cell):
+    r, c = x.shape
+    out = (gru_sequence if kind == "gru" else lstm_sequence)(reshape(x, (r, c, 1)), *cell)
+    return reshape(out, (r, c * out.shape[2]))
+
+
+_APPLY = {
+    "add": add, "sub": sub, "mul": mul, "matmul": matmul,
+    "sigmoid": sigmoid, "tanh": tanh,
+    "mean": lambda x, axis: reshape(mean(x, axis=axis), (1, -1) if axis == 0 else (-1, 1)),
+    "concat": lambda x, other, axis: concat([x, other], axis=axis),
+    "slice": slice_tensor,
+    "reshape": reshape,
+    "gru": lambda x, *cell: _recurrent("gru", x, *cell),
+    "lstm": lambda x, *cell: _recurrent("lstm", x, *cell),
+}
+
+
+def _draw_graph(draw, rng):
+    """(leaves, steps, weights): step i is (op, input refs, static args) making node i+1.
+
+    A ref is ("leaf", j) or ("node", k); node 0 is leaf 0. The loss is
+    mean(last node * weights), a fixed non-uniform read-out.
+    """
+    leaves, shapes = [], []
+
+    def leaf(shape):
+        leaves.append(Tensor(rng.uniform(-1.0, 1.0, size=shape), requires_grad=True))
+        return ("leaf", len(leaves) - 1)
+
+    def partner(shape):
+        """An earlier node of `shape` (fan-out) or a fresh leaf of it."""
+        same = [k for k, s in enumerate(shapes) if s == shape]
+        if same and draw(st.booleans()):
+            return ("node", draw(st.sampled_from(same)))
+        return leaf(shape)
+
+    first = leaf((draw(st.integers(1, 3)), draw(st.integers(1, 3))))
+    shapes.append(leaves[0].shape)
+    steps = [("input", [first], ())]
+    for op in draw(st.lists(st.sampled_from(GRAPH_OPS), min_size=2, max_size=6)):
+        k = len(shapes) - 1
+        r, c = shapes[k]
+        x, args = ("node", k), ()
+        if op in ("add", "sub", "mul"):
+            broadcast = draw(st.booleans())  # a (1, c) partner broadcasts over rows
+            refs, shape = [x, partner((1, c) if broadcast else (r, c))], (r, c)
+        elif op == "matmul":
+            n = draw(st.integers(1, 3))
+            refs, shape = [x, leaf((c, n))], (r, n)
+        elif op in ("sigmoid", "tanh"):
+            refs, shape = [x], (r, c)
+        elif op == "mean":
+            axis = draw(st.integers(0, 1))
+            refs, args, shape = [x], (axis,), ((1, c) if axis == 0 else (r, 1))
+        elif op == "concat" and max(r, c) < MAX_DIM:
+            axis = draw(st.sampled_from([a for a in (0, 1) if (r, c)[a] < MAX_DIM]))
+            n = draw(st.integers(1, min(MAX_DIM - (r, c)[axis], 3)))
+            other = (n, c) if axis == 0 else (r, n)
+            refs, args = [x, partner(other)], (axis,)
+            shape = (r + n, c) if axis == 0 else (r, c + n)
+        elif op in ("slice", "concat"):  # a concat with no room left slices instead
+            op = "slice"
+            axis = draw(st.integers(0, 1))
+            size = (r, c)[axis]
+            start = draw(st.integers(0, size - 1))
+            stop = draw(st.integers(start + 1, size))
+            index = (slice(start, stop),) if axis == 0 else (slice(None), slice(start, stop))
+            refs, args = [x], (index,)
+            shape = (stop - start, c) if axis == 0 else (r, stop - start)
+        elif op == "reshape":
+            shape = draw(st.sampled_from([s for s in ((c, r), (1, r * c), (r * c, 1))
+                                          if max(s) <= MAX_DIM]))
+            refs, args = [x], (shape,)
+        else:  # gru / lstm: feature width 1, one or two units
+            units = draw(st.integers(1, min(2, MAX_DIM // c)))
+            cell = [leaf((1 + units, units)) if i % 2 == 0 else leaf((units,))
+                    for i in range(2 * _GATES[op])]
+            refs, shape = [x, *cell], (r, c * units)
+        steps.append((op, refs, args))
+        shapes.append(shape)
+    weights = Tensor(rng.uniform(0.5, 1.5, size=shapes[-1]))
+    return leaves, steps, weights
+
+
+def _build_graph(leaves, steps, weights):
+    nodes = []
+    for op, refs, args in steps:
+        ins = [leaves[j] if kind == "leaf" else nodes[j] for kind, j in refs]
+        nodes.append(ins[0] if op == "input" else _APPLY[op](*ins, *args))
+    return mean(mul(nodes[-1], weights))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_random_op_graphs_match_central_differences(data, seed):
+    leaves, steps, weights = _draw_graph(data.draw, np.random.default_rng(seed))
+    check_gradients(lambda: _build_graph(leaves, steps, weights), leaves)
