@@ -246,6 +246,9 @@ def _cmd_generate(args, out_dir: Path, train_cfg, pipe_cfg, run):
     if run.kind in FORECASTER_KINDS:
         raise ConfigError(f"model kind {run.kind!r} is a forecaster; "
                           "generate needs gan, wgan, or timegan")
+    if args.seq_len_sample is not None and run.kind != "timegan":
+        raise ConfigError(f"--seq-len-sample applies to timegan runs; a {run.kind} generator "
+                          "samples its window horizon")
     bundle = _prepare(args, pipe_cfg)
     seq_len = (args.seq_len_sample if args.seq_len_sample is not None
                else pipe_cfg.seq_len)
@@ -255,7 +258,7 @@ def _cmd_generate(args, out_dir: Path, train_cfg, pipe_cfg, run):
     names = bundle.scaled.names if samples.shape[2] > 1 else [TARGET_COLUMN]
     rows = ([i, t, *step] for i, sample in enumerate(samples) for t, step in enumerate(sample))
     outputs = [write_csv(out_dir / "synthetic.csv", ["sample", "step", *names], rows)]
-    return {"count": args.count, "sample_seq_len": seq_len}, [], outputs
+    return {"count": args.count, "sample_seq_len": samples.shape[1]}, [], outputs
 
 
 def _cmd_evaluate(args, out_dir: Path, train_cfg, pipe_cfg, run):

@@ -29,32 +29,3 @@ from .network import (
     net_forward,
     trunk_end,
 )
-
-__all__ = [
-    "ACTIVATIONS",
-    "DISC_CONV_FILTERS",
-    "DISC_DENSE_UNITS",
-    "DISC_KERNEL",
-    "DISC_STRIDE",
-    "GENERATOR_DENSE_UNITS",
-    "GENERATOR_DROPOUT",
-    "GENERATOR_GRU_UNITS",
-    "TIMEGAN_HIDDEN",
-    "TIMEGAN_STACK",
-    "Network",
-    "NetSpec",
-    "build_critic",
-    "build_discriminator",
-    "build_forecaster",
-    "build_generator",
-    "build_network",
-    "build_timegan",
-    "conv_out_len",
-    "init_network_params",
-    "load_checkpoint",
-    "min_discriminator_len",
-    "net_forward",
-    "save_checkpoint",
-    "scale_width",
-    "trunk_end",
-]

@@ -2,19 +2,21 @@
 
 A checkpoint is a pair of files sharing a stem: <stem>.json carries the
 manifest (spec, parameter names and shapes in canonical order, seed, step)
-and <stem>.bin is one flat little-endian float64 blob of every parameter in
-manifest order. Round trips are bit-exact by construction.
+and <stem>.bin is the network's parameter vector as one little-endian float64
+blob, every parameter in manifest order. Round trips are bit-exact by
+construction.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
 
 from ..artifacts import read_json, write_bytes, write_json
 from ..errors import DataError
-from ..numcore import Tensor
+from ..numcore.optim import ParamVector
 from .network import Network, NetSpec
 
 _MAGIC = "tsgan-checkpoint-v1"
@@ -45,9 +47,7 @@ def save_checkpoint(stem, net: Network, seed: int | None = None, step: int = 0) 
         "step": int(step),
         "blob": os.path.basename(stem) + ".bin",
     }
-    blob = b"".join(
-        np.ascontiguousarray(net.params[k].data, dtype="<f8").tobytes() for k in order
-    )
+    blob = net.params.flat.astype("<f8", copy=False).tobytes()
     write_json(stem + ".json", manifest)
     write_bytes(stem + ".bin", blob)
     return manifest
@@ -72,20 +72,12 @@ def load_checkpoint(stem) -> tuple[Network, dict]:
     except FileNotFoundError:
         raise DataError(f"checkpoint blob not found: {blob_path}") from None
     spec = NetSpec.from_dict(manifest["spec"])
-    flat = np.frombuffer(raw, dtype="<f8")
-    params: dict[str, Tensor] = {}
-    offset = 0
-    for entry in manifest["params"]:
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        if offset + n > flat.size:
-            raise DataError(f"checkpoint blob too short for parameter {entry['name']!r}")
-        params[entry["name"]] = Tensor(
-            flat[offset : offset + n].reshape(shape).copy(), requires_grad=True
-        )
-        offset += n
-    if offset != flat.size:
-        raise DataError(
-            f"checkpoint blob has {flat.size - offset} trailing values beyond the manifest"
-        )
-    return Network(spec, params), manifest
+    shapes = [(entry["name"], tuple(entry["shape"])) for entry in manifest["params"]]
+    if len(dict(shapes)) != len(shapes):
+        raise DataError(f"checkpoint manifest {stem}.json repeats a parameter name")
+    need = 8 * sum(math.prod(shape) for _, shape in shapes)
+    if len(raw) != need:
+        raise DataError(f"checkpoint blob {blob_path} holds {len(raw)} bytes; "
+                        f"its manifest's parameters need {need}")
+    flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    return Network(spec, ParamVector.over(shapes, flat)), manifest

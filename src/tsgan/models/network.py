@@ -1,17 +1,19 @@
 """Layer specs, parameter initialization, and the shared forward interpreter.
 
 A NetSpec is an ordered list of layer descriptions; a Network couples one
-NetSpec with a flat name -> Tensor parameter dict. net_forward walks the
-layer list, so every architecture in the toolkit (generator, discriminator,
-critic, forecasters, TimeGAN sub-networks) shares one executor and one
-checkpoint format.
+NetSpec with a name -> Tensor parameter dict whose values are views into one
+float64 vector. net_forward walks the layer list, so every architecture in the
+toolkit (generator, discriminator, critic, forecasters, TimeGAN sub-networks)
+shares one executor and one checkpoint format.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ..errors import ConfigError, DataError, NumericAbort, ShapeError
+from ..errors import ConfigError, DataError, ShapeError
 from ..numcore import (
     RngStream,
     Tensor,
@@ -27,6 +29,7 @@ from ..numcore import (
     slice_tensor,
     tanh,
 )
+from ..numcore.optim import ParamVector, require_finite
 
 ACTIVATIONS = ("sigmoid", "tanh", "relu", "linear")
 
@@ -146,24 +149,19 @@ def _layer_param_shapes(spec: NetSpec) -> list[tuple[str, tuple]]:
     return shapes
 
 
-def init_network_params(spec: NetSpec, rng: RngStream) -> dict[str, Tensor]:
+def init_network_params(spec: NetSpec, rng: RngStream) -> ParamVector:
     """Seeded init: weights uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)], biases zero.
 
     Draw order is layer order then canonical name order, so identical seeds
-    give bit-identical parameters.
+    give bit-identical parameters. Each draw lands in its view of one vector.
     """
-    params: dict[str, Tensor] = {}
-    for name, shape in _layer_param_shapes(spec):
-        short = name.split(".")[-1]
-        if short.startswith("b"):
-            params[name] = Tensor(np.zeros(shape), requires_grad=True)
-        else:
-            if len(shape) == 3:
-                fan_in = shape[0] * shape[1]
-            else:
-                fan_in = shape[0]
+    shapes = _layer_param_shapes(spec)
+    params = ParamVector.over(shapes, np.zeros(sum(math.prod(s) for _, s in shapes)))
+    for name, shape in shapes:
+        if not name.split(".")[-1].startswith("b"):
+            fan_in = shape[0] * shape[1] if len(shape) == 3 else shape[0]
             bound = 1.0 / np.sqrt(fan_in)
-            params[name] = Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
+            params[name].data[...] = rng.uniform(-bound, bound, shape)
     return params
 
 
@@ -238,15 +236,18 @@ def net_forward(
 
 
 class Network:
-    """One spec bound to its parameters. Forward calls share net_forward."""
+    """One spec bound to its parameters, laid in param_order() over one vector
+    (a ParamVector; a parameter set in another layout is copied into one).
+    Forward calls share net_forward."""
 
     def __init__(self, spec: NetSpec, params: dict[str, Tensor]):
-        expected = dict(_layer_param_shapes(spec))
-        got = {k: v.shape for k, v in params.items()}
-        if got != expected:
+        shapes = _layer_param_shapes(spec)
+        if {k: v.shape for k, v in params.items()} != dict(shapes):
             raise ShapeError(f"{spec.name}: parameter set does not match the declared layer shapes")
         self.spec = spec
-        self.params = params
+        order = [name for name, _ in shapes]
+        self.params = (params if isinstance(params, ParamVector) and list(params) == order
+                       else ParamVector({k: params[k] for k in order}))
 
     @property
     def name(self) -> str:
@@ -261,14 +262,12 @@ class Network:
         return self.forward(x, mode=mode, rng=rng)
 
     def param_order(self) -> list[str]:
-        return [name for name, _ in _layer_param_shapes(self.spec)]
+        return list(self.params)
 
     def clone(self) -> "Network":
-        """Frozen value copy (fresh arrays, same spec)."""
-        copied = {
-            k: Tensor(v.data.copy(), requires_grad=v.requires_grad) for k, v in self.params.items()
-        }
-        return Network(self.spec, copied)
+        """Frozen value copy (a fresh vector, same spec)."""
+        return Network(self.spec, ParamVector.over(_layer_param_shapes(self.spec),
+                                                   self.params.flat.copy()))
 
 
 def forward_stacked(net: Network, first, second) -> tuple[Tensor, Tensor]:
@@ -285,9 +284,8 @@ def forward_stacked(net: Network, first, second) -> tuple[Tensor, Tensor]:
 
 
 def require_finite_params(net: Network) -> None:
-    for name, p in net.params.items():
-        if not np.all(np.isfinite(p.data)):
-            raise NumericAbort(f"{net.name}: parameter {name!r} contains non-finite values")
+    require_finite(net.params, net.params.flat,
+                   net.name + ": parameter {!r} contains non-finite values")
 
 
 def build_network(spec: NetSpec, rng: RngStream) -> Network:

@@ -38,40 +38,3 @@ from .tensor import (
     tanh,
     tsum,
 )
-
-__all__ = [
-    "ADAM_BETA1",
-    "ADAM_BETA2",
-    "ADAM_EPS",
-    "RMSPROP_DECAY",
-    "RMSPROP_EPS",
-    "OptimizerState",
-    "RngStream",
-    "Tape",
-    "Tensor",
-    "active_tape",
-    "add",
-    "as_tensor",
-    "backward",
-    "clamp",
-    "clip_weights",
-    "concat",
-    "conv1d",
-    "dropout",
-    "gru_sequence",
-    "leaf_grads",
-    "log",
-    "lstm_sequence",
-    "matmul",
-    "mean",
-    "mul",
-    "neg",
-    "optimizer_step",
-    "relu",
-    "reshape",
-    "sigmoid",
-    "slice_tensor",
-    "sub",
-    "tanh",
-    "tsum",
-]

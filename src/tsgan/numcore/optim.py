@@ -1,9 +1,12 @@
-"""First-order optimizers over named parameter dicts.
+"""First-order optimizers over flat parameter vectors.
 
-Every update writes a brand-new array into the parameter Tensor (rebinding
-.data) instead of mutating the old one. Backward closures capture the array
-objects that were live at op time, so in-place writes would corrupt any
-record still waiting for its backward pass.
+A network's parameters live in one float64 vector (a ParamVector), each named
+Tensor's data a view into it. An update gathers the gradients into one vector
+with one finite check, writes the new values into a fresh vector BLOCK
+elements at a time, and rebinds the views: backward closures capture the
+arrays live at op time, so the old vector is never written. The flat moments
+advance in place in a second blockwise pass, only once every new value is
+known to be finite, so an update that aborts changes nothing.
 """
 
 from __future__ import annotations
@@ -21,10 +24,64 @@ RMSPROP_EPS = 1e-8
 
 OPTIMIZERS = ("sgd", "adam", "rmsprop")
 _DIRECTIONS = ("descend", "ascend")
+# Each moment: its name, decay, and whether it averages the gradient or its square.
+_MOMENTS = {"sgd": (), "adam": (("m", ADAM_BETA1, False), ("v", ADAM_BETA2, True)),
+            "rmsprop": (("sq", RMSPROP_DECAY, True),)}
+BLOCK = 1 << 16  # elements per blockwise pass: a 6.2M-value update makes no whole-vector temporary
+
+
+class ParamVector(dict):
+    """name -> Tensor, each Tensor's data a view, in this order, into one float64 vector `flat`.
+
+    It copies the given Tensors' values into a new vector, or takes `flat` as it is.
+    """
+
+    def __init__(self, named: dict, flat: np.ndarray | None = None):
+        super().__init__(named)
+        self.bounds = np.cumsum([0, *(t.size for t in self.values())]).tolist()
+        self.bind(np.concatenate([np.zeros(0), *(t.data for t in self.values())], axis=None)
+                  if flat is None else flat)
+
+    @classmethod
+    def over(cls, shapes, flat: np.ndarray) -> "ParamVector":
+        """Fresh parameter Tensors, named and shaped by (name, shape) pairs, laid over flat."""
+        return cls({name: Tensor(np.empty(shape), requires_grad=True) for name, shape in shapes},
+                   flat)
+
+    def bind(self, flat: np.ndarray) -> None:
+        """Make `flat` the vector and point every Tensor's data at its view."""
+        self.flat = flat
+        for t, lo, hi in zip(self.values(), self.bounds, self.bounds[1:]):
+            t.data = flat[lo:hi].reshape(t.data.shape)
+
+
+class ParamGroup(dict):
+    """Several ParamVectors as one name -> Tensor mapping, keyed '<part>.<name>'."""
+
+    def __init__(self, parts: dict[str, ParamVector]):
+        super().__init__((f"{part}.{k}", t) for part, vec in parts.items() for k, t in vec.items())
+        self.vectors = list(parts.values())
+
+
+def _vectors(params: dict) -> list[ParamVector]:
+    """The vectors under params; a plain dict of Tensors is first laid over a new one."""
+    if isinstance(params, ParamGroup):
+        return params.vectors
+    return [params if isinstance(params, ParamVector) else ParamVector(params)]
+
+
+def require_finite(params: dict, values: np.ndarray, message: str, offset: int = 0) -> None:
+    """NumericAbort(message naming the parameter) at the first non-finite entry of `values`,
+    which lies over params' values in their order from `offset` entries in."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        ends = np.cumsum([t.size for t in params.values()])
+        i = int(np.searchsorted(ends, offset + int(finite.argmin()), side="right"))
+        raise NumericAbort(message.format(list(params)[i]))
 
 
 class OptimizerState:
-    """Per-parameter moment buffers plus a shared step counter."""
+    """Flat moment vectors over one parameter mapping, plus a shared step counter."""
 
     def __init__(self, algo: str, lr: float, direction: str = "descend"):
         if algo not in OPTIMIZERS:
@@ -37,58 +94,80 @@ class OptimizerState:
         self.lr = float(lr)
         self.direction = direction
         self.step_count = 0
-        self.slots: dict[str, dict[str, np.ndarray]] = {}
+        self.moments: dict[str, np.ndarray] = {}
+
+
+def _advance(algo: str, old: dict, g: np.ndarray, out: dict, tmp: np.ndarray) -> None:
+    """Write the moments after gradient g, from their values `old`, into `out` (may be `old`)."""
+    for k, decay, squared in _MOMENTS[algo]:
+        np.multiply(np.multiply(g, g, out=tmp) if squared else g, 1.0 - decay, out=tmp)
+        np.add(np.multiply(old[k], decay, out=out[k]), tmp, out=out[k])
+
+
+def _descend(state: OptimizerState, t: int, p, g, moments: dict, out, tmp) -> None:
+    """Write p moved one step down along g into out; the new moments and tmp are scratch."""
+    if state.algo == "adam":  # lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(moments["v"], 1.0 - ADAM_BETA2 ** t, out=tmp)
+        np.add(np.sqrt(tmp, out=tmp), ADAM_EPS, out=tmp)
+        np.multiply(np.divide(moments["m"], 1.0 - ADAM_BETA1 ** t, out=out), state.lr, out=out)
+    else:  # lr * g, over sqrt(sq) + eps for rmsprop
+        np.multiply(g, state.lr, out=out)
+        if state.algo == "rmsprop":
+            np.add(np.sqrt(moments["sq"], out=tmp), RMSPROP_EPS, out=tmp)
+    if state.algo != "sgd":
+        np.divide(out, tmp, out=out)
+    np.subtract(p, out, out=out)
+
+
+def _gather(params: dict, grads: dict) -> np.ndarray:
+    """Every gradient, shape-checked, in one fresh flat vector in params' order."""
+    missing = sorted(set(params) - set(grads))
+    if missing:
+        raise GraphError(f"gradients missing for parameters: {missing}")
+    gs = [g.data if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64)
+          for g in map(grads.get, params)]
+    for (name, p), g in zip(params.items(), gs):
+        if g.shape != p.data.shape:
+            raise GraphError(f"gradient shape {g.shape} does not match parameter {name!r} "
+                             f"shape {p.data.shape}")
+    return np.concatenate([np.zeros(0), *gs], axis=None)
 
 
 def optimizer_step(state: OptimizerState, params: dict[str, Tensor], grads: dict) -> None:
     """Apply one update to every parameter. Ascent on L is exactly descent on -L.
 
-    Every gradient is checked and every new value and moment computed before
-    any is written, so an update that aborts leaves the parameters, the
-    moments and the step count as they were.
+    An update that aborts leaves the parameters, the moments and the step count as they were.
     """
-    missing = sorted(set(params) - set(grads))
-    if missing:
-        raise GraphError(f"gradients missing for parameters: {missing}")
-    t = state.step_count + 1
-    sign = 1.0 if state.direction == "descend" else -1.0
-    staged = []
-    for name, p in params.items():
-        g = grads[name]
-        g = g.data if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64)
-        if g.shape != p.data.shape:
-            raise GraphError(
-                f"gradient shape {g.shape} does not match parameter {name!r} shape {p.data.shape}"
-            )
-        if not np.all(np.isfinite(g)):
-            raise NumericAbort(f"non-finite gradient for parameter {name!r}")
-        g = sign * g
-        if state.algo == "sgd":
-            moments = {}
-            new = p.data - state.lr * g
-        elif state.algo == "adam":
-            s = state.slots.get(name) or {"m": np.zeros(g.shape), "v": np.zeros(g.shape)}
-            moments = {"m": ADAM_BETA1 * s["m"] + (1.0 - ADAM_BETA1) * g,
-                       "v": ADAM_BETA2 * s["v"] + (1.0 - ADAM_BETA2) * (g * g)}
-            m_hat = moments["m"] / (1.0 - ADAM_BETA1 ** t)
-            v_hat = moments["v"] / (1.0 - ADAM_BETA2 ** t)
-            new = p.data - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        else:
-            s = state.slots.get(name) or {"sq": np.zeros(g.shape)}
-            moments = {"sq": RMSPROP_DECAY * s["sq"] + (1.0 - RMSPROP_DECAY) * (g * g)}
-            new = p.data - state.lr * g / (np.sqrt(moments["sq"]) + RMSPROP_EPS)
-        if not np.all(np.isfinite(new)):
-            raise NumericAbort(f"non-finite value for parameter {name!r} after update")
-        staged.append((name, p, new, moments))
+    vectors, g = _vectors(params), _gather(params, grads)
+    require_finite(params, g, "non-finite gradient for parameter {!r}")
+    if state.direction == "ascend":
+        np.negative(g, out=g)
+    moments = state.moments or {k: np.zeros(g.size) for k, _, _ in _MOMENTS[state.algo]}
+    scratch = {k: np.empty(min(g.size, BLOCK)) for k in [*moments, "tmp"]}
+    t, fresh, lo = state.step_count + 1, [], 0
+    for vec in vectors:
+        new = np.empty_like(vec.flat)
+        for a in range(0, new.size, BLOCK):
+            b = min(a + BLOCK, new.size)
+            gb, part = g[lo + a : lo + b], {k: buf[: b - a] for k, buf in scratch.items()}
+            _advance(state.algo, {k: m[lo + a : lo + b] for k, m in moments.items()}, gb, part,
+                     part["tmp"])
+            _descend(state, t, vec.flat[a:b], gb, part, new[a:b], part["tmp"])
+        require_finite(params, new, "non-finite value for parameter {!r} after update", lo)
+        fresh.append(new)
+        lo += new.size
     state.step_count = t
-    for name, p, new, moments in staged:
-        p.data = new
-        state.slots[name] = moments
+    for a in range(0, g.size if moments else 0, BLOCK):
+        gb, block = g[a : a + BLOCK], {k: m[a : a + BLOCK] for k, m in moments.items()}
+        _advance(state.algo, block, gb, block, scratch["tmp"][: gb.size])
+    state.moments = moments
+    for vec, new in zip(vectors, fresh):
+        vec.bind(new)
 
 
 def clip_weights(params: dict[str, Tensor], c: float) -> None:
-    """Clip every parameter into [-c, c], writing fresh arrays."""
+    """Clip every parameter into [-c, c], writing a fresh vector."""
     if not (c > 0.0):
         raise ConfigError(f"clip bound must be positive, got {c}")
-    for p in params.values():
-        p.data = np.clip(p.data, -c, c)
+    for vec in _vectors(params):
+        vec.bind(np.clip(vec.flat, -c, c))

@@ -30,39 +30,3 @@ from .step import minibatches
 from .timegan import TIMEGAN_NET_NAMES, phase_budgets, train_timegan
 from .trace import CSV_COLUMNS, LossTrace
 from .wgan import critic_estimate, train_wgan
-
-__all__ = [
-    "CSV_COLUMNS",
-    "FORECAST_MODES",
-    "ForecastResult",
-    "ForecasterPredictor",
-    "GENERATOR_LOSS_MODES",
-    "GanPredictor",
-    "LossTrace",
-    "PROB_FLOOR",
-    "PersistencePredictor",
-    "TIMEGAN_NET_NAMES",
-    "TimeganPredictor",
-    "TrainConfig",
-    "as_predictor",
-    "bce",
-    "clamp_probs",
-    "critic_estimate",
-    "disc_sequence",
-    "discriminator_cost",
-    "forecast",
-    "gan_value",
-    "gen_latent_dim",
-    "gen_output_dim",
-    "generate_synthetic",
-    "generator_cost",
-    "jensen_shannon_divergence",
-    "minibatches",
-    "mse",
-    "optimal_discriminator",
-    "phase_budgets",
-    "train_forecaster",
-    "train_gan",
-    "train_timegan",
-    "train_wgan",
-]

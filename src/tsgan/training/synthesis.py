@@ -227,6 +227,8 @@ def generate_synthetic(model, count: int, seq_len: int, seed: int,
         require_timegan_nets(model, finite=("generator", "supervisor", "recovery"))
         if scaler is None:
             raise ConfigError("timegan generation needs the fitted scaler")
+        if seq_len < 1:
+            raise ConfigError(f"seq_len must be >= 1, got {seq_len}")
         noise_dim = model["generator"].spec.input_dim
         z = rng.uniform(0.0, 1.0, (count, seq_len, noise_dim))
         latent = model["supervisor"].forward(model["generator"].forward(Tensor(z))).data

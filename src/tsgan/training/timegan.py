@@ -22,6 +22,7 @@ from __future__ import annotations
 from ..errors import ConfigError, DataError
 from ..models.network import forward_stacked, require_finite_params
 from ..numcore import OptimizerState, RngStream, Tape, Tensor, slice_tensor
+from ..numcore.optim import ParamGroup
 from .config import TrainConfig
 from .losses import bce, mse
 from .step import run_epochs, train_step
@@ -47,12 +48,8 @@ def phase_budgets(epochs: int) -> tuple[int, int, int]:
     return e1, e2, max(0, e3)
 
 
-def _merged(nets: dict, names: tuple) -> dict:
-    out = {}
-    for net_name in names:
-        for k, p in nets[net_name].params.items():
-            out[f"{net_name}.{k}"] = p
-    return out
+def _merged(nets: dict, names: tuple) -> ParamGroup:
+    return ParamGroup({name: nets[name].params for name in names})
 
 
 def _one_step_shift_loss(sup_out: Tensor, h: Tensor) -> Tensor:

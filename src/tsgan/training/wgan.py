@@ -72,7 +72,7 @@ def train_wgan(gen: Network, critic: Network, windows, cfg: TrainConfig,
                   "iteration": t, "estimate": w_est})
         clip_weights(critic.params, cfg.clip_c)
         if hook is not None:
-            max_w = max(float(np.abs(p.data).max()) for p in critic.params.values())
+            max_w = float(np.abs(critic.params.flat).max())
             hook({"event": "clip", "epoch": epoch, "group": group,
                   "iteration": t, "max_abs_w": max_w})
         if t < cfg.n_critic - 1:

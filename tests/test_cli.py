@@ -176,19 +176,26 @@ REPORT = {"model": "gru", "horizons": [1], "weights": [1.0], "basis": "scaled",
     ("model.json", lambda text: _edit(text, "spec", "layers", 0, "units", value="3")),
     ("model.json", lambda text: _edit(text, "spec", "layers", 0, "kind", value="rnn")),
     ("model.json", lambda text: _edit(text, "params", 0, "shape", 0, value=True)),
+    *(("model.bin", lambda blob, n=n: blob[:-n]) for n in range(1, 9)),
+    ("model.bin", lambda blob: blob + bytes(8)),
 ], ids=["train-manifest-not-json", "report-not-json", "report-is-a-list",
         "report-lacks-horizons", "checkpoint-lacks-blob", "report-wrong-types",
         "report-weights-mismatch", "train-manifest-config-not-object",
         "checkpoint-spec-lacks-name", "checkpoint-shape-is-a-string",
         "checkpoint-layer-is-an-int", "checkpoint-layer-lacks-units",
         "checkpoint-units-is-a-string", "checkpoint-unknown-layer-kind",
-        "checkpoint-shape-entry-is-a-bool"])
+        "checkpoint-shape-entry-is-a-bool",
+        *(f"checkpoint-blob-cut-{n}-bytes" for n in range(1, 9)),
+        "checkpoint-blob-one-value-too-long"])
 def test_corrupt_inputs_exit_2(tmp_path, capsys, data_csv, gru_run, target, corrupt):
     run = tmp_path / "run"
     shutil.copytree(gru_run, run)
     (run / "report.json").write_text(json.dumps(REPORT))
     path = run / target
-    path.write_text(corrupt(path.read_text()))
+    if target.endswith(".bin"):
+        path.write_bytes(corrupt(path.read_bytes()))
+    else:
+        path.write_text(corrupt(path.read_text()))
     if target == "report.json":
         argv = ["compare", "--report", str(path)]
     else:
@@ -369,6 +376,34 @@ def test_generate_from_timegan(tmp_path, data_csv, timegan_run):
     assert len(lines) == 1 + 3 * 4
     values = np.array([line.split(",")[2:] for line in lines[1:]], dtype=float)
     assert np.all(np.isfinite(values))
+
+
+@pytest.mark.parametrize("length", ["0", "-3"])
+def test_generate_non_positive_seq_len_sample_is_a_usage_error(tmp_path, capsys, data_csv,
+                                                               timegan_run, length):
+    capsys.readouterr()
+    rc = main(["generate", "--input", str(data_csv), "--model-dir", str(timegan_run),
+               "--seq-len-sample", length, *PIPE, "--out-dir", str(tmp_path / "g")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: seq_len must be >= 1, got {length}\n"
+
+
+def test_generate_from_a_wgan_samples_its_horizon(tmp_path, capsys, data_csv):
+    """A conditional generator emits its window horizon; --seq-len-sample does not apply."""
+    run = tmp_path / "wgan"
+    assert main(["train", "--input", str(data_csv), "--model", "wgan", *GAN_PIPE, *TINY,
+                 "--epochs", "1", "--out-dir", str(run)]) == 0
+    data = ["--input", str(data_csv), "--model-dir", str(run), "--count", "2", *GAN_PIPE]
+    capsys.readouterr()
+    assert main(["generate", *data, "--seq-len-sample", "7",
+                 "--out-dir", str(tmp_path / "g7")]) == 1
+    assert capsys.readouterr().err == ("error: --seq-len-sample applies to timegan runs; "
+                                       "a wgan generator samples its window horizon\n")
+    assert main(["generate", *data, "--out-dir", str(tmp_path / "g")]) == 0
+    lines = (tmp_path / "g" / "synthetic.csv").read_text().splitlines()
+    assert len(lines) == 1 + 2 * 5  # two samples of the 5-step horizon
+    manifest = load_manifest(tmp_path / "g" / "generate_manifest.json")
+    assert manifest.config["sample_seq_len"] == 5
 
 
 def test_generate_rejects_forecaster_runs(tmp_path, data_csv, gru_run):

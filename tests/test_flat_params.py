@@ -1,0 +1,167 @@
+"""One parameter vector per network: the flat update against the per-parameter oracle,
+the view layout every network keeps, and checkpoint bytes."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from optim_oracle import OracleState, oracle_clip, oracle_step
+from tsgan.models import (NetSpec, build_forecaster, build_timegan, load_checkpoint,
+                          save_checkpoint)
+from tsgan.models.network import build_network
+from tsgan.numcore import (OptimizerState, RngStream, Tensor, clip_weights, mean, mul,
+                           optimizer_step)
+from tsgan.numcore.optim import BLOCK, OPTIMIZERS, ParamGroup
+from tsgan.training.step import train_step
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+def _assert_views(net):
+    """Every parameter is the view of its span of net.params.flat, in param_order()."""
+    flat, offset = net.params.flat, 0
+    assert list(net.params) == net.param_order()
+    assert flat.dtype == np.float64 and flat.ndim == 1 and flat.flags.c_contiguous
+    for name, p in net.params.items():
+        assert p.data.base is flat, name
+        assert p.data.ctypes.data == flat.ctypes.data + 8 * offset, name
+        offset += p.size
+    assert offset == flat.size
+
+
+def _wide_net(seed):
+    """Two dense layers, 93504 values: more than one block, a block edge inside L0.W."""
+    spec = NetSpec("wide", 300, [{"kind": "dense", "units": 256, "activation": "tanh"},
+                                 {"kind": "dense", "units": 64, "activation": "linear"}],
+                   input_rank=2)
+    return build_network(spec, RngStream(seed, ("wide",)))
+
+
+def _grads(params, draw):
+    """Gradients of mixed scale, so moments and steps differ across entries."""
+    return {name: draw.normal(size=p.shape) * 10.0 ** draw.integers(-4, 2, size=p.shape)
+            for name, p in params.items()}
+
+
+def _assert_same_bytes(params, oracle_params):
+    for name, p in params.items():
+        assert p.data.tobytes() == oracle_params[name].data.tobytes(), name
+
+
+def _assert_same_moments(state, oracle, params):
+    offset = 0
+    for name, p in params.items():
+        for key, moment in oracle.slots[name].items():
+            span = state.moments[key][offset : offset + p.size]
+            assert span.tobytes() == moment.ravel().tobytes(), (name, key)
+        offset += p.size
+
+
+@pytest.mark.parametrize("direction", ["descend", "ascend"])
+@pytest.mark.parametrize("algo", OPTIMIZERS)
+def test_flat_step_matches_the_per_parameter_oracle(algo, direction):
+    net = _wide_net(1)
+    assert net.params.flat.size > BLOCK
+    twin = net.clone()
+    state, oracle = OptimizerState(algo, 1e-2, direction), OracleState(algo, 1e-2, direction)
+    draw = np.random.default_rng(5)
+    for _ in range(4):
+        grads = _grads(net.params, draw)
+        optimizer_step(state, net.params, grads)
+        oracle_step(oracle, twin.params, grads)
+        _assert_same_bytes(net.params, twin.params)
+        _assert_same_moments(state, oracle, net.params)
+        assert state.step_count == oracle.step_count
+        _assert_views(net)
+
+
+@pytest.mark.parametrize("algo", OPTIMIZERS)
+def test_flat_step_over_merged_networks_matches_the_oracle(algo):
+    """TimeGAN's joint update steps several networks' vectors as one parameter set."""
+    nets = build_timegan(4, 3, 2, RngStream(3, ("tg",)))
+    twins = {k: v.clone() for k, v in nets.items()}
+    parts = ("embedder", "recovery", "generator", "supervisor")
+    group = ParamGroup({k: nets[k].params for k in parts})
+    flat_twin = {f"{k}.{n}": p for k in parts for n, p in twins[k].params.items()}
+    state, oracle = OptimizerState(algo, 1e-2), OracleState(algo, 1e-2)
+    draw = np.random.default_rng(6)
+    for _ in range(3):
+        grads = _grads(group, draw)
+        optimizer_step(state, group, grads)
+        oracle_step(oracle, flat_twin, grads)
+        _assert_same_bytes(group, flat_twin)
+        _assert_same_moments(state, oracle, group)
+    for k in parts:
+        _assert_views(nets[k])
+
+
+def test_clip_matches_the_oracle_and_keeps_the_views():
+    net = _wide_net(2)
+    twin = net.clone()
+    grads = _grads(net.params, np.random.default_rng(7))  # moves some values past the bound
+    optimizer_step(OptimizerState("sgd", 1.0), net.params, grads)
+    oracle_step(OracleState("sgd", 1.0), twin.params, grads)
+    clip_weights(net.params, 0.05)
+    oracle_clip(twin.params, 0.05)
+    _assert_same_bytes(net.params, twin.params)
+    _assert_views(net)
+
+
+@pytest.mark.parametrize("update", ["step", "clip"])
+def test_update_leaves_the_previous_vector_untouched(update):
+    """A backward closure may still hold the old vector's views: it is never written."""
+    net = _wide_net(3)
+    old = net.params.flat
+    before = old.tobytes()
+    if update == "step":
+        optimizer_step(OptimizerState("adam", 0.1), net.params,
+                       _grads(net.params, np.random.default_rng(8)))
+    else:
+        clip_weights(net.params, 1e-3)
+    assert net.params.flat is not old
+    assert old.tobytes() == before
+    assert net.params.flat.tobytes() != before
+    _assert_views(net)
+
+
+def test_params_are_views_after_build_load_clone_update_and_clip(tmp_path):
+    net = build_forecaster("gru", 2, 3, 4, 2, 3, RngStream(4, ("views",)))
+    _assert_views(net)
+    x = Tensor(np.random.default_rng(9).normal(size=(2, 4, 3)))
+    train_step(OptimizerState("rmsprop", 0.01), net.params, lambda: mean(net.forward(x)),
+               "step", 0, 0)
+    _assert_views(net)
+    clip_weights(net.params, 0.1)
+    _assert_views(net)
+    twin = net.clone()
+    _assert_views(twin)
+    assert twin.params.flat is not net.params.flat
+    save_checkpoint(tmp_path / "model", net)
+    loaded, _ = load_checkpoint(tmp_path / "model")
+    _assert_views(loaded)
+    assert loaded.params.flat.tobytes() == net.params.flat.tobytes()
+
+
+def _fixture_network():
+    """The recipe of tests/fixtures/adam3.*: a seeded LSTM forecaster after 3 Adam steps."""
+    net = build_forecaster("lstm", 2, 4, 6, 3, 5, RngStream(9, ("fixture",)))
+    x = Tensor(np.random.default_rng(8).normal(size=(2, 6, 5)))
+    opt = OptimizerState("adam", 0.01)
+    for i in range(3):
+        train_step(opt, net.params, lambda: mean(mul(net.forward(x), net.forward(x))),
+                   "step", 0, i)
+    return net
+
+
+def test_checkpoint_bytes_match_the_per_parameter_writer(tmp_path):
+    """tests/fixtures/adam3.* were written, from _fixture_network(), by the per-parameter
+    optimizer and checkpoint code that the flat vector replaced. The flat code must
+    write the same bytes, and load those files back bit for bit."""
+    save_checkpoint(tmp_path / "adam3", _fixture_network(), seed=9, step=3)
+    for ext in (".json", ".bin"):
+        assert (tmp_path / f"adam3{ext}").read_bytes() == (FIXTURES / f"adam3{ext}").read_bytes()
+    loaded, manifest = load_checkpoint(FIXTURES / "adam3")
+    _assert_views(loaded)
+    assert manifest["step"] == 3
+    assert loaded.params.flat.tobytes() == (FIXTURES / "adam3.bin").read_bytes()

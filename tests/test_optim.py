@@ -102,18 +102,16 @@ def test_non_finite_update_aborts():
 
 
 def _snapshot(state, params):
-    slots = {n: {k: v.copy() for k, v in s.items()} for n, s in state.slots.items()}
-    return state.step_count, slots, {n: p.data.copy() for n, p in params.items()}
+    moments = {k: v.copy() for k, v in state.moments.items()}
+    return state.step_count, moments, {n: p.data.copy() for n, p in params.items()}
 
 
 def _assert_same(snapshot, state, params):
-    step_count, slots, values = snapshot
+    step_count, moments, values = snapshot
     assert state.step_count == step_count
-    assert state.slots.keys() == slots.keys()
-    for name, moments in slots.items():
-        assert state.slots[name].keys() == moments.keys()
-        for key, value in moments.items():
-            np.testing.assert_array_equal(state.slots[name][key], value)
+    assert state.moments.keys() == moments.keys()
+    for key, value in moments.items():
+        np.testing.assert_array_equal(state.moments[key], value)
     for name, value in values.items():
         np.testing.assert_array_equal(params[name].data, value)
 
