@@ -8,9 +8,3 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, DataError, DomainError, GraphError,
                      NumericAbort, ShapeError, ToolkitError)
-
-__all__ = [
-    "__version__",
-    "ToolkitError", "ShapeError", "DomainError", "GraphError",
-    "DataError", "ConfigError", "NumericAbort",
-]

@@ -67,13 +67,6 @@ def preset_overrides(name: str) -> dict:
     return dict(PRESETS[name])
 
 
-def split_config_keys(doc: dict) -> tuple[dict, dict]:
-    """Split a flat config document into (train keys, pipeline keys), each checked."""
-    doc = check_keys(doc, CONFIG_KEYS, ConfigError)
-    return ({k: v for k, v in doc.items() if k in TrainConfig.KEYS},
-            {k: v for k, v in doc.items() if k in PipelineConfig.KEYS})
-
-
 def load_config(path: str | Path | None = None, preset: str | None = None,
                 overrides: dict | None = None) -> tuple[TrainConfig, PipelineConfig]:
     """Resolve file < preset < explicit overrides into full config objects.
@@ -94,8 +87,8 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
     doc: dict = {}
     for layer in layers:
         doc.update(check_keys(layer, CONFIG_KEYS, ConfigError))
-    train_kw, pipe_kw = split_config_keys(doc)
-    return TrainConfig(**train_kw), PipelineConfig(**pipe_kw)
+    return (TrainConfig(**{k: v for k, v in doc.items() if k in TrainConfig.KEYS}),
+            PipelineConfig(**{k: v for k, v in doc.items() if k in PipelineConfig.KEYS}))
 
 
 def resolved_config_dict(train_cfg: TrainConfig, pipe_cfg: PipelineConfig) -> dict:

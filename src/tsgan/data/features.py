@@ -14,6 +14,10 @@ from ..artifacts import csv_text
 from ..errors import DataError
 from .ohlcv import RAW_COLUMNS, PriceSeries
 
+# The columns build_features writes, in order: raw, then _Diff, then _SMA.
+FEATURE_COLUMNS = (*RAW_COLUMNS, *(f"{c}_Diff" for c in RAW_COLUMNS),
+                   *(f"{c}_SMA" for c in RAW_COLUMNS))
+
 
 class FeatureMatrix:
     """Dense per-date feature values with names and a date index."""
@@ -84,13 +88,25 @@ def build_features(series: PriceSeries, sma_window: int = 10) -> FeatureMatrix:
     raw = series.values
     diff, warnings = pct_change(raw)
     sma = np.column_stack([trailing_sma(raw[:, j], sma_window) for j in range(raw.shape[1])])
-    names = [*RAW_COLUMNS, *(f"{c}_Diff" for c in RAW_COLUMNS),
-             *(f"{c}_SMA" for c in RAW_COLUMNS)]
     values = np.hstack([raw[trim:], diff[trim - 1:], sma[trim - (sma_window - 1):]])
     return FeatureMatrix(
-        names, values, series.dates[trim:], sma_window,
+        FEATURE_COLUMNS, values, series.dates[trim:], sma_window,
         trimmed_rows=trim, zero_div_warnings=warnings,
     )
+
+
+def newest_feature_row(raw: np.ndarray, sma_window: int) -> np.ndarray:
+    """FEATURE_COLUMNS for the newest row of every raw buffer, raw shape (n, rows, 6).
+
+    Each SMA is a per-column mean over the last `sma_window` rows, not
+    trailing_sma's cumulative sum, so it agrees with build_features to
+    rounding only.
+    """
+    last, prev = raw[:, -1], raw[:, -2]
+    diff = np.zeros_like(last)
+    np.divide(last - prev, prev, out=diff, where=prev != 0.0)
+    sma = [raw[:, -sma_window:, c].mean(axis=1) for c in range(raw.shape[2])]
+    return np.column_stack([last, diff, *sma])
 
 
 def features_to_csv(features: FeatureMatrix) -> str:

@@ -19,7 +19,7 @@ from .models.builders import build_forecaster, scale_width
 from .numcore import RngStream
 from .training.config import TrainConfig
 from .training.forecaster import train_forecaster
-from .training.synthesis import PersistencePredictor, as_predictor
+from .training.synthesis import PersistencePredictor, forecast
 
 DEFAULT_HORIZONS = (10, 40, 80)
 METRIC_BASES = ("scaled", "original")
@@ -156,24 +156,16 @@ def horizon_sweep(model, test_windows: WindowDataset, horizons=DEFAULT_HORIZONS,
                   weights=None, scaler: ScalerParams | None = None,
                   hidden_layers: int | None = None, epochs: int | None = None,
                   name: str | None = None, seed: int = 0) -> MetricsReport:
-    """Direct-head metrics at each horizon plus the weighted average."""
+    """Metrics of the direct forecast at each horizon plus the weighted average."""
     horizons = check_horizons(horizons, test_windows.horizon)
     if weights is None:
         weights = [1.0] * len(horizons)
-    predictor = as_predictor(model, test_windows, seed)
-    h_max = max(horizons)
-    if predictor.head_width < h_max:
-        raise ConfigError(
-            f"model head covers {predictor.head_width} steps, cannot sweep horizon {h_max}"
-        )
-    preds = predictor.predict(test_windows.inputs)[:, :h_max]
+    result = forecast(model, test_windows, max(horizons), "direct", scaler, seed)
+    preds, preds_orig = result.scaled, result.original
     targets = test_windows.targets
-    per_h = {}
-    per_h_orig = None
+    per_h, per_h_orig = {}, None
     if scaler is not None:
-        per_h_orig = {}
-        preds_orig = inverse_scaler(preds, scaler, TARGET_COLUMN)
-        targets_orig = inverse_scaler(targets, scaler, TARGET_COLUMN)
+        per_h_orig, targets_orig = {}, inverse_scaler(targets, scaler, TARGET_COLUMN)
     for h in horizons:
         per_h[h] = {"rmse": rmse(targets[:, :h], preds[:, :h]),
                     "mape": mape(targets[:, :h], preds[:, :h])}
@@ -182,7 +174,7 @@ def horizon_sweep(model, test_windows: WindowDataset, horizons=DEFAULT_HORIZONS,
                              "mape": mape(targets_orig[:, :h], preds_orig[:, :h])}
     if hidden_layers is None:
         hidden_layers = spec_hidden_layers(model)
-    return MetricsReport(name or predictor.name, horizons, per_h, weights, "scaled",
+    return MetricsReport(name or result.model, horizons, per_h, weights, "scaled",
                          hidden_layers, epochs, per_h_orig)
 
 

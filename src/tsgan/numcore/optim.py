@@ -34,6 +34,7 @@ class ParamVector(dict):
     """name -> Tensor, each Tensor's data a view, in this order, into one float64 vector `flat`.
 
     It copies the given Tensors' values into a new vector, or takes `flat` as it is.
+    Reading `flat` checks that every Tensor's data is still the view bind() gave it.
     """
 
     def __init__(self, named: dict, flat: np.ndarray | None = None):
@@ -50,9 +51,19 @@ class ParamVector(dict):
 
     def bind(self, flat: np.ndarray) -> None:
         """Make `flat` the vector and point every Tensor's data at its view."""
-        self.flat = flat
+        self._flat = flat
         for t, lo, hi in zip(self.values(), self.bounds, self.bounds[1:]):
             t.data = flat[lo:hi].reshape(t.data.shape)
+        self._views = [t.data for t in self.values()]
+
+    @property
+    def flat(self) -> np.ndarray:
+        """The vector; a GraphError names a parameter whose data was rebound off it."""
+        for (name, t), view in zip(self.items(), self._views):
+            if t.data is not view:
+                raise GraphError(f"parameter {name!r} no longer views its network's vector: "
+                                 "its data was rebound")
+        return self._flat
 
 
 class ParamGroup(dict):
@@ -146,13 +157,14 @@ def optimizer_step(state: OptimizerState, params: dict[str, Tensor], grads: dict
     scratch = {k: np.empty(min(g.size, BLOCK)) for k in [*moments, "tmp"]}
     t, fresh, lo = state.step_count + 1, [], 0
     for vec in vectors:
-        new = np.empty_like(vec.flat)
+        flat = vec.flat
+        new = np.empty_like(flat)
         for a in range(0, new.size, BLOCK):
             b = min(a + BLOCK, new.size)
             gb, part = g[lo + a : lo + b], {k: buf[: b - a] for k, buf in scratch.items()}
             _advance(state.algo, {k: m[lo + a : lo + b] for k, m in moments.items()}, gb, part,
                      part["tmp"])
-            _descend(state, t, vec.flat[a:b], gb, part, new[a:b], part["tmp"])
+            _descend(state, t, flat[a:b], gb, part, new[a:b], part["tmp"])
         require_finite(params, new, "non-finite value for parameter {!r} after update", lo)
         fresh.append(new)
         lo += new.size

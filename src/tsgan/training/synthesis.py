@@ -1,16 +1,18 @@
 """Forecast paths and synthetic samples out of trained models.
 
-Predictors adapt each model family to one interface: predict(inputs) maps a
-(count, seq_len, features) batch to a (count, head_width) matrix of scaled
-close predictions. forecast() then runs either the direct multi-step head
-or the iterative single-step roll-forward, which rebuilds raw prices,
-derived features, and scaling at every step.
+Predictors adapt each model family to one interface: predict(inputs, width)
+maps a (count, seq_len, features) batch to a (count, width) matrix of scaled
+close predictions, the first `width` steps of the trained head (head_width).
+forecast() then runs either the direct multi-step head or the iterative
+single-step roll-forward, which rebuilds raw prices, derived features, and
+scaling at every step.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..data.features import FEATURE_COLUMNS, newest_feature_row
 from ..data.ohlcv import RAW_COLUMNS, TARGET_COLUMN
 from ..data.scaling import ScalerParams, inverse_scale_matrix, inverse_scaler
 from ..data.windows import WindowDataset
@@ -32,8 +34,8 @@ class ForecasterPredictor:
         self.name = net.name
         self.head_width = net.spec.layers[-1]["units"]
 
-    def predict(self, inputs: np.ndarray) -> np.ndarray:
-        return self.net.forward(Tensor(inputs)).data
+    def predict(self, inputs: np.ndarray, width: int) -> np.ndarray:
+        return self.net.forward(Tensor(inputs)).data[:, :width]
 
 
 class GanPredictor:
@@ -48,11 +50,11 @@ class GanPredictor:
         self._rng = RngStream(seed, ("sample", gen.name))
         self._calls = 0
 
-    def predict(self, inputs: np.ndarray) -> np.ndarray:
+    def predict(self, inputs: np.ndarray, width: int) -> np.ndarray:
         count, seq_len, _ = inputs.shape
         z = self._rng.child("z", self._calls).normal((count, seq_len, self.latent_dim))
         self._calls += 1
-        return self.gen.forward(Tensor(np.concatenate([inputs, z], axis=2))).data
+        return self.gen.forward(Tensor(np.concatenate([inputs, z], axis=2))).data[:, :width]
 
 
 class TimeganPredictor:
@@ -60,7 +62,8 @@ class TimeganPredictor:
 
     The window is embedded, the supervisor's one-step-ahead latent extends
     the sequence step by step, and recovery maps the appended latents back
-    to scaled features, from which the close column is read.
+    to scaled features, from which the close column is read. Each step of
+    `width` costs one supervisor and one recovery call.
     """
 
     def __init__(self, nets: dict, close_index: int, head_width: int):
@@ -70,10 +73,10 @@ class TimeganPredictor:
         self.close_index = close_index
         self.head_width = head_width
 
-    def predict(self, inputs: np.ndarray) -> np.ndarray:
+    def predict(self, inputs: np.ndarray, width: int) -> np.ndarray:
         h = self.nets["embedder"].forward(Tensor(inputs)).data
-        out = np.empty((inputs.shape[0], self.head_width))
-        for step in range(self.head_width):
+        out = np.empty((inputs.shape[0], width))
+        for step in range(width):
             nxt = self.nets["supervisor"].forward(Tensor(h)).data[:, -1:, :]
             h = np.concatenate([h, nxt], axis=1)
             rec = self.nets["recovery"].forward(Tensor(nxt)).data
@@ -89,9 +92,9 @@ class PersistencePredictor:
         self.close_index = close_index
         self.head_width = head_width
 
-    def predict(self, inputs: np.ndarray) -> np.ndarray:
+    def predict(self, inputs: np.ndarray, width: int) -> np.ndarray:
         last = inputs[:, -1, self.close_index]
-        return np.repeat(last[:, None], self.head_width, axis=1)
+        return np.repeat(last[:, None], width, axis=1)
 
 
 class ForecastResult:
@@ -127,25 +130,6 @@ def as_predictor(model, windows: WindowDataset, seed: int = 0):
     raise ConfigError(f"cannot build a predictor from {type(model).__name__}")
 
 
-def _feature_rows(raw: np.ndarray, names: list[str], sma_window: int) -> np.ndarray:
-    """Features for the newest raw row of every buffer, raw shape (n, rows, 6)."""
-    raw_index = {c: i for i, c in enumerate(RAW_COLUMNS)}
-    rows = np.zeros((raw.shape[0], len(names)))
-    for j, name in enumerate(names):
-        if name in raw_index:
-            rows[:, j] = raw[:, -1, raw_index[name]]
-        elif name.endswith("_Diff"):
-            c = raw_index[name[: -len("_Diff")]]
-            prev = raw[:, -2, c]
-            np.divide(raw[:, -1, c] - prev, prev, out=rows[:, j], where=prev != 0.0)
-        elif name.endswith("_SMA"):
-            c = raw_index[name[: -len("_SMA")]]
-            rows[:, j] = raw[:, -sma_window:, c].mean(axis=1)
-        else:
-            raise DataError(f"cannot recompute unknown feature column {name!r}")
-    return rows
-
-
 def forecast(model, windows: WindowDataset, horizon: int, mode: str = "direct",
              scaler: ScalerParams | None = None, seed: int = 0) -> ForecastResult:
     """Predict `horizon` scaled closes for every window in the dataset."""
@@ -159,7 +143,7 @@ def forecast(model, windows: WindowDataset, horizon: int, mode: str = "direct",
             raise ConfigError(
                 f"horizon {horizon} exceeds the trained head width {predictor.head_width}"
             )
-        scaled = predictor.predict(windows.inputs)[:, :horizon]
+        scaled = predictor.predict(windows.inputs, horizon)
     else:
         scaled = _iterative_forecast(predictor, windows, horizon, scaler)
     original = None
@@ -190,20 +174,19 @@ def _iterative_forecast(predictor, windows: WindowDataset, horizon: int,
             f"iterative forecasting needs seq_len >= sma_window "
             f"({windows.seq_len} < {sma_window})"
         )
-    missing = [c for c in RAW_COLUMNS if c not in windows.feature_names]
-    if missing:
-        raise DataError(f"windows lack raw columns needed for roll-forward: {missing}")
-    raw_cols = [windows.feature_names.index(c) for c in RAW_COLUMNS]
+    if tuple(windows.feature_names) != FEATURE_COLUMNS:
+        raise DataError("iterative forecasting rebuilds the build_features columns, "
+                        f"but the windows hold {windows.feature_names}")
     close_raw_pos = RAW_COLUMNS.index(TARGET_COLUMN)
     out = np.empty((windows.count, horizon))
     window = windows.inputs
-    raw = inverse_scale_matrix(window, scaler)[:, :, raw_cols]
+    raw = inverse_scale_matrix(window, scaler)[:, :, :len(RAW_COLUMNS)]
     for step in range(horizon):
-        out[:, step] = predictor.predict(window)[:, 0]
+        out[:, step] = predictor.predict(window, 1)[:, 0]
         new_raw = raw[:, -1].copy()
         new_raw[:, close_raw_pos] = inverse_scaler(out[:, step], scaler, TARGET_COLUMN)
         raw = np.concatenate([raw, new_raw[:, None]], axis=1)
-        feat = _feature_rows(raw, windows.feature_names, sma_window)
+        feat = newest_feature_row(raw, sma_window)
         feat_scaled = (feat - scaler.mins) / (scaler.maxs - scaler.mins)
         window = np.concatenate([window[:, 1:], feat_scaled[:, None]], axis=1)
     return out
@@ -240,6 +223,6 @@ def generate_synthetic(model, count: int, seq_len: int, seed: int,
         require_finite_params(model)
         predictor = GanPredictor(model, windows.inputs.shape[2], seed)
         pick = rng.integers(0, windows.count, (count,))
-        paths = predictor.predict(windows.inputs[pick])
+        paths = predictor.predict(windows.inputs[pick], predictor.head_width)
         return inverse_scaler(paths, scaler, TARGET_COLUMN)[:, :, None]
     raise ConfigError(f"cannot generate from {type(model).__name__}")

@@ -3,7 +3,7 @@
 The batched roll-forward in tsgan.training.synthesis replaced this
 per-window loop; the tests keep it as the oracle that path is checked
 against. It takes validated inputs (a scaler and windows built from a
-FeatureMatrix) and calls predict() with a batch of one window.
+FeatureMatrix) and calls predict() for one step of a batch of one window.
 """
 
 import numpy as np
@@ -41,7 +41,7 @@ def iterative_forecast(predictor, windows, horizon: int, scaler) -> np.ndarray:
         window = windows.inputs[i].copy()
         raw = original[i][:, raw_cols].copy()
         for step in range(horizon):
-            pred = float(predictor.predict(window[None])[0, 0])
+            pred = float(predictor.predict(window[None], 1)[0, 0])
             out[i, step] = pred
             new_raw = raw[-1].copy()
             new_raw[close_raw_pos] = inverse_scaler(pred, scaler, "Close")

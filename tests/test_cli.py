@@ -11,7 +11,7 @@ import pytest
 from tsgan import cli
 from tsgan.cli import main
 from tsgan.config import (PIPELINE_DEFAULTS, PRESETS, PipelineConfig, load_config,
-                          preset_overrides, split_config_keys)
+                          preset_overrides)
 from tsgan.errors import (ConfigError, DataError, DomainError, GraphError,
                           NumericAbort, ShapeError, ToolkitError)
 from tsgan.manifest import (RunManifest, file_digest, load_manifest,
@@ -639,7 +639,7 @@ def test_config_resolution_order(tmp_path):
     with pytest.raises(ConfigError, match="nonsense"):
         preset_overrides("nonsense")
     with pytest.raises(ConfigError, match="wat"):
-        split_config_keys({"wat": 1})
+        load_config(overrides={"wat": 1})
     with pytest.raises(ConfigError):
         PipelineConfig(seq_len=0)
     assert set(PRESETS) == {"full-gan", "full-wgan", "full-gru", "full-lstm",

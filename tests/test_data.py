@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tsgan.data import (AR1_LEVEL, AR1_PHI, RAW_COLUMNS, FeatureMatrix,
+from tsgan.data import (AR1_LEVEL, AR1_PHI, FEATURE_COLUMNS, RAW_COLUMNS, FeatureMatrix,
                         PriceSeries, apply_scaler, build_features, fit_scaler,
                         inverse_scale_matrix, inverse_scaler, make_synthetic_series,
-                        make_windows, parse_ohlcv_csv, pct_change,
+                        make_windows, newest_feature_row, parse_ohlcv_csv, pct_change,
                         repair_calendar, scale_values, series_to_csv,
                         split_train_test, trailing_sma)
 from tsgan.errors import ConfigError, DataError
@@ -191,6 +191,30 @@ def test_feature_matrix_layout_and_alignment():
                                       (18 - 15) / 15, (20 - 18) / 18])
     sma = fm.column("Close_SMA")
     np.testing.assert_allclose(sma, [np.mean(closes[i:i + 3]) for i in range(4)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(3, 40), sma_window=st.integers(1, 12),
+       zero_volume_row=st.one_of(st.none(), st.integers(0, 39)), seed=st.integers(0, 2**16))
+def test_newest_feature_row_matches_the_last_built_row(rows, sma_window, zero_volume_row,
+                                                       seed):
+    assume(rows > sma_window)
+    draw = np.random.default_rng(seed)
+    open_, close = draw.uniform(10.0, 100.0, (2, rows))
+    values = np.column_stack([
+        open_, np.maximum(open_, close) + draw.uniform(0.0, 5.0, rows),
+        np.minimum(open_, close) - draw.uniform(0.0, 5.0, rows), close, close,
+        draw.uniform(1e3, 1e4, rows),
+    ])
+    if zero_volume_row is not None and zero_volume_row < rows:
+        values[zero_volume_row, 5] = 0.0
+    dates = [dt.date(2015, 1, 5) + dt.timedelta(days=i) for i in range(rows)]
+    fm = build_features(PriceSeries(dates, values), sma_window)
+    assert tuple(fm.names) == FEATURE_COLUMNS
+    row = newest_feature_row(values[None], sma_window)
+    assert row.shape == (1, len(FEATURE_COLUMNS))
+    # build_features takes the SMA from a cumulative sum, the row from a mean
+    np.testing.assert_allclose(row[0], fm.values[-1], rtol=1e-12, atol=0)
 
 
 def test_build_features_needs_enough_rows():

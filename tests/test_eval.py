@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from tsgan.data import (apply_scaler, build_features, fit_scaler,
-                        make_synthetic_series, make_windows, split_train_test)
+from tsgan.data import (TARGET_COLUMN, apply_scaler, build_features, fit_scaler,
+                        inverse_scaler, make_synthetic_series, make_windows,
+                        split_train_test)
 from tsgan.errors import ConfigError, DataError, DomainError, ShapeError
 from tsgan.evaluate import (ComparisonTable, MetricsReport, compare_models,
                             horizon_sweep, mape, persistence_report,
                             perturbation_study, rmse, spec_hidden_layers,
                             weighted_average)
-from tsgan.models import build_forecaster
+from tsgan.models import NetSpec, build_forecaster, build_network
 from tsgan.numcore import RngStream
 from tsgan.training import PersistencePredictor, TrainConfig, forecast
 
@@ -125,10 +126,38 @@ def test_horizon_sweep_validation():
     with pytest.raises(DataError, match="cannot evaluate"):
         horizon_sweep(predictor, ds, horizons=(1, 10))
     short_head = PersistencePredictor(ds.target_index, 2)
-    with pytest.raises(ConfigError, match="cannot sweep"):
+    with pytest.raises(ConfigError, match="exceeds the trained head width 2"):
         horizon_sweep(short_head, ds, horizons=(3,))
     with pytest.raises(ConfigError):
         horizon_sweep(predictor, ds, horizons=())
+
+
+def _sweep_model(kind, ds):
+    if kind == "forecaster":
+        return build_forecaster("gru", layers=1, units=3, seq_len=ds.seq_len,
+                                horizon=ds.horizon, input_dim=18, rng=RngStream(3, ("sweep",)))
+    spec = NetSpec("gen", 18 + 2, [{"kind": "gru", "units": 4}, {"kind": "last_step"},
+                                   {"kind": "dense", "units": ds.horizon,
+                                    "activation": "sigmoid"}])
+    return build_network(spec, RngStream(4, ("sweep",)))
+
+
+@pytest.mark.parametrize("kind", ["forecaster", "generator"])
+def test_horizon_sweep_scores_the_direct_forecast(kind):
+    _, ds, scaler = small_split()
+    model = _sweep_model(kind, ds)
+    horizons = (1, 2, ds.horizon)
+    rep = horizon_sweep(model, ds, horizons, scaler=scaler, seed=7)
+    for h in horizons:
+        res = forecast(model, ds, h, "direct", scaler, seed=7)
+        y = ds.targets[:, :h]
+        y_orig = inverse_scaler(y, scaler, TARGET_COLUMN)
+        assert rep.per_horizon[h] == {"rmse": rmse(y, res.scaled), "mape": mape(y, res.scaled)}
+        assert rep.per_horizon_original[h] == {"rmse": rmse(y_orig, res.original),
+                                               "mape": mape(y_orig, res.original)}
+    longer = small_split(horizon=ds.horizon + 1)[1]
+    with pytest.raises(ConfigError, match="exceeds the trained head width"):
+        horizon_sweep(model, longer, (longer.horizon,), scaler=scaler)
 
 
 def test_persistence_report_and_baseline():

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from optim_oracle import OracleState, oracle_clip, oracle_step
+from tsgan.errors import GraphError
 from tsgan.models import (NetSpec, build_forecaster, build_timegan, load_checkpoint,
                           save_checkpoint)
-from tsgan.models.network import build_network
+from tsgan.models.network import build_network, require_finite_params
 from tsgan.numcore import (OptimizerState, RngStream, Tensor, clip_weights, mean, mul,
                            optimizer_step)
 from tsgan.numcore.optim import BLOCK, OPTIMIZERS, ParamGroup
@@ -141,6 +142,27 @@ def test_params_are_views_after_build_load_clone_update_and_clip(tmp_path):
     loaded, _ = load_checkpoint(tmp_path / "model")
     _assert_views(loaded)
     assert loaded.params.flat.tobytes() == net.params.flat.tobytes()
+
+
+_READERS = {
+    "save": lambda net, tmp: save_checkpoint(tmp / "model", net),
+    "step": lambda net, tmp: optimizer_step(
+        OptimizerState("sgd", 0.1), net.params,
+        {k: np.ones(p.shape) for k, p in net.params.items()}),
+    "clip": lambda net, tmp: clip_weights(net.params, 0.1),
+    "clone": lambda net, tmp: net.clone(),
+    "finite": lambda net, tmp: require_finite_params(net),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_a_parameter_rebound_off_its_vector_is_a_graph_error(reader, tmp_path):
+    """Each reader of the vector would drop the rebound value, so it names it instead."""
+    net = build_forecaster("gru", 1, 2, 3, 1, 2, RngStream(11, ("cl",)))
+    net.params["L0.Wz"].data = net.params["L0.Wz"].data + 1.0
+    with pytest.raises(GraphError, match="'L0.Wz'"):
+        _READERS[reader](net, tmp_path)
+    assert not list(tmp_path.iterdir())
 
 
 def _fixture_network():

@@ -1,15 +1,20 @@
 """Batched iterative forecasting against the per-window oracle."""
 
+from collections import Counter
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forecast_oracle import iterative_forecast
-from tsgan.data import (PriceSeries, apply_scaler, build_features,
+from tsgan.data import (FEATURE_COLUMNS, PriceSeries, apply_scaler, build_features,
                         fit_scaler, make_synthetic_series, make_windows)
-from tsgan.models import NetSpec, build_forecaster, build_network, build_timegan
+from tsgan.errors import DataError
+from tsgan.models import NetSpec, Network, build_forecaster, build_network, build_timegan
 from tsgan.numcore import RngStream
-from tsgan.training import as_predictor, forecast
+from tsgan.training import (ForecasterPredictor, GanPredictor, PersistencePredictor,
+                            TimeganPredictor, as_predictor, forecast)
 
 TOL = 1e-12
 
@@ -64,9 +69,9 @@ class _Recorder:
         self.close_index = close_index
         self.inputs = []
 
-    def predict(self, inputs):
+    def predict(self, inputs, width):
         self.inputs.append(inputs.copy())
-        return inputs[:, -1:, self.close_index]
+        return np.repeat(inputs[:, -1:, self.close_index], width, axis=1)
 
 
 def test_zero_previous_raw_value_gives_a_zero_diff_without_warnings():
@@ -99,3 +104,61 @@ def test_gan_iterative_first_step_equals_the_direct_head():
     assert np.array_equal(iterative.scaled[:, 0], direct.scaled[:, 0])
     again = forecast(gen, ds, 3, mode="iterative", scaler=scaler, seed=5)
     assert again.scaled.tobytes() == iterative.scaled.tobytes()
+
+
+HEAD = 4
+
+
+def _predictor(kind):
+    """A fresh predictor of each class over DS's 18 features, with a head of HEAD steps."""
+    if kind == "forecaster":
+        return ForecasterPredictor(build_forecaster("lstm", layers=1, units=3, seq_len=6,
+                                                    horizon=HEAD, input_dim=18,
+                                                    rng=RngStream(2, ("width",))))
+    if kind == "gan":
+        spec = NetSpec("gen", 18 + 2, [{"kind": "gru", "units": 4}, {"kind": "last_step"},
+                                       {"kind": "dense", "units": HEAD, "activation": "sigmoid"}])
+        return GanPredictor(build_network(spec, RngStream(3, ("width",))), 18, seed=4)
+    if kind == "timegan":
+        nets = build_timegan(feature_dim=18, hidden_dim=3, rng=RngStream(5, ("width",)))
+        return TimeganPredictor(nets, DS.target_index, HEAD)
+    return PersistencePredictor(DS.target_index, HEAD)
+
+
+@pytest.mark.parametrize("kind", ["forecaster", "gan", "timegan", "persistence"])
+def test_predict_width_is_the_head_prefix(kind):
+    full = _predictor(kind).predict(DS.inputs, HEAD)
+    assert full.shape == (DS.count, HEAD)
+    for width in range(1, HEAD + 1):
+        part = _predictor(kind).predict(DS.inputs, width)
+        assert part.shape == (DS.count, width)
+        assert part.tobytes() == full[:, :width].tobytes()
+
+
+@pytest.mark.parametrize("horizon", [1, 3, 5])
+def test_timegan_iterative_step_is_one_embedder_supervisor_and_recovery_call(
+        horizon, monkeypatch):
+    ds, scaler = _windows(horizon=5)
+    nets = build_timegan(feature_dim=18, hidden_dim=3, rng=RngStream(6, ("calls",)))
+    calls = Counter()
+    forward = Network.forward
+
+    def counted(net, *args, **kw):
+        calls[net.name] += 1
+        return forward(net, *args, **kw)
+
+    monkeypatch.setattr(Network, "forward", counted)
+    forecast(nets, ds, horizon, mode="iterative", scaler=scaler)
+    assert calls == {"embedder": horizon, "supervisor": horizon, "recovery": horizon}
+
+
+@pytest.mark.parametrize("names", [
+    [*FEATURE_COLUMNS[1:], FEATURE_COLUMNS[0]],
+    [*FEATURE_COLUMNS[:-1], "Close_EMA"],
+    [f"f{i}" for i in range(len(FEATURE_COLUMNS))],
+])
+def test_iterative_forecast_needs_the_build_features_columns(names):
+    ds = DS.take(np.arange(3), "test")
+    ds.feature_names = names
+    with pytest.raises(DataError, match="build_features columns"):
+        forecast(_Recorder(ds.target_index), ds, 2, mode="iterative", scaler=SCALER)

@@ -386,8 +386,8 @@ class _HalvingStub:
     def __init__(self, close_index):
         self.close_index = close_index
 
-    def predict(self, inputs):
-        return 0.5 * inputs[:, -1:, self.close_index]
+    def predict(self, inputs, width):
+        return np.repeat(0.5 * inputs[:, -1:, self.close_index], width, axis=1)
 
 
 def test_iterative_forecast_follows_the_recurrence():
