@@ -68,7 +68,8 @@ class RunManifest:
     def from_dict(cls, d: dict) -> "RunManifest":
         if d.get("format") != MANIFEST_FORMAT:
             raise DataError(f"not a run manifest (format {d.get('format')!r})")
-        wrong = sorted(k for k, kind in _FIELD_TYPES.items() if not isinstance(d[k], kind))
+        wrong = sorted(k for k, kind in _FIELD_TYPES.items() if not isinstance(d[k], kind)
+                       or k == "argv" and not all(isinstance(a, str) for a in d[k]))
         if wrong:
             raise DataError(f"run manifest fields have the wrong type: {', '.join(wrong)}")
         return cls(d["command"], d["argv"], d["config"], d["seed"], d["inputs"],

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..artifacts import read_json, write_bytes, write_json
 from ..errors import DataError
-from ..numcore.optim import ParamVector
+from ..numcore.tensor import ParamVector
 from .network import Network, NetSpec
 
 _MAGIC = "tsgan-checkpoint-v1"
@@ -65,12 +65,15 @@ def load_checkpoint(stem) -> tuple[Network, dict]:
     if wrong:
         raise DataError(f"checkpoint manifest {stem}.json fields have the wrong type: "
                         f"{', '.join(wrong)}")
-    blob_path = os.path.join(os.path.dirname(stem) or ".", manifest["blob"])
+    blob = manifest["blob"]
+    if blob in ("", ".", "..") or os.path.basename(blob) != blob:  # save_checkpoint's own form
+        raise DataError(f"checkpoint blob must be a file name beside {stem}.json, got {blob!r}")
+    blob_path = os.path.join(os.path.dirname(stem) or ".", blob)
     try:
         with open(blob_path, "rb") as fh:
             raw = fh.read()
-    except FileNotFoundError:
-        raise DataError(f"checkpoint blob not found: {blob_path}") from None
+    except OSError as e:
+        raise DataError(f"cannot read checkpoint blob {blob_path}: {e.strerror}") from None
     spec = NetSpec.from_dict(manifest["spec"])
     shapes = [(entry["name"], tuple(entry["shape"])) for entry in manifest["params"]]
     if len(dict(shapes)) != len(shapes):

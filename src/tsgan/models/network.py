@@ -29,7 +29,8 @@ from ..numcore import (
     slice_tensor,
     tanh,
 )
-from ..numcore.optim import ParamVector, require_finite
+from ..numcore.optim import require_finite
+from ..numcore.tensor import ParamVector
 
 ACTIVATIONS = ("sigmoid", "tanh", "relu", "linear")
 

@@ -1,12 +1,15 @@
 """First-order optimizers over flat parameter vectors.
 
 A network's parameters live in one float64 vector (a ParamVector), each named
-Tensor's data a view into it. An update gathers the gradients into one vector
-with one finite check, writes the new values into a fresh vector BLOCK
-elements at a time, and rebinds the views: backward closures capture the
-arrays live at op time, so the old vector is never written. The flat moments
-advance in place in a second blockwise pass, only once every new value is
-known to be finite, so an update that aborts changes nothing.
+Tensor's data a view into it. leaf_grads() already lays the gradients over
+one vector in the parameters' order, so an update reads that vector as it is
+(a plain dict of gradients is gathered into a fresh one) with one finite
+check, writes the new values into a fresh vector BLOCK elements at a time,
+and rebinds the views: backward closures capture the arrays live at op time,
+so the old vector is never written, and neither is the caller's gradient
+vector. The flat moments advance in place in a second blockwise pass, only
+once every new value is known to be finite, so an update that aborts changes
+nothing.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, GraphError, NumericAbort
-from .tensor import Tensor
+from .tensor import ParamGroup, ParamVector, Tensor
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -28,50 +31,6 @@ _DIRECTIONS = ("descend", "ascend")
 _MOMENTS = {"sgd": (), "adam": (("m", ADAM_BETA1, False), ("v", ADAM_BETA2, True)),
             "rmsprop": (("sq", RMSPROP_DECAY, True),)}
 BLOCK = 1 << 16  # elements per blockwise pass: a 6.2M-value update makes no whole-vector temporary
-
-
-class ParamVector(dict):
-    """name -> Tensor, each Tensor's data a view, in this order, into one float64 vector `flat`.
-
-    It copies the given Tensors' values into a new vector, or takes `flat` as it is.
-    Reading `flat` checks that every Tensor's data is still the view bind() gave it.
-    """
-
-    def __init__(self, named: dict, flat: np.ndarray | None = None):
-        super().__init__(named)
-        self.bounds = np.cumsum([0, *(t.size for t in self.values())]).tolist()
-        self.bind(np.concatenate([np.zeros(0), *(t.data for t in self.values())], axis=None)
-                  if flat is None else flat)
-
-    @classmethod
-    def over(cls, shapes, flat: np.ndarray) -> "ParamVector":
-        """Fresh parameter Tensors, named and shaped by (name, shape) pairs, laid over flat."""
-        return cls({name: Tensor(np.empty(shape), requires_grad=True) for name, shape in shapes},
-                   flat)
-
-    def bind(self, flat: np.ndarray) -> None:
-        """Make `flat` the vector and point every Tensor's data at its view."""
-        self._flat = flat
-        for t, lo, hi in zip(self.values(), self.bounds, self.bounds[1:]):
-            t.data = flat[lo:hi].reshape(t.data.shape)
-        self._views = [t.data for t in self.values()]
-
-    @property
-    def flat(self) -> np.ndarray:
-        """The vector; a GraphError names a parameter whose data was rebound off it."""
-        for (name, t), view in zip(self.items(), self._views):
-            if t.data is not view:
-                raise GraphError(f"parameter {name!r} no longer views its network's vector: "
-                                 "its data was rebound")
-        return self._flat
-
-
-class ParamGroup(dict):
-    """Several ParamVectors as one name -> Tensor mapping, keyed '<part>.<name>'."""
-
-    def __init__(self, parts: dict[str, ParamVector]):
-        super().__init__((f"{part}.{k}", t) for part, vec in parts.items() for k, t in vec.items())
-        self.vectors = list(parts.values())
 
 
 def _vectors(params: dict) -> list[ParamVector]:
@@ -131,7 +90,8 @@ def _descend(state: OptimizerState, t: int, p, g, moments: dict, out, tmp) -> No
 
 
 def _gather(params: dict, grads: dict) -> np.ndarray:
-    """Every gradient, shape-checked, in one fresh flat vector in params' order."""
+    """Every gradient, shape-checked, as one flat vector in params' order: a ParamVector
+    keyed like params is read as it is, other mappings are copied into a fresh vector."""
     missing = sorted(set(params) - set(grads))
     if missing:
         raise GraphError(f"gradients missing for parameters: {missing}")
@@ -141,6 +101,8 @@ def _gather(params: dict, grads: dict) -> np.ndarray:
         if g.shape != p.data.shape:
             raise GraphError(f"gradient shape {g.shape} does not match parameter {name!r} "
                              f"shape {p.data.shape}")
+    if isinstance(grads, ParamVector) and list(grads) == list(params):
+        return grads.flat
     return np.concatenate([np.zeros(0), *gs], axis=None)
 
 
@@ -151,8 +113,8 @@ def optimizer_step(state: OptimizerState, params: dict[str, Tensor], grads: dict
     """
     vectors, g = _vectors(params), _gather(params, grads)
     require_finite(params, g, "non-finite gradient for parameter {!r}")
-    if state.direction == "ascend":
-        np.negative(g, out=g)
+    if state.direction == "ascend":  # a fresh vector: the caller's gradients are never written
+        g = np.negative(g)
     moments = state.moments or {k: np.zeros(g.size) for k, _, _ in _MOMENTS[state.algo]}
     scratch = {k: np.empty(min(g.size, BLOCK)) for k in [*moments, "tmp"]}
     t, fresh, lo = state.step_count + 1, [], 0

@@ -18,15 +18,18 @@ layout follows the cuDNN RNN design (Appleyard et al., arXiv:1604.01946):
 - the hidden states live in a private (seq+1, batch, units) buffer whose
   row 0 is the zero initial state; the output is a batch-major copy.
 
-A tape is single-use, so the backward consumes the forward's private
-buffers. Before the time loop it turns the stored gates and states into
-the loop-invariant BPTT factors in place, and the loop overwrites each
-factor with its gate's pre-activation gradient. After the loop the spent
-state buffer takes each gate's gradient batch-major, so the input, weight
-and bias gradients are matmuls over all (batch, time) rows at once. The
-output array and x.data are never written, and the backward closure holds
-arrays only: a Tensor in it would tie the tape into a reference cycle that
-only the cycle collector frees.
+A tape is single-use, so the backward works inside the forward's private
+buffers: it turns the stored gates and states into the loop-invariant BPTT
+factors, mostly in the gates' own slots (the GRU takes a fresh buffer for
+z|r only, the LSTM one for its forget gate's values), and the time loop,
+which reads the output gradient from one time-major copy, overwrites each
+factor with its gate's pre-activation gradient. Each kernel gradient is then
+written in place: its hidden rows from the time-major gate gradients, its
+input rows, bias and share of dx from a batch-major copy in the spent state
+buffer, all matmuls over every (batch, time) row at once. The output array,
+x.data and the output gradient are never written, and the backward closure
+holds arrays only: a Tensor in it would tie the tape into a reference cycle
+that only the cycle collector frees.
 """
 
 from __future__ import annotations
@@ -74,35 +77,47 @@ def _hidden_rows(ws: tuple, feat: int) -> np.ndarray:
     return np.concatenate([w[feat:] for w in ws], axis=1)
 
 
-def _hidden_grads(h_in: np.ndarray, dgates: np.ndarray) -> list:
-    """Each gate's hidden-row gradient: sum over (time, batch) of h_in[t]^T @ dgates[k, t]."""
+def _sig_factor(s: np.ndarray, other: np.ndarray, out: np.ndarray) -> None:
+    """out = (1-s) s other, in that order: a sigmoid gate's derivative times `other`."""
+    np.subtract(1.0, s, out=out)
+    out *= s
+    out *= other
+
+
+def _kernel_grads(h_in: np.ndarray, dgates: list, feat: int) -> list:
+    """Each gate's kernel gradient, (feat + units, units), with its hidden rows written: the
+    sum over (time, batch) of h_in[t]^T @ dgate[t]. _gradients writes the input rows."""
     rows = h_in.reshape(-1, h_in.shape[-1]).T
-    return [rows @ dg.reshape(rows.shape[1], -1) for dg in dgates]
+    gws = [np.empty((feat + len(rows), len(rows))) for _ in dgates]
+    for dg, gw in zip(dgates, gws):  # a strided operand would change BLAS's rounding
+        np.matmul(rows, np.ascontiguousarray(dg).reshape(rows.shape[1], -1), out=gw[feat:])
+    return gws
 
 
-def _gradients(xd: np.ndarray, x_grad: bool, ws: tuple, dgates: np.ndarray, dw_h: list,
+def _gradients(xd: np.ndarray, x_grad: bool, ws: tuple, dgates: list, gws: list,
                spent: np.ndarray) -> tuple:
-    """(dx, dW0, db0, dW1, db1, ...) from the (k, seq, batch, units) pre-activation gradients.
+    """(dx, dW0, db0, dW1, db1, ...) from each gate's (seq, batch, units) pre-activation
+    gradient and its kernel gradient `gws` from _kernel_grads.
 
     Each gate's gradient is copied batch-major into the spent state buffer,
     so its input-row and bias gradients and its share of dx are matmuls over
     the (batch*seq) rows of x. dx is None when x needs no gradient.
     """
-    _, seq, batch, units = dgates.shape
-    rows = batch * seq
-    xf = xd.reshape(rows, xd.shape[2])
+    seq, batch, units = dgates[0].shape
+    rows, feat = batch * seq, xd.shape[2]
+    xf = xd.reshape(rows, feat)
     flat = spent.reshape(-1)[:rows * units].reshape(rows, units)
-    dx = None
+    dx = part = None
     grads = []
-    for w, dg, dwh in zip(ws, dgates, dw_h):
+    for w, dg, gw in zip(ws, dgates, gws):
         np.copyto(flat.reshape(batch, seq, units), dg.transpose(1, 0, 2))
-        grads += [np.concatenate([xf.T @ flat, dwh]), flat.sum(axis=0)]
-        if x_grad:
-            part = flat @ w[:xf.shape[1]].T
-            if dx is None:
-                dx = part
-            else:
-                dx += part
+        np.matmul(xf.T, flat, out=gw[:feat])
+        grads += [gw, flat.sum(axis=0)]
+        if x_grad and dx is None:
+            dx = flat @ w[:feat].T
+        elif x_grad:  # one scratch buffer takes every later gate's share
+            part = np.matmul(flat, w[:feat].T, out=part)
+            dx += part
     return (None if dx is None else dx.reshape(xd.shape), *grads)
 
 
@@ -150,28 +165,28 @@ def gru_sequence(x, Wz, bz, Wr, br, Wh, bh) -> Tensor:
     def bw(g_out):
         z, r, hhat = gates.transpose(1, 0, 2, 3)
         h_prev = hs[:-1]
-        # loop-invariant factors, each overwritten in the loop by its gate's gradient
-        d = np.empty((3, seq, batch, units))
-        dz, dr, dhh = d
-        np.subtract(1.0, z, out=dhh)
+        # loop-invariant factors, each overwritten in the loop by its gate's gradient;
+        # the candidate's factor takes the candidate's own slot
+        d = np.empty((2, seq, batch, units))
+        dz, dr = d
+        np.subtract(1.0, z, out=dr)
         np.subtract(h_prev, hhat, out=dz)
         dz *= z
-        dz *= dhh  # (h_prev - hhat) z(1-z)
+        dz *= dr  # (h_prev - hhat) z(1-z)
         np.multiply(hhat, hhat, out=hhat)
         np.subtract(1.0, hhat, out=hhat)
-        dhh *= hhat  # (1-z)(1-hhat^2)
-        np.subtract(1.0, r, out=dr)
-        dr *= r
-        dr *= h_prev  # h_prev r(1-r)
-        np.copyto(hhat, g_out.transpose(1, 0, 2))  # hhat's slot: the output gradient
+        hhat *= dr  # (1-hhat^2)(1-z)
+        _sig_factor(r, h_prev, dr)  # h_prev r(1-r)
+        g_seq = np.ascontiguousarray(g_out.transpose(1, 0, 2))  # the output gradient, time-major
         w_hh_t = np.ascontiguousarray(w_hh.T)
         w_zr_t = np.ascontiguousarray(_hidden_rows(ws[:2], feat).T)
         dh = np.zeros((batch, units))
         d_rh = np.empty((batch, units))
         for t in range(seq - 1, -1, -1):
-            z_t, r_t, g_t = gates[t]
-            dz_t, dr_t, da_t = d[:, t]
-            dh += g_t
+            z_t, r_t, da_t = gates[t]
+            d_t = d[:, t]
+            dz_t, dr_t = d_t
+            dh += g_seq[t]
             da_t *= dh
             np.dot(da_t, w_hh_t, out=d_rh)
             dz_t *= dh
@@ -179,13 +194,14 @@ def gru_sequence(x, Wz, bz, Wr, br, Wh, bh) -> Tensor:
             dh *= z_t
             d_rh *= r_t
             dh += d_rh
-            np.copyto(s2_gates, d[:2, t])
+            np.copyto(s2_gates, d_t)
             np.dot(s2, w_zr_t, out=s1)
             dh += s1
-        dw_h = _hidden_grads(h_prev, d[:2])
+        del g_seq
+        gws = _kernel_grads(h_prev, [dz, dr], feat)
         np.multiply(r, h_prev, out=h_prev)  # what the candidate's hidden rows saw: r*h
-        dw_h += _hidden_grads(h_prev, d[2:])
-        return _gradients(xd, x_grad, ws, d, dw_h, hs)
+        gws += _kernel_grads(h_prev, [hhat], feat)
+        return _gradients(xd, x_grad, ws, [dz, dr, hhat], gws, hs)
 
     return _record("gru_sequence", out, (x, *params), bw)
 
@@ -231,44 +247,41 @@ def lstm_sequence(x, Wf, bf, Wi, bi, Wo, bo, Wg, bg) -> Tensor:
     def bw(g_out):
         f, i, o, cand = gates.transpose(1, 0, 2, 3)
         c_prev, tc = cs[:-1], cs[1:]
-        # loop-invariant factors, each overwritten in the loop by its gate's gradient
-        d = np.empty((4, seq, batch, units))
-        df, di, do, dg = d
-        np.subtract(1.0, f, out=df)
-        df *= f
-        df *= c_prev  # c_prev f(1-f)
+        # loop-invariant factors in the gates' own slots, each overwritten in the loop by
+        # its gate's gradient; the forget gate's values move to f_val, tc takes o(1-tanh^2 c)
+        f_val, spare = f.copy(), np.empty((seq, batch, units))
+        _sig_factor(f_val, c_prev, f)  # c_prev f(1-f)
         np.tanh(tc, out=tc)  # c_prev has been read; the cell states become tanh(c)
-        np.subtract(1.0, o, out=do)
-        do *= o
-        do *= tc  # tanh(c) o(1-o)
+        _sig_factor(o, tc, spare)  # tanh(c) o(1-o)
         np.multiply(tc, tc, out=tc)
         np.subtract(1.0, tc, out=tc)
-        o *= tc  # o's slot: o(1-tanh^2 c)
-        np.subtract(1.0, i, out=di)
-        di *= i
-        di *= cand  # g i(1-i)
-        np.multiply(cand, cand, out=dg)
-        np.subtract(1.0, dg, out=dg)
-        dg *= i  # i(1-g^2)
-        np.copyto(i, g_out.transpose(1, 0, 2))  # i's slot: the output gradient
+        np.multiply(o, tc, out=tc)  # o(1-tanh^2 c)
+        np.copyto(o, spare)
+        _sig_factor(i, cand, spare)  # g i(1-i)
+        np.multiply(cand, cand, out=cand)
+        np.subtract(1.0, cand, out=cand)
+        cand *= i  # i(1-g^2)
+        np.copyto(i, spare)
+        np.copyto(spare, g_out.transpose(1, 0, 2))  # the output gradient, time-major
         w_h_t = np.ascontiguousarray(_hidden_rows(ws, feat).T)
         dh = np.zeros((batch, units))
         dc = np.zeros((batch, units))
         for t in range(seq - 1, -1, -1):
-            f_t, g_t, fo_t, _ = gates[t]
-            d_t = d[:, t]
+            d_t = gates[t]
             df_t, di_t, do_t, dg_t = d_t
-            dh += g_t
+            fo_t = tc[t]
+            dh += spare[t]
             fo_t *= dh
             dc += fo_t
             df_t *= dc
             di_t *= dc
             do_t *= dh
             dg_t *= dc
-            dc *= f_t
+            dc *= f_val[t]
             np.copyto(s4_gates, d_t)
             np.dot(s4, w_h_t, out=dh)
-        dw_h = _hidden_grads(hs[:-1], d)
-        return _gradients(xd, x_grad, ws, d, dw_h, hs)
+        del f_val, spare
+        dgates = [f, i, o, cand]
+        return _gradients(xd, x_grad, ws, dgates, _kernel_grads(hs[:-1], dgates, feat), hs)
 
     return _record("lstm_sequence", out, (x, *params), bw)

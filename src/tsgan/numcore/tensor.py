@@ -8,6 +8,8 @@ consumes it with a single backward() call; tapes are never reused.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from ..errors import DomainError, GraphError, ShapeError
@@ -75,6 +77,50 @@ class Tensor:
         return slice_tensor(self, index)
 
 
+class ParamVector(dict):
+    """name -> Tensor, each Tensor's data a view, in this order, into one float64 vector `flat`.
+
+    It copies the given Tensors' values into a new vector, or takes `flat` as it is.
+    Reading `flat` checks that every Tensor's data is still the view bind() gave it.
+    """
+
+    def __init__(self, named: dict, flat: np.ndarray | None = None):
+        super().__init__(named)
+        self.bounds = list(accumulate((t.size for t in self.values()), initial=0))
+        self.bind(np.concatenate([np.zeros(0), *(t.data for t in self.values())], axis=None)
+                  if flat is None else flat)
+
+    @classmethod
+    def over(cls, shapes, flat: np.ndarray) -> "ParamVector":
+        """Fresh parameter Tensors, named and shaped by (name, shape) pairs, laid over flat."""
+        return cls({name: Tensor(np.empty(shape), requires_grad=True) for name, shape in shapes},
+                   flat)
+
+    def bind(self, flat: np.ndarray) -> None:
+        """Make `flat` the vector and point every Tensor's data at its view."""
+        self._flat = flat
+        for t, lo, hi in zip(self.values(), self.bounds, self.bounds[1:]):
+            t.data = flat[lo:hi].reshape(t.data.shape)
+        self._views = [t.data for t in self.values()]
+
+    @property
+    def flat(self) -> np.ndarray:
+        """The vector; a GraphError names a parameter whose data was rebound off it."""
+        for (name, t), view in zip(self.items(), self._views):
+            if t.data is not view:
+                raise GraphError(f"parameter {name!r} no longer views its network's vector: "
+                                 "its data was rebound")
+        return self._flat
+
+
+class ParamGroup(dict):
+    """Several ParamVectors as one name -> Tensor mapping, keyed '<part>.<name>'."""
+
+    def __init__(self, parts: dict[str, ParamVector]):
+        super().__init__((f"{part}.{k}", t) for part, vec in parts.items() for k, t in vec.items())
+        self.vectors = list(parts.values())
+
+
 class Tape:
     """Ordered single-use record of primitive ops (a valid topological order by construction)."""
 
@@ -134,9 +180,9 @@ def backward(record: Tape, loss: Tensor) -> dict[int, Tensor]:
     """Reverse pass from a scalar loss; returns {tape_id: gradient} for every leaf.
 
     Leaves on the record that the loss does not reach get zero gradients.
-    The record is consumed; a second backward on it is rejected. Its nodes are
-    dropped, so the backward closures and the arrays they hold are freed even
-    while a parameter's `_tape` still points at the record.
+    The record is consumed; a second backward on it is rejected. Each node is
+    taken off the record before its closure runs, so the arrays it holds are
+    freed at their last use, even while a parameter's `_tape` points here.
     """
     if record.consumed:
         raise GraphError("double backward: this computation record was already consumed")
@@ -145,8 +191,10 @@ def backward(record: Tape, loss: Tensor) -> dict[int, Tensor]:
     if loss.size != 1:
         raise GraphError(f"loss must be scalar, got shape {loss.shape}")
 
+    record.consumed = True
     grads: dict[int, np.ndarray] = {loss.tape_id: np.ones_like(loss.data)}
-    for op, out_id, in_ids, backward_fn, _ in reversed(record.nodes):
+    while record.nodes:
+        _, out_id, in_ids, backward_fn, _ = record.nodes.pop()
         g = grads.pop(out_id, None)
         if g is None:
             continue
@@ -155,8 +203,6 @@ def backward(record: Tape, loss: Tensor) -> dict[int, Tensor]:
                 continue
             held = grads.get(in_id)
             grads[in_id] = contrib if held is None else held + contrib
-    record.consumed = True
-    record.nodes.clear()
 
     result: dict[int, Tensor] = {}
     for tid, leaf in record._leaves.items():
@@ -167,22 +213,18 @@ def backward(record: Tape, loss: Tensor) -> dict[int, Tensor]:
     return result
 
 
-def leaf_grads(record: Tape, params: dict, gmap: dict) -> dict:
-    """Map parameter names to gradients from a backward() result.
+def leaf_grads(record: Tape, params: dict, gmap: dict) -> ParamVector:
+    """Map parameter names to gradients from a backward() result, laid over one vector
+    in params' order (a ParamVector), which an update reads with no second copy.
 
     Only tensors that actually joined `record` are looked up; a stale
     tape_id from an earlier record never aliases into the wrong gradient.
     """
-    out = {}
-    missing = []
-    for name, p in params.items():
-        if p._tape is record and p.tape_id in gmap:
-            out[name] = gmap[p.tape_id]
-        else:
-            missing.append(name)
+    missing = [name for name, p in params.items()
+               if p._tape is not record or p.tape_id not in gmap]
     if missing:
         raise GraphError(f"no gradients on this record for parameters: {sorted(missing)}")
-    return out
+    return ParamVector({name: Tensor(gmap[p.tape_id].data) for name, p in params.items()})
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:

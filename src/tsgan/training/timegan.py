@@ -22,7 +22,7 @@ from __future__ import annotations
 from ..errors import ConfigError, DataError
 from ..models.network import forward_stacked, require_finite_params
 from ..numcore import OptimizerState, RngStream, Tape, Tensor, slice_tensor
-from ..numcore.optim import ParamGroup
+from ..numcore.tensor import ParamGroup
 from .config import TrainConfig
 from .losses import bce, mse
 from .step import run_epochs, train_step

@@ -178,6 +178,9 @@ REPORT = {"model": "gru", "horizons": [1], "weights": [1.0], "basis": "scaled",
     ("model.json", lambda text: _edit(text, "params", 0, "shape", 0, value=True)),
     *(("model.bin", lambda blob, n=n: blob[:-n]) for n in range(1, 9)),
     ("model.bin", lambda blob: blob + bytes(8)),
+    ("model.json", lambda text: _edit(text, "blob", value="")),
+    ("model.json", lambda text: _edit(text, "blob", value=".")),
+    ("model.json", lambda text: _edit(text, "blob", value="../model.bin")),
 ], ids=["train-manifest-not-json", "report-not-json", "report-is-a-list",
         "report-lacks-horizons", "checkpoint-lacks-blob", "report-wrong-types",
         "report-weights-mismatch", "train-manifest-config-not-object",
@@ -186,10 +189,12 @@ REPORT = {"model": "gru", "horizons": [1], "weights": [1.0], "basis": "scaled",
         "checkpoint-units-is-a-string", "checkpoint-unknown-layer-kind",
         "checkpoint-shape-entry-is-a-bool",
         *(f"checkpoint-blob-cut-{n}-bytes" for n in range(1, 9)),
-        "checkpoint-blob-one-value-too-long"])
+        "checkpoint-blob-one-value-too-long", "checkpoint-blob-is-empty",
+        "checkpoint-blob-is-the-run-dir", "checkpoint-blob-outside-the-run"])
 def test_corrupt_inputs_exit_2(tmp_path, capsys, data_csv, gru_run, target, corrupt):
     run = tmp_path / "run"
     shutil.copytree(gru_run, run)
+    shutil.copy(run / "model.bin", tmp_path)  # a blob of the right size outside the run
     (run / "report.json").write_text(json.dumps(REPORT))
     path = run / target
     if target.endswith(".bin"):
@@ -663,6 +668,16 @@ def test_manifest_helpers(tmp_path):
     assert argv == ["train", "--seed", "1", "--out-dir", "new"]
     argv2 = replace_out_dir(["train", "--out-dir=old"], "new")
     assert argv2 == ["train", "--out-dir", "new"]
+
+
+@pytest.mark.parametrize("argv", [[1, 2], ["train", None], [["train"]]])
+def test_manifest_argv_must_be_a_list_of_strings(tmp_path, argv):
+    path = write_manifest(RunManifest("train", ["train"], {}, 7, {}, []), tmp_path / "m.json")
+    path.write_text(_edit(path.read_text(), "argv", value=argv))
+    with pytest.raises(DataError, match="wrong type: argv"):
+        load_manifest(path)
+    with pytest.raises(DataError, match="wrong type: argv"):
+        rerun(path, str(tmp_path / "again"), main)
 
 
 # --- the config key table and its trust boundary ----------------------------

@@ -11,24 +11,29 @@ from tsgan.errors import GraphError
 from tsgan.models import (NetSpec, build_forecaster, build_timegan, load_checkpoint,
                           save_checkpoint)
 from tsgan.models.network import build_network, require_finite_params
-from tsgan.numcore import (OptimizerState, RngStream, Tensor, clip_weights, mean, mul,
-                           optimizer_step)
-from tsgan.numcore.optim import BLOCK, OPTIMIZERS, ParamGroup
+from tsgan.numcore import (OptimizerState, RngStream, Tape, Tensor, backward, clip_weights,
+                           leaf_grads, mean, mul, optimizer_step)
+from tsgan.numcore.optim import BLOCK, OPTIMIZERS, ParamGroup, ParamVector, _gather
 from tsgan.training.step import train_step
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
-def _assert_views(net):
-    """Every parameter is the view of its span of net.params.flat, in param_order()."""
-    flat, offset = net.params.flat, 0
-    assert list(net.params) == net.param_order()
+def _assert_laid_over(vec):
+    """Every Tensor of vec is the view of its span of vec.flat, in vec's order."""
+    flat, offset = vec.flat, 0
     assert flat.dtype == np.float64 and flat.ndim == 1 and flat.flags.c_contiguous
-    for name, p in net.params.items():
+    for name, p in vec.items():
         assert p.data.base is flat, name
         assert p.data.ctypes.data == flat.ctypes.data + 8 * offset, name
         offset += p.size
     assert offset == flat.size
+
+
+def _assert_views(net):
+    """Every parameter is the view of its span of net.params.flat, in param_order()."""
+    assert list(net.params) == net.param_order()
+    _assert_laid_over(net.params)
 
 
 def _wide_net(seed):
@@ -95,6 +100,38 @@ def test_flat_step_over_merged_networks_matches_the_oracle(algo):
         _assert_same_moments(state, oracle, group)
     for k in parts:
         _assert_views(nets[k])
+
+
+@pytest.mark.parametrize("direction", ["descend", "ascend"])
+@pytest.mark.parametrize("algo", OPTIMIZERS)
+def test_leaf_grads_vector_steps_like_a_plain_dict(algo, direction):
+    """leaf_grads lays a merged group's gradients over one vector in the group's order; the
+    update reads that vector as it is, never writes it, and moves the same bits as the
+    plain-dict path."""
+    parts = ("embedder", "recovery", "generator", "supervisor")
+    nets = build_timegan(4, 3, 2, RngStream(3, ("tg",)))
+    twins = {k: v.clone() for k, v in nets.items()}
+    group = ParamGroup({k: nets[k].params for k in parts})
+    twin_group = ParamGroup({k: twins[k].params for k in parts})
+    state, twin_state = OptimizerState(algo, 1e-2, direction), OptimizerState(algo, 1e-2, direction)
+    for step in range(3):
+        with Tape() as tape:
+            loss = sum(mean(mul(mul(p, p), float(i + step))) for i, p in enumerate(group.values()))
+        gmap = backward(tape, loss)
+        grads = leaf_grads(tape, group, gmap)
+        assert isinstance(grads, ParamVector) and list(grads) == list(group)
+        _assert_laid_over(grads)
+        for name, p in group.items():
+            assert grads[name].data.tobytes() == gmap[p.tape_id].data.tobytes(), name
+        assert _gather(group, grads) is grads.flat
+        plain = {name: Tensor(gmap[p.tape_id].data.copy()) for name, p in group.items()}
+        before = grads.flat.tobytes()
+        optimizer_step(state, group, grads)
+        optimizer_step(twin_state, twin_group, plain)
+        assert grads.flat.tobytes() == before
+        _assert_same_bytes(group, twin_group)
+        for key, moment in state.moments.items():
+            assert moment.tobytes() == twin_state.moments[key].tobytes(), key
 
 
 def test_clip_matches_the_oracle_and_keeps_the_views():

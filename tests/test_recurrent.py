@@ -1,6 +1,7 @@
 """Fused GRU/LSTM sequence kernels against the per-step cell oracle."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -119,3 +120,27 @@ def test_fused_kernel_rejects_bad_input_shapes(kind, shape):
     cell = _cell(kind, 2, 3, 2)
     with pytest.raises(ShapeError):
         _fused(kind, cell, Tensor(np.zeros(shape)))
+
+
+# Peak bytes one backward allocates, over a (batch, seq, units) array's: the
+# output gradient, the BPTT factors and the gradients it returns. The kernels'
+# earlier backward, which kept every factor in a fresh buffer beside the
+# forward's, read 6.9 (GRU) and 8.2 (LSTM) at this shape; this one reads 5.0 and 3.6.
+PEAK_SLABS = {"gru": 6.0, "lstm": 5.5}
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+def test_backward_peak_memory_stays_under_its_bound(kind):
+    batch, seq, feat, units = 32, 40, 64, 96
+    cell = _cell(kind, feat, units, 3)
+    x = Tensor(np.random.default_rng(3).normal(size=(batch, seq, feat)), requires_grad=True)
+    with Tape() as tape:
+        loss = tsum(_fused(kind, cell, x))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        backward(tape, loss)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * batch * seq * units) < PEAK_SLABS[kind]

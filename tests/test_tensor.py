@@ -1,5 +1,7 @@
 """Autodiff core: forward values, recorded gradients, and graph misuse errors."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from tsgan.numcore import (RngStream, Tape, Tensor, add, backward, clamp,
                            concat, conv1d, dropout, gru_sequence, leaf_grads, log,
                            lstm_sequence, matmul, mean, mul, relu, reshape, sigmoid,
                            slice_tensor, sub, tanh, tsum)
-from tsgan.numcore.tensor import _unbroadcast
+from tsgan.numcore.tensor import _record, _unbroadcast
 
 
 def test_arithmetic_forward_values():
@@ -345,6 +347,28 @@ def test_leaf_grads_maps_names_and_rejects_stale_tapes():
     with pytest.raises(GraphError) as err:
         leaf_grads(second, {"w": w, "b": b}, gmap2)
     assert "b" in str(err.value)
+
+
+def test_backward_frees_each_node_before_earlier_nodes_run():
+    """A node's saved arrays die at their last use, not when the whole pass ends."""
+    events = []
+
+    def probe(t):  # identity whose backward logs when it runs
+        def bw(g):
+            events.append("earlier backward")
+            return (g,)
+        return _record("probe", Tensor(t.data.copy()), (t,), bw)
+
+    x = Tensor(np.ones(3), requires_grad=True)
+    held = np.full(3, 2.0)
+    weakref.finalize(held, events.append, "later node's array freed")
+    with Tape() as rec:
+        loss = tsum(mul(probe(x), Tensor(held)))  # mul's closure keeps `held`
+    del held
+    gmap = backward(rec, loss)
+    assert events == ["later node's array freed", "earlier backward"]
+    assert rec.nodes == []
+    np.testing.assert_array_equal(gmap[x.tape_id].data, [2.0, 2.0, 2.0])
 
 
 def test_no_active_tape_means_no_recording():
