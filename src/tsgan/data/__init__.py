@@ -24,7 +24,6 @@ from .scaling import (
     fit_scaler,
     inverse_scale_matrix,
     inverse_scaler,
-    scale_values,
 )
 from .synth import AR1_LEVEL, AR1_PHI, AR1_SIGMA, SYNTH_KINDS, make_synthetic_series
 from .windows import WindowDataset, make_windows, split_train_test

@@ -71,11 +71,6 @@ def apply_scaler(features: FeatureMatrix, params: ScalerParams) -> FeatureMatrix
     return features.with_values(scaled)
 
 
-def scale_values(values: np.ndarray, params: ScalerParams, column: str) -> np.ndarray:
-    i = params.index_of(column)
-    return (np.asarray(values, dtype=np.float64) - params.mins[i]) / (params.maxs[i] - params.mins[i])
-
-
 def inverse_scaler(values: np.ndarray, params: ScalerParams, column: str) -> np.ndarray:
     """Map scaled values of one column back to original units."""
     i = params.index_of(column)

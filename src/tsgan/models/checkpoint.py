@@ -1,10 +1,11 @@
 """Bit-exact network checkpoints.
 
 A checkpoint is a pair of files sharing a stem: <stem>.json carries the
-manifest (spec, parameter names and shapes in canonical order, seed, step)
-and <stem>.bin is the network's parameter vector as one little-endian float64
-blob, every parameter in manifest order. Round trips are bit-exact by
-construction.
+manifest (spec, parameter names and shapes, seed, step) and <stem>.bin is the
+network's parameter vector as one little-endian float64 blob. Both list the
+parameters in the spec's canonical order (network.param_shapes), the one
+layout a Network holds; a manifest that lists them in any other order is
+refused, never re-laid out. Round trips are bit-exact by construction.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from ..artifacts import read_json, write_bytes, write_json
 from ..errors import DataError
 from ..numcore.tensor import ParamVector
-from .network import Network, NetSpec
+from .network import Network, NetSpec, param_shapes
 
 _MAGIC = "tsgan-checkpoint-v1"
 _FIELD_TYPES = {"spec": dict, "params": list, "blob": str}
@@ -37,12 +38,11 @@ def _is_param_entry(entry) -> bool:
 def save_checkpoint(stem, net: Network, seed: int | None = None, step: int = 0) -> dict:
     """Write <stem>.json + <stem>.bin; returns the manifest dict."""
     stem = str(stem)
-    order = net.param_order()
     manifest = {
         "format": _MAGIC,
         "name": net.name,
         "spec": net.spec.to_dict(),
-        "params": [{"name": k, "shape": list(net.params[k].shape)} for k in order],
+        "params": [{"name": k, "shape": list(p.shape)} for k, p in net.params.items()],
         "seed": seed,
         "step": int(step),
         "blob": os.path.basename(stem) + ".bin",
@@ -76,11 +76,12 @@ def load_checkpoint(stem) -> tuple[Network, dict]:
         raise DataError(f"cannot read checkpoint blob {blob_path}: {e.strerror}") from None
     spec = NetSpec.from_dict(manifest["spec"])
     shapes = [(entry["name"], tuple(entry["shape"])) for entry in manifest["params"]]
-    if len(dict(shapes)) != len(shapes):
-        raise DataError(f"checkpoint manifest {stem}.json repeats a parameter name")
+    if shapes != param_shapes(spec):
+        raise DataError(f"checkpoint manifest {stem}.json does not list its spec's parameter "
+                        "names and shapes in canonical order")
     need = 8 * sum(math.prod(shape) for _, shape in shapes)
     if len(raw) != need:
         raise DataError(f"checkpoint blob {blob_path} holds {len(raw)} bytes; "
                         f"its manifest's parameters need {need}")
     flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return Network(spec, ParamVector.over(shapes, flat)), manifest
+    return Network(spec, ParamVector(shapes, flat)), manifest

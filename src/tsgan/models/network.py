@@ -1,10 +1,11 @@
 """Layer specs, parameter initialization, and the shared forward interpreter.
 
 A NetSpec is an ordered list of layer descriptions; a Network couples one
-NetSpec with a name -> Tensor parameter dict whose values are views into one
-float64 vector. net_forward walks the layer list, so every architecture in the
-toolkit (generator, discriminator, critic, forecasters, TimeGAN sub-networks)
-shares one executor and one checkpoint format.
+NetSpec with a ParamVector: name -> Tensor, each value a view into one float64
+vector, laid in the spec's canonical order. net_forward walks the layer list,
+so every architecture in the toolkit (generator, discriminator, critic,
+forecasters, TimeGAN sub-networks) shares one executor and one checkpoint
+format.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def _apply_activation(x: Tensor, name: str | None) -> Tensor:
     raise ConfigError(f"unknown activation {name!r}")
 
 
-def _layer_param_shapes(spec: NetSpec) -> list[tuple[str, tuple]]:
+def param_shapes(spec: NetSpec) -> list[tuple[str, tuple]]:
     """Named parameter shapes in canonical (manifest) order."""
     shapes: list[tuple[str, tuple]] = []
     width = spec.input_dim
@@ -156,8 +157,8 @@ def init_network_params(spec: NetSpec, rng: RngStream) -> ParamVector:
     Draw order is layer order then canonical name order, so identical seeds
     give bit-identical parameters. Each draw lands in its view of one vector.
     """
-    shapes = _layer_param_shapes(spec)
-    params = ParamVector.over(shapes, np.zeros(sum(math.prod(s) for _, s in shapes)))
+    shapes = param_shapes(spec)
+    params = ParamVector(shapes, np.zeros(sum(math.prod(s) for _, s in shapes)))
     for name, shape in shapes:
         if not name.split(".")[-1].startswith("b"):
             fan_in = shape[0] * shape[1] if len(shape) == 3 else shape[0]
@@ -237,18 +238,16 @@ def net_forward(
 
 
 class Network:
-    """One spec bound to its parameters, laid in param_order() over one vector
-    (a ParamVector; a parameter set in another layout is copied into one).
+    """One spec bound to its parameters: a ParamVector laid in the spec's canonical
+    order (param_shapes), which is also the order a checkpoint lists them in.
     Forward calls share net_forward."""
 
-    def __init__(self, spec: NetSpec, params: dict[str, Tensor]):
-        shapes = _layer_param_shapes(spec)
-        if {k: v.shape for k, v in params.items()} != dict(shapes):
-            raise ShapeError(f"{spec.name}: parameter set does not match the declared layer shapes")
+    def __init__(self, spec: NetSpec, params: ParamVector):
+        if [(k, v.shape) for k, v in params.items()] != param_shapes(spec):
+            raise ShapeError(f"{spec.name}: parameters do not match the declared layer "
+                             "names and shapes in canonical order")
         self.spec = spec
-        order = [name for name, _ in shapes]
-        self.params = (params if isinstance(params, ParamVector) and list(params) == order
-                       else ParamVector({k: params[k] for k in order}))
+        self.params = params
 
     @property
     def name(self) -> str:
@@ -259,16 +258,9 @@ class Network:
         return net_forward(self.spec, self.params, x, mode=mode, rng=rng,
                            start=start, stop=stop)
 
-    def __call__(self, x: Tensor, mode: str = "eval", rng: RngStream | None = None) -> Tensor:
-        return self.forward(x, mode=mode, rng=rng)
-
-    def param_order(self) -> list[str]:
-        return list(self.params)
-
     def clone(self) -> "Network":
         """Frozen value copy (a fresh vector, same spec)."""
-        return Network(self.spec, ParamVector.over(_layer_param_shapes(self.spec),
-                                                   self.params.flat.copy()))
+        return Network(self.spec, ParamVector(param_shapes(self.spec), self.params.flat.copy()))
 
 
 def forward_stacked(net: Network, first, second) -> tuple[Tensor, Tensor]:

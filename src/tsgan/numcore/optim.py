@@ -1,15 +1,15 @@
 """First-order optimizers over flat parameter vectors.
 
 A network's parameters live in one float64 vector (a ParamVector), each named
-Tensor's data a view into it. leaf_grads() already lays the gradients over
-one vector in the parameters' order, so an update reads that vector as it is
-(a plain dict of gradients is gathered into a fresh one) with one finite
-check, writes the new values into a fresh vector BLOCK elements at a time,
-and rebinds the views: backward closures capture the arrays live at op time,
-so the old vector is never written, and neither is the caller's gradient
-vector. The flat moments advance in place in a second blockwise pass, only
-once every new value is known to be finite, so an update that aborts changes
-nothing.
+Tensor's data a view into it. leaf_grads() returns the gradients as one
+float64 vector in the parameters' order, and that vector is the only gradient
+layout an update takes: its length is checked once, then it is read as it is
+with one finite check. The update writes the new values into a fresh vector
+BLOCK elements at a time and rebinds the views: backward closures capture the
+arrays live at op time, so the old vector is never written, and neither is
+the caller's gradient vector. The flat moments advance in place in a second
+blockwise pass, only once every new value is known to be finite, so an update
+that aborts changes nothing.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, GraphError, NumericAbort
-from .tensor import ParamGroup, ParamVector, Tensor
+from .tensor import ParamGroup, ParamVector
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -33,11 +33,9 @@ _MOMENTS = {"sgd": (), "adam": (("m", ADAM_BETA1, False), ("v", ADAM_BETA2, True
 BLOCK = 1 << 16  # elements per blockwise pass: a 6.2M-value update makes no whole-vector temporary
 
 
-def _vectors(params: dict) -> list[ParamVector]:
-    """The vectors under params; a plain dict of Tensors is first laid over a new one."""
-    if isinstance(params, ParamGroup):
-        return params.vectors
-    return [params if isinstance(params, ParamVector) else ParamVector(params)]
+def _vectors(params: ParamVector | ParamGroup) -> list[ParamVector]:
+    """The vectors under params, in params' order."""
+    return params.vectors if isinstance(params, ParamGroup) else [params]
 
 
 def require_finite(params: dict, values: np.ndarray, message: str, offset: int = 0) -> None:
@@ -89,29 +87,19 @@ def _descend(state: OptimizerState, t: int, p, g, moments: dict, out, tmp) -> No
     np.subtract(p, out, out=out)
 
 
-def _gather(params: dict, grads: dict) -> np.ndarray:
-    """Every gradient, shape-checked, as one flat vector in params' order: a ParamVector
-    keyed like params is read as it is, other mappings are copied into a fresh vector."""
-    missing = sorted(set(params) - set(grads))
-    if missing:
-        raise GraphError(f"gradients missing for parameters: {missing}")
-    gs = [g.data if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64)
-          for g in map(grads.get, params)]
-    for (name, p), g in zip(params.items(), gs):
-        if g.shape != p.data.shape:
-            raise GraphError(f"gradient shape {g.shape} does not match parameter {name!r} "
-                             f"shape {p.data.shape}")
-    if isinstance(grads, ParamVector) and list(grads) == list(params):
-        return grads.flat
-    return np.concatenate([np.zeros(0), *gs], axis=None)
+def optimizer_step(state: OptimizerState, params: ParamVector | ParamGroup,
+                   g: np.ndarray) -> None:
+    """Apply one update to every parameter along g, the gradient vector leaf_grads() lays
+    in params' order. Ascent on L is exactly descent on -L.
 
-
-def optimizer_step(state: OptimizerState, params: dict[str, Tensor], grads: dict) -> None:
-    """Apply one update to every parameter. Ascent on L is exactly descent on -L.
-
-    An update that aborts leaves the parameters, the moments and the step count as they were.
+    A gradient vector of the wrong length is a GraphError. An update that raises leaves
+    the parameters, the moments and the step count as they were.
     """
-    vectors, g = _vectors(params), _gather(params, grads)
+    vectors = _vectors(params)
+    size = sum(vec.bounds[-1] for vec in vectors)
+    if np.shape(g) != (size,):
+        raise GraphError(f"gradient vector has shape {np.shape(g)}; the parameters "
+                         f"need ({size},)")
     require_finite(params, g, "non-finite gradient for parameter {!r}")
     if state.direction == "ascend":  # a fresh vector: the caller's gradients are never written
         g = np.negative(g)
@@ -139,7 +127,7 @@ def optimizer_step(state: OptimizerState, params: dict[str, Tensor], grads: dict
         vec.bind(new)
 
 
-def clip_weights(params: dict[str, Tensor], c: float) -> None:
+def clip_weights(params: ParamVector | ParamGroup, c: float) -> None:
     """Clip every parameter into [-c, c], writing a fresh vector."""
     if not (c > 0.0):
         raise ConfigError(f"clip bound must be positive, got {c}")

@@ -80,21 +80,15 @@ class Tensor:
 class ParamVector(dict):
     """name -> Tensor, each Tensor's data a view, in this order, into one float64 vector `flat`.
 
-    It copies the given Tensors' values into a new vector, or takes `flat` as it is.
-    Reading `flat` checks that every Tensor's data is still the view bind() gave it.
+    Fresh parameter Tensors, named and shaped by (name, shape) pairs, are laid over `flat`
+    as it is. Reading `flat` checks that every Tensor's data is still the view bind() gave it.
     """
 
-    def __init__(self, named: dict, flat: np.ndarray | None = None):
-        super().__init__(named)
+    def __init__(self, shapes, flat: np.ndarray):
+        super().__init__((name, Tensor(np.empty(shape), requires_grad=True))
+                         for name, shape in shapes)
         self.bounds = list(accumulate((t.size for t in self.values()), initial=0))
-        self.bind(np.concatenate([np.zeros(0), *(t.data for t in self.values())], axis=None)
-                  if flat is None else flat)
-
-    @classmethod
-    def over(cls, shapes, flat: np.ndarray) -> "ParamVector":
-        """Fresh parameter Tensors, named and shaped by (name, shape) pairs, laid over flat."""
-        return cls({name: Tensor(np.empty(shape), requires_grad=True) for name, shape in shapes},
-                   flat)
+        self.bind(flat)
 
     def bind(self, flat: np.ndarray) -> None:
         """Make `flat` the vector and point every Tensor's data at its view."""
@@ -213,9 +207,9 @@ def backward(record: Tape, loss: Tensor) -> dict[int, Tensor]:
     return result
 
 
-def leaf_grads(record: Tape, params: dict, gmap: dict) -> ParamVector:
-    """Map parameter names to gradients from a backward() result, laid over one vector
-    in params' order (a ParamVector), which an update reads with no second copy.
+def leaf_grads(record: Tape, params: dict, gmap: dict) -> np.ndarray:
+    """The gradients of params from a backward() result as one float64 vector, laid in
+    params' order the way their values lie in a ParamVector: what an update reads.
 
     Only tensors that actually joined `record` are looked up; a stale
     tape_id from an earlier record never aliases into the wrong gradient.
@@ -224,7 +218,8 @@ def leaf_grads(record: Tape, params: dict, gmap: dict) -> ParamVector:
                if p._tape is not record or p.tape_id not in gmap]
     if missing:
         raise GraphError(f"no gradients on this record for parameters: {sorted(missing)}")
-    return ParamVector({name: Tensor(gmap[p.tape_id].data) for name, p in params.items()})
+    return np.concatenate([np.zeros(0), *(gmap[p.tape_id].data for p in params.values())],
+                          axis=None)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:

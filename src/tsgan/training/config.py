@@ -96,7 +96,7 @@ class TrainConfig(KeyedConfig):
         "loss_mode": Key("nonsaturating", GENERATOR_LOSS_MODES),
         "latent_dim": Key(8, int),
         "hidden_layers": Key(6, int),
-        "hidden_units": Key(64, int),
+        "hidden_units": Key(64, int, ">= 1"),
         "timegan_hidden": Key(24, int),
         "sup_weight": Key(1.0, float),
         "recon_weight": Key(10.0, float),

@@ -211,6 +211,25 @@ def test_corrupt_inputs_exit_2(tmp_path, capsys, data_csv, gru_run, target, corr
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def test_checkpoint_listing_its_parameters_out_of_order_exits_2(tmp_path, capsys, data_csv,
+                                                               gru_run):
+    """A checkpoint lists its parameters in the spec's canonical order. The same values
+    listed in reverse, the blob permuted to match, are refused, not re-laid out."""
+    run = tmp_path / "run"
+    shutil.copytree(gru_run, run)
+    doc = json.loads((run / "model.json").read_text())
+    flat = np.frombuffer((run / "model.bin").read_bytes(), dtype="<f8")
+    parts = np.split(flat, np.cumsum([np.prod(e["shape"]) for e in doc["params"]])[:-1])
+    doc["params"].reverse()
+    (run / "model.json").write_text(json.dumps(doc))
+    (run / "model.bin").write_bytes(np.concatenate(parts[::-1]).astype("<f8").tobytes())
+    capsys.readouterr()
+    assert main(["forecast", "--input", str(data_csv), "--model-dir", str(run), *PIPE,
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "canonical order" in err[0]
+
+
 @pytest.mark.parametrize("command", ["ingest", "features"])
 @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
 def test_non_finite_ohlcv_cell_exits_2(tmp_path, capsys, data_csv, command, cell):
@@ -805,7 +824,7 @@ def test_number_keys_are_stored_as_given():
     ("batch_size", 0), ("epochs", -1), ("n_critic", 0), ("seq_len", 0), ("horizon", 0),
     ("sma_window", 0), ("knn_k", 0), ("lr_g", 0.0), ("lr_d", -1e-3), ("clip_c", 0),
     ("width_mult", -0.5), ("train_fraction", 0.0), ("train_fraction", 1),
-    ("optimizer", "lion"), ("loss_mode", "hinge"),
+    ("optimizer", "lion"), ("loss_mode", "hinge"), ("hidden_units", 0), ("hidden_units", -3),
 ])
 def test_bounds_and_choices_are_kept(key, value):
     cls = TrainConfig if key in TrainConfig.DEFAULTS else PipelineConfig
@@ -814,8 +833,8 @@ def test_bounds_and_choices_are_kept(key, value):
 
 
 def test_unbounded_keys_take_any_int_or_number():
-    cfg = TrainConfig(seed=-1, hidden_layers=0, hidden_units=-3, latent_dim=0,
-                      timegan_hidden=0, sup_weight=-1.0, recon_weight=0)
+    cfg = TrainConfig(seed=-1, hidden_layers=0, latent_dim=0, timegan_hidden=0,
+                      sup_weight=-1.0, recon_weight=0)
     assert (cfg.seed, cfg.hidden_layers, cfg.recon_weight) == (-1, 0, 0)
 
 

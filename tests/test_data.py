@@ -11,8 +11,7 @@ from tsgan.data import (AR1_LEVEL, AR1_PHI, FEATURE_COLUMNS, RAW_COLUMNS, Featur
                         PriceSeries, apply_scaler, build_features, fit_scaler,
                         inverse_scale_matrix, inverse_scaler, make_synthetic_series,
                         make_windows, newest_feature_row, parse_ohlcv_csv, pct_change,
-                        repair_calendar, scale_values, series_to_csv,
-                        split_train_test, trailing_sma)
+                        repair_calendar, series_to_csv, split_train_test, trailing_sma)
 from tsgan.errors import ConfigError, DataError
 
 HEADER = "Date,Open,High,Low,Close,Adj Close,Volume"
@@ -255,9 +254,10 @@ def test_scaler_roundtrip_within_relative_tolerance():
                        [dt.date(2015, 1, 5) + dt.timedelta(days=i) for i in range(40)],
                        sma_window=1)
     scaler = fit_scaler(fm)
+    scaled = apply_scaler(fm, scaler)
     for col in ("price", "volume"):
         orig = fm.column(col)
-        back = inverse_scaler(scale_values(orig, scaler, col), scaler, col)
+        back = inverse_scaler(scaled.column(col), scaler, col)
         assert np.max(np.abs(back - orig) / np.maximum(1.0, np.abs(orig))) <= 1e-12
 
 

@@ -1,5 +1,6 @@
-"""One parameter vector per network: the flat update against the per-parameter oracle,
-the view layout every network keeps, and checkpoint bytes."""
+"""One parameter vector per network: the flat update, fed one flat gradient vector,
+against the per-parameter oracle, the view layout every network keeps, and checkpoint
+bytes."""
 
 from pathlib import Path
 
@@ -10,10 +11,10 @@ from optim_oracle import OracleState, oracle_clip, oracle_step
 from tsgan.errors import GraphError
 from tsgan.models import (NetSpec, build_forecaster, build_timegan, load_checkpoint,
                           save_checkpoint)
-from tsgan.models.network import build_network, require_finite_params
+from tsgan.models.network import build_network, param_shapes, require_finite_params
 from tsgan.numcore import (OptimizerState, RngStream, Tape, Tensor, backward, clip_weights,
                            leaf_grads, mean, mul, optimizer_step)
-from tsgan.numcore.optim import BLOCK, OPTIMIZERS, ParamGroup, ParamVector, _gather
+from tsgan.numcore.optim import BLOCK, OPTIMIZERS, ParamGroup
 from tsgan.training.step import train_step
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -31,8 +32,8 @@ def _assert_laid_over(vec):
 
 
 def _assert_views(net):
-    """Every parameter is the view of its span of net.params.flat, in param_order()."""
-    assert list(net.params) == net.param_order()
+    """Every parameter is the view of its span of net.params.flat, in canonical order."""
+    assert [(k, p.shape) for k, p in net.params.items()] == param_shapes(net.spec)
     _assert_laid_over(net.params)
 
 
@@ -48,6 +49,11 @@ def _grads(params, draw):
     """Gradients of mixed scale, so moments and steps differ across entries."""
     return {name: draw.normal(size=p.shape) * 10.0 ** draw.integers(-4, 2, size=p.shape)
             for name, p in params.items()}
+
+
+def _flat(grads):
+    """Named gradients as the one vector optimizer_step takes, in their order."""
+    return np.concatenate([np.zeros(0), *grads.values()], axis=None)
 
 
 def _assert_same_bytes(params, oracle_params):
@@ -74,7 +80,7 @@ def test_flat_step_matches_the_per_parameter_oracle(algo, direction):
     draw = np.random.default_rng(5)
     for _ in range(4):
         grads = _grads(net.params, draw)
-        optimizer_step(state, net.params, grads)
+        optimizer_step(state, net.params, _flat(grads))
         oracle_step(oracle, twin.params, grads)
         _assert_same_bytes(net.params, twin.params)
         _assert_same_moments(state, oracle, net.params)
@@ -94,7 +100,7 @@ def test_flat_step_over_merged_networks_matches_the_oracle(algo):
     draw = np.random.default_rng(6)
     for _ in range(3):
         grads = _grads(group, draw)
-        optimizer_step(state, group, grads)
+        optimizer_step(state, group, _flat(grads))
         oracle_step(oracle, flat_twin, grads)
         _assert_same_bytes(group, flat_twin)
         _assert_same_moments(state, oracle, group)
@@ -105,40 +111,35 @@ def test_flat_step_over_merged_networks_matches_the_oracle(algo):
 @pytest.mark.parametrize("direction", ["descend", "ascend"])
 @pytest.mark.parametrize("algo", OPTIMIZERS)
 def test_leaf_grads_vector_steps_like_a_plain_dict(algo, direction):
-    """leaf_grads lays a merged group's gradients over one vector in the group's order; the
-    update reads that vector as it is, never writes it, and moves the same bits as the
-    plain-dict path."""
+    """leaf_grads lays a merged group's gradients over one float64 vector in the group's
+    order; the update reads that vector as it is, never writes it, and moves the same bits
+    as the per-parameter oracle stepping a plain dict of the same gradients."""
     parts = ("embedder", "recovery", "generator", "supervisor")
     nets = build_timegan(4, 3, 2, RngStream(3, ("tg",)))
     twins = {k: v.clone() for k, v in nets.items()}
     group = ParamGroup({k: nets[k].params for k in parts})
-    twin_group = ParamGroup({k: twins[k].params for k in parts})
-    state, twin_state = OptimizerState(algo, 1e-2, direction), OptimizerState(algo, 1e-2, direction)
+    flat_twin = {f"{k}.{n}": p for k in parts for n, p in twins[k].params.items()}
+    state, oracle = OptimizerState(algo, 1e-2, direction), OracleState(algo, 1e-2, direction)
     for step in range(3):
         with Tape() as tape:
             loss = sum(mean(mul(mul(p, p), float(i + step))) for i, p in enumerate(group.values()))
         gmap = backward(tape, loss)
         grads = leaf_grads(tape, group, gmap)
-        assert isinstance(grads, ParamVector) and list(grads) == list(group)
-        _assert_laid_over(grads)
-        for name, p in group.items():
-            assert grads[name].data.tobytes() == gmap[p.tape_id].data.tobytes(), name
-        assert _gather(group, grads) is grads.flat
-        plain = {name: Tensor(gmap[p.tape_id].data.copy()) for name, p in group.items()}
-        before = grads.flat.tobytes()
+        plain = {name: gmap[p.tape_id].data.copy() for name, p in group.items()}
+        assert grads.dtype == np.float64 and grads.tobytes() == _flat(plain).tobytes()
+        before = grads.tobytes()
         optimizer_step(state, group, grads)
-        optimizer_step(twin_state, twin_group, plain)
-        assert grads.flat.tobytes() == before
-        _assert_same_bytes(group, twin_group)
-        for key, moment in state.moments.items():
-            assert moment.tobytes() == twin_state.moments[key].tobytes(), key
+        oracle_step(oracle, flat_twin, plain)
+        assert grads.tobytes() == before
+        _assert_same_bytes(group, flat_twin)
+        _assert_same_moments(state, oracle, group)
 
 
 def test_clip_matches_the_oracle_and_keeps_the_views():
     net = _wide_net(2)
     twin = net.clone()
     grads = _grads(net.params, np.random.default_rng(7))  # moves some values past the bound
-    optimizer_step(OptimizerState("sgd", 1.0), net.params, grads)
+    optimizer_step(OptimizerState("sgd", 1.0), net.params, _flat(grads))
     oracle_step(OracleState("sgd", 1.0), twin.params, grads)
     clip_weights(net.params, 0.05)
     oracle_clip(twin.params, 0.05)
@@ -154,7 +155,7 @@ def test_update_leaves_the_previous_vector_untouched(update):
     before = old.tobytes()
     if update == "step":
         optimizer_step(OptimizerState("adam", 0.1), net.params,
-                       _grads(net.params, np.random.default_rng(8)))
+                       _flat(_grads(net.params, np.random.default_rng(8))))
     else:
         clip_weights(net.params, 1e-3)
     assert net.params.flat is not old
@@ -185,7 +186,7 @@ _READERS = {
     "save": lambda net, tmp: save_checkpoint(tmp / "model", net),
     "step": lambda net, tmp: optimizer_step(
         OptimizerState("sgd", 0.1), net.params,
-        {k: np.ones(p.shape) for k, p in net.params.items()}),
+        _flat({k: np.ones(p.shape) for k, p in net.params.items()})),
     "clip": lambda net, tmp: clip_weights(net.params, 0.1),
     "clone": lambda net, tmp: net.clone(),
     "finite": lambda net, tmp: require_finite_params(net),

@@ -14,6 +14,7 @@ from tsgan.models import (NetSpec, Network, build_critic, build_discriminator,
 from tsgan.models.builders import (DISC_CONV_FILTERS, DISC_DENSE_UNITS,
                                    GENERATOR_DENSE_UNITS, GENERATOR_GRU_UNITS)
 from tsgan.numcore import RngStream, Tensor, mean
+from tsgan.numcore.tensor import ParamVector
 
 
 def _cell(kind, input_dim, units, rng):
@@ -89,27 +90,30 @@ def test_netspec_roundtrip_and_validation():
 
 
 def test_network_rejects_mismatched_parameters():
+    """A Network takes a ParamVector in its spec's canonical names, shapes and order."""
     spec = NetSpec("demo", 2, [{"kind": "dense", "units": 3, "activation": "linear"}],
                    input_rank=2)
-    net = build_network(spec, RngStream(0, ("n",)))
-    bad = dict(net.params)
-    bad["L0.W"] = Tensor(np.zeros((2, 4)))
-    with pytest.raises(ShapeError):
-        Network(spec, bad)
+    Network(spec, ParamVector([("L0.W", (2, 3)), ("L0.b", (3,))], np.zeros(9)))
+    for shapes in ([("L0.W", (2, 4)), ("L0.b", (3,))],   # a wrong shape
+                   [("L0.b", (3,)), ("L0.W", (2, 3))],   # the right ones out of order
+                   [("L0.W", (2, 3))]):                  # one missing
+        flat = np.zeros(sum(int(np.prod(shape)) for _, shape in shapes))
+        with pytest.raises(ShapeError, match="canonical order"):
+            Network(spec, ParamVector(shapes, flat))
 
 
 def test_forward_validates_input_rank_and_width():
     net = build_forecaster("gru", 1, 4, 6, 2, 3, RngStream(0, ("f",)))
     with pytest.raises(ShapeError):
-        net(Tensor(np.zeros((5, 3))))
+        net.forward(Tensor(np.zeros((5, 3))))
     with pytest.raises(ShapeError):
-        net(Tensor(np.zeros((5, 6, 7))))
+        net.forward(Tensor(np.zeros((5, 6, 7))))
 
 
 def test_forward_runs_a_layer_range():
     gen = build_generator(2, 6, 3, RngStream(0, ("g",)), feature_dim=4, width_mult=1 / 64)
     x = Tensor(np.random.default_rng(1).normal(size=(5, 6, 6)))
-    full = gen(x).data
+    full = gen.forward(x).data
     for cut in range(len(gen.spec.layers) + 1):
         np.testing.assert_array_equal(gen.forward(gen.forward(x, stop=cut), start=cut).data,
                                       full)
@@ -139,7 +143,7 @@ def test_time_distributed_dense_applies_per_step():
     spec = NetSpec("td", 3, [{"kind": "dense", "units": 2, "activation": "linear"}])
     net = build_network(spec, RngStream(4, ("td",)))
     x = np.random.default_rng(2).normal(size=(5, 7, 3))
-    out = net(Tensor(x)).data
+    out = net.forward(Tensor(x)).data
     w = net.params["L0.W"].data
     b = net.params["L0.b"].data
     np.testing.assert_allclose(out, x @ w + b)
@@ -147,18 +151,18 @@ def test_time_distributed_dense_applies_per_step():
 
 def test_last_step_selects_the_final_time_slice():
     spec = NetSpec("ls", 3, [{"kind": "last_step"}])
-    net = Network(spec, {})
+    net = Network(spec, ParamVector([], np.zeros(0)))
     x = np.random.default_rng(3).normal(size=(4, 6, 3))
-    np.testing.assert_array_equal(net(Tensor(x)).data, x[:, -1, :])
+    np.testing.assert_array_equal(net.forward(Tensor(x)).data, x[:, -1, :])
 
 
 def test_recurrent_stack_output_shape_and_determinism():
     net1 = build_forecaster("lstm", 2, 5, 9, 3, 4, RngStream(6, ("fx",)))
     net2 = build_forecaster("lstm", 2, 5, 9, 3, 4, RngStream(6, ("fx",)))
     x = Tensor(np.random.default_rng(4).normal(size=(2, 9, 4)))
-    out1 = net1(x).data
+    out1 = net1.forward(x).data
     assert out1.shape == (2, 3)
-    np.testing.assert_array_equal(out1, net2(x).data)
+    np.testing.assert_array_equal(out1, net2.forward(x).data)
 
 
 def test_forecaster_network_gradients():
@@ -202,7 +206,7 @@ def test_discriminator_architecture_and_minimum_length():
     assert dense[:2] == list(DISC_DENSE_UNITS)
     assert disc.spec.layers[-1]["activation"] == "sigmoid"
 
-    out = disc(Tensor(np.random.default_rng(6).normal(size=(3, 90, 1))))
+    out = disc.forward(Tensor(np.random.default_rng(6).normal(size=(3, 90, 1))))
     assert out.data.shape == (3, 1)
     assert np.all((out.data > 0) & (out.data < 1))
 
@@ -226,9 +230,9 @@ def test_timegan_bundle_wiring():
     assert nets["recovery"].spec.layers[-1]["units"] == 6
     assert nets["discriminator"].spec.layers[-1]["units"] == 1
     x = Tensor(np.random.default_rng(7).uniform(size=(2, 5, 6)))
-    latent = nets["embedder"](x)
+    latent = nets["embedder"].forward(x)
     assert latent.data.shape == (2, 5, 8)
-    back = nets["recovery"](latent)
+    back = nets["recovery"].forward(latent)
     assert back.data.shape == (2, 5, 6)
 
 
@@ -239,10 +243,10 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     loaded, manifest = load_checkpoint(stem)
     assert manifest["seed"] == 9 and manifest["step"] == 17
     assert loaded.spec.to_dict() == net.spec.to_dict()
-    for name in net.param_order():
+    for name in net.params:
         np.testing.assert_array_equal(loaded.params[name].data, net.params[name].data)
     x = Tensor(np.random.default_rng(8).normal(size=(2, 6, 5)))
-    np.testing.assert_array_equal(loaded(x).data, net(x).data)
+    np.testing.assert_array_equal(loaded.forward(x).data, net.forward(x).data)
 
 
 def test_checkpoint_detects_blob_corruption(tmp_path):

@@ -1,30 +1,35 @@
-"""Optimizer updates checked against hand-computed single steps."""
+"""Optimizer updates checked against hand-computed single steps.
+
+Parameters are a ParamVector and gradients one flat float64 vector in its
+order, the one layout optimizer_step takes."""
 
 import numpy as np
 import pytest
 
 from tsgan.errors import ConfigError, GraphError, NumericAbort
 from tsgan.numcore import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, RMSPROP_DECAY,
-                           RMSPROP_EPS, OptimizerState, Tensor, clip_weights,
+                           RMSPROP_EPS, OptimizerState, clip_weights,
                            optimizer_step)
-from tsgan.numcore.optim import OPTIMIZERS
+from tsgan.numcore.optim import OPTIMIZERS, ParamVector
 
 
 def _params(values):
-    return {name: Tensor(np.array(v), requires_grad=True) for name, v in values.items()}
+    """A ParamVector holding the given named values, in their order."""
+    arrays = {name: np.asarray(v, dtype=np.float64) for name, v in values.items()}
+    return ParamVector([(name, a.shape) for name, a in arrays.items()],
+                       np.concatenate([np.zeros(0), *arrays.values()], axis=None))
 
 
 def test_sgd_descend_single_step():
     params = _params({"w": [1.0, -2.0]})
-    grads = {"w": np.array([0.5, -1.5])}
-    optimizer_step(OptimizerState("sgd", 0.1), params, grads)
+    optimizer_step(OptimizerState("sgd", 0.1), params, np.array([0.5, -1.5]))
     np.testing.assert_allclose(params["w"].data, [1.0 - 0.05, -2.0 + 0.15])
 
 
 def test_sgd_ascend_flips_the_update():
     descend = _params({"w": [1.0]})
     ascend = _params({"w": [1.0]})
-    grads = {"w": np.array([0.25])}
+    grads = np.array([0.25])
     optimizer_step(OptimizerState("sgd", 0.2, direction="descend"), descend, grads)
     optimizer_step(OptimizerState("sgd", 0.2, direction="ascend"), ascend, grads)
     np.testing.assert_allclose(ascend["w"].data - 1.0, -(descend["w"].data - 1.0))
@@ -33,7 +38,7 @@ def test_sgd_ascend_flips_the_update():
 def test_adam_first_step_matches_hand_computation():
     g = np.array([0.3, -0.7])
     params = _params({"w": [0.0, 0.0]})
-    optimizer_step(OptimizerState("adam", 0.01), params, {"w": g})
+    optimizer_step(OptimizerState("adam", 0.01), params, g)
     m_hat = g  # bias correction makes the first step use the raw gradient
     v_hat = g * g
     expected = -0.01 * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
@@ -45,8 +50,8 @@ def test_adam_two_steps_track_the_moment_recursions():
     g2 = np.array([-0.2])
     params = _params({"w": [1.0]})
     state = OptimizerState("adam", 0.05)
-    optimizer_step(state, params, {"w": g1})
-    optimizer_step(state, params, {"w": g2})
+    optimizer_step(state, params, g1)
+    optimizer_step(state, params, g2)
 
     m = (1 - ADAM_BETA1) * g1
     v = (1 - ADAM_BETA2) * g1 * g1
@@ -60,7 +65,7 @@ def test_adam_two_steps_track_the_moment_recursions():
 def test_rmsprop_single_step_matches_hand_computation():
     g = np.array([2.0])
     params = _params({"w": [0.5]})
-    optimizer_step(OptimizerState("rmsprop", 0.1), params, {"w": g})
+    optimizer_step(OptimizerState("rmsprop", 0.1), params, g)
     sq = (1 - RMSPROP_DECAY) * g * g
     expected = 0.5 - 0.1 * g / (np.sqrt(sq) + RMSPROP_EPS)
     np.testing.assert_allclose(params["w"].data, expected, rtol=1e-12)
@@ -69,36 +74,22 @@ def test_rmsprop_single_step_matches_hand_computation():
 def test_update_rebinds_a_fresh_array():
     params = _params({"w": [1.0]})
     before = params["w"].data
-    optimizer_step(OptimizerState("sgd", 0.1), params, {"w": np.array([1.0])})
+    optimizer_step(OptimizerState("sgd", 0.1), params, np.array([1.0]))
     assert params["w"].data is not before
     np.testing.assert_array_equal(before, [1.0])
-
-
-def test_missing_gradient_is_a_graph_error():
-    params = _params({"w": [1.0], "b": [0.0]})
-    with pytest.raises(GraphError) as err:
-        optimizer_step(OptimizerState("sgd", 0.1), params, {"w": np.array([1.0])})
-    assert "b" in str(err.value)
-
-
-def test_gradient_shape_mismatch_is_rejected():
-    params = _params({"w": [1.0, 2.0]})
-    with pytest.raises(GraphError):
-        optimizer_step(OptimizerState("sgd", 0.1), params, {"w": np.array([1.0])})
 
 
 def test_non_finite_gradient_aborts_naming_the_parameter():
     params = _params({"w": [1.0], "ok": [1.0]})
     with pytest.raises(NumericAbort) as err:
-        optimizer_step(OptimizerState("sgd", 0.1), params,
-                       {"w": np.array([np.nan]), "ok": np.array([0.0])})
+        optimizer_step(OptimizerState("sgd", 0.1), params, np.array([np.nan, 0.0]))
     assert "w" in str(err.value)
 
 
 def test_non_finite_update_aborts():
     params = _params({"w": [1.0]})
     with np.errstate(over="ignore"), pytest.raises(NumericAbort):
-        optimizer_step(OptimizerState("sgd", 1e308), params, {"w": np.array([1e308])})
+        optimizer_step(OptimizerState("sgd", 1e308), params, np.array([1e308]))
 
 
 def _snapshot(state, params):
@@ -123,10 +114,10 @@ def test_aborted_update_changes_nothing(algo, warm):
     params = _params({"a": [1.0], "b": [2.0]})
     state = OptimizerState(algo, 0.1)
     if warm:
-        optimizer_step(state, params, {"a": np.array([0.5]), "b": np.array([-0.5])})
+        optimizer_step(state, params, np.array([0.5, -0.5]))
     before = _snapshot(state, params)
     with pytest.raises(NumericAbort, match="'b'"):
-        optimizer_step(state, params, {"a": np.array([1.0]), "b": np.array([np.nan])})
+        optimizer_step(state, params, np.array([1.0, np.nan]))
     _assert_same(before, state, params)
 
 
@@ -136,8 +127,30 @@ def test_update_that_overflows_changes_nothing():
     state = OptimizerState("sgd", 1e308)
     before = _snapshot(state, params)
     with np.errstate(over="ignore"), pytest.raises(NumericAbort, match="after update"):
-        optimizer_step(state, params, {"a": np.array([1.0]), "b": np.array([1e308])})
+        optimizer_step(state, params, np.array([1.0, 1e308]))
     _assert_same(before, state, params)
+
+
+def test_missing_gradient_is_a_graph_error():
+    """A gradient vector one element short is refused before anything moves."""
+    for algo in OPTIMIZERS:
+        params, state = _params({"w": [1.0, 2.0], "b": [0.0]}), OptimizerState(algo, 0.1)
+        for _ in range(2):  # fresh, then after one step
+            before = _snapshot(state, params)
+            with pytest.raises(GraphError, match=r"\(3,\)"):
+                optimizer_step(state, params, np.array([1.0, 1.0]))
+            _assert_same(before, state, params)
+            optimizer_step(state, params, np.array([0.5, -0.5, 0.25]))
+
+
+def test_gradient_shape_mismatch_is_rejected():
+    """Only a 1-D vector with one value per parameter entry is a gradient."""
+    params = _params({"w": [1.0, 2.0], "b": [0.0]})
+    before = params.flat
+    for g in [np.ones(4), np.ones((1, 3)), np.ones((3, 1)), np.float64(1.0)]:
+        with pytest.raises(GraphError):
+            optimizer_step(OptimizerState("sgd", 0.1), params, g)
+    assert params.flat is before
 
 
 def test_invalid_configuration_rejected():
@@ -161,8 +174,3 @@ def test_clip_weights_rejects_non_positive_bound():
     with pytest.raises(ConfigError):
         clip_weights(_params({"a": [1.0]}), 0.0)
 
-
-def test_tensor_gradients_are_accepted_directly():
-    params = _params({"w": [2.0]})
-    optimizer_step(OptimizerState("sgd", 0.5), params, {"w": Tensor([4.0])})
-    np.testing.assert_allclose(params["w"].data, [0.0])

@@ -338,8 +338,10 @@ def test_leaf_grads_maps_names_and_rejects_stale_tapes():
     with Tape() as rec:
         loss = mean(matmul(Tensor(np.ones((3, 2))), w) + b)
     gmap = backward(rec, loss)
-    named = leaf_grads(rec, {"w": w, "b": b}, gmap)
-    assert set(named) == {"w", "b"}
+    flat = leaf_grads(rec, {"w": w, "b": b}, gmap)
+    assert flat.dtype == np.float64 and flat.shape == (6,)
+    expected = np.concatenate([gmap[w.tape_id].data.ravel(), gmap[b.tape_id].data])
+    assert flat.tobytes() == expected.tobytes()  # laid in the mapping's order
 
     with Tape() as second:
         loss2 = mean(matmul(Tensor(np.ones((3, 2))), w))
