@@ -61,20 +61,29 @@ def write_json(path: str | Path, doc) -> Path:
     return write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def read_json(path: str | Path, what: str, keys=()) -> dict:
-    """Load a JSON object, naming `what` it is in every DataError.
-
-    Raises DataError when the file is missing or unreadable, is not valid
-    JSON, is not a JSON object, or lacks one of the top-level `keys`.
-    """
-    path = Path(path)
+def read_text(path: str | Path, what: str, content: str = "UTF-8 text") -> str:
+    """A UTF-8 text file with universal newlines. A file that is missing, unreadable or
+    does not decode is a DataError naming `what` it is (and that it "is not `content`")."""
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise DataError(f"{what} not found: {path}") from None
     except OSError as e:
         raise DataError(f"cannot read {what}: {e}") from None
-    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+    except UnicodeDecodeError as e:
+        raise DataError(f"{what} {path} is not {content}: {e}") from None
+
+
+def read_json(path: str | Path, what: str, keys=()) -> dict:
+    """Load a JSON object, naming `what` it is in every DataError.
+
+    Raises DataError when the file is missing or unreadable, is not valid
+    UTF-8 JSON, nests too deep to parse, is not a JSON object, or lacks one
+    of the top-level `keys`.
+    """
+    try:
+        doc = json.loads(read_text(path, what, "valid JSON"))
+    except (ValueError, RecursionError) as e:
         raise DataError(f"{what} {path} is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise DataError(f"{what} {path} must hold a JSON object")

@@ -430,7 +430,10 @@ def main(argv: list[str] | None = None) -> int:
     out_dir = Path(args.out_dir)
     model_dir = getattr(args, "model_dir", None)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot use --out-dir {out_dir}: {e.strerror}") from None
         run = _load_train_run(Path(model_dir)) if model_dir is not None else None
         train_cfg, pipe_cfg = _resolve_config(args, run.config if run else None)
         own, inputs, outputs = _HANDLERS[args.command](args, out_dir, train_cfg, pipe_cfg, run)

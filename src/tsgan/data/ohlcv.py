@@ -91,9 +91,12 @@ def parse_ohlcv_csv(text: str) -> PriceSeries:
     """Parse CSV text into a raw PriceSeries; duplicate dates are rejected."""
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("empty CSV: no header row") from None
+        table = list(reader)
+    except csv.Error as e:
+        raise DataError(f"line {reader.line_num}: malformed CSV: {e}") from None
+    if not table:
+        raise DataError("empty CSV: no header row")
+    header = table[0]
     lookup = {name.strip().lower(): i for i, name in enumerate(header)}
     missing = [c for c in REQUIRED_COLUMNS if c not in lookup]
     if missing:
@@ -101,9 +104,11 @@ def parse_ohlcv_csv(text: str) -> PriceSeries:
     idx = [lookup[c] for c in REQUIRED_COLUMNS]
     row_nos, dates, rows = [], [], []
     seen = set()
-    for row_no, row in enumerate(reader, start=2):
+    for row_no, row in enumerate(table[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
+        if len(row) <= max(idx):
+            raise DataError(f"row {row_no}: {len(row)} fields, the header has {len(header)}")
         cells = [row[i].strip() for i in idx]
         try:
             date = dt.date.fromisoformat(cells[0])

@@ -25,7 +25,5 @@ from .network import (
     Network,
     NetSpec,
     build_network,
-    init_network_params,
-    net_forward,
     trunk_end,
 )

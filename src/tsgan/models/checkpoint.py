@@ -17,7 +17,6 @@ import numpy as np
 
 from ..artifacts import read_json, write_bytes, write_json
 from ..errors import DataError
-from ..numcore.tensor import ParamVector
 from .network import Network, NetSpec, param_shapes
 
 _MAGIC = "tsgan-checkpoint-v1"
@@ -83,5 +82,4 @@ def load_checkpoint(stem) -> tuple[Network, dict]:
     if len(raw) != need:
         raise DataError(f"checkpoint blob {blob_path} holds {len(raw)} bytes; "
                         f"its manifest's parameters need {need}")
-    flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return Network(spec, ParamVector(shapes, flat)), manifest
+    return Network(spec, np.frombuffer(raw, dtype="<f8").astype(np.float64)), manifest

@@ -1,16 +1,18 @@
-"""Layer specs, parameter initialization, and the shared forward interpreter.
+"""Layer specs, parameter initialization, and the one layer executor.
 
-A NetSpec is an ordered list of layer descriptions; a Network couples one
-NetSpec with a ParamVector: name -> Tensor, each value a view into one float64
-vector, laid in the spec's canonical order. net_forward walks the layer list,
-so every architecture in the toolkit (generator, discriminator, critic,
-forecasters, TimeGAN sub-networks) shares one executor and one checkpoint
-format.
+A NetSpec is an ordered list of layer descriptions, checked whole when it is
+built: each layer's kind, fields and activation, and the rank of the input it
+takes. A Network couples one NetSpec with the ParamVector it lays out itself:
+name -> Tensor, each value a view into one float64 vector, in the spec's
+canonical order. Network.forward walks the layer list, so every architecture
+in the toolkit (generator, discriminator, critic, forecasters, TimeGAN
+sub-networks) shares one executor and one checkpoint format.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 import numpy as np
 
@@ -33,12 +35,15 @@ from ..numcore import (
 from ..numcore.optim import require_finite
 from ..numcore.tensor import ParamVector
 
-ACTIVATIONS = ("sigmoid", "tanh", "relu", "linear")
+_ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu, "linear": lambda x: x}
+ACTIVATIONS = tuple(_ACTIVATIONS)
 
-# The fields each layer kind reads: positive ints, except dropout's rate, in [0, 1).
-_LAYER_FIELDS = {"gru": ("units",), "lstm": ("units",), "dense": ("units",),
-                 "conv1d": ("filters", "kernel", "stride"), "flatten": ("flat_width",),
-                 "dropout": ("rate",), "last_step": ()}
+# Each layer kind: the fields it reads (positive ints, except dropout's rate, in
+# [0, 1)), the input ranks it takes, and the rank it hands on (None: the one it got).
+_LAYER_KINDS = {"gru": (("units",), (3,), 3), "lstm": (("units",), (3,), 3),
+                "dense": (("units",), (2, 3), None), "dropout": (("rate",), (2, 3), None),
+                "conv1d": (("filters", "kernel", "stride"), (3,), 3),
+                "flatten": (("flat_width",), (3,), 2), "last_step": ((), (3,), 2)}
 
 # Gate letters of each recurrent kind, in parameter order and in the argument
 # order of its fused sequence kernel: W<gate>, b<gate> per gate.
@@ -50,24 +55,36 @@ _SPEC_FIELD_TYPES = {"name": str, "input_dim": int, "input_rank": int, "layers":
 
 
 class NetSpec:
-    """Ordered layer descriptions plus the input contract (rank and width)."""
+    """Ordered layer descriptions plus the input contract (rank and width).
+    `ranks[i]` is the rank layer i takes; the last entry is the output's rank."""
 
     def __init__(self, name: str, input_dim: int, layers: list[dict], input_rank: int = 3):
         if input_dim < 1:
             raise ConfigError(f"{name}: input_dim must be positive, got {input_dim}")
         if input_rank not in (2, 3):
             raise ConfigError(f"{name}: input_rank must be 2 or 3, got {input_rank}")
+        ranks = [int(input_rank)]
         for i, layer in enumerate(layers):
             kind = layer.get("kind")
-            if not isinstance(kind, str) or kind not in _LAYER_FIELDS:
+            if not isinstance(kind, str) or kind not in _LAYER_KINDS:
                 raise ConfigError(f"{name}: layer {i} has unknown kind {kind!r}")
+            fields, takes, gives = _LAYER_KINDS[kind]
+            bad = [f for f in fields if not _valid_layer_field(f, layer.get(f))]
+            if bad:
+                raise ConfigError(f"{name}: layer {i} ({kind}) fields are missing or "
+                                  f"invalid: {', '.join(bad)}")
             act = layer.get("activation")
             if act is not None and act not in ACTIVATIONS:
                 raise ConfigError(f"{name}: layer {i} has unknown activation {act!r}")
+            if ranks[-1] not in takes:
+                raise ConfigError(f"{name}: layer {i} ({kind}) takes a rank-"
+                                  f"{' or '.join(map(str, takes))} input, gets rank {ranks[-1]}")
+            ranks.append(gives or ranks[-1])
         self.name = name
         self.input_dim = int(input_dim)
         self.input_rank = int(input_rank)
         self.layers = [dict(layer) for layer in layers]
+        self.ranks = ranks
 
     def to_dict(self) -> dict:
         return {
@@ -88,13 +105,6 @@ class NetSpec:
         if wrong:
             raise DataError(f"network spec fields are missing or have the wrong type: "
                             f"{', '.join(wrong)}")
-        for i, layer in enumerate(d["layers"]):
-            kind = layer.get("kind")
-            fields = _LAYER_FIELDS.get(kind, ()) if isinstance(kind, str) else ()
-            bad = [f for f in fields if not _valid_layer_field(f, layer.get(f))]
-            if bad:
-                raise DataError(f"network spec layer {i} ({kind}) fields are missing or "
-                                f"invalid: {', '.join(bad)}")
         try:
             return cls(d["name"], d["input_dim"], d["layers"], d["input_rank"])
         except ConfigError as exc:  # a bad value in a loaded file is a data error
@@ -109,62 +119,34 @@ def _valid_layer_field(name: str, value) -> bool:
     return isinstance(value, int) and value >= 1
 
 
-def _apply_activation(x: Tensor, name: str | None) -> Tensor:
-    if name is None or name == "linear":
-        return x
-    if name == "sigmoid":
-        return sigmoid(x)
-    if name == "tanh":
-        return tanh(x)
-    if name == "relu":
-        return relu(x)
-    raise ConfigError(f"unknown activation {name!r}")
+def _layer_shapes(spec: NetSpec) -> list[list[tuple[str, tuple]]]:
+    """Each layer's named parameter shapes, in canonical order."""
+    layers: list[list[tuple[str, tuple]]] = []
+    width = spec.input_dim
+    for i, layer in enumerate(spec.layers):
+        kind = layer["kind"]
+        if kind in _GATES:
+            units = layer["units"]
+            shapes = [(f"{p}{gate}", (width + units, units) if p == "W" else (units,))
+                      for gate in _GATES[kind] for p in "Wb"]
+        elif kind == "dense":
+            shapes = [("W", (width, layer["units"])), ("b", (layer["units"],))]
+        elif kind == "conv1d":
+            shapes = [("W", (layer["kernel"], width, layer["filters"])),
+                      ("b", (layer["filters"],))]
+        else:
+            shapes = []
+        # A layer with parameters hands on its bias width. flatten widens to
+        # length*channels, but length is runtime data; the builders only place
+        # dense layers after flatten with known widths.
+        width = shapes[-1][1][0] if shapes else layer.get("flat_width", width)
+        layers.append([(f"L{i}.{name}", shape) for name, shape in shapes])
+    return layers
 
 
 def param_shapes(spec: NetSpec) -> list[tuple[str, tuple]]:
     """Named parameter shapes in canonical (manifest) order."""
-    shapes: list[tuple[str, tuple]] = []
-    width = spec.input_dim
-    for i, layer in enumerate(spec.layers):
-        kind = layer["kind"]
-        prefix = f"L{i}"
-        if kind in _GATES:
-            units = layer["units"]
-            for gate in _GATES[kind]:
-                shapes.append((f"{prefix}.W{gate}", (width + units, units)))
-                shapes.append((f"{prefix}.b{gate}", (units,)))
-            width = units
-        elif kind == "dense":
-            units = layer["units"]
-            shapes.append((f"{prefix}.W", (width, units)))
-            shapes.append((f"{prefix}.b", (units,)))
-            width = units
-        elif kind == "conv1d":
-            filters = layer["filters"]
-            shapes.append((f"{prefix}.W", (layer["kernel"], width, filters)))
-            shapes.append((f"{prefix}.b", (filters,)))
-            width = filters
-        # flatten widens to length*channels, but length is runtime data; the
-        # builders only place dense layers after flatten with known widths.
-        elif kind == "flatten":
-            width = layer["flat_width"]
-    return shapes
-
-
-def init_network_params(spec: NetSpec, rng: RngStream) -> ParamVector:
-    """Seeded init: weights uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)], biases zero.
-
-    Draw order is layer order then canonical name order, so identical seeds
-    give bit-identical parameters. Each draw lands in its view of one vector.
-    """
-    shapes = param_shapes(spec)
-    params = ParamVector(shapes, np.zeros(sum(math.prod(s) for _, s in shapes)))
-    for name, shape in shapes:
-        if not name.split(".")[-1].startswith("b"):
-            fan_in = shape[0] * shape[1] if len(shape) == 3 else shape[0]
-            bound = 1.0 / np.sqrt(fan_in)
-            params[name].data[...] = rng.uniform(-bound, bound, shape)
-    return params
+    return [shape for shapes in _layer_shapes(spec) for shape in shapes]
 
 
 def trunk_end(spec: NetSpec) -> int:
@@ -177,77 +159,18 @@ def trunk_end(spec: NetSpec) -> int:
                 len(spec.layers))
 
 
-def net_forward(
-    spec: NetSpec,
-    params: dict[str, Tensor],
-    x: Tensor,
-    mode: str = "eval",
-    rng: RngStream | None = None,
-    start: int = 0,
-    stop: int | None = None,
-) -> Tensor:
-    """Run layers [start, stop) of the network (all of them by default).
-
-    Dropout fires only in train mode (needs an rng). The input contract is
-    checked when the range begins at layer 0; a later start takes the output
-    of the layer before it.
-    """
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"{spec.name}: mode must be 'train' or 'eval', got {mode!r}")
-    stop = len(spec.layers) if stop is None else stop
-    if not 0 <= start <= stop <= len(spec.layers):
-        raise ConfigError(f"{spec.name}: layer range [{start}, {stop}) is outside "
-                          f"its {len(spec.layers)} layers")
-    if start == 0 and (x.ndim != spec.input_rank or x.shape[-1] != spec.input_dim):
-        raise ShapeError(
-            f"{spec.name}: expected rank-{spec.input_rank} input with width "
-            f"{spec.input_dim}, got shape {x.shape}"
-        )
-    out = x
-    for i, layer in enumerate(spec.layers[start:stop], start):
-        kind = layer["kind"]
-        prefix = f"L{i}"
-        where = f"{spec.name} layer {i} ({kind})"
-        if kind in _GATES:
-            if out.ndim != 3:
-                raise ShapeError(f"{where}: needs a (batch, seq, feat) input, got {out.shape}")
-            gate_params = (params[f"{prefix}.{p}{gate}"] for gate in _GATES[kind] for p in "Wb")
-            out = _SEQUENCE_KERNELS[kind](out, *gate_params)
-        elif kind == "last_step":
-            if out.ndim != 3:
-                raise ShapeError(f"{where}: needs a (batch, seq, feat) input, got {out.shape}")
-            out = slice_tensor(out, (slice(None), out.shape[1] - 1, slice(None)))
-        elif kind == "dense":
-            if out.ndim not in (2, 3):
-                raise ShapeError(f"{where}: needs rank-2 or -3 input, got {out.shape}")
-            out = matmul(out, params[f"{prefix}.W"]) + params[f"{prefix}.b"]
-            out = _apply_activation(out, layer.get("activation"))
-        elif kind == "conv1d":
-            if out.ndim != 3:
-                raise ShapeError(f"{where}: needs a (batch, length, ch) input, got {out.shape}")
-            out = conv1d(out, params[f"{prefix}.W"], stride=layer["stride"])
-            out = out + params[f"{prefix}.b"]
-            out = _apply_activation(out, layer.get("activation"))
-        elif kind == "flatten":
-            if out.ndim != 3:
-                raise ShapeError(f"{where}: needs a rank-3 input, got {out.shape}")
-            out = reshape(out, (out.shape[0], out.shape[1] * out.shape[2]))
-        elif kind == "dropout":
-            out = dropout(out, layer["rate"], mode=mode, rng=rng)
-    return out
-
-
 class Network:
-    """One spec bound to its parameters: a ParamVector laid in the spec's canonical
-    order (param_shapes), which is also the order a checkpoint lists them in.
-    Forward calls share net_forward."""
+    """One spec bound to the ParamVector it lays over `flat` in the spec's canonical order
+    (param_shapes), the order a checkpoint lists them in; a wrong length is a ShapeError."""
 
-    def __init__(self, spec: NetSpec, params: ParamVector):
-        if [(k, v.shape) for k, v in params.items()] != param_shapes(spec):
-            raise ShapeError(f"{spec.name}: parameters do not match the declared layer "
-                             "names and shapes in canonical order")
+    def __init__(self, spec: NetSpec, flat: np.ndarray):
+        per_layer = _layer_shapes(spec)
         self.spec = spec
-        self.params = params
+        self.params = ParamVector([shape for shapes in per_layer for shape in shapes], flat)
+        # each layer's Tensors in its kernel's argument order; bind() swaps their
+        # .data, never the Tensors, so these lists stay current
+        tensors = iter(self.params.values())
+        self._layer_params = [list(islice(tensors, len(shapes))) for shapes in per_layer]
 
     @property
     def name(self) -> str:
@@ -255,12 +178,42 @@ class Network:
 
     def forward(self, x: Tensor, mode: str = "eval", rng: RngStream | None = None,
                 start: int = 0, stop: int | None = None) -> Tensor:
-        return net_forward(self.spec, self.params, x, mode=mode, rng=rng,
-                           start=start, stop=stop)
+        """Run layers [start, stop) of the network (all of them by default).
+
+        Dropout fires only in train mode (needs an rng). The input must have the
+        rank layer `start` takes, and the network's input width when `start` is 0.
+        """
+        spec = self.spec
+        if mode not in ("train", "eval"):
+            raise ConfigError(f"{spec.name}: mode must be 'train' or 'eval', got {mode!r}")
+        stop = len(spec.layers) if stop is None else stop
+        if not 0 <= start <= stop <= len(spec.layers):
+            raise ConfigError(f"{spec.name}: layer range [{start}, {stop}) is outside "
+                              f"its {len(spec.layers)} layers")
+        if x.ndim != spec.ranks[start] or (start == 0 and x.shape[-1] != spec.input_dim):
+            width = f" with width {spec.input_dim}" if start == 0 else ""
+            raise ShapeError(f"{spec.name}: layer {start} expects a rank-{spec.ranks[start]} "
+                             f"input{width}, got shape {x.shape}")
+        out = x
+        for layer, params in zip(spec.layers[start:stop], self._layer_params[start:stop]):
+            kind = layer["kind"]
+            if kind in _SEQUENCE_KERNELS:
+                out = _SEQUENCE_KERNELS[kind](out, *params)
+            elif kind == "last_step":
+                out = slice_tensor(out, (slice(None), out.shape[1] - 1, slice(None)))
+            elif kind in ("dense", "conv1d"):
+                out = (matmul(out, params[0]) if kind == "dense"
+                       else conv1d(out, params[0], stride=layer["stride"]))
+                out = _ACTIVATIONS[layer.get("activation") or "linear"](out + params[1])
+            elif kind == "flatten":
+                out = reshape(out, (out.shape[0], out.shape[1] * out.shape[2]))
+            elif kind == "dropout":
+                out = dropout(out, layer["rate"], mode=mode, rng=rng)
+        return out
 
     def clone(self) -> "Network":
         """Frozen value copy (a fresh vector, same spec)."""
-        return Network(self.spec, ParamVector(param_shapes(self.spec), self.params.flat.copy()))
+        return Network(self.spec, self.params.flat.copy())
 
 
 def forward_stacked(net: Network, first, second) -> tuple[Tensor, Tensor]:
@@ -282,4 +235,13 @@ def require_finite_params(net: Network) -> None:
 
 
 def build_network(spec: NetSpec, rng: RngStream) -> Network:
-    return Network(spec, init_network_params(spec, rng))
+    """Seeded init: weights (parameters of more than one dimension) uniform in
+    [-1/sqrt(fan_in), +1/sqrt(fan_in)], fan_in the product of all but their last
+    dimension; biases zero. Draws follow the canonical parameter order, so identical
+    seeds give bit-identical parameters; each lands in its view of the one vector."""
+    net = Network(spec, np.zeros(sum(math.prod(shape) for _, shape in param_shapes(spec))))
+    for t in net.params.values():
+        if t.ndim > 1:
+            bound = 1.0 / np.sqrt(math.prod(t.shape[:-1]))
+            t.data[...] = rng.uniform(-bound, bound, t.shape)
+    return net

@@ -81,13 +81,17 @@ class ParamVector(dict):
     """name -> Tensor, each Tensor's data a view, in this order, into one float64 vector `flat`.
 
     Fresh parameter Tensors, named and shaped by (name, shape) pairs, are laid over `flat`
-    as it is. Reading `flat` checks that every Tensor's data is still the view bind() gave it.
+    as it is; a `flat` that is not one vector of exactly their size is a ShapeError.
+    Reading `flat` checks that every Tensor's data is still the view bind() gave it.
     """
 
     def __init__(self, shapes, flat: np.ndarray):
         super().__init__((name, Tensor(np.empty(shape), requires_grad=True))
                          for name, shape in shapes)
         self.bounds = list(accumulate((t.size for t in self.values()), initial=0))
+        if np.shape(flat) != (self.bounds[-1],):
+            raise ShapeError(f"parameter vector of shape {np.shape(flat)} does not hold "
+                             f"{self.bounds[-1]} values")
         self.bind(flat)
 
     def bind(self, flat: np.ndarray) -> None:

@@ -9,19 +9,16 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .artifacts import read_text
 from .data.features import FeatureMatrix, build_features
 from .data.ohlcv import TARGET_COLUMN, PriceSeries, parse_ohlcv_csv, repair_calendar
 from .data.scaling import ScalerParams, apply_scaler, fit_scaler
 from .data.windows import WindowDataset, make_windows, split_train_test
-from .errors import DataError
 
 
 def load_series(path: str | Path) -> PriceSeries:
     """Parse one OHLCV CSV file into a date-sorted series (no repair yet)."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"input file not found: {path}")
-    return parse_ohlcv_csv(path.read_text())
+    return parse_ohlcv_csv(read_text(path, "input file"))
 
 
 class DatasetBundle:

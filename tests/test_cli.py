@@ -230,6 +230,95 @@ def test_checkpoint_listing_its_parameters_out_of_order_exits_2(tmp_path, capsys
     assert len(err) == 1 and err[0].startswith("error: ") and "canonical order" in err[0]
 
 
+def test_checkpoint_whose_spec_feeds_a_gru_rank_2_exits_2_at_load(tmp_path, capsys, data_csv,
+                                                                 gru_run):
+    """[last_step, gru, dense] is refused when the spec is loaded, before any forward."""
+    run = tmp_path / "run"
+    shutil.copytree(gru_run, run)
+    doc = json.loads((run / "model.json").read_text())
+    layers = doc["spec"]["layers"]
+    assert [layer["kind"] for layer in layers] == ["gru", "last_step", "dense"]
+    layers[:2] = layers[1::-1]
+    for entry in doc["params"]:  # the same parameters, listed under the moved gru
+        entry["name"] = entry["name"].replace("L0.", "L1.")
+    (run / "model.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["forecast", "--input", str(data_csv), "--model-dir", str(run), *PIPE,
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: gru_forecaster: layer 1 (gru) takes a rank-3 input, gets rank 2"]
+
+
+def _edited_csv(edit):
+    """A case that ingests data_csv with `edit` applied to its text (to str or bytes)."""
+    def argv(tmp_path, data_csv, run):
+        text = edit(data_csv.read_text())
+        path = tmp_path / "edited.csv"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        return ["ingest", "--input", str(path)]
+    return argv
+
+
+def _deep_json(name, command):
+    """A case whose `name` file (in a copy of the gru run) nests 200k JSON arrays."""
+    def argv(tmp_path, data_csv, run):
+        path = tmp_path / name
+        path.write_text("[" * 200_000)
+        return {"config": ["synth-data", "--kind", "sine", "--rows", "10", "--config", str(path)],
+                "report": ["compare", "--report", str(path)],
+                "forecast": ["forecast", "--input", str(data_csv), "--model-dir", str(run),
+                             *PIPE]}[command]
+    return argv
+
+
+def _row(lines, i, edit):
+    return "\n".join([*lines[:i], edit(lines[i]), *lines[i + 1:]]) + "\n"
+
+
+def _file_as_out_dir(sub):
+    """A case whose --out-dir is an existing file, or `sub` under one."""
+    def argv(tmp_path, data_csv, run):
+        (tmp_path / "a_file").write_text("x")
+        return ["ingest", "--input", str(data_csv), "--out-dir", str(tmp_path / "a_file" / sub)]
+    return argv
+
+
+BAD_INPUTS = {
+    "csv-last-row-truncated": (2, _edited_csv(lambda t: t.rstrip("\n").rsplit(",", 3)[0])),
+    "csv-unterminated-quote": (2, _edited_csv(
+        lambda t: _row(t.splitlines(), 5, lambda r: r.replace(",", ',"', 1)))),
+    "csv-field-over-the-csv-limit": (2, _edited_csv(
+        lambda t: _row(t.splitlines(), 5, lambda r: r + "9" * 140_000))),
+    "csv-nul-byte": (2, _edited_csv(
+        lambda t: _row(t.splitlines(), 5, lambda r: r.replace(",", ",\0", 1)))),
+    "csv-not-utf-8": (2, _edited_csv(lambda t: t.encode()[:200] + b"\xff" + t.encode()[200:])),
+    "input-is-a-directory": (2, lambda tmp_path, data_csv, run: [
+        "ingest", "--input", str(data_csv.parent)]),
+    "config-nested-too-deep": (1, _deep_json("deep.json", "config")),
+    "report-nested-too-deep": (2, _deep_json("deep.json", "report")),
+    "run-manifest-nested-too-deep": (2, _deep_json("run/train_manifest.json", "forecast")),
+    "checkpoint-nested-too-deep": (2, _deep_json("run/model.json", "forecast")),
+    "out-dir-is-a-file": (1, _file_as_out_dir("")),
+    "out-dir-under-a-file": (1, _file_as_out_dir("sub")),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_malformed_input_or_unusable_out_dir_exits_with_one_error_line(tmp_path, capsys,
+                                                                      data_csv, gru_run,
+                                                                      case):
+    run = tmp_path / "run"
+    shutil.copytree(gru_run, run)
+    code, make_argv = BAD_INPUTS[case]
+    argv = make_argv(tmp_path, data_csv, run)
+    if "--out-dir" not in argv:
+        argv += ["--out-dir", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(argv) == code  # returns, raises nothing
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 @pytest.mark.parametrize("command", ["ingest", "features"])
 @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
 def test_non_finite_ohlcv_cell_exits_2(tmp_path, capsys, data_csv, command, cell):

@@ -8,19 +8,18 @@ from gradtools import check_gradients
 from tsgan.errors import ConfigError, DataError, ShapeError
 from tsgan.models import (NetSpec, Network, build_critic, build_discriminator,
                           build_forecaster, build_generator, build_network,
-                          build_timegan, conv_out_len, init_network_params,
+                          build_timegan, conv_out_len,
                           load_checkpoint, min_discriminator_len,
                           save_checkpoint, scale_width, trunk_end)
 from tsgan.models.builders import (DISC_CONV_FILTERS, DISC_DENSE_UNITS,
                                    GENERATOR_DENSE_UNITS, GENERATOR_GRU_UNITS)
 from tsgan.numcore import RngStream, Tensor, mean
-from tsgan.numcore.tensor import ParamVector
 
 
 def _cell(kind, input_dim, units, rng):
     """A cell dict drawn the way a one-layer network draws its parameters."""
     spec = NetSpec("cell", input_dim, [{"kind": kind, "units": units}])
-    return {k.split(".", 1)[1]: v for k, v in init_network_params(spec, rng).items()}
+    return {k.split(".", 1)[1]: v for k, v in build_network(spec, rng).params.items()}
 
 
 def _zeroed(cell):
@@ -89,17 +88,38 @@ def test_netspec_roundtrip_and_validation():
         NetSpec("bad", 0, [])
 
 
+@pytest.mark.parametrize("layers", [
+    [{"kind": "dense"}],
+    [{"kind": "gru", "units": 0}, {"kind": "dense", "units": 2}],
+    [{"kind": "dropout", "rate": 1.0}],
+], ids=["dense-without-units", "gru-with-no-units", "dropout-rate-one"])
+def test_netspec_checks_layer_fields_when_built(layers):
+    with pytest.raises(ConfigError, match="fields are missing or invalid"):
+        NetSpec("bad", 4, layers)
+
+
+def test_netspec_checks_input_ranks_when_built():
+    with pytest.raises(ConfigError, match=r"layer 1 \(gru\) takes a rank-3 input, gets rank 2"):
+        NetSpec("bad", 4, [{"kind": "last_step"}, {"kind": "gru", "units": 3}])
+    with pytest.raises(ConfigError, match=r"layer 0 \(conv1d\) takes a rank-3 input"):
+        NetSpec("bad", 4, [{"kind": "conv1d", "filters": 2, "kernel": 2, "stride": 1}],
+                input_rank=2)
+    forecaster = build_forecaster("gru", 2, 3, 4, 2, 2, RngStream(0, ("f",)))
+    assert forecaster.spec.ranks == [3, 3, 3, 2, 2]
+    assert NetSpec("flat", 4, [{"kind": "dropout", "rate": 0.5}, {"kind": "dense", "units": 1}],
+                   input_rank=2).ranks == [2, 2, 2]
+
+
 def test_network_rejects_mismatched_parameters():
-    """A Network takes a ParamVector in its spec's canonical names, shapes and order."""
+    """A Network lays its spec's canonical names and shapes over one vector of their size."""
     spec = NetSpec("demo", 2, [{"kind": "dense", "units": 3, "activation": "linear"}],
                    input_rank=2)
-    Network(spec, ParamVector([("L0.W", (2, 3)), ("L0.b", (3,))], np.zeros(9)))
-    for shapes in ([("L0.W", (2, 4)), ("L0.b", (3,))],   # a wrong shape
-                   [("L0.b", (3,)), ("L0.W", (2, 3))],   # the right ones out of order
-                   [("L0.W", (2, 3))]):                  # one missing
-        flat = np.zeros(sum(int(np.prod(shape)) for _, shape in shapes))
-        with pytest.raises(ShapeError, match="canonical order"):
-            Network(spec, ParamVector(shapes, flat))
+    net = Network(spec, np.arange(9.0))
+    assert [(k, v.shape) for k, v in net.params.items()] == [("L0.W", (2, 3)), ("L0.b", (3,))]
+    np.testing.assert_array_equal(net.params["L0.b"].data, [6.0, 7.0, 8.0])
+    for flat in (np.zeros(10), np.zeros(8), np.zeros((1, 9)), np.zeros((9, 1))):
+        with pytest.raises(ShapeError, match="does not hold 9 values"):
+            Network(spec, flat)
 
 
 def test_forward_validates_input_rank_and_width():
@@ -151,7 +171,8 @@ def test_time_distributed_dense_applies_per_step():
 
 def test_last_step_selects_the_final_time_slice():
     spec = NetSpec("ls", 3, [{"kind": "last_step"}])
-    net = Network(spec, ParamVector([], np.zeros(0)))
+    net = Network(spec, np.zeros(0))
+    assert net.params == {}
     x = np.random.default_rng(3).normal(size=(4, 6, 3))
     np.testing.assert_array_equal(net.forward(Tensor(x)).data, x[:, -1, :])
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cell_oracle import unroll
 from tsgan.errors import ShapeError
-from tsgan.models import NetSpec, init_network_params
+from tsgan.models import NetSpec, build_network
 from tsgan.numcore import (RngStream, Tape, Tensor, backward, gru_sequence,
                            lstm_sequence, mul, tsum)
 
@@ -23,7 +23,7 @@ TOL = 1e-12
 def _cell(kind, feat, units, seed):
     """Gate parameters drawn like a one-layer network's, with nonzero biases."""
     spec = NetSpec("cell", feat, [{"kind": kind, "units": units}])
-    params = init_network_params(spec, RngStream(seed, ("cell",)))
+    params = build_network(spec, RngStream(seed, ("cell",))).params
     cell = {k.split(".", 1)[1]: v for k, v in params.items()}
     draw = np.random.default_rng(seed)
     for gate in GATES[kind]:
