@@ -16,7 +16,7 @@ import json
 import os
 from pathlib import Path
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 
 def _cell(value) -> str:
@@ -37,14 +37,18 @@ def csv_text(header, rows) -> str:
 
 
 def write_bytes(path: str | Path, data: bytes) -> Path:
-    """Replace `path` with `data` atomically; a failed write leaves the old file."""
+    """Replace `path` with `data` atomically; a failed write leaves the old file and no
+    temp file. A write the system refuses (a directory in the way, a read-only directory,
+    a full disk) is a ConfigError naming the artifact."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         tmp.unlink(missing_ok=True)
+        if isinstance(e, OSError):
+            raise ConfigError(f"cannot write {path}: {e.strerror or e}") from None
         raise
     return path
 

@@ -134,11 +134,8 @@ def build_forecaster(
     """Stacked recurrent layers of one cell kind, linear dense head of width horizon."""
     if kind not in FORECASTER_KINDS:
         raise ConfigError(f"forecaster: kind must be one of {FORECASTER_KINDS}, got {kind!r}")
-    if layers < 1 or units < 1 or seq_len < 1 or horizon < 1 or input_dim < 1:
-        raise ConfigError(
-            f"forecaster: bad dims (layers={layers}, units={units}, seq={seq_len}, "
-            f"horizon={horizon}, input_dim={input_dim})"
-        )
+    if layers < 1 or seq_len < 1:  # NetSpec checks units, horizon and input_dim
+        raise ConfigError(f"forecaster: bad dims (layers={layers}, seq={seq_len})")
     stack = [{"kind": kind, "units": units} for _ in range(layers)]
     stack.append({"kind": "last_step"})
     stack.append({"kind": "dense", "units": horizon, "activation": "linear"})

@@ -161,14 +161,14 @@ def trunk_end(spec: NetSpec) -> int:
 
 class Network:
     """One spec bound to the ParamVector it lays over `flat` in the spec's canonical order
-    (param_shapes), the order a checkpoint lists them in; a wrong length is a ShapeError."""
+    (param_shapes), the order a checkpoint lists them in; a wrong length is a ShapeError.
+    The network owns `flat` for its whole life: updates write it in place."""
 
     def __init__(self, spec: NetSpec, flat: np.ndarray):
         per_layer = _layer_shapes(spec)
         self.spec = spec
         self.params = ParamVector([shape for shapes in per_layer for shape in shapes], flat)
-        # each layer's Tensors in its kernel's argument order; bind() swaps their
-        # .data, never the Tensors, so these lists stay current
+        # each layer's Tensors in its kernel's argument order
         tensors = iter(self.params.values())
         self._layer_params = [list(islice(tensors, len(shapes))) for shapes in per_layer]
 

@@ -1,15 +1,20 @@
 """First-order optimizers over flat parameter vectors.
 
 A network's parameters live in one float64 vector (a ParamVector), each named
-Tensor's data a view into it. leaf_grads() returns the gradients as one
-float64 vector in the parameters' order, and that vector is the only gradient
-layout an update takes: its length is checked once, then it is read as it is
-with one finite check. The update writes the new values into a fresh vector
-BLOCK elements at a time and rebinds the views: backward closures capture the
-arrays live at op time, so the old vector is never written, and neither is
-the caller's gradient vector. The flat moments advance in place in a second
-blockwise pass, only once every new value is known to be finite, so an update
-that aborts changes nothing.
+Tensor's data a view into it, and the network keeps that vector for its whole
+life. leaf_grads() returns the gradients as one float64 vector in the
+parameters' order, and that vector is the only gradient layout an update takes:
+its length is checked once, then it is read as it is with one finite check and
+never written. An update runs two blockwise passes of BLOCK elements over it.
+The first computes each block's new moments and values into BLOCK-sized
+scratch and checks them for non-finite values, writing nothing, so an update
+that aborts changes nothing. The second writes them in place: the blocks whose
+results the scratch still holds (all of them when the parameters fit in one
+block, else the last) are copied, and every other block repeats the same
+arithmetic straight into the moments and the parameter vector. A backward
+closure reads the parameter arrays live at op time, so a parameter whose tape
+backward has not consumed yet is a GraphError before anything is written, for
+an update and for a clip alike.
 """
 
 from __future__ import annotations
@@ -72,8 +77,9 @@ def _advance(algo: str, old: dict, g: np.ndarray, out: dict, tmp: np.ndarray) ->
         np.add(np.multiply(old[k], decay, out=out[k]), tmp, out=out[k])
 
 
-def _descend(state: OptimizerState, t: int, p, g, moments: dict, out, tmp) -> None:
-    """Write p moved one step down along g into out; the new moments and tmp are scratch."""
+def _step(state: OptimizerState, t: int, g, moments: dict, out, tmp) -> None:
+    """Write into out the step down along g that the parameters take (the new value is
+    p - out), from the new moments; tmp is scratch."""
     if state.algo == "adam":  # lr * m_hat / (sqrt(v_hat) + eps)
         np.divide(moments["v"], 1.0 - ADAM_BETA2 ** t, out=tmp)
         np.add(np.sqrt(tmp, out=tmp), ADAM_EPS, out=tmp)
@@ -84,52 +90,80 @@ def _descend(state: OptimizerState, t: int, p, g, moments: dict, out, tmp) -> No
             np.add(np.sqrt(moments["sq"], out=tmp), RMSPROP_EPS, out=tmp)
     if state.algo != "sgd":
         np.divide(out, tmp, out=out)
-    np.subtract(p, out, out=out)
+
+
+def _require_consumed(params: dict) -> None:
+    """GraphError naming the first parameter recorded on a tape that backward has not
+    consumed: its backward closures still read the values an update would overwrite."""
+    for name, p in params.items():
+        if p._tape is not None and not p._tape.consumed:
+            raise GraphError(f"parameter {name!r} is on a tape that backward has not "
+                             "consumed; run backward before updating it")
 
 
 def optimizer_step(state: OptimizerState, params: ParamVector | ParamGroup,
                    g: np.ndarray) -> None:
     """Apply one update to every parameter along g, the gradient vector leaf_grads() lays
-    in params' order. Ascent on L is exactly descent on -L.
+    in params' order, writing the parameters and the moments in place. Ascent on L is
+    exactly descent on -L.
 
-    A gradient vector of the wrong length is a GraphError. An update that raises leaves
-    the parameters, the moments and the step count as they were.
+    A gradient vector of the wrong length, or a parameter on a tape backward has not
+    consumed, is a GraphError. An update that raises leaves the parameters, the moments
+    and the step count as they were.
     """
     vectors = _vectors(params)
     size = sum(vec.bounds[-1] for vec in vectors)
     if np.shape(g) != (size,):
         raise GraphError(f"gradient vector has shape {np.shape(g)}; the parameters "
                          f"need ({size},)")
+    _require_consumed(params)
     require_finite(params, g, "non-finite gradient for parameter {!r}")
     if state.direction == "ascend":  # a fresh vector: the caller's gradients are never written
         g = np.negative(g)
-    moments = state.moments or {k: np.zeros(g.size) for k, _, _ in _MOMENTS[state.algo]}
-    scratch = {k: np.empty(min(g.size, BLOCK)) for k in [*moments, "tmp"]}
-    t, fresh, lo = state.step_count + 1, [], 0
-    for vec in vectors:
+    moments = state.moments or {k: np.zeros(size) for k, _, _ in _MOMENTS[state.algo]}
+    room = min(size, BLOCK)
+    scratch = {k: np.empty(room) for k in [*moments, "step", "tmp"]}
+    t, blocks, lo = state.step_count + 1, [], 0
+    for vec in vectors:  # (values, offset in g) of each block
         flat = vec.flat
-        new = np.empty_like(flat)
-        for a in range(0, new.size, BLOCK):
-            b = min(a + BLOCK, new.size)
-            gb, part = g[lo + a : lo + b], {k: buf[: b - a] for k, buf in scratch.items()}
-            _advance(state.algo, {k: m[lo + a : lo + b] for k, m in moments.items()}, gb, part,
-                     part["tmp"])
-            _descend(state, t, flat[a:b], gb, part, new[a:b], part["tmp"])
-        require_finite(params, new, "non-finite value for parameter {!r} after update", lo)
-        fresh.append(new)
-        lo += new.size
+        blocks += [(flat[a : a + BLOCK], lo + a) for a in range(0, flat.size, BLOCK)]
+        lo += flat.size
+    # pass 1: new moments and values into the scratch, checked; nothing written. Blocks
+    # lie side by side from g offset `base`, which moves up to a block that does not fit
+    base = 0
+    for p, lo in blocks:
+        if lo + p.size - base > room:
+            base = lo
+        at = slice(lo - base, lo - base + p.size)
+        gb, part = g[lo : lo + p.size], {k: buf[at] for k, buf in scratch.items()}
+        _advance(state.algo, {k: m[lo : lo + p.size] for k, m in moments.items()}, gb, part,
+                 part["tmp"])
+        _step(state, t, gb, part, part["step"], part["tmp"])
+        require_finite(params, np.subtract(p, part["step"], out=part["step"]),
+                       "non-finite value for parameter {!r} after update", lo)
+    # pass 2, last block first: the blocks from base on are copied from the scratch before
+    # any earlier one repeats the same arithmetic in place, over the scratch
+    for k, m in moments.items():
+        m[base:] = scratch[k][: size - base]
+    for p, lo in reversed(blocks):
+        if lo >= base:
+            p[...] = scratch["step"][lo - base : lo - base + p.size]
+            continue
+        gb, block = g[lo : lo + p.size], {k: m[lo : lo + p.size] for k, m in moments.items()}
+        step, tmp = scratch["step"][: p.size], scratch["tmp"][: p.size]
+        _advance(state.algo, block, gb, block, tmp)
+        _step(state, t, gb, block, step, tmp)
+        np.subtract(p, step, out=p)
     state.step_count = t
-    for a in range(0, g.size if moments else 0, BLOCK):
-        gb, block = g[a : a + BLOCK], {k: m[a : a + BLOCK] for k, m in moments.items()}
-        _advance(state.algo, block, gb, block, scratch["tmp"][: gb.size])
     state.moments = moments
-    for vec, new in zip(vectors, fresh):
-        vec.bind(new)
 
 
 def clip_weights(params: ParamVector | ParamGroup, c: float) -> None:
-    """Clip every parameter into [-c, c], writing a fresh vector."""
+    """Clip every parameter into [-c, c] in place; a parameter on a tape backward has not
+    consumed is a GraphError, and nothing is clipped."""
     if not (c > 0.0):
         raise ConfigError(f"clip bound must be positive, got {c}")
+    _require_consumed(params)
     for vec in _vectors(params):
-        vec.bind(np.clip(vec.flat, -c, c))
+        flat = vec.flat
+        np.clip(flat, -c, c, out=flat)

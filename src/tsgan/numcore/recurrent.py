@@ -26,10 +26,20 @@ which reads the output gradient from one time-major copy, overwrites each
 factor with its gate's pre-activation gradient. Each kernel gradient is then
 written in place: its hidden rows from the time-major gate gradients, its
 input rows, bias and share of dx from a batch-major copy in the spent state
-buffer, all matmuls over every (batch, time) row at once. The output array,
-x.data and the output gradient are never written, and the backward closure
-holds arrays only: a Tensor in it would tie the tape into a reference cycle
-that only the cycle collector frees.
+buffer, all matmuls over every (batch, time) row at once.
+
+Spent buffers hold the rest of the GRU's scratch. Its time-major copy of the
+output gradient is made first and the output gradient dropped at once, so
+the two are never both held once the z|r buffer exists. After the loop that
+copy holds the candidate gate's gradient, contiguous for its kernel
+gradient, and the spent z|r buffer holds every later gate's share of dx when
+the input is no wider than 2*units.
+
+The output array, x.data and the output gradient are never written (the GRU's
+time-major copy is a private .copy(): at batch 1 a contiguous view would be
+the output gradient itself), and the backward closure holds arrays only: a
+Tensor in it would tie the tape into a reference cycle that only the cycle
+collector frees.
 """
 
 from __future__ import annotations
@@ -95,19 +105,24 @@ def _kernel_grads(h_in: np.ndarray, dgates: list, feat: int) -> list:
 
 
 def _gradients(xd: np.ndarray, x_grad: bool, ws: tuple, dgates: list, gws: list,
-               spent: np.ndarray) -> tuple:
+               spent: np.ndarray, spare: np.ndarray | None = None) -> tuple:
     """(dx, dW0, db0, dW1, db1, ...) from each gate's (seq, batch, units) pre-activation
     gradient and its kernel gradient `gws` from _kernel_grads.
 
     Each gate's gradient is copied batch-major into the spent state buffer,
     so its input-row and bias gradients and its share of dx are matmuls over
-    the (batch*seq) rows of x. dx is None when x needs no gradient.
+    the (batch*seq) rows of x. dx is None when x needs no gradient. Every later
+    gate's share of dx goes into `spare` when one is given: a buffer of at
+    least batch*seq*feat values that may hold the first two gates' gradients,
+    since both are copied out before the first share is written.
     """
     seq, batch, units = dgates[0].shape
     rows, feat = batch * seq, xd.shape[2]
     xf = xd.reshape(rows, feat)
     flat = spent.reshape(-1)[:rows * units].reshape(rows, units)
     dx = part = None
+    if spare is not None:
+        part = spare.reshape(-1)[:rows * feat].reshape(rows, feat)
     grads = []
     for w, dg, gw in zip(ws, dgates, gws):
         np.copyto(flat.reshape(batch, seq, units), dg.transpose(1, 0, 2))
@@ -163,6 +178,10 @@ def gru_sequence(x, Wz, bz, Wr, br, Wh, bh) -> Tensor:
     out = Tensor(hs[1:].transpose(1, 0, 2).copy())  # a view when batch == 1
 
     def bw(g_out):
+        # a private copy: at batch 1 ascontiguousarray would hand back g_out itself, which
+        # a sibling's gradient may share, and this copy is written after the loop
+        g_seq = g_out.transpose(1, 0, 2).copy()
+        del g_out  # backward() keeps no reference: unless a sibling shares it, freed here
         z, r, hhat = gates.transpose(1, 0, 2, 3)
         h_prev = hs[:-1]
         # loop-invariant factors, each overwritten in the loop by its gate's gradient;
@@ -177,7 +196,6 @@ def gru_sequence(x, Wz, bz, Wr, br, Wh, bh) -> Tensor:
         np.subtract(1.0, hhat, out=hhat)
         hhat *= dr  # (1-hhat^2)(1-z)
         _sig_factor(r, h_prev, dr)  # h_prev r(1-r)
-        g_seq = np.ascontiguousarray(g_out.transpose(1, 0, 2))  # the output gradient, time-major
         w_hh_t = np.ascontiguousarray(w_hh.T)
         w_zr_t = np.ascontiguousarray(_hidden_rows(ws[:2], feat).T)
         dh = np.zeros((batch, units))
@@ -197,11 +215,14 @@ def gru_sequence(x, Wz, bz, Wr, br, Wh, bh) -> Tensor:
             np.copyto(s2_gates, d_t)
             np.dot(s2, w_zr_t, out=s1)
             dh += s1
-        del g_seq
+        dhhat = g_seq  # the candidate's gradient, contiguous: _kernel_grads copies nothing
+        np.copyto(dhhat, hhat)
         gws = _kernel_grads(h_prev, [dz, dr], feat)
         np.multiply(r, h_prev, out=h_prev)  # what the candidate's hidden rows saw: r*h
-        gws += _kernel_grads(h_prev, [hhat], feat)
-        return _gradients(xd, x_grad, ws, [dz, dr, hhat], gws, hs)
+        gws += _kernel_grads(h_prev, [dhhat], feat)
+        # d is spent once dz and dr are copied out; it holds dx's later shares if they fit
+        return _gradients(xd, x_grad, ws, [dz, dr, dhhat], gws, hs,
+                          d if feat <= 2 * units else None)
 
     return _record("gru_sequence", out, (x, *params), bw)
 

@@ -81,8 +81,10 @@ class ParamVector(dict):
     """name -> Tensor, each Tensor's data a view, in this order, into one float64 vector `flat`.
 
     Fresh parameter Tensors, named and shaped by (name, shape) pairs, are laid over `flat`
-    as it is; a `flat` that is not one vector of exactly their size is a ShapeError.
-    Reading `flat` checks that every Tensor's data is still the view bind() gave it.
+    as it is, once, at construction; a `flat` that is not one vector of exactly their size
+    is a ShapeError. The ParamVector owns `flat` from then on: updates and clips write it
+    in place, so its owner passes a vector that nothing else holds. Reading `flat` checks
+    that every Tensor's data is still the view laid at construction.
     """
 
     def __init__(self, shapes, flat: np.ndarray):
@@ -92,10 +94,6 @@ class ParamVector(dict):
         if np.shape(flat) != (self.bounds[-1],):
             raise ShapeError(f"parameter vector of shape {np.shape(flat)} does not hold "
                              f"{self.bounds[-1]} values")
-        self.bind(flat)
-
-    def bind(self, flat: np.ndarray) -> None:
-        """Make `flat` the vector and point every Tensor's data at its view."""
         self._flat = flat
         for t, lo, hi in zip(self.values(), self.bounds, self.bounds[1:]):
             t.data = flat[lo:hi].reshape(t.data.shape)
@@ -193,14 +191,16 @@ def backward(record: Tape, loss: Tensor) -> dict[int, Tensor]:
     grads: dict[int, np.ndarray] = {loss.tape_id: np.ones_like(loss.data)}
     while record.nodes:
         _, out_id, in_ids, backward_fn, _ = record.nodes.pop()
-        g = grads.pop(out_id, None)
-        if g is None:
+        if out_id not in grads:
             continue
-        for in_id, contrib in zip(in_ids, backward_fn(g)):
+        # popped into the call, and the loop's names cleared after it, so the closure holds
+        # the only reference to its output gradient and can free it early
+        for in_id, contrib in zip(in_ids, backward_fn(grads.pop(out_id))):
             if in_id is None or contrib is None:
                 continue
             held = grads.get(in_id)
             grads[in_id] = contrib if held is None else held + contrib
+        contrib = held = None
 
     result: dict[int, Tensor] = {}
     for tid, leaf in record._leaves.items():

@@ -1,13 +1,14 @@
 """Artifact layout: the CSV cell rule, JSON layout, reads and atomic writes."""
 
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tsgan import artifacts
-from tsgan.errors import DataError
+from tsgan.errors import ConfigError, DataError
 
 
 def test_csv_cell_rule():
@@ -57,7 +58,7 @@ def test_failed_write_keeps_old_bytes_and_no_temp_file(tmp_path, monkeypatch, fa
         monkeypatch.setattr(Path, "write_bytes", _write_half_then_fail)
     else:
         monkeypatch.setattr(os, "replace", _refuse_replace)
-    with pytest.raises(OSError):
+    with pytest.raises(ConfigError, match=re.escape(f"cannot write {path}: ")):
         artifacts.write_csv(path, ["x"], [[1.5]] * 100)
     monkeypatch.undo()
     assert path.read_bytes() == b"old\n"

@@ -16,6 +16,8 @@ from tsgan.errors import (ConfigError, DataError, DomainError, GraphError,
                           NumericAbort, ShapeError, ToolkitError)
 from tsgan.manifest import (RunManifest, file_digest, load_manifest,
                             replace_out_dir, rerun, write_manifest)
+from tsgan.models import build_forecaster
+from tsgan.numcore import RngStream
 from tsgan.training import TIMEGAN_NET_NAMES, TrainConfig
 
 PIPE = ["--seq-len", "6", "--horizon", "3", "--sma-window", "3"]
@@ -283,6 +285,12 @@ def _file_as_out_dir(sub):
     return argv
 
 
+def _directory_as_artifact(tmp_path, data_csv, run):
+    """A case whose first artifact, --out-dir's repaired.csv, is an existing directory."""
+    (tmp_path / "o2" / "repaired.csv").mkdir(parents=True)
+    return ["ingest", "--input", str(data_csv), "--out-dir", str(tmp_path / "o2")]
+
+
 BAD_INPUTS = {
     "csv-last-row-truncated": (2, _edited_csv(lambda t: t.rstrip("\n").rsplit(",", 3)[0])),
     "csv-unterminated-quote": (2, _edited_csv(
@@ -300,6 +308,7 @@ BAD_INPUTS = {
     "checkpoint-nested-too-deep": (2, _deep_json("run/model.json", "forecast")),
     "out-dir-is-a-file": (1, _file_as_out_dir("")),
     "out-dir-under-a-file": (1, _file_as_out_dir("sub")),
+    "artifact-path-is-a-directory": (1, _directory_as_artifact),
 }
 
 
@@ -317,6 +326,23 @@ def test_malformed_input_or_unusable_out_dir_exits_with_one_error_line(tmp_path,
     assert main(argv) == code  # returns, raises nothing
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not list(tmp_path.rglob(".*.tmp"))
+
+
+@pytest.mark.parametrize("dims, flag", [({"units": 0}, ["--hidden-units", "0"]),
+                                         ({"horizon": 0}, ["--horizon", "0"]),
+                                         ({"input_dim": 0}, None)],
+                         ids=["units", "horizon", "input-dim"])
+def test_bad_forecaster_width_is_a_config_error(tmp_path, data_csv, dims, flag):
+    """build_forecaster leaves its layer widths and input width to NetSpec's checks; the
+    CLI refuses the two a flag sets with exit 1 (the input width comes from the data)."""
+    widths = {"units": 3, "horizon": 2, "input_dim": 2, **dims}
+    with pytest.raises(ConfigError, match="gru_forecaster: "):
+        build_forecaster("gru", 1, widths["units"], 4, widths["horizon"],
+                         widths["input_dim"], RngStream(0, ("dims",)))
+    if flag is not None:
+        assert main(["train", "--input", str(data_csv), "--model", "gru", "--epochs", "1",
+                     *PIPE, *flag, "--out-dir", str(tmp_path / "out")]) == 1
 
 
 @pytest.mark.parametrize("command", ["ingest", "features"])

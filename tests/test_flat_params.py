@@ -2,19 +2,20 @@
 against the per-parameter oracle, the view layout every network keeps, and checkpoint
 bytes."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from optim_oracle import OracleState, oracle_clip, oracle_step
-from tsgan.errors import GraphError
+from tsgan.errors import GraphError, NumericAbort
 from tsgan.models import (NetSpec, build_forecaster, build_timegan, load_checkpoint,
                           save_checkpoint)
 from tsgan.models.network import build_network, param_shapes, require_finite_params
 from tsgan.numcore import (OptimizerState, RngStream, Tape, Tensor, backward, clip_weights,
                            leaf_grads, mean, mul, optimizer_step)
-from tsgan.numcore.optim import BLOCK, OPTIMIZERS, ParamGroup
+from tsgan.numcore.optim import BLOCK, OPTIMIZERS, ParamGroup, ParamVector
 from tsgan.training.step import train_step
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -108,6 +109,26 @@ def test_flat_step_over_merged_networks_matches_the_oracle(algo):
         _assert_views(nets[k])
 
 
+@pytest.mark.parametrize("algo", OPTIMIZERS)
+def test_flat_step_over_a_group_longer_than_a_block_matches_the_oracle(algo):
+    """A group whose last blocks span several vectors: the update copies those from its
+    scratch and repeats the arithmetic for the block before them, bit for bit."""
+    nets = {"wide": _wide_net(7), **build_timegan(4, 3, 2, RngStream(8, ("tg",)))}
+    parts = ("wide", "embedder", "recovery")
+    twins = {k: nets[k].clone() for k in parts}
+    group = ParamGroup({k: nets[k].params for k in parts})
+    assert BLOCK < len(nets["wide"].params.flat) < 2 * BLOCK
+    flat_twin = {f"{k}.{n}": p for k in parts for n, p in twins[k].params.items()}
+    state, oracle = OptimizerState(algo, 1e-2), OracleState(algo, 1e-2)
+    draw = np.random.default_rng(9)
+    for _ in range(3):
+        grads = _grads(group, draw)
+        optimizer_step(state, group, _flat(grads))
+        oracle_step(oracle, flat_twin, grads)
+        _assert_same_bytes(group, flat_twin)
+        _assert_same_moments(state, oracle, group)
+
+
 @pytest.mark.parametrize("direction", ["descend", "ascend"])
 @pytest.mark.parametrize("algo", OPTIMIZERS)
 def test_leaf_grads_vector_steps_like_a_plain_dict(algo, direction):
@@ -148,20 +169,90 @@ def test_clip_matches_the_oracle_and_keeps_the_views():
 
 
 @pytest.mark.parametrize("update", ["step", "clip"])
-def test_update_leaves_the_previous_vector_untouched(update):
-    """A backward closure may still hold the old vector's views: it is never written."""
+def test_update_writes_the_vector_in_place(update):
+    """A network keeps one vector for its whole life: an update and a clip write that
+    vector, and every parameter keeps the view it was given when the network was built."""
     net = _wide_net(3)
-    old = net.params.flat
-    before = old.tobytes()
+    flat, views = net.params.flat, [p.data for p in net.params.values()]
+    before = flat.tobytes()
     if update == "step":
         optimizer_step(OptimizerState("adam", 0.1), net.params,
                        _flat(_grads(net.params, np.random.default_rng(8))))
     else:
         clip_weights(net.params, 1e-3)
-    assert net.params.flat is not old
-    assert old.tobytes() == before
-    assert net.params.flat.tobytes() != before
+    assert net.params.flat is flat
+    assert all(p.data is view for p, view in zip(net.params.values(), views))
+    assert flat.tobytes() != before
     _assert_views(net)
+
+
+@pytest.mark.parametrize("algo", OPTIMIZERS)
+def test_abort_in_the_last_block_changes_nothing(algo):
+    """A vector longer than BLOCK whose only non-finite new value lies in its last block:
+    the first pass finds it after every earlier block is computed, and the abort leaves the
+    parameters, the moments and the step count byte for byte as they were."""
+    net = _wide_net(5)
+    size = net.params.flat.size
+    assert size > BLOCK and (size - 1) // BLOCK > 0
+    state = OptimizerState(algo, 1e307)
+    g = np.random.default_rng(11).uniform(-1.0, 1.0, size)
+    g[-1] = 0.0  # the warm step leaves the last value where it is
+    optimizer_step(state, net.params, g)
+    net.params.flat[-1] = 1.79e308  # one step of about 1e307 upward overflows it
+    g[-1] = -1.0
+    before = (net.params.flat.tobytes(), {k: m.tobytes() for k, m in state.moments.items()})
+    with np.errstate(over="ignore"), pytest.raises(NumericAbort, match="'L1.b' after update"):
+        optimizer_step(state, net.params, g)
+    assert state.step_count == 1
+    assert (net.params.flat.tobytes(),
+            {k: m.tobytes() for k, m in state.moments.items()}) == before
+    _assert_views(net)
+
+
+@pytest.mark.parametrize("update", ["step", "clip"])
+def test_update_on_a_tape_backward_has_not_consumed_is_a_graph_error(update):
+    """A tape's backward closures read the parameter arrays it recorded: until backward
+    consumes it, an update or a clip would change those arrays under it, so it is refused
+    and nothing is written. After backward the same update goes through."""
+    net = _wide_net(6)
+    x = Tensor(np.random.default_rng(12).normal(size=(2, 300)))
+    tape = Tape()
+    with tape:
+        loss = mean(net.forward(x))
+    state = OptimizerState("adam", 0.1)
+    g = np.ones(net.params.flat.size)
+    before = net.params.flat.tobytes()
+    with pytest.raises(GraphError, match="'L0.W' is on a tape that backward has not consumed"):
+        if update == "step":
+            optimizer_step(state, net.params, g)
+        else:
+            clip_weights(net.params, 1e-3)
+    assert net.params.flat.tobytes() == before
+    assert state.step_count == 0 and state.moments == {}
+    optimizer_step(state, net.params, leaf_grads(tape, net.params, backward(tape, loss)))
+    clip_weights(net.params, 1e-3)
+    assert net.params.flat.tobytes() != before
+
+
+@pytest.mark.parametrize("algo", OPTIMIZERS)
+def test_warm_update_makes_no_vector_sized_temporary(algo):
+    """An update's scratch is BLOCK-sized buffers (one per moment, the step and one more)
+    whatever the vector's length. At 4*BLOCK values, a warm sgd or rmsprop update peaks
+    below one vector's bytes; adam's four scratch buffers alone are one vector's bytes, so
+    it peaks below one vector and one block. Writing a fresh vector costs a whole vector."""
+    shapes = [("w", (2 * BLOCK,)), ("b", (2 * BLOCK,))]
+    params = ParamVector(shapes, np.random.default_rng(13).normal(size=4 * BLOCK))
+    g = np.random.default_rng(14).normal(size=4 * BLOCK)
+    state = OptimizerState(algo, 1e-3)
+    optimizer_step(state, params, g)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        optimizer_step(state, params, g)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (4 * BLOCK + (BLOCK if algo == "adam" else 0))
 
 
 def test_params_are_views_after_build_load_clone_update_and_clip(tmp_path):

@@ -71,12 +71,20 @@ def test_rmsprop_single_step_matches_hand_computation():
     np.testing.assert_allclose(params["w"].data, expected, rtol=1e-12)
 
 
-def test_update_rebinds_a_fresh_array():
-    params = _params({"w": [1.0]})
-    before = params["w"].data
-    optimizer_step(OptimizerState("sgd", 0.1), params, np.array([1.0]))
-    assert params["w"].data is not before
-    np.testing.assert_array_equal(before, [1.0])
+@pytest.mark.parametrize("algo", OPTIMIZERS)
+def test_one_block_update_writes_the_vector_in_place(algo):
+    """A vector that fits in one block is committed from the first pass's scratch into the
+    same vector, views and moment vectors."""
+    params = _params({"w": [1.0], "b": [-2.0, 0.5]})
+    flat, views = params.flat, [p.data for p in params.values()]
+    state, g = OptimizerState(algo, 0.1), np.array([1.0, -0.5, 0.25])
+    optimizer_step(state, params, g)
+    moments = dict(state.moments)
+    optimizer_step(state, params, g)
+    assert params.flat is flat
+    assert all(p.data is view for p, view in zip(params.values(), views))
+    assert all(state.moments[k] is m for k, m in moments.items())
+    assert flat[0] < 1.0 and flat[1] > -2.0 and flat[2] < 0.5
 
 
 def test_non_finite_gradient_aborts_naming_the_parameter():
