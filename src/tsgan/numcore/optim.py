@@ -14,7 +14,9 @@ block, else the last) are copied, and every other block repeats the same
 arithmetic straight into the moments and the parameter vector. A backward
 closure reads the parameter arrays live at op time, so a parameter whose tape
 backward has not consumed yet is a GraphError before anything is written, for
-an update and for a clip alike.
+an update and for a clip alike. The check sees only the tape each parameter
+was last recorded on: a parameter recorded on tape A and then on tape B passes
+once B is consumed, and a later backward over A would read the new values.
 """
 
 from __future__ import annotations
@@ -93,8 +95,9 @@ def _step(state: OptimizerState, t: int, g, moments: dict, out, tmp) -> None:
 
 
 def _require_consumed(params: dict) -> None:
-    """GraphError naming the first parameter recorded on a tape that backward has not
-    consumed: its backward closures still read the values an update would overwrite."""
+    """GraphError naming the first parameter whose last tape backward has not consumed:
+    its backward closures still read the values an update would overwrite. An earlier
+    tape the parameter joined is not seen."""
     for name, p in params.items():
         if p._tape is not None and not p._tape.consumed:
             raise GraphError(f"parameter {name!r} is on a tape that backward has not "

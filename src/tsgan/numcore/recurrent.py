@@ -29,11 +29,12 @@ input rows, bias and share of dx from a batch-major copy in the spent state
 buffer, all matmuls over every (batch, time) row at once.
 
 Spent buffers hold the rest of the GRU's scratch. Its time-major copy of the
-output gradient is made first and the output gradient dropped at once, so
-the two are never both held once the z|r buffer exists. After the loop that
-copy holds the candidate gate's gradient, contiguous for its kernel
-gradient, and the spent z|r buffer holds every later gate's share of dx when
-the input is no wider than 2*units.
+output gradient is made first and the output gradient dropped at once (the
+closure pops it from the list backward() hands it, see takes_gradient, so
+nothing else holds it), so the two are never both held once the z|r buffer
+exists. After the loop that copy holds the candidate gate's gradient,
+contiguous for its kernel gradient, and the spent z|r buffer holds every
+later gate's share of dx when the input is no wider than 2*units.
 
 The output array, x.data and the output gradient are never written (the GRU's
 time-major copy is a private .copy(): at batch 1 a contiguous view would be
@@ -47,7 +48,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from .tensor import Tensor, _record, as_tensor
+from .tensor import Tensor, _record, as_tensor, takes_gradient
 
 
 def _check(op: str, x: Tensor, kernels: tuple, biases: tuple) -> tuple:
@@ -177,11 +178,12 @@ def gru_sequence(x, Wz, bz, Wr, br, Wh, bh) -> Tensor:
         h_new += hhat
     out = Tensor(hs[1:].transpose(1, 0, 2).copy())  # a view when batch == 1
 
-    def bw(g_out):
-        # a private copy: at batch 1 ascontiguousarray would hand back g_out itself, which
-        # a sibling's gradient may share, and this copy is written after the loop
-        g_seq = g_out.transpose(1, 0, 2).copy()
-        del g_out  # backward() keeps no reference: unless a sibling shares it, freed here
+    @takes_gradient
+    def bw(box):
+        # a private copy: at batch 1 ascontiguousarray would hand back the output gradient
+        # itself, which a sibling's gradient may share, and this copy is written after the
+        # loop. Popped, the output gradient is freed here unless a sibling shares it.
+        g_seq = box.pop().transpose(1, 0, 2).copy()
         z, r, hhat = gates.transpose(1, 0, 2, 3)
         h_prev = hs[:-1]
         # loop-invariant factors, each overwritten in the loop by its gate's gradient;

@@ -83,7 +83,9 @@ class ParamVector(dict):
     Fresh parameter Tensors, named and shaped by (name, shape) pairs, are laid over `flat`
     as it is, once, at construction; a `flat` that is not one vector of exactly their size
     is a ShapeError. The ParamVector owns `flat` from then on: updates and clips write it
-    in place, so its owner passes a vector that nothing else holds. Reading `flat` checks
+    in place, so its owner passes a vector that nothing else holds. They refuse while the
+    tape a parameter was last recorded on is unconsumed; an earlier unconsumed tape is
+    not checked, and its backward would read the written values. Reading `flat` checks
     that every Tensor's data is still the view laid at construction.
     """
 
@@ -172,6 +174,15 @@ def _record(op: str, out: Tensor, inputs: tuple, backward_fn) -> Tensor:
     return out
 
 
+def takes_gradient(backward_fn):
+    """Mark a backward closure that takes its output gradient as a one-item list and pops
+    it, so it holds the only reference and may free the gradient before it returns. An
+    argument passed as such stays held by the caller until the call returns on CPython
+    3.10, whatever the closure deletes."""
+    backward_fn.takes_gradient = True
+    return backward_fn
+
+
 def backward(record: Tape, loss: Tensor) -> dict[int, Tensor]:
     """Reverse pass from a scalar loss; returns {tape_id: gradient} for every leaf.
 
@@ -193,14 +204,18 @@ def backward(record: Tape, loss: Tensor) -> dict[int, Tensor]:
         _, out_id, in_ids, backward_fn, _ = record.nodes.pop()
         if out_id not in grads:
             continue
-        # popped into the call, and the loop's names cleared after it, so the closure holds
-        # the only reference to its output gradient and can free it early
-        for in_id, contrib in zip(in_ids, backward_fn(grads.pop(out_id))):
+        # no loop name keeps an output gradient (the names are cleared after each node),
+        # so a closure that takes it from a list holds the only reference
+        if getattr(backward_fn, "takes_gradient", False):
+            contribs = backward_fn([grads.pop(out_id)])
+        else:
+            contribs = backward_fn(grads.pop(out_id))
+        for in_id, contrib in zip(in_ids, contribs):
             if in_id is None or contrib is None:
                 continue
             held = grads.get(in_id)
             grads[in_id] = contrib if held is None else held + contrib
-        contrib = held = None
+        contribs = contrib = held = None
 
     result: dict[int, Tensor] = {}
     for tid, leaf in record._leaves.items():

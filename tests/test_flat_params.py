@@ -3,6 +3,7 @@ against the per-parameter oracle, the view layout every network keeps, and check
 bytes."""
 
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,8 @@ from tsgan.models.network import build_network, param_shapes, require_finite_par
 from tsgan.numcore import (OptimizerState, RngStream, Tape, Tensor, backward, clip_weights,
                            leaf_grads, mean, mul, optimizer_step)
 from tsgan.numcore.optim import BLOCK, OPTIMIZERS, ParamGroup, ParamVector
+from tsgan.training import step as step_module
+from tsgan.training import wgan as wgan_module
 from tsgan.training.step import train_step
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -232,6 +235,37 @@ def test_update_on_a_tape_backward_has_not_consumed_is_a_graph_error(update):
     optimizer_step(state, net.params, leaf_grads(tape, net.params, backward(tape, loss)))
     clip_weights(net.params, 1e-3)
     assert net.params.flat.tobytes() != before
+
+
+def test_no_trainer_updates_parameters_that_an_unconsumed_tape_holds(tmp_path, monkeypatch):
+    """The update and clip check sees only the tape each parameter was last recorded on.
+    Over one training run of every model kind, no update and no clip finds any live
+    unconsumed tape holding one of its parameters, so that check misses nothing here."""
+    from test_chain_digests import chain_digests
+
+    tapes, seen = weakref.WeakSet(), {"step": 0, "clip": 0}
+    tape_init = Tape.__init__
+
+    def tracked_init(self):
+        tape_init(self)
+        tapes.add(self)
+
+    def checked(fn, kind):
+        def wrapper(*args):
+            params = args[1] if kind == "step" else args[0]
+            ids = {id(p) for p in params.values()}
+            for tape in list(tapes):
+                assert tape.consumed or not ids & {id(t) for t in tape._leaves.values()}, kind
+            seen[kind] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Tape, "__init__", tracked_init)
+    monkeypatch.setattr(step_module, "optimizer_step",
+                        checked(step_module.optimizer_step, "step"))
+    monkeypatch.setattr(wgan_module, "clip_weights", checked(wgan_module.clip_weights, "clip"))
+    chain_digests(tmp_path)
+    assert seen["step"] > 0 and seen["clip"] > 0
 
 
 @pytest.mark.parametrize("algo", OPTIMIZERS)

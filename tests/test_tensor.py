@@ -14,7 +14,7 @@ from tsgan.numcore import (RngStream, Tape, Tensor, add, backward, clamp,
                            concat, conv1d, dropout, gru_sequence, leaf_grads, log,
                            lstm_sequence, matmul, mean, mul, relu, reshape, sigmoid,
                            slice_tensor, sub, tanh, tsum)
-from tsgan.numcore.tensor import _record, _unbroadcast
+from tsgan.numcore.tensor import _record, _unbroadcast, takes_gradient
 
 
 def test_arithmetic_forward_values():
@@ -399,6 +399,28 @@ def test_tape_node_list_describes_the_graph():
     with Tape() as rec:
         mean(x * x)
     assert [n[0] for n in rec.nodes] == ["mul", "mean"]
+
+
+def test_a_closure_that_takes_its_gradient_holds_the_only_reference():
+    """backward() hands a takes_gradient closure its output gradient in a list and keeps
+    no name on it, so the closure can free it before it returns. A plain argument stays
+    held by the caller until the call returns on CPython 3.10."""
+    x = Tensor(np.ones(3), requires_grad=True)
+    freed = []
+
+    @takes_gradient
+    def bw(box):
+        g = box.pop()
+        ref = weakref.ref(g)
+        del g
+        freed.append(ref() is None)
+        return (np.ones(3),)
+
+    with Tape() as rec:
+        loss = tsum(_record("probe", Tensor(np.zeros(3)), (x,), bw))
+    gmap = backward(rec, loss)
+    assert freed == [True]
+    np.testing.assert_array_equal(gmap[x.tape_id].data, np.ones(3))
 
 
 # --- random op graphs against central differences ---------------------------
