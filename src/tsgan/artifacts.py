@@ -19,6 +19,11 @@ from pathlib import Path
 from .errors import ConfigError, DataError
 
 
+def is_a(value, kind) -> bool:
+    """isinstance(value, kind), but a bool (what a JSON `true` loads as) is no number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _cell(value) -> str:
     if value is None:
         return ""

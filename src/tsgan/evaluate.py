@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .artifacts import csv_text
+from .artifacts import csv_text, is_a
 from .data.ohlcv import TARGET_COLUMN
 from .data.scaling import ScalerParams, inverse_scaler
 from .data.windows import WindowDataset
@@ -25,24 +25,25 @@ DEFAULT_HORIZONS = (10, 40, 80)
 METRIC_BASES = ("scaled", "original")
 
 
-def rmse(y, yhat) -> float:
+def _pair(metric: str, y, yhat) -> tuple[np.ndarray, np.ndarray]:
+    """y and yhat as flat float64 arrays of one non-empty length; else a ShapeError."""
     y = np.asarray(y, dtype=np.float64).ravel()
     yhat = np.asarray(yhat, dtype=np.float64).ravel()
     if y.size != yhat.size:
-        raise ShapeError(f"rmse: lengths differ ({y.size} vs {yhat.size})")
+        raise ShapeError(f"{metric}: lengths differ ({y.size} vs {yhat.size})")
     if y.size == 0:
-        raise ShapeError("rmse: empty input")
+        raise ShapeError(f"{metric}: empty input")
+    return y, yhat
+
+
+def rmse(y, yhat) -> float:
+    y, yhat = _pair("rmse", y, yhat)
     return float(np.sqrt(np.mean((y - yhat) ** 2)))
 
 
 def mape(y, yhat) -> float:
     """Mean absolute percentage error as a fraction (0.05 means 5%)."""
-    y = np.asarray(y, dtype=np.float64).ravel()
-    yhat = np.asarray(yhat, dtype=np.float64).ravel()
-    if y.size != yhat.size:
-        raise ShapeError(f"mape: lengths differ ({y.size} vs {yhat.size})")
-    if y.size == 0:
-        raise ShapeError("mape: empty input")
+    y, yhat = _pair("mape", y, yhat)
     zero = np.nonzero(y == 0.0)[0]
     if zero.size:
         raise DomainError(f"mape: zero actual at index {int(zero[0])}")
@@ -129,14 +130,19 @@ class MetricsReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":
-        """Rebuild a report from as_dict() output; a malformed one is a DataError."""
+        """Rebuild a report from as_dict() output; a malformed one is a DataError, as is
+        a horizon or count that is no int, or a weight or metric that is no number."""
         try:
-            horizons = [int(h) for h in d["horizons"]]
-            per_h = {int(k): v for k, v in d["per_horizon"].items()}
-            per_ho = d.get("per_horizon_original")
-            if per_ho is not None:
-                per_ho = {int(k): v for k, v in per_ho.items()}
-            return cls(d["model"], horizons, per_h, d["weights"], d["basis"],
+            per_h, per_ho = ({int(k): v for k, v in t.items()} if t is not None else None
+                             for t in (d["per_horizon"], d.get("per_horizon_original")))
+            ints = [*d["horizons"], *(v for v in (d.get("hidden_layers"), d.get("epochs"))
+                                      if v is not None)]
+            numbers = [*d["weights"], *(m[k] for t in (per_h, per_ho or {})
+                                        for m in t.values() for k in ("rmse", "mape"))]
+            if not (all(is_a(v, int) for v in ints)
+                    and all(is_a(v, (int, float)) for v in numbers)):
+                raise TypeError("a horizon or count is no int, or a weight or metric no number")
+            return cls(d["model"], d["horizons"], per_h, d["weights"], d["basis"],
                        d.get("hidden_layers"), d.get("epochs"), per_ho)
         except (AttributeError, ConfigError, KeyError, TypeError, ValueError) as e:
             raise DataError(f"malformed metrics report: {type(e).__name__}: {e}") from None

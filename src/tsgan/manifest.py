@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .artifacts import read_json, write_json
+from .artifacts import is_a, read_json, write_json
 from .errors import ConfigError, DataError
 
 MANIFEST_FORMAT = "tsgan-run-v1"
@@ -68,7 +68,7 @@ class RunManifest:
     def from_dict(cls, d: dict) -> "RunManifest":
         if d.get("format") != MANIFEST_FORMAT:
             raise DataError(f"not a run manifest (format {d.get('format')!r})")
-        wrong = sorted(k for k, kind in _FIELD_TYPES.items() if not isinstance(d[k], kind)
+        wrong = sorted(k for k, kind in _FIELD_TYPES.items() if not is_a(d[k], kind)
                        or k == "argv" and not all(isinstance(a, str) for a in d[k]))
         if wrong:
             raise DataError(f"run manifest fields have the wrong type: {', '.join(wrong)}")

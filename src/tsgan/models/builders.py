@@ -158,8 +158,6 @@ def build_timegan(
     """
     if rng is None:
         raise ConfigError("timegan: an RngStream is required for initialization")
-    if feature_dim < 1 or hidden_dim < 1:
-        raise ConfigError(f"timegan: bad dims (features={feature_dim}, hidden={hidden_dim})")
 
     def stack(name: str, in_dim: int, out_dim: int, depth: int = TIMEGAN_STACK) -> Network:
         layers = [{"kind": "gru", "units": hidden_dim} for _ in range(depth)]

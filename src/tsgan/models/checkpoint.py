@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-from ..artifacts import read_json, write_bytes, write_json
+from ..artifacts import is_a, read_json, write_bytes, write_json
 from ..errors import DataError
 from .network import Network, NetSpec, param_shapes
 
@@ -24,14 +24,10 @@ _FIELD_TYPES = {"spec": dict, "params": list, "blob": str}
 
 
 def _is_param_entry(entry) -> bool:
-    """{"name": str, "shape": [non-negative int, ...]}, as save_checkpoint writes it.
-
-    A JSON `true` is a Python bool, which is an int; it is no shape entry.
-    """
+    """{"name": str, "shape": [non-negative int, ...]}, as save_checkpoint writes it."""
     return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
             and isinstance(entry.get("shape"), list)
-            and all(isinstance(n, int) and not isinstance(n, bool) and n >= 0
-                    for n in entry["shape"]))
+            and all(is_a(n, int) and n >= 0 for n in entry["shape"]))
 
 
 def save_checkpoint(stem, net: Network, seed: int | None = None, step: int = 0) -> dict:

@@ -16,6 +16,7 @@ from itertools import islice
 
 import numpy as np
 
+from ..artifacts import is_a
 from ..errors import ConfigError, DataError, ShapeError
 from ..numcore import (
     RngStream,
@@ -99,7 +100,7 @@ class NetSpec:
         if not isinstance(d, dict):
             raise DataError("network spec must be a JSON object")
         d = {"input_rank": 3, **d}
-        wrong = [k for k, kind in _SPEC_FIELD_TYPES.items() if not isinstance(d.get(k), kind)]
+        wrong = [k for k, kind in _SPEC_FIELD_TYPES.items() if not is_a(d.get(k), kind)]
         if "layers" not in wrong and not all(isinstance(layer, dict) for layer in d["layers"]):
             wrong.append("layers")
         if wrong:
@@ -112,11 +113,9 @@ class NetSpec:
 
 
 def _valid_layer_field(name: str, value) -> bool:
-    if isinstance(value, bool):
-        return False
     if name == "rate":
-        return isinstance(value, (int, float)) and 0.0 <= value < 1.0
-    return isinstance(value, int) and value >= 1
+        return is_a(value, (int, float)) and 0.0 <= value < 1.0
+    return is_a(value, int) and value >= 1
 
 
 def _layer_shapes(spec: NetSpec) -> list[list[tuple[str, tuple]]]:

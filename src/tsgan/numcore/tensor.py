@@ -1,9 +1,10 @@
 """Dense float64 tensors with single-use reverse-mode differentiation.
 
 Values are numpy arrays in row-major order. Gradient tracking is explicit:
-while a Tape is active, every primitive op whose inputs require gradients
-records a backward closure onto it. One training step builds one tape and
-consumes it with a single backward() call; tapes are never reused.
+while a Tape is active, every primitive op with an input that requires a
+gradient records a backward closure onto it, and only such inputs join the tape.
+One training step builds one tape and consumes it with a single backward() call,
+which returns plain gradient arrays; tapes are never reused.
 """
 
 from __future__ import annotations
@@ -145,9 +146,7 @@ class Tape:
 
     def _input_id(self, t: Tensor) -> int:
         if t._tape is not self:
-            tid = self._assign(t)
-            if t.requires_grad:
-                self._leaves[tid] = t
+            self._leaves[self._assign(t)] = t
         return t.tape_id
 
 
@@ -160,14 +159,14 @@ def as_tensor(x) -> Tensor:
 
 
 def _record(op: str, out: Tensor, inputs: tuple, backward_fn) -> Tensor:
+    """Record an op on the active tape if an input requires a gradient. Only such inputs
+    join it (as leaves if new); others get None in in_ids and keep tape_id and _tape."""
     tape = active_tape()
-    if tape is None:
-        return out
-    if not any(isinstance(t, Tensor) and t.requires_grad for t in inputs):
+    if tape is None or not any(t.requires_grad for t in inputs):
         return out
     if tape.consumed:
         raise GraphError("computation record already consumed; build a fresh Tape per step")
-    in_ids = tuple(tape._input_id(t) if isinstance(t, Tensor) else None for t in inputs)
+    in_ids = tuple(tape._input_id(t) if t.requires_grad else None for t in inputs)
     out_id = tape._assign(out)
     out.requires_grad = True
     tape.nodes.append((op, out_id, in_ids, backward_fn, out.shape))
@@ -183,17 +182,17 @@ def takes_gradient(backward_fn):
     return backward_fn
 
 
-def backward(record: Tape, loss: Tensor) -> dict[int, Tensor]:
-    """Reverse pass from a scalar loss; returns {tape_id: gradient} for every leaf.
+def backward(record: Tape, loss: Tensor) -> dict[int, np.ndarray]:
+    """Reverse pass from a scalar loss on the record (a constant never is); returns
+    {tape_id: np.ndarray} for every leaf, zeros for one the loss does not reach.
 
-    Leaves on the record that the loss does not reach get zero gradients.
     The record is consumed; a second backward on it is rejected. Each node is
     taken off the record before its closure runs, so the arrays it holds are
     freed at their last use, even while a parameter's `_tape` points here.
     """
     if record.consumed:
         raise GraphError("double backward: this computation record was already consumed")
-    if not isinstance(loss, Tensor) or loss._tape is not record or loss.tape_id is None:
+    if not isinstance(loss, Tensor) or loss._tape is not record:
         raise GraphError("loss tensor is not on this computation record")
     if loss.size != 1:
         raise GraphError(f"loss must be scalar, got shape {loss.shape}")
@@ -217,17 +216,12 @@ def backward(record: Tape, loss: Tensor) -> dict[int, Tensor]:
             grads[in_id] = contrib if held is None else held + contrib
         contribs = contrib = held = None
 
-    result: dict[int, Tensor] = {}
-    for tid, leaf in record._leaves.items():
-        g = grads.get(tid)
-        if g is None:
-            g = np.zeros_like(leaf.data)
-        result[tid] = Tensor(g)
-    return result
+    return {tid: grads[tid] if tid in grads else np.zeros_like(leaf.data)
+            for tid, leaf in record._leaves.items()}
 
 
 def leaf_grads(record: Tape, params: dict, gmap: dict) -> np.ndarray:
-    """The gradients of params from a backward() result as one float64 vector, laid in
+    """The gradients of params from backward()'s map as one float64 vector, laid in
     params' order the way their values lie in a ParamVector: what an update reads.
 
     Only tensors that actually joined `record` are looked up; a stale
@@ -237,7 +231,7 @@ def leaf_grads(record: Tape, params: dict, gmap: dict) -> np.ndarray:
                if p._tape is not record or p.tape_id not in gmap]
     if missing:
         raise GraphError(f"no gradients on this record for parameters: {sorted(missing)}")
-    return np.concatenate([np.zeros(0), *(gmap[p.tape_id].data for p in params.values())],
+    return np.concatenate([np.zeros(0), *(gmap[p.tape_id] for p in params.values())],
                           axis=None)
 
 

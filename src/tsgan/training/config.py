@@ -7,6 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..artifacts import is_a
 from ..errors import ConfigError
 from ..numcore.optim import OPTIMIZERS
 from .losses import GENERATOR_LOSS_MODES
@@ -40,7 +41,7 @@ def check_keys(values: dict, table: dict[str, Key], error: type) -> dict:
             raise error(f"unknown config key: {key!r}")
         if isinstance(value, np.integer):
             value = int(value)
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        number = is_a(value, (int, float))
         if isinstance(row.type, tuple):
             ok, want = isinstance(value, str) and value in row.type, f"one of {row.type}"
         elif row.type is int:

@@ -220,7 +220,6 @@ def generate_synthetic(model, count: int, seq_len: int, seed: int,
     if isinstance(model, Network):
         if windows is None or scaler is None:
             raise ConfigError("conditional generation needs history windows and the scaler")
-        require_finite_params(model)
         predictor = GanPredictor(model, windows.inputs.shape[2], seed)
         pick = rng.integers(0, windows.count, (count,))
         paths = predictor.predict(windows.inputs[pick], predictor.head_width)

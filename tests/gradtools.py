@@ -28,7 +28,7 @@ def analytic_grads(build_loss, tensors):
     with Tape() as rec:
         loss = build_loss()
     gmap = backward(rec, loss)
-    return [gmap[t.tape_id].data for t in tensors]
+    return [gmap[t.tape_id] for t in tensors]
 
 
 def check_gradients(build_loss, tensors, h=1e-5, rtol=1e-4, atol=1e-7):

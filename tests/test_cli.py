@@ -183,6 +183,11 @@ REPORT = {"model": "gru", "horizons": [1], "weights": [1.0], "basis": "scaled",
     ("model.json", lambda text: _edit(text, "blob", value="")),
     ("model.json", lambda text: _edit(text, "blob", value=".")),
     ("model.json", lambda text: _edit(text, "blob", value="../model.bin")),
+    ("report.json", lambda text: _edit(text, "epochs", value=True)),
+    ("report.json", lambda text: _edit(text, "hidden_layers", value=True)),
+    ("report.json", lambda text: _edit(text, "horizons", value=[True])),
+    ("report.json", lambda text: _edit(text, "weights", value=[True])),
+    ("report.json", lambda text: _edit(text, "per_horizon", "1", "rmse", value=True)),
 ], ids=["train-manifest-not-json", "report-not-json", "report-is-a-list",
         "report-lacks-horizons", "checkpoint-lacks-blob", "report-wrong-types",
         "report-weights-mismatch", "train-manifest-config-not-object",
@@ -192,7 +197,9 @@ REPORT = {"model": "gru", "horizons": [1], "weights": [1.0], "basis": "scaled",
         "checkpoint-shape-entry-is-a-bool",
         *(f"checkpoint-blob-cut-{n}-bytes" for n in range(1, 9)),
         "checkpoint-blob-one-value-too-long", "checkpoint-blob-is-empty",
-        "checkpoint-blob-is-the-run-dir", "checkpoint-blob-outside-the-run"])
+        "checkpoint-blob-is-the-run-dir", "checkpoint-blob-outside-the-run",
+        "report-epochs-is-a-bool", "report-hidden-layers-is-a-bool",
+        "report-horizon-is-a-bool", "report-weight-is-a-bool", "report-rmse-is-a-bool"])
 def test_corrupt_inputs_exit_2(tmp_path, capsys, data_csv, gru_run, target, corrupt):
     run = tmp_path / "run"
     shutil.copytree(gru_run, run)
@@ -802,6 +809,13 @@ def test_manifest_helpers(tmp_path):
     assert argv == ["train", "--seed", "1", "--out-dir", "new"]
     argv2 = replace_out_dir(["train", "--out-dir=old"], "new")
     assert argv2 == ["train", "--out-dir", "new"]
+
+
+def test_manifest_seed_must_not_be_a_bool(tmp_path):
+    path = write_manifest(RunManifest("train", ["train"], {}, 7, {}, []), tmp_path / "m.json")
+    path.write_text(_edit(path.read_text(), "seed", value=True))
+    with pytest.raises(DataError, match="wrong type: seed"):
+        load_manifest(path)
 
 
 @pytest.mark.parametrize("argv", [[1, 2], ["train", None], [["train"]]])

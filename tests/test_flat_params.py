@@ -149,7 +149,7 @@ def test_leaf_grads_vector_steps_like_a_plain_dict(algo, direction):
             loss = sum(mean(mul(mul(p, p), float(i + step))) for i, p in enumerate(group.values()))
         gmap = backward(tape, loss)
         grads = leaf_grads(tape, group, gmap)
-        plain = {name: gmap[p.tape_id].data.copy() for name, p in group.items()}
+        plain = {name: gmap[p.tape_id].copy() for name, p in group.items()}
         assert grads.dtype == np.float64 and grads.tobytes() == _flat(plain).tobytes()
         before = grads.tobytes()
         optimizer_step(state, group, grads)

@@ -53,7 +53,7 @@ def case_digests(kind: str, shape: tuple, x_grad: bool) -> dict:
         loss = tsum(mul(out, weights))
     gmap = backward(tape, loss)
     leaves = [x, *params] if x_grad else params
-    return {"out": _digest(out.data), "grads": [_digest(gmap[t.tape_id].data) for t in leaves]}
+    return {"out": _digest(out.data), "grads": [_digest(gmap[t.tape_id]) for t in leaves]}
 
 
 def blas_probe() -> str:

@@ -78,8 +78,8 @@ def test_gan_value_gradients_are_exact():
     with Tape() as rec:
         v = gan_value(tr, tf)
     grads = backward(rec, v)
-    np.testing.assert_allclose(grads[tr.tape_id].data, 1.0 / (3.0 * pr), rtol=1e-14)
-    np.testing.assert_allclose(grads[tf.tape_id].data, -1.0 / (3.0 * (1.0 - pf)),
+    np.testing.assert_allclose(grads[tr.tape_id], 1.0 / (3.0 * pr), rtol=1e-14)
+    np.testing.assert_allclose(grads[tf.tape_id], -1.0 / (3.0 * (1.0 - pf)),
                                rtol=1e-14)
 
 

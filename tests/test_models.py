@@ -88,6 +88,13 @@ def test_netspec_roundtrip_and_validation():
         NetSpec("bad", 0, [])
 
 
+def test_netspec_from_dict_reads_no_bool_as_a_width():
+    """A JSON `true` loads as Python's True, an int equal to 1; it is no input width."""
+    d = NetSpec("demo", 4, [{"kind": "dense", "units": 2}]).to_dict()
+    with pytest.raises(DataError, match="input_dim"):
+        NetSpec.from_dict({**d, "input_dim": True})
+
+
 @pytest.mark.parametrize("layers", [
     [{"kind": "dense"}],
     [{"kind": "gru", "units": 0}, {"kind": "dense", "units": 2}],
@@ -255,6 +262,13 @@ def test_timegan_bundle_wiring():
     assert latent.data.shape == (2, 5, 8)
     back = nets["recovery"].forward(latent)
     assert back.data.shape == (2, 5, 6)
+
+
+@pytest.mark.parametrize("feature_dim, hidden_dim", [(0, 8), (6, 0)])
+def test_timegan_refuses_an_empty_width(feature_dim, hidden_dim):
+    """The network specs refuse a zero input width and zero gru units."""
+    with pytest.raises(ConfigError):
+        build_timegan(feature_dim, hidden_dim=hidden_dim, rng=RngStream(3, ("tg",)))
 
 
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path):

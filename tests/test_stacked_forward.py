@@ -31,7 +31,7 @@ def _loss_and_grads(loss_fn, leaves: dict):
     with Tape() as tape:
         loss = loss_fn()
     gmap = backward(tape, loss)
-    return loss.item(), {k: gmap[t.tape_id].data for k, t in leaves.items()}
+    return loss.item(), {k: gmap[t.tape_id] for k, t in leaves.items()}
 
 
 def _assert_close(stacked_fn, oracle_fn, groups: dict):

@@ -68,7 +68,7 @@ def test_sigmoid_tanh_form_matches_masked_form_without_fp_warnings():
         with Tape() as rec:
             out = sigmoid(xt)
             loss = tsum(out)
-        grad = backward(rec, loss)[xt.tape_id].data
+        grad = backward(rec, loss)[xt.tape_id]
     np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-15)
     np.testing.assert_allclose(grad, expected * (1.0 - expected), rtol=0, atol=1e-15)
 
@@ -104,7 +104,7 @@ def test_simple_chain_gradient():
     x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
     with Tape() as rec:
         loss = mean(mul(x, x))
-    g = backward(rec, loss)[x.tape_id].data
+    g = backward(rec, loss)[x.tape_id]
     np.testing.assert_allclose(g, 2.0 * x.data / 3.0)
 
 
@@ -114,10 +114,10 @@ def test_broadcast_gradient_sums_over_expanded_axes():
     with Tape() as rec:
         loss = tsum(Tensor(np.ones((3, 4))) * (a + b))
     grads = backward(rec, loss)
-    assert grads[a.tape_id].data.shape == (3, 1)
-    assert grads[b.tape_id].data.shape == (4,)
-    np.testing.assert_allclose(grads[a.tape_id].data, np.full((3, 1), 4.0))
-    np.testing.assert_allclose(grads[b.tape_id].data, np.full((4,), 3.0))
+    assert grads[a.tape_id].shape == (3, 1)
+    assert grads[b.tape_id].shape == (4,)
+    np.testing.assert_allclose(grads[a.tape_id], np.full((3, 1), 4.0))
+    np.testing.assert_allclose(grads[b.tape_id], np.full((4,), 3.0))
 
 
 def _summed_to(full, shape):
@@ -145,7 +145,7 @@ def test_broadcast_gradients_property(shapes, op, seed):
     grads = backward(rec, loss)
     partials = {"add": (1.0, 1.0), "sub": (1.0, -1.0), "mul": (b.data, a.data)}[op]
     for leaf, partial in zip((a, b), partials):
-        got = grads[leaf.tape_id].data
+        got = grads[leaf.tape_id]
         assert got.shape == leaf.shape
         full = g * np.broadcast_to(partial, out_shape)
         np.testing.assert_allclose(got, _unbroadcast(full, leaf.shape), rtol=0, atol=1e-12)
@@ -187,8 +187,8 @@ def test_concat_routes_gradients_to_both_parts():
         joined = concat([a, b], axis=0)
         loss = tsum(joined * joined)
     grads = backward(rec, loss)
-    np.testing.assert_allclose(grads[a.tape_id].data, 2.0 * a.data)
-    np.testing.assert_allclose(grads[b.tape_id].data, 2.0 * b.data)
+    np.testing.assert_allclose(grads[a.tape_id], 2.0 * a.data)
+    np.testing.assert_allclose(grads[b.tape_id], 2.0 * b.data)
 
 
 def test_slice_gradient_scatters_into_source():
@@ -196,7 +196,7 @@ def test_slice_gradient_scatters_into_source():
     with Tape() as rec:
         piece = slice_tensor(x, (slice(1, 3), slice(None)))
         loss = tsum(piece)
-    g = backward(rec, loss)[x.tape_id].data
+    g = backward(rec, loss)[x.tape_id]
     expected = np.zeros((5, 2))
     expected[1:3] = 1.0
     np.testing.assert_array_equal(g, expected)
@@ -211,7 +211,7 @@ def test_clamp_gradient_masks_saturated_entries():
     x = Tensor(np.array([-2.0, 0.5, 2.0]), requires_grad=True)
     with Tape() as rec:
         loss = tsum(clamp(x, -1.0, 1.0))
-    g = backward(rec, loss)[x.tape_id].data
+    g = backward(rec, loss)[x.tape_id]
     np.testing.assert_array_equal(g, [0.0, 1.0, 0.0])
 
 
@@ -272,7 +272,7 @@ def test_dropout_gradient_uses_the_same_mask():
     with Tape() as rec:
         out = dropout(x, 0.25, mode="train", rng=RngStream(3, ("mask",)))
         loss = tsum(out)
-    g = backward(rec, loss)[x.tape_id].data
+    g = backward(rec, loss)[x.tape_id]
     np.testing.assert_allclose(g, out.data)
 
 
@@ -314,13 +314,37 @@ def test_loss_off_the_record_is_rejected():
 
 
 def test_unreached_leaf_gets_a_zero_gradient():
+    """backward() returns a plain array for every leaf, the unreached one included."""
     x = Tensor(np.ones(3), requires_grad=True)
     y = Tensor(np.ones(3), requires_grad=True)
     with Tape() as rec:
         y * y  # joins the record but never feeds the loss
         loss = mean(x * x)
     grads = backward(rec, loss)
-    np.testing.assert_array_equal(grads[y.tape_id].data, np.zeros(3))
+    assert set(grads) == {x.tape_id, y.tape_id}
+    assert all(type(g) is np.ndarray for g in grads.values())
+    np.testing.assert_array_equal(grads[y.tape_id], np.zeros(3))
+
+
+def test_only_values_that_need_a_gradient_join_the_tape():
+    """A data batch and the scalar in `1.0 - p` get no tape id, hold no tape and have
+    None in their node's in_ids; the differentiable input joins as the one leaf."""
+    x = Tensor(np.ones(3), requires_grad=True)
+    data = Tensor(np.full(3, 2.0))
+    with Tape() as rec:
+        mean(sub(1.0, mul(data, x)))
+    assert data.tape_id is None and data._tape is None
+    assert [n[2] for n in rec.nodes] == [(None, x.tape_id), (None, 1), (2,)]
+    assert rec._leaves == {x.tape_id: x}
+
+
+def test_a_constant_that_fed_a_recorded_op_is_no_loss():
+    x = Tensor(np.ones(3), requires_grad=True)
+    c = Tensor(np.array(2.0))
+    with Tape() as rec:
+        mean(x * c)
+    with pytest.raises(GraphError, match="not on this computation record"):
+        backward(rec, c)
 
 
 def test_detach_blocks_gradient_flow():
@@ -328,7 +352,7 @@ def test_detach_blocks_gradient_flow():
     with Tape() as rec:
         frozen = (x * x).detach()
         loss = tsum(x * frozen)
-    g = backward(rec, loss)[x.tape_id].data
+    g = backward(rec, loss)[x.tape_id]
     np.testing.assert_allclose(g, frozen.data)
 
 
@@ -340,7 +364,7 @@ def test_leaf_grads_maps_names_and_rejects_stale_tapes():
     gmap = backward(rec, loss)
     flat = leaf_grads(rec, {"w": w, "b": b}, gmap)
     assert flat.dtype == np.float64 and flat.shape == (6,)
-    expected = np.concatenate([gmap[w.tape_id].data.ravel(), gmap[b.tape_id].data])
+    expected = np.concatenate([gmap[w.tape_id].ravel(), gmap[b.tape_id]])
     assert flat.tobytes() == expected.tobytes()  # laid in the mapping's order
 
     with Tape() as second:
@@ -370,7 +394,7 @@ def test_backward_frees_each_node_before_earlier_nodes_run():
     gmap = backward(rec, loss)
     assert events == ["later node's array freed", "earlier backward"]
     assert rec.nodes == []
-    np.testing.assert_array_equal(gmap[x.tape_id].data, [2.0, 2.0, 2.0])
+    np.testing.assert_array_equal(gmap[x.tape_id], [2.0, 2.0, 2.0])
 
 
 def test_no_active_tape_means_no_recording():
@@ -420,7 +444,7 @@ def test_a_closure_that_takes_its_gradient_holds_the_only_reference():
         loss = tsum(_record("probe", Tensor(np.zeros(3)), (x,), bw))
     gmap = backward(rec, loss)
     assert freed == [True]
-    np.testing.assert_array_equal(gmap[x.tape_id].data, np.ones(3))
+    np.testing.assert_array_equal(gmap[x.tape_id], np.ones(3))
 
 
 # --- random op graphs against central differences ---------------------------
