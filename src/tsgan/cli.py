@@ -18,8 +18,6 @@ import numpy as np
 
 from . import __version__
 from .artifacts import read_json, write_csv, write_json, write_text
-from .config import (CONFIG_KEYS, PRESETS, PipelineConfig, load_config,
-                     resolved_config_dict)
 from .data.features import FeatureMatrix, build_features, features_to_csv
 from .data.ohlcv import (RAW_COLUMNS, TARGET_COLUMN, PriceSeries, repair_calendar,
                          series_to_csv)
@@ -39,7 +37,7 @@ from .numcore import RngStream
 from .pipeline import DatasetBundle, load_series, prepare_dataset
 from .stats import (DescriptiveStats, correlation_cluster, correlation_matrix,
                     describe, monthly_aggregate, monthly_aggregate_csv)
-from .training.config import TrainConfig, check_keys
+from .training.config import PRESETS, TrainConfig, check_keys, load_config
 from .training.forecaster import train_forecaster
 from .training.gan import train_gan
 from .training.timegan import TIMEGAN_NET_NAMES, train_timegan
@@ -80,13 +78,16 @@ class TrainRun(NamedTuple):
 
 
 def _list_of(cast, what: str):
-    """An argparse type: comma-separated values, each read by `cast`."""
+    """An argparse type: one or more comma-separated values, each read by `cast`."""
     def parse(text: str) -> list:
         try:
-            return [cast(x) for x in text.split(",") if x.strip() != ""]
+            values = [cast(x) for x in text.split(",") if x.strip() != ""]
         except ValueError:
+            values = []
+        if not values:
             raise argparse.ArgumentTypeError(
-                f"expected comma-separated {what}, got {text!r}") from None
+                f"expected comma-separated {what}, got {text!r}")
+        return values
     return parse
 
 
@@ -98,10 +99,10 @@ def _write_matrix_csv(path: Path, matrix: np.ndarray) -> Path:
     return write_csv(path, header, ([i, *row] for i, row in enumerate(matrix)))
 
 
-def _resolve_config(args, base: dict | None) -> tuple[TrainConfig, PipelineConfig]:
+def _resolve_config(args, base: dict | None) -> TrainConfig:
     """Config file < preset < a train run's config (`base`) < explicit flags."""
-    overrides = {k: base[k] for k in CONFIG_KEYS if base and k in base}
-    overrides.update({k: getattr(args, k) for k in CONFIG_KEYS
+    overrides = {k: base[k] for k in TrainConfig.KEYS if base and k in base}
+    overrides.update({k: getattr(args, k) for k in TrainConfig.KEYS
                       if getattr(args, k, None) is not None})
     return load_config(args.config, args.preset, overrides)
 
@@ -113,7 +114,8 @@ def _load_train_run(model_dir: Path) -> TrainRun:
     if kind not in MODEL_KINDS:
         raise DataError(f"train manifest in {model_dir} names no valid model kind")
     # the run's config is a layer of the user's config, but a bad value in it is corrupt input
-    check_keys({k: v for k, v in config.items() if k in CONFIG_KEYS}, CONFIG_KEYS, DataError)
+    check_keys({k: v for k, v in config.items() if k in TrainConfig.KEYS}, TrainConfig.KEYS,
+               DataError)
     nets = {stem: load_checkpoint(model_dir / stem)[0] for stem in _INFERENCE_STEMS[kind]}
     paths = [manifest_path, *(model_dir / f"{stem}{ext}" for stem in nets
                               for ext in (".json", ".bin"))]
@@ -121,22 +123,23 @@ def _load_train_run(model_dir: Path) -> TrainRun:
     return TrainRun(kind, model, config, paths)
 
 
-def _prepare(args, pipe_cfg: PipelineConfig) -> DatasetBundle:
-    return prepare_dataset(load_series(args.input), **pipe_cfg.as_dict())
+def _prepare(args, cfg: TrainConfig) -> DatasetBundle:
+    return prepare_dataset(load_series(args.input), cfg.seq_len, cfg.horizon,
+                           cfg.sma_window, cfg.knn_k, cfg.train_fraction)
 
 
-def _load_repaired(args, pipe_cfg: PipelineConfig) -> tuple[PriceSeries, PriceSeries]:
+def _load_repaired(args, cfg: TrainConfig) -> tuple[PriceSeries, PriceSeries]:
     series = load_series(args.input)
-    return series, repair_calendar(series, pipe_cfg.knn_k)
+    return series, repair_calendar(series, cfg.knn_k)
 
 
 # --- subcommand handlers ------------------------------------------------
-# Each takes (args, out_dir, train_cfg, pipe_cfg, run), `run` being the train
+# Each takes (args, out_dir, cfg, run), `run` being the train
 # run loaded from --model-dir or None, and returns (its own manifest config
 # entries, inputs besides --input and the run's files, output paths).
 
-def _cmd_ingest(args, out_dir: Path, train_cfg, pipe_cfg, run):
-    series, repaired = _load_repaired(args, pipe_cfg)
+def _cmd_ingest(args, out_dir: Path, cfg, run):
+    series, repaired = _load_repaired(args, cfg)
     out = write_text(out_dir / "repaired.csv", series_to_csv(repaired))
     report = {
         "input_rows": len(series),
@@ -147,8 +150,8 @@ def _cmd_ingest(args, out_dir: Path, train_cfg, pipe_cfg, run):
     return {}, [], [out, write_json(out_dir / "ingest_report.json", report)]
 
 
-def _cmd_stats(args, out_dir: Path, train_cfg, pipe_cfg, run):
-    _, repaired = _load_repaired(args, pipe_cfg)
+def _cmd_stats(args, out_dir: Path, cfg, run):
+    _, repaired = _load_repaired(args, cfg)
     matrix = FeatureMatrix(list(RAW_COLUMNS), repaired.values, repaired.dates, sma_window=1)
 
     rows = []
@@ -167,10 +170,10 @@ def _cmd_stats(args, out_dir: Path, train_cfg, pipe_cfg, run):
     return {}, [], [describe_path, corr_path, cluster_path, monthly_path]
 
 
-def _cmd_features(args, out_dir: Path, train_cfg, pipe_cfg, run):
-    _, repaired = _load_repaired(args, pipe_cfg)
-    features = build_features(repaired, pipe_cfg.sma_window)
-    scaler = fit_scaler(features, pipe_cfg.train_fraction)
+def _cmd_features(args, out_dir: Path, cfg, run):
+    _, repaired = _load_repaired(args, cfg)
+    features = build_features(repaired, cfg.sma_window)
+    scaler = fit_scaler(features, cfg.train_fraction)
     scaled = apply_scaler(features, scaler)
     features_path = write_text(out_dir / "features.csv", features_to_csv(features))
     scaled_path = write_text(out_dir / "scaled.csv", features_to_csv(scaled))
@@ -209,14 +212,13 @@ def _build_and_train(kind: str, bundle: DatasetBundle, cfg: TrainConfig):
     return nets, train_timegan(nets, bundle.train, cfg)
 
 
-def _cmd_train(args, out_dir: Path, train_cfg, pipe_cfg, run):
-    bundle = _prepare(args, pipe_cfg)
-    nets, trace = _build_and_train(args.model, bundle, train_cfg)
+def _cmd_train(args, out_dir: Path, cfg, run):
+    bundle = _prepare(args, cfg)
+    nets, trace = _build_and_train(args.model, bundle, cfg)
 
     outputs = [write_text(out_dir / "loss_trace.csv", trace.to_csv())]
     for name, net in nets.items():
-        save_checkpoint(out_dir / name, net, seed=train_cfg.seed,
-                        step=train_cfg.epochs)
+        save_checkpoint(out_dir / name, net, seed=cfg.seed, step=cfg.epochs)
         outputs += [out_dir / f"{name}.json", out_dir / f"{name}.bin"]
     outputs.append(write_json(out_dir / "scaler.json", bundle.scaler.to_dict()))
     outputs.append(write_json(out_dir / "dataset_manifest.json", bundle.manifest))
@@ -226,11 +228,11 @@ def _cmd_train(args, out_dir: Path, train_cfg, pipe_cfg, run):
     return own, [], outputs
 
 
-def _cmd_forecast(args, out_dir: Path, train_cfg, pipe_cfg, run):
-    bundle = _prepare(args, pipe_cfg)
-    horizon = args.steps if args.steps is not None else pipe_cfg.horizon
+def _cmd_forecast(args, out_dir: Path, cfg, run):
+    bundle = _prepare(args, cfg)
+    horizon = args.steps if args.steps is not None else cfg.horizon
     result = forecast(run.model, bundle.test, horizon, mode=args.mode,
-                      scaler=bundle.scaler, seed=train_cfg.seed)
+                      scaler=bundle.scaler, seed=cfg.seed)
 
     outputs = [_write_matrix_csv(out_dir / "forecast_scaled.csv", result.scaled),
                _write_matrix_csv(out_dir / "forecast_original.csv", result.original)]
@@ -242,17 +244,17 @@ def _cmd_forecast(args, out_dir: Path, train_cfg, pipe_cfg, run):
     return {"mode": args.mode, "forecast_horizon": horizon}, [], outputs
 
 
-def _cmd_generate(args, out_dir: Path, train_cfg, pipe_cfg, run):
+def _cmd_generate(args, out_dir: Path, cfg, run):
     if run.kind in FORECASTER_KINDS:
         raise ConfigError(f"model kind {run.kind!r} is a forecaster; "
                           "generate needs gan, wgan, or timegan")
     if args.seq_len_sample is not None and run.kind != "timegan":
         raise ConfigError(f"--seq-len-sample applies to timegan runs; a {run.kind} generator "
                           "samples its window horizon")
-    bundle = _prepare(args, pipe_cfg)
+    bundle = _prepare(args, cfg)
     seq_len = (args.seq_len_sample if args.seq_len_sample is not None
-               else pipe_cfg.seq_len)
-    samples = generate_synthetic(run.model, args.count, seq_len, train_cfg.seed,
+               else cfg.seq_len)
+    samples = generate_synthetic(run.model, args.count, seq_len, cfg.seed,
                                  scaler=bundle.scaler, windows=bundle.train)
 
     names = bundle.scaled.names if samples.shape[2] > 1 else [TARGET_COLUMN]
@@ -261,12 +263,12 @@ def _cmd_generate(args, out_dir: Path, train_cfg, pipe_cfg, run):
     return {"count": args.count, "sample_seq_len": samples.shape[1]}, [], outputs
 
 
-def _cmd_evaluate(args, out_dir: Path, train_cfg, pipe_cfg, run):
-    bundle = _prepare(args, pipe_cfg)
-    horizons = args.horizons if args.horizons else [pipe_cfg.horizon]
+def _cmd_evaluate(args, out_dir: Path, cfg, run):
+    bundle = _prepare(args, cfg)
+    horizons = args.horizons if args.horizons else [cfg.horizon]
     report = horizon_sweep(run.model, bundle.test, horizons, args.weights,
                            scaler=bundle.scaler, epochs=run.config.get("epochs"),
-                           name=args.name or run.kind, seed=train_cfg.seed)
+                           name=args.name or run.kind, seed=cfg.seed)
     report = report.with_basis(args.basis)
 
     report_path = write_json(out_dir / "metrics_report.json", report.as_dict())
@@ -277,7 +279,7 @@ def _cmd_evaluate(args, out_dir: Path, train_cfg, pipe_cfg, run):
     return {"basis": args.basis, "horizons": horizons}, [], [report_path, csv_path]
 
 
-def _cmd_compare(args, out_dir: Path, train_cfg, pipe_cfg, run):
+def _cmd_compare(args, out_dir: Path, cfg, run):
     if not args.report:
         raise ConfigError("compare needs at least one --report file")
     paths = [Path(p) for p in args.report]
@@ -286,7 +288,7 @@ def _cmd_compare(args, out_dir: Path, train_cfg, pipe_cfg, run):
 
     baseline = None
     if args.input is not None:
-        bundle = _prepare(args, pipe_cfg)
+        bundle = _prepare(args, cfg)
         baseline = persistence_report(bundle.test, reports[0].horizons, reports[0].weights,
                                       scaler=bundle.scaler).with_basis(reports[0].basis)
 
@@ -296,11 +298,11 @@ def _cmd_compare(args, out_dir: Path, train_cfg, pipe_cfg, run):
     return {"reports": args.report}, paths, [csv_path, json_path]
 
 
-def _cmd_perturb(args, out_dir: Path, train_cfg, pipe_cfg, run):
-    bundle = _prepare(args, pipe_cfg)
+def _cmd_perturb(args, out_dir: Path, cfg, run):
+    bundle = _prepare(args, cfg)
     data = {"train": bundle.train, "test": bundle.test, "scaler": bundle.scaler}
     grid = perturbation_study(args.model, args.layers, args.epoch_grid, data,
-                              train_cfg, horizons=args.horizons)
+                              cfg, horizons=args.horizons)
 
     json_path = write_json(out_dir / "perturb.json", grid.as_dict())
     columns = ["layers", "epochs", "status", "rmse", "mape", "error"]
@@ -310,8 +312,8 @@ def _cmd_perturb(args, out_dir: Path, train_cfg, pipe_cfg, run):
     return own, [], [json_path, csv_path]
 
 
-def _cmd_synth_data(args, out_dir: Path, train_cfg, pipe_cfg, run):
-    series = make_synthetic_series(args.kind, args.rows, train_cfg.seed)
+def _cmd_synth_data(args, out_dir: Path, cfg, run):
+    series = make_synthetic_series(args.kind, args.rows, cfg.seed)
     out = write_text(out_dir / f"synthetic_{args.kind}.csv", series_to_csv(series))
     return {"kind": args.kind, "rows": args.rows}, [], [out]
 
@@ -332,7 +334,7 @@ _HANDLERS = {
 
 def _config_flag(parser: argparse.ArgumentParser, key: str, **kwargs) -> None:
     """--key-name for config key `key`, typed (or given its choices) by the key's row."""
-    row = CONFIG_KEYS[key]
+    row = TrainConfig.KEYS[key]
     kind = {"choices": row.type} if isinstance(row.type, tuple) else {"type": row.type}
     parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
                         **kind, **kwargs)
@@ -435,18 +437,18 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as e:
             raise ConfigError(f"cannot use --out-dir {out_dir}: {e.strerror}") from None
         run = _load_train_run(Path(model_dir)) if model_dir is not None else None
-        train_cfg, pipe_cfg = _resolve_config(args, run.config if run else None)
-        own, inputs, outputs = _HANDLERS[args.command](args, out_dir, train_cfg, pipe_cfg, run)
-        cfg = resolved_config_dict(train_cfg, pipe_cfg)
+        cfg = _resolve_config(args, run.config if run else None)
+        own, inputs, outputs = _HANDLERS[args.command](args, out_dir, cfg, run)
+        resolved = cfg.as_dict()
         if getattr(args, "input", None) is not None:
-            cfg["input"] = args.input
+            resolved["input"] = args.input
             inputs.append(Path(args.input))
         if run is not None:
-            cfg.update({"model": run.kind, "model_dir": model_dir})
+            resolved.update({"model": run.kind, "model_dir": model_dir})
             inputs += run.paths
-        cfg.update(own)
+        resolved.update(own)
         digests = {str(p): file_digest(p) for p in inputs}
-        manifest = RunManifest(args.command, argv, cfg, train_cfg.seed, digests,
+        manifest = RunManifest(args.command, argv, resolved, cfg.seed, digests,
                                [str(p) for p in outputs], started=started,
                                finished=utc_now())
         write_manifest(manifest, out_dir / f"{args.command}_manifest.json")

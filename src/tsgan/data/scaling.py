@@ -43,10 +43,6 @@ class ScalerParams:
             "train_rows": self.train_rows,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScalerParams":
-        return cls(d["names"], d["mins"], d["maxs"], d["train_rows"])
-
 
 def fit_scaler(features: FeatureMatrix, train_fraction: float = 0.7) -> ScalerParams:
     """Column bounds from the chronologically first `train_fraction` of rows."""

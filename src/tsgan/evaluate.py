@@ -284,11 +284,14 @@ def compare_models(reports: list[MetricsReport],
     bases = {r.basis for r in reports} | ({baseline.basis} if baseline else set())
     if len(bases) > 1:
         raise DataError(f"mixed metric bases cannot be compared: {sorted(bases)}")
-    horizons = reports[0].horizons
+    horizons, weights = reports[0].horizons, reports[0].weights
     for r in reports:
         if r.horizons != horizons:
             raise DataError(f"report {r.model!r} covers horizons {r.horizons}, "
                             f"expected {horizons}")
+        if r.weights != weights:
+            raise DataError(f"report {r.model!r} weights its horizons {r.weights}, "
+                            f"expected {weights}")
 
     def row(r: MetricsReport) -> dict:
         return {"model": r.model, "rmse": r.weighted["rmse"], "mape": r.weighted["mape"],

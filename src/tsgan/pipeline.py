@@ -24,15 +24,10 @@ def load_series(path: str | Path) -> PriceSeries:
 class DatasetBundle:
     """Everything downstream stages need, plus a provenance manifest."""
 
-    def __init__(self, series: PriceSeries, features: FeatureMatrix,
-                 scaled: FeatureMatrix, scaler: ScalerParams,
-                 windows: WindowDataset, train: WindowDataset, test: WindowDataset,
-                 manifest: dict):
-        self.series = series
-        self.features = features
+    def __init__(self, scaled: FeatureMatrix, scaler: ScalerParams,
+                 train: WindowDataset, test: WindowDataset, manifest: dict):
         self.scaled = scaled
         self.scaler = scaler
-        self.windows = windows
         self.train = train
         self.test = test
         self.manifest = manifest
@@ -71,5 +66,5 @@ def prepare_dataset(series: PriceSeries, seq_len: int, horizon: int,
         "split_boundary_date": str(scaled.dates[boundary_row]),
         "date_range": [str(repaired.dates[0]), str(repaired.dates[-1])],
     }
-    return DatasetBundle(repaired, features, scaled, scaler, windows, train, test, manifest)
+    return DatasetBundle(scaled, scaler, train, test, manifest)
 

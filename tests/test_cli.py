@@ -10,15 +10,14 @@ import pytest
 
 from tsgan import cli
 from tsgan.cli import main
-from tsgan.config import (PIPELINE_DEFAULTS, PRESETS, PipelineConfig, load_config,
-                          preset_overrides)
 from tsgan.errors import (ConfigError, DataError, DomainError, GraphError,
                           NumericAbort, ShapeError, ToolkitError)
 from tsgan.manifest import (RunManifest, file_digest, load_manifest,
                             replace_out_dir, rerun, write_manifest)
 from tsgan.models import build_forecaster
 from tsgan.numcore import RngStream
-from tsgan.training import TIMEGAN_NET_NAMES, TrainConfig
+from tsgan.training import TIMEGAN_NET_NAMES
+from tsgan.training.config import PRESETS, TrainConfig, load_config, preset_overrides
 
 PIPE = ["--seq-len", "6", "--horizon", "3", "--sma-window", "3"]
 
@@ -99,7 +98,7 @@ def test_every_toolkit_error_has_an_exit_code():
 
 @pytest.mark.parametrize("exc", [GraphError, NumericAbort])
 def test_numeric_and_graph_errors_exit_3(tmp_path, capsys, monkeypatch, exc):
-    def failing(args, out_dir, train_cfg, pipe_cfg, run):
+    def failing(args, out_dir, cfg, run):
         raise exc("step went wrong")
 
     monkeypatch.setitem(cli._HANDLERS, "synth-data", failing)
@@ -606,6 +605,22 @@ def test_compare_rejects_mixed_bases(tmp_path, data_csv, gru_run, capsys):
     assert "mixed metric bases" in capsys.readouterr().err
 
 
+def test_compare_rejects_reports_with_other_weights(tmp_path, capsys):
+    """The ranking column is each report's weighted RMSE, so the weights must agree."""
+    per_horizon = {"1": {"rmse": 0.1, "mape": 0.01}, "3": {"rmse": 0.9, "mape": 0.09}}
+    paths = []
+    for model, weights in (("gru", [1.0, 0.0]), ("lstm", [0.0, 1.0])):
+        path = tmp_path / f"{model}.json"
+        path.write_text(json.dumps({**REPORT, "model": model, "horizons": [1, 3],
+                                    "weights": weights, "per_horizon": per_horizon}))
+        paths += ["--report", str(path)]
+    capsys.readouterr()
+    assert main(["compare", *paths, "--out-dir", str(tmp_path / "c")]) == 2
+    assert capsys.readouterr().err == ("error: report 'lstm' weights its horizons "
+                                       "[0.0, 1.0], expected [1.0, 0.0]\n")
+    assert not (tmp_path / "c" / "comparison.csv").exists()
+
+
 def test_compare_missing_report_file(tmp_path):
     rc = main(["compare", "--report", str(tmp_path / "nope.json"),
                "--out-dir", str(tmp_path / "c")])
@@ -624,6 +639,23 @@ def test_perturb_cli(tmp_path, data_csv):
     lines = (out / "perturb.csv").read_text().splitlines()
     assert lines[0] == "layers,epochs,status,rmse,mape,error"
     assert len(lines) == 3
+
+
+def test_perturb_cells_record_the_settings_they_ran_with(tmp_path, data_csv):
+    """Each cell's config is the run's resolved config, pipeline keys included,
+    with that cell's layer count and epoch budget."""
+    out = tmp_path / "perturb"
+    assert main(["perturb", "--input", str(data_csv), "--model", "gru",
+                 "--layers", "0,1", "--epoch-grid", "1,2", "--hidden-units", "2",
+                 "--batch-size", "64", *PIPE, "--out-dir", str(out)]) == 0
+    config = load_manifest(out / "perturb_manifest.json").config
+    resolved = {k: config[k] for k in TrainConfig.KEYS}
+    assert (resolved["seq_len"], resolved["horizon"], resolved["sma_window"]) == (6, 3, 3)
+    cells = json.loads((out / "perturb.json").read_text())["cells"]
+    assert [(c["layers"], c["epochs"]) for c in cells] == [(0, 1), (0, 2), (1, 1), (1, 2)]
+    for cell in cells:
+        expected = {**resolved, "hidden_layers": cell["layers"], "epochs": cell["epochs"]}
+        assert cell["manifest"]["config"] == expected
 
 
 def test_perturb_rejects_horizons_past_the_test_windows_before_training(
@@ -711,9 +743,9 @@ def test_train_replays_byte_identical(tmp_path, data_csv, kind):
         assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes(), name
 
 
-# Each subcommand's manifest config beyond the resolved TrainConfig and
-# PipelineConfig keys: --input whenever it is given, model and model_dir for a
-# loaded train run, then the handler's own entries.
+# Each subcommand's manifest config beyond the resolved TrainConfig keys:
+# --input whenever it is given, model and model_dir for a loaded train run,
+# then the handler's own entries.
 _MANIFEST_EXTRA_KEYS = {
     "synth-data": {"kind", "rows"},
     "ingest": {"input"},
@@ -752,7 +784,7 @@ def test_manifest_config_of_every_subcommand(tmp_path, data_csv, gru_run, timega
     out = tmp_path / "out"
     assert main([*argv, "--out-dir", str(out)]) == 0
     manifest = load_manifest(out / f"{argv[0]}_manifest.json")
-    resolved = set(TrainConfig.DEFAULTS) | set(PIPELINE_DEFAULTS)
+    resolved = set(TrainConfig.DEFAULTS)
     assert set(manifest.config) - resolved == _MANIFEST_EXTRA_KEYS[case]
     assert resolved <= set(manifest.config)
     expected_inputs = {str(report)} if case.startswith("compare") else set()
@@ -771,23 +803,23 @@ def test_manifest_config_of_every_subcommand(tmp_path, data_csv, gru_run, timega
 def test_config_resolution_order(tmp_path):
     file_cfg = tmp_path / "cfg.json"
     file_cfg.write_text(json.dumps({"epochs": 9, "seq_len": 12}))
-    train, pipe = load_config(path=str(file_cfg), preset="full-gru",
-                              overrides={"seq_len": 15, "seed": None})
+    cfg = load_config(path=str(file_cfg), preset="full-gru",
+                      overrides={"seq_len": 15, "seed": None})
     # preset (epochs 50) beats the file; overrides beat both; None is skipped
-    assert train.epochs == 50
-    assert pipe.seq_len == 15
-    assert train.seed == 0
+    assert cfg.epochs == 50
+    assert cfg.seq_len == 15
+    assert cfg.seed == 0
 
-    train2, pipe2 = load_config()
-    assert train2.epochs == 250
-    assert pipe2.seq_len == PIPELINE_DEFAULTS["seq_len"]
+    cfg2 = load_config()
+    assert cfg2.epochs == 250
+    assert cfg2.seq_len == TrainConfig.DEFAULTS["seq_len"]
 
     with pytest.raises(ConfigError, match="nonsense"):
         preset_overrides("nonsense")
     with pytest.raises(ConfigError, match="wat"):
         load_config(overrides={"wat": 1})
     with pytest.raises(ConfigError):
-        PipelineConfig(seq_len=0)
+        TrainConfig(seq_len=0)
     assert set(PRESETS) == {"full-gan", "full-wgan", "full-gru", "full-lstm",
                             "full-timegan"}
 
@@ -834,7 +866,7 @@ def test_manifest_argv_must_be_a_list_of_strings(tmp_path, argv):
 # loaded train run (a bad value is corrupt input, exit 2). The catalogue is
 # JSON text, so 1e999 reaches the program as the float json reads it as.
 FUZZ_VALUES = ["null", "0", "-1", "3.5", '"x"', "[]", "{}", "true", "1e12", "1e999"]
-FUZZ_KEYS = sorted([*TrainConfig.DEFAULTS, *PIPELINE_DEFAULTS])
+FUZZ_KEYS = sorted(TrainConfig.DEFAULTS)
 
 
 def _run_once(capsys, argv, allowed):
@@ -921,17 +953,34 @@ def test_non_numeric_list_flag_is_a_usage_error(tmp_path, capsys, data_csv, gru_
     assert "expected comma-separated integers, got 'a,b'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["evaluate", "--horizons", ""], ""),
+    (["evaluate", "--horizons", ","], ","),
+    (["perturb", "--model", "gru", "--layers", "", "--epoch-grid", "1"], ""),
+], ids=["evaluate-horizons-empty", "evaluate-horizons-comma", "perturb-layers-empty"])
+def test_empty_list_flag_is_a_usage_error(tmp_path, capsys, data_csv, gru_run, argv, text):
+    """An empty list is refused, not read as the flag's default."""
+    if argv[0] == "evaluate":
+        argv = [*argv, "--model-dir", str(gru_run)]
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main([*argv, "--input", str(data_csv), *PIPE, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert sum(line.startswith("usage: ") for line in err) == 1
+    assert err[-1].endswith(f": expected comma-separated integers, got {text!r}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["epochs", "seed", "seq_len"])
 @pytest.mark.parametrize("value", ["3", 3.0, True, None, [3]])
 def test_int_keys_take_only_ints(key, value):
-    cls = TrainConfig if key in TrainConfig.DEFAULTS else PipelineConfig
     with pytest.raises(ConfigError, match=f"{key} must be an integer"):
-        cls(**{key: value})
+        TrainConfig(**{key: value})
 
 
 def test_numpy_integers_are_stored_as_int():
     cfg = TrainConfig(epochs=np.int64(3), lr_g=np.int32(1))
-    pipe = PipelineConfig(seq_len=np.int16(4))
+    pipe = TrainConfig(seq_len=np.int16(4))
     assert (type(cfg.epochs), type(cfg.lr_g), type(pipe.seq_len)) == (int, int, int)
 
 
@@ -956,9 +1005,8 @@ def test_number_keys_are_stored_as_given():
     ("optimizer", "lion"), ("loss_mode", "hinge"), ("hidden_units", 0), ("hidden_units", -3),
 ])
 def test_bounds_and_choices_are_kept(key, value):
-    cls = TrainConfig if key in TrainConfig.DEFAULTS else PipelineConfig
     with pytest.raises(ConfigError, match=key):
-        cls(**{key: value})
+        TrainConfig(**{key: value})
 
 
 def test_unbounded_keys_take_any_int_or_number():
@@ -972,10 +1020,10 @@ def test_config_flags_read_the_key_table():
     subparsers = next(a.choices for a in cli.build_parser()._actions
                       if isinstance(a.choices, dict))
     flags = {a.dest: a for parser in subparsers.values() for a in parser._actions
-             if a.dest in cli.CONFIG_KEYS}
-    assert len(cli.CONFIG_KEYS) == 21 and len(flags) == 14
+             if a.dest in TrainConfig.KEYS}
+    assert len(TrainConfig.KEYS) == 21 and len(flags) == 14
     for key, action in flags.items():
-        row = cli.CONFIG_KEYS[key]
+        row = TrainConfig.KEYS[key]
         if isinstance(row.type, tuple):
             assert action.choices is row.type and action.type is None
         else:
