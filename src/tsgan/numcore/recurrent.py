@@ -7,40 +7,33 @@ layout follows the cuDNN RNN design (Appleyard et al., arXiv:1604.01946):
 - every stored gate kernel W* is (feat + units, units); its first `feat`
   rows act on the input and the rest on the hidden state, so the kernels
   split by rows and checkpoints keep their parameter names and shapes;
-- the input rows of all gates project every timestep in one matmul, which
-  is then copied into a time-major, gate-contiguous (seq, k, batch, units)
-  buffer, so every per-step operand is one contiguous (batch, units) block;
+- the input side works on time-major rows only: the (seq*batch, 1+feat)
+  operand [1 | x] times each gate's packed [b; W_in], one GEMM per gate, is
+  written gate-major, then moved by one copy of contiguous (batch, units)
+  blocks into the (seq, k, batch, units) buffer of the time loop;
 - the time loop multiplies only the hidden state by the stacked hidden rows,
   and works with `out=` and in-place ufuncs on those blocks;
-- the gate sigmoid is 0.5*(1 + tanh(a/2)); its a/2 is folded once into
-  halved sigmoid-gate columns of the projection and of the hidden rows.
-  Halving is exact, so the forward matches the plain formula bit for bit;
+- the gate sigmoid is 0.5*(1 + tanh(a/2)); its a/2 is folded once into the
+  halved packed weights and hidden rows of the sigmoid gates, which is exact;
 - the hidden states live in a private (seq+1, batch, units) buffer whose
   row 0 is the zero initial state; the output is a batch-major copy.
 
 A tape is single-use, so the backward works inside the forward's private
-buffers: it turns the stored gates and states into the loop-invariant BPTT
-factors, mostly in the gates' own slots (the GRU takes a fresh buffer for
-z|r only, the LSTM one for its forget gate's values), and the time loop,
-which reads the output gradient from one time-major copy, overwrites each
-factor with its gate's pre-activation gradient. Each kernel gradient is then
-written in place: its hidden rows from the time-major gate gradients, its
-input rows, bias and share of dx from a batch-major copy in the spent state
-buffer, all matmuls over every (batch, time) row at once.
+buffers. It turns the stored gates and states into the loop-invariant BPTT
+factors, mostly in the gates' own slots, and the time loop, which reads a
+time-major copy of the output gradient (popped at once, see takes_gradient),
+overwrites each factor with its gate's gradient. Each gate's gradient is then
+a time-major (seq*batch, units) slab (the LSTM copies its slabs out of the gate
+buffer, three into spent buffers). A gate's bias and kernel gradients land in
+one (1+feat+units, units) array [db; dW] whose slices are returned: h_in^T @ slab
+gives its hidden rows, [1|x]^T @ slab its bias and input rows; dx is summed from
+time-major products and transposed once. Nothing is kept from the forward for
+this: [1|x] is rebuilt, in the spent gate buffer with dx's sum when 1+feat <=
+k*units, in fresh scratch otherwise.
 
-Spent buffers hold the rest of the GRU's scratch. Its time-major copy of the
-output gradient is made first and the output gradient dropped at once (the
-closure pops it from the list backward() hands it, see takes_gradient, so
-nothing else holds it), so the two are never both held once the z|r buffer
-exists. After the loop that copy holds the candidate gate's gradient,
-contiguous for its kernel gradient, and the spent z|r buffer holds every
-later gate's share of dx when the input is no wider than 2*units.
-
-The output array, x.data and the output gradient are never written (the GRU's
-time-major copy is a private .copy(): at batch 1 a contiguous view would be
-the output gradient itself), and the backward closure holds arrays only: a
-Tensor in it would tie the tape into a reference cycle that only the cycle
-collector frees.
+The output array, x.data and the output gradient are never written, and the
+backward closure holds arrays only: a Tensor in it would tie the tape into a
+reference cycle that only the cycle collector frees.
 """
 
 from __future__ import annotations
@@ -53,33 +46,47 @@ from .tensor import Tensor, _record, as_tensor, takes_gradient
 
 def _check(op: str, x: Tensor, kernels: tuple, biases: tuple) -> tuple:
     """Validate shapes; returns (batch, seq, feat, units)."""
-    if x.ndim != 3 or x.shape[1] < 1:
+    if x.ndim != 3 or min(x.shape[:2]) < 1:
         raise ShapeError(f"{op}: needs a non-empty (batch, seq, feat) input, got {x.shape}")
     batch, seq, feat = x.shape
     units = kernels[0].shape[-1]
     for w, b in zip(kernels, biases):
         if w.shape != (feat + units, units) or b.shape != (units,):
-            raise ShapeError(
-                f"{op}: input width {feat} does not fit kernel {w.shape} and bias {b.shape}"
-            )
+            raise ShapeError(f"{op}: input width {feat} does not fit kernel {w.shape} "
+                             f"and bias {b.shape}")
     return batch, seq, feat, units
 
 
-def _project(xd: np.ndarray, ws: tuple, biases: tuple, feat: int, halved: int) -> np.ndarray:
-    """Input projection of every timestep as a (seq, k, batch, units) buffer.
+def _scratch(spent: np.ndarray, shape: tuple) -> np.ndarray:
+    """An array of `shape` laid over the start of a spent buffer when it fits, else fresh."""
+    size = int(np.prod(shape))
+    return spent.reshape(-1)[:size].reshape(shape) if size <= spent.size else np.empty(shape)
 
-    The first `halved` gates are scaled by 0.5 (the sigmoid's a/2).
-    """
-    wx = np.concatenate([w[:feat] for w in ws], axis=1)
-    b = np.concatenate([bias.data for bias in biases])
-    batch, seq = xd.shape[:2]
-    k = len(ws)
-    proj = xd.reshape(batch * seq, feat) @ wx
-    proj += b
-    view = proj.reshape(batch, seq, k, -1).transpose(1, 2, 0, 3)
-    gates = np.empty(view.shape)
-    np.multiply(view[:, :halved], 0.5, out=gates[:, :halved])
-    gates[:, halved:] = view[:, halved:]
+
+def _ones_x(xd: np.ndarray, spent: np.ndarray) -> np.ndarray:
+    """[1 | x] of every timestep, time-major (seq*batch, 1+feat), in `spent` if it fits."""
+    batch, seq, feat = xd.shape
+    ones_x = _scratch(spent, (seq, batch, 1 + feat))
+    ones_x[..., 0] = 1.0
+    ones_x[..., 1:] = xd.transpose(1, 0, 2)
+    return ones_x.reshape(seq * batch, 1 + feat)
+
+
+def _input_gates(xd: np.ndarray, ws: tuple, biases: tuple, halved: int) -> np.ndarray:
+    """Each gate's pre-activation from x and its bias at every timestep, as the time
+    loop's (seq, k, batch, units) buffer. The first `halved` gates are scaled by 0.5
+    (the sigmoid's a/2) in their packed weights, which is exact."""
+    batch, seq, feat = xd.shape
+    k, units = len(ws), ws[0].shape[1]
+    packed = np.empty((k, 1 + feat, units))  # each gate's [b; W_in]
+    for p, w, b in zip(packed, ws, biases):
+        p[0], p[1:] = b.data, w[:feat]
+    packed[:halved] *= 0.5
+    # the temporary before the buffer that outlives it: the reverse raised peak RSS
+    gate_major = np.empty((k, seq * batch, units))
+    gates = np.empty((seq, k, batch, units))  # holds [1|x] until the copy overwrites it
+    np.matmul(_ones_x(xd, gates), packed, out=gate_major)  # one GEMM per gate
+    np.copyto(gates, gate_major.reshape(k, seq, batch, units).transpose(1, 0, 2, 3))
     return gates
 
 
@@ -95,46 +102,30 @@ def _sig_factor(s: np.ndarray, other: np.ndarray, out: np.ndarray) -> None:
     out *= other
 
 
-def _kernel_grads(h_in: np.ndarray, dgates: list, feat: int) -> list:
-    """Each gate's kernel gradient, (feat + units, units), with its hidden rows written: the
-    sum over (time, batch) of h_in[t]^T @ dgate[t]. _gradients writes the input rows."""
-    rows = h_in.reshape(-1, h_in.shape[-1]).T
-    gws = [np.empty((feat + len(rows), len(rows))) for _ in dgates]
-    for dg, gw in zip(dgates, gws):  # a strided operand would change BLAS's rounding
-        np.matmul(rows, np.ascontiguousarray(dg).reshape(rows.shape[1], -1), out=gw[feat:])
-    return gws
-
-
-def _gradients(xd: np.ndarray, x_grad: bool, ws: tuple, dgates: list, gws: list,
-               spent: np.ndarray, spare: np.ndarray | None = None) -> tuple:
-    """(dx, dW0, db0, dW1, db1, ...) from each gate's (seq, batch, units) pre-activation
-    gradient and its kernel gradient `gws` from _kernel_grads.
-
-    Each gate's gradient is copied batch-major into the spent state buffer,
-    so its input-row and bias gradients and its share of dx are matmuls over
-    the (batch*seq) rows of x. dx is None when x needs no gradient. Every later
-    gate's share of dx goes into `spare` when one is given: a buffer of at
-    least batch*seq*feat values that may hold the first two gates' gradients,
-    since both are copied out before the first share is written.
+def _input_grads(xd: np.ndarray, x_grad: bool, ws: tuple, slabs: list, grads: list,
+                 spent: np.ndarray) -> tuple:
+    """(dx, dW0, db0, dW1, db1, ...) from each gate's time-major (seq*batch, units)
+    pre-activation gradient in `slabs`. `grads` holds each gate's [db; dW] with its
+    hidden rows written; [1|x]^T @ slab writes its bias and input rows. dx (None when
+    x needs no gradient) is summed time-major, in the spent buffer with [1|x] when
+    they fit, and transposed once; the returned dx holds each later share until
+    then. The last slab is popped once read: a fresh one held nowhere else is freed
+    before dx is made.
     """
-    seq, batch, units = dgates[0].shape
-    rows, feat = batch * seq, xd.shape[2]
-    xf = xd.reshape(rows, feat)
-    flat = spent.reshape(-1)[:rows * units].reshape(rows, units)
-    dx = part = None
-    if spare is not None:
-        part = spare.reshape(-1)[:rows * feat].reshape(rows, feat)
-    grads = []
-    for w, dg, gw in zip(ws, dgates, gws):
-        np.copyto(flat.reshape(batch, seq, units), dg.transpose(1, 0, 2))
-        np.matmul(xf.T, flat, out=gw[:feat])
-        grads += [gw, flat.sum(axis=0)]
-        if x_grad and dx is None:
-            dx = flat @ w[:feat].T
-        elif x_grad:  # one scratch buffer takes every later gate's share
-            part = np.matmul(flat, w[:feat].T, out=part)
-            dx += part
-    return (None if dx is None else dx.reshape(xd.shape), *grads)
+    batch, seq, feat = xd.shape
+    ones_x = _ones_x(xd, spent)
+    for j, g in enumerate(grads):
+        np.matmul(ones_x.T, slabs[j], out=g[:1 + feat])
+    del ones_x  # freed here when it did not fit
+    dx = None
+    if x_grad:
+        acc = _scratch(spent, (seq * batch, feat))
+        np.matmul(slabs.pop(), ws[-1][:feat].T, out=acc)
+        dx = np.empty((batch, seq, feat))
+        for dg, w in zip(slabs, ws):
+            acc += np.matmul(dg, w[:feat].T, out=dx.reshape(-1, feat))
+        np.copyto(dx, acc.reshape(seq, batch, feat).transpose(1, 0, 2))
+    return (dx, *(a for g in grads for a in (g[1:], g[0])))
 
 
 def gru_sequence(x, Wz, bz, Wr, br, Wh, bh) -> Tensor:
@@ -153,7 +144,7 @@ def gru_sequence(x, Wz, bz, Wr, br, Wh, bh) -> Tensor:
     w_zr *= 0.5
     w_hh = ws[2][feat:]
     # pre-activations z | r (halved) | hhat, overwritten step by step with the gate values
-    gates = _project(xd, ws, biases, feat, halved=2)
+    gates = _input_gates(xd, ws, biases, halved=2)
     hs = np.empty((seq + 1, batch, units))
     hs[0] = 0.0
     s2 = np.empty((batch, 2 * units))
@@ -217,14 +208,16 @@ def gru_sequence(x, Wz, bz, Wr, br, Wh, bh) -> Tensor:
             np.copyto(s2_gates, d_t)
             np.dot(s2, w_zr_t, out=s1)
             dh += s1
-        dhhat = g_seq  # the candidate's gradient, contiguous: _kernel_grads copies nothing
-        np.copyto(dhhat, hhat)
-        gws = _kernel_grads(h_prev, [dz, dr], feat)
+        np.copyto(g_seq, hhat)  # the candidate's gradient
+        slabs = [s.reshape(-1, units) for s in (dz, dr, g_seq)]
+        del g_seq  # its slab is the last: _input_grads frees it once read
+        h_in = h_prev.reshape(-1, units).T
+        grads = [np.empty((1 + feat + units, units)) for _ in ws]
+        np.matmul(h_in, slabs[0], out=grads[0][1 + feat:])
+        np.matmul(h_in, slabs[1], out=grads[1][1 + feat:])
         np.multiply(r, h_prev, out=h_prev)  # what the candidate's hidden rows saw: r*h
-        gws += _kernel_grads(h_prev, [dhhat], feat)
-        # d is spent once dz and dr are copied out; it holds dx's later shares if they fit
-        return _gradients(xd, x_grad, ws, [dz, dr, dhhat], gws, hs,
-                          d if feat <= 2 * units else None)
+        np.matmul(h_in, slabs[2], out=grads[2][1 + feat:])
+        return _input_grads(xd, x_grad, ws, slabs, grads, gates)  # r was gates' last use
 
     return _record("gru_sequence", out, (x, *params), bw)
 
@@ -243,7 +236,7 @@ def lstm_sequence(x, Wf, bf, Wi, bi, Wo, bo, Wg, bg) -> Tensor:
     w_h = _hidden_rows(ws, feat)
     w_h[:, :3 * units] *= 0.5
     # pre-activations f | i | o (halved) | g, overwritten step by step with the gate values
-    gates = _project(xd, ws, biases, feat, halved=3)
+    gates = _input_gates(xd, ws, biases, halved=3)
     hs = np.empty((seq + 1, batch, units))
     cs = np.empty((seq + 1, batch, units))
     hs[0] = cs[0] = 0.0
@@ -267,12 +260,14 @@ def lstm_sequence(x, Wf, bf, Wi, bi, Wo, bo, Wg, bg) -> Tensor:
         np.multiply(o, s1, out=hs[t + 1])
     out = Tensor(hs[1:].transpose(1, 0, 2).copy())  # a view when batch == 1
 
-    def bw(g_out):
+    @takes_gradient
+    def bw(box):
         f, i, o, cand = gates.transpose(1, 0, 2, 3)
         c_prev, tc = cs[:-1], cs[1:]
         # loop-invariant factors in the gates' own slots, each overwritten in the loop by
         # its gate's gradient; the forget gate's values move to f_val, tc takes o(1-tanh^2 c)
-        f_val, spare = f.copy(), np.empty((seq, batch, units))
+        f_val, spare = np.empty((2, seq, batch, units))
+        np.copyto(f_val, f)
         _sig_factor(f_val, c_prev, f)  # c_prev f(1-f)
         np.tanh(tc, out=tc)  # c_prev has been read; the cell states become tanh(c)
         _sig_factor(o, tc, spare)  # tanh(c) o(1-o)
@@ -285,7 +280,7 @@ def lstm_sequence(x, Wf, bf, Wi, bi, Wo, bo, Wg, bg) -> Tensor:
         np.subtract(1.0, cand, out=cand)
         cand *= i  # i(1-g^2)
         np.copyto(i, spare)
-        np.copyto(spare, g_out.transpose(1, 0, 2))  # the output gradient, time-major
+        np.copyto(spare, box.pop().transpose(1, 0, 2))  # the output gradient, time-major
         w_h_t = np.ascontiguousarray(_hidden_rows(ws, feat).T)
         dh = np.zeros((batch, units))
         dc = np.zeros((batch, units))
@@ -303,8 +298,13 @@ def lstm_sequence(x, Wf, bf, Wi, bi, Wo, bo, Wg, bg) -> Tensor:
             dc *= f_val[t]
             np.copyto(s4_gates, d_t)
             np.dot(s4, w_h_t, out=dh)
-        del f_val, spare
-        dgates = [f, i, o, cand]
-        return _gradients(xd, x_grad, ws, dgates, _kernel_grads(hs[:-1], dgates, feat), hs)
+        # each gate's gradient, copied out time-major into a spent buffer but the last
+        slabs = [s.reshape(-1, units) for s in (tc, f_val, spare, np.empty_like(spare))]
+        h_in = hs[:-1].reshape(-1, units).T
+        grads = [np.empty((1 + feat + units, units)) for _ in ws]
+        for j, g in enumerate(grads):
+            np.copyto(slabs[j].reshape(seq, batch, units), gates[:, j])
+            np.matmul(h_in, slabs[j], out=g[1 + feat:])
+        return _input_grads(xd, x_grad, ws, slabs, grads, gates)
 
     return _record("lstm_sequence", out, (x, *params), bw)

@@ -2,6 +2,7 @@
 against the per-parameter oracle, the view layout every network keeps, and checkpoint
 bytes."""
 
+import json
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 from optim_oracle import OracleState, oracle_clip, oracle_step
+from test_kernel_digests import FIXTURE as DIGESTS
+from test_kernel_digests import blas_probe
 from tsgan.errors import GraphError, NumericAbort
 from tsgan.models import (NetSpec, build_forecaster, build_timegan, load_checkpoint,
                           save_checkpoint)
@@ -328,25 +331,50 @@ def test_a_parameter_rebound_off_its_vector_is_a_graph_error(reader, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-def _fixture_network():
-    """The recipe of tests/fixtures/adam3.*: a seeded LSTM forecaster after 3 Adam steps."""
+def _fixture_network(update):
+    """The recipe of tests/fixtures/adam3.*: a seeded LSTM forecaster after 3 Adam steps,
+    each taken by update(params, loss_fn)."""
     net = build_forecaster("lstm", 2, 4, 6, 3, 5, RngStream(9, ("fixture",)))
     x = Tensor(np.random.default_rng(8).normal(size=(2, 6, 5)))
-    opt = OptimizerState("adam", 0.01)
-    for i in range(3):
-        train_step(opt, net.params, lambda: mean(mul(net.forward(x), net.forward(x))),
-                   "step", 0, i)
+    for _ in range(3):
+        update(net.params, lambda: mean(mul(net.forward(x), net.forward(x))))
     return net
 
 
 def test_checkpoint_bytes_match_the_per_parameter_writer(tmp_path):
-    """tests/fixtures/adam3.* were written, from _fixture_network(), by the per-parameter
-    optimizer and checkpoint code that the flat vector replaced. The flat code must
-    write the same bytes, and load those files back bit for bit."""
-    save_checkpoint(tmp_path / "adam3", _fixture_network(), seed=9, step=3)
-    for ext in (".json", ".bin"):
-        assert (tmp_path / f"adam3{ext}").read_bytes() == (FIXTURES / f"adam3{ext}").read_bytes()
+    """tests/fixtures/adam3.json was written by the per-parameter checkpoint code that
+    the flat vector replaced, and adam3.bin by write_fixture() below: the per-parameter
+    oracle's Adam steps on the kernels' gradients, each parameter's bytes in manifest
+    order. The flat optimizer and checkpoint writer must write the same bytes, and
+    load those files back bit for bit. The bytes hold for the BLAS build that wrote
+    them; where test_kernel_digests.blas_probe differs, only the load is checked."""
     loaded, manifest = load_checkpoint(FIXTURES / "adam3")
     _assert_views(loaded)
     assert manifest["step"] == 3
     assert loaded.params.flat.tobytes() == (FIXTURES / "adam3.bin").read_bytes()
+    if json.loads(DIGESTS.read_text())["blas_probe"] != blas_probe():
+        pytest.skip("this BLAS rounds the probe products differently from the fixture's")
+    opt = OptimizerState("adam", 0.01)
+    net = _fixture_network(lambda params, loss_fn: train_step(opt, params, loss_fn, "step", 0, 0))
+    save_checkpoint(tmp_path / "adam3", net, seed=9, step=3)
+    for ext in (".json", ".bin"):
+        assert (tmp_path / f"adam3{ext}").read_bytes() == (FIXTURES / f"adam3{ext}").read_bytes()
+
+
+def write_fixture() -> None:
+    """Write tests/fixtures/adam3.bin from the per-parameter oracle; adam3.json stays."""
+    oracle = OracleState("adam", 0.01)
+
+    def update(params, loss_fn):
+        with Tape() as tape:
+            loss = loss_fn()
+        gmap = backward(tape, loss)
+        oracle_step(oracle, params, {name: gmap[p.tape_id] for name, p in params.items()})
+
+    params = _fixture_network(update).params
+    blob = b"".join(p.data.astype("<f8").tobytes() for p in params.values())
+    (FIXTURES / "adam3.bin").write_bytes(blob)
+
+
+if __name__ == "__main__":
+    write_fixture()
