@@ -35,8 +35,8 @@ from .models.builders import (FORECASTER_KINDS, build_critic, build_discriminato
 from .models.checkpoint import load_checkpoint, save_checkpoint
 from .numcore import RngStream
 from .pipeline import DatasetBundle, load_series, prepare_dataset
-from .stats import (DescriptiveStats, correlation_cluster, correlation_matrix,
-                    describe, monthly_aggregate, monthly_aggregate_csv)
+from .stats import (correlation_cluster, correlation_matrix, describe, monthly_aggregate,
+                    monthly_aggregate_csv)
 from .training.config import PRESETS, TrainConfig, check_keys, load_config
 from .training.forecaster import train_forecaster
 from .training.gan import train_gan
@@ -154,12 +154,9 @@ def _cmd_stats(args, out_dir: Path, cfg, run):
     _, repaired = _load_repaired(args, cfg)
     matrix = FeatureMatrix(list(RAW_COLUMNS), repaired.values, repaired.dates, sma_window=1)
 
-    rows = []
-    for name in RAW_COLUMNS:
-        stats = describe(matrix.column(name))
-        rows.append([name] + [stats.as_dict()[f] for f in DescriptiveStats.FIELD_NAMES])
-    describe_path = write_csv(out_dir / "describe.csv",
-                              ["column", *DescriptiveStats.FIELD_NAMES], rows)
+    stats = [describe(matrix.column(name)) for name in RAW_COLUMNS]
+    describe_path = write_csv(out_dir / "describe.csv", ["column", *stats[0]],
+                              ([name, *d.values()] for name, d in zip(RAW_COLUMNS, stats)))
 
     cm = correlation_matrix(matrix)
     corr_path = write_text(out_dir / "correlation.csv", cm.to_csv())
@@ -238,7 +235,8 @@ def _cmd_forecast(args, out_dir: Path, cfg, run):
                _write_matrix_csv(out_dir / "forecast_original.csv", result.original)]
     actual = inverse_scaler(bundle.test.targets[0, :horizon], bundle.scaler, TARGET_COLUMN)
     predicted = result.original[0]
-    dates = result.dates[0] if result.dates else list(range(1, horizon + 1))
+    dates = (bundle.test.target_dates(0)[:horizon] if bundle.test.dates
+             else list(range(1, horizon + 1)))
     outputs.append(write_csv(out_dir / "forecast_plot.csv", ["date", "actual", "predicted"],
                              zip(dates, actual, predicted)))
     return {"mode": args.mode, "forecast_horizon": horizon}, [], outputs
@@ -300,14 +298,13 @@ def _cmd_compare(args, out_dir: Path, cfg, run):
 
 def _cmd_perturb(args, out_dir: Path, cfg, run):
     bundle = _prepare(args, cfg)
-    data = {"train": bundle.train, "test": bundle.test, "scaler": bundle.scaler}
-    grid = perturbation_study(args.model, args.layers, args.epoch_grid, data,
-                              cfg, horizons=args.horizons)
+    grid = perturbation_study(args.model, args.layers, args.epoch_grid, bundle.train,
+                              bundle.test, bundle.scaler, cfg, horizons=args.horizons)
 
-    json_path = write_json(out_dir / "perturb.json", grid.as_dict())
+    json_path = write_json(out_dir / "perturb.json", grid)
     columns = ["layers", "epochs", "status", "rmse", "mape", "error"]
     csv_path = write_csv(out_dir / "perturb.csv", columns,
-                         ([cell.get(c) for c in columns] for cell in grid.cells))
+                         ([cell.get(c) for c in columns] for cell in grid["cells"]))
     own = {"model": args.model, "layer_grid": args.layers, "epoch_grid": args.epoch_grid}
     return own, [], [json_path, csv_path]
 

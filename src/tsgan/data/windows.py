@@ -9,6 +9,7 @@ precedes every test window's.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import DataError
 from .features import FeatureMatrix
@@ -71,12 +72,10 @@ def make_windows(features: FeatureMatrix, seq_len: int, horizon: int) -> WindowD
         raise DataError(f"need at least {need} feature rows for windows, have {n}")
     target_index = features.index_of(TARGET_COLUMN)
     count = n - seq_len - horizon + 1
-    inputs = np.empty((count, seq_len, features.values.shape[1]))
-    targets = np.empty((count, horizon))
-    col = features.values[:, target_index]
-    for i in range(count):
-        inputs[i] = features.values[i : i + seq_len]
-        targets[i] = col[i + seq_len : i + seq_len + horizon]
+    # one strided copy each; the window axis comes last in the view, so move it
+    inputs = sliding_window_view(features.values, seq_len, axis=0)[:count]
+    inputs = inputs.transpose(0, 2, 1).copy()
+    targets = sliding_window_view(features.values[seq_len:, target_index], horizon).copy()
     origins = np.arange(count, dtype=np.int64) + seq_len
     return WindowDataset(inputs, targets, seq_len, horizon, features.names,
                          target_index, origins, features.dates, split="full",

@@ -90,18 +90,11 @@ class MetricsReport:
         self.hidden_layers = hidden_layers
         self.epochs = epochs
         self.per_horizon_original = per_horizon_original
-        self.weighted = {
-            "rmse": weighted_average([per_horizon[h]["rmse"] for h in self.horizons], weights),
-            "mape": weighted_average([per_horizon[h]["mape"] for h in self.horizons], weights),
-        }
-        self.weighted_original = None
-        if per_horizon_original is not None:
-            self.weighted_original = {
-                "rmse": weighted_average(
-                    [per_horizon_original[h]["rmse"] for h in self.horizons], weights),
-                "mape": weighted_average(
-                    [per_horizon_original[h]["mape"] for h in self.horizons], weights),
-            }
+        self.weighted, self.weighted_original = (
+            None if t is None else
+            {m: weighted_average([t[h][m] for h in self.horizons], weights)
+             for m in ("rmse", "mape")}
+            for t in (per_horizon, per_horizon_original))
 
     def as_dict(self) -> dict:
         return {
@@ -192,36 +185,21 @@ def persistence_report(test_windows: WindowDataset, horizons=DEFAULT_HORIZONS,
                          hidden_layers=0, epochs=0, name="persistence")
 
 
-class PerturbationGrid:
-    def __init__(self, model_kind: str, layer_grid: list[int], epoch_grid: list[int]):
-        self.model_kind = model_kind
-        self.layer_grid = list(layer_grid)
-        self.epoch_grid = list(epoch_grid)
-        self.cells: list[dict] = []
-
-    def as_dict(self) -> dict:
-        return {
-            "model": self.model_kind,
-            "layer_grid": self.layer_grid,
-            "epoch_grid": self.epoch_grid,
-            "cells": self.cells,
-        }
-
-
-def perturbation_study(model_kind: str, layer_grid, epoch_grid, data: dict,
-                       cfg: TrainConfig, horizons=None) -> PerturbationGrid:
+def perturbation_study(model_kind: str, layer_grid, epoch_grid, train: WindowDataset,
+                       test: WindowDataset, scaler: ScalerParams | None, cfg: TrainConfig,
+                       horizons=None) -> dict:
     """One seeded training run per (layers, epochs) cell; failures don't abort.
 
-    `data` supplies train/test WindowDatasets and the fitted scaler.
+    Returns the perturb.json document: the model kind, both grids and one dict
+    per cell, in grid order.
     """
     layer_grid = [int(x) for x in layer_grid]
     epoch_grid = [int(x) for x in epoch_grid]
-    if not layer_grid or not epoch_grid:
-        raise ConfigError("perturbation grids must be non-empty")
-    train, test = data["train"], data["test"]
-    scaler = data.get("scaler")
+    if not layer_grid or not epoch_grid or min(layer_grid + epoch_grid) < 1:
+        raise ConfigError(f"perturbation grids must be non-empty with every value >= 1, "
+                          f"got layers {layer_grid} and epochs {epoch_grid}")
     horizons = check_horizons([test.horizon] if horizons is None else horizons, test.horizon)
-    grid = PerturbationGrid(model_kind, layer_grid, epoch_grid)
+    cells = []
     units = scale_width(cfg.hidden_units, cfg.width_mult)
     for layers in layer_grid:
         for epochs in epoch_grid:
@@ -238,17 +216,15 @@ def perturbation_study(model_kind: str, layer_grid, epoch_grid, data: dict,
                 report = horizon_sweep(net, test, horizons, scaler=scaler,
                                        hidden_layers=layers, epochs=epochs,
                                        name=f"{model_kind}-l{layers}-e{epochs}")
-                grid.cells.append({
-                    "layers": layers, "epochs": epochs, "status": "ok",
-                    "rmse": report.weighted["rmse"], "mape": report.weighted["mape"],
-                    "manifest": manifest,
-                })
+                cells.append({"layers": layers, "epochs": epochs, "status": "ok",
+                              **report.weighted, "manifest": manifest})
             except ToolkitError as e:  # a failed cell is data, not an abort
-                grid.cells.append({
+                cells.append({
                     "layers": layers, "epochs": epochs, "status": "failed",
                     "error": str(e), "manifest": manifest,
                 })
-    return grid
+    return {"model": model_kind, "layer_grid": layer_grid, "epoch_grid": epoch_grid,
+            "cells": cells}
 
 
 class ComparisonTable:

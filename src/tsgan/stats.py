@@ -17,29 +17,9 @@ from .data.ohlcv import RAW_COLUMNS, PriceSeries
 from .errors import DataError, DomainError
 
 
-class DescriptiveStats:
-    FIELD_NAMES = ("mean", "standard_error", "median", "standard_deviation",
-                   "excess_kurtosis", "skewness", "range", "minimum", "maximum", "count")
-
-    def __init__(self, mean, standard_error, median, standard_deviation,
-                 excess_kurtosis, skewness, range, minimum, maximum, count):
-        self.mean = mean
-        self.standard_error = standard_error
-        self.median = median
-        self.standard_deviation = standard_deviation
-        self.excess_kurtosis = excess_kurtosis
-        self.skewness = skewness
-        self.range = range
-        self.minimum = minimum
-        self.maximum = maximum
-        self.count = count
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.FIELD_NAMES}
-
-
-def describe(values) -> DescriptiveStats:
-    """Summary statistics of one numeric series; zero variance is an error."""
+def describe(values) -> dict:
+    """Summary statistics of one numeric series, ten fields in `describe.csv`'s column
+    order; zero variance is an error."""
     x = np.asarray(values, dtype=np.float64).ravel()
     n = x.size
     if n < 2:
@@ -54,18 +34,18 @@ def describe(values) -> DescriptiveStats:
     m3 = np.mean(centered**3)
     m4 = np.mean(centered**4)
     std = float(np.sqrt(np.sum(centered**2) / (n - 1)))
-    return DescriptiveStats(
-        mean=float(mu),
-        standard_error=std / float(np.sqrt(n)),
-        median=float(np.median(x)),
-        standard_deviation=std,
-        excess_kurtosis=float(m4 / m2**2 - 3.0),
-        skewness=float(m3 / m2**1.5),
-        range=float(x.max() - x.min()),
-        minimum=float(x.min()),
-        maximum=float(x.max()),
-        count=int(n),
-    )
+    return {
+        "mean": float(mu),
+        "standard_error": std / float(np.sqrt(n)),
+        "median": float(np.median(x)),
+        "standard_deviation": std,
+        "excess_kurtosis": float(m4 / m2**2 - 3.0),
+        "skewness": float(m3 / m2**1.5),
+        "range": float(x.max() - x.min()),
+        "minimum": float(x.min()),
+        "maximum": float(x.max()),
+        "count": int(n),
+    }
 
 
 class CorrelationMatrix:
@@ -76,17 +56,14 @@ class CorrelationMatrix:
         self.names = list(names)
         self.matrix = matrix
 
-    def value(self, a: str, b: str) -> float:
-        return float(self.matrix[self.names.index(a), self.names.index(b)])
-
     def to_csv(self) -> str:
         return csv_text(["", *self.names],
                         ([name, *row] for name, row in zip(self.names, self.matrix)))
 
 
-def correlation_matrix(features: FeatureMatrix, columns: list[str] | None = None) -> CorrelationMatrix:
+def correlation_matrix(features: FeatureMatrix) -> CorrelationMatrix:
     """Pearson coefficients; upper triangle computed once and mirrored."""
-    names = list(columns) if columns is not None else list(features.names)
+    names = list(features.names)
     data = np.column_stack([features.column(c) for c in names])
     if data.shape[0] < 2:
         raise DataError("correlation needs at least 2 rows")
@@ -160,23 +137,6 @@ def correlation_cluster(cm: CorrelationMatrix) -> ClusterTree:
     return ClusterTree(cm.names, merges)
 
 
-class TwoSampleResult:
-    def __init__(self, statistic: float, per_column: list[dict], reject: bool, alpha: float):
-        self.statistic = statistic
-        self.per_column = per_column
-        self.reject = reject
-        self.alpha = alpha
-
-    def as_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "per_column": self.per_column,
-            "reject": self.reject,
-            "alpha": self.alpha,
-            "test": "two-sample Kolmogorov-Smirnov, Bonferroni-adjusted",
-        }
-
-
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample KS distance: max |F_a - F_b| over the pooled sample."""
     a = np.sort(np.asarray(a, dtype=np.float64).ravel())
@@ -201,8 +161,8 @@ def ks_pvalue(stat: float, n: int, m: int) -> float:
 
 
 def two_sample_test(real, synthetic, alpha: float = 0.05,
-                    columns: list[str] | None = None) -> TwoSampleResult:
-    """Column-wise KS test of real vs synthetic samples.
+                    columns: list[str] | None = None) -> dict:
+    """Column-wise KS test of real vs synthetic samples, as a JSON-ready dict.
 
     Reject (samples differ) iff any Bonferroni-adjusted p-value falls below
     alpha. The headline statistic M is the largest per-column KS distance.
@@ -235,7 +195,8 @@ def two_sample_test(real, synthetic, alpha: float = 0.05,
             reject = True
         per_column.append({"column": name, "ks": stat, "p": p, "p_adjusted": p_adj})
     m_stat = max(c["ks"] for c in per_column)
-    return TwoSampleResult(m_stat, per_column, reject, alpha)
+    return {"statistic": m_stat, "per_column": per_column, "reject": reject, "alpha": alpha,
+            "test": "two-sample Kolmogorov-Smirnov, Bonferroni-adjusted"}
 
 
 def monthly_aggregate(series: PriceSeries) -> list[dict]:

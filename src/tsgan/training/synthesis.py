@@ -101,7 +101,7 @@ class ForecastResult:
     """Per-window predicted close paths, scaled and in original units."""
 
     def __init__(self, scaled: np.ndarray, original: np.ndarray | None, horizon: int,
-                 mode: str, model: str, dates: list | None = None):
+                 mode: str, model: str):
         scaled = np.asarray(scaled, dtype=np.float64)
         if scaled.ndim != 2 or scaled.shape[1] != horizon:
             raise DataError(f"forecast shape {scaled.shape} disagrees with horizon {horizon}")
@@ -110,11 +110,6 @@ class ForecastResult:
         self.horizon = int(horizon)
         self.mode = mode
         self.model = model
-        self.dates = dates
-
-    @property
-    def count(self) -> int:
-        return self.scaled.shape[0]
 
 
 def as_predictor(model, windows: WindowDataset, seed: int = 0):
@@ -149,9 +144,7 @@ def forecast(model, windows: WindowDataset, horizon: int, mode: str = "direct",
     original = None
     if scaler is not None:
         original = inverse_scaler(scaled, scaler, TARGET_COLUMN)
-    dates = [windows.target_dates(i)[:horizon] for i in range(windows.count)] \
-        if windows.dates else None
-    return ForecastResult(scaled, original, horizon, mode, predictor.name, dates)
+    return ForecastResult(scaled, original, horizon, mode, predictor.name)
 
 
 def _iterative_forecast(predictor, windows: WindowDataset, horizon: int,

@@ -1,11 +1,15 @@
 """Bit-identity of one fixed-seed CLI chain over all five model kinds.
 
 tests/fixtures/chain_digests.json holds the SHA-256 of every numeric artifact
-of one chain, run in-process: `synth-data --kind jump`, then `train` for gru,
-lstm, gan, wgan and timegan at desk scale, then `forecast --mode iterative`
-from each train run. The digests cover `loss_trace.csv`, every checkpoint
-`.bin` and the forecast CSVs. A refactor of the tape, the optimizer, the
-networks or the checkpoints that keeps their numbers keeps these digests.
+of one chain, run in-process: `synth-data --kind jump` and `stats` on its CSV,
+then `train` for gru, lstm, gan, wgan and timegan at desk scale, with
+`forecast --mode iterative` and `evaluate --horizons 2,4 --basis original`
+from each train run, then `compare` of the five reports with the persistence
+baseline (`--input`) and a 2x2 `perturb --model gru`. The digests cover
+`loss_trace.csv`, every checkpoint `.bin`, the forecast CSVs and every
+output of `stats`, `evaluate`, `compare` and `perturb` except its manifest.
+A refactor of the tape, the optimizer, the networks, the checkpoints or the
+evaluation layer that keeps their numbers keeps these digests.
 Regenerate the fixture only for a deliberate numeric change:
 
     PYTHONPATH=src python tests/test_chain_digests.py
@@ -38,6 +42,11 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _outputs(out_dir: Path) -> list[Path]:
+    """Every file a subcommand wrote into `out_dir` but its run manifest."""
+    return sorted(p for p in out_dir.iterdir() if not p.name.endswith("_manifest.json"))
+
+
 def chain_digests(work: Path) -> dict:
     """Run the chain under `work`; '<out dir>/<file>' -> sha256 of each numeric artifact."""
     data = work / "data"
@@ -46,17 +55,27 @@ def chain_digests(work: Path) -> dict:
     csv = str(data / "synthetic_jump.csv")
     config = work / "desk.json"
     config.write_text(json.dumps({"timegan_hidden": 3}))
-    digests = {}
+    assert main(["stats", "--input", csv, "--out-dir", str(work / "stats")]) == 0
+    files = _outputs(work / "stats")
     for i, kind in enumerate(KINDS):
-        train, fc = work / kind, work / f"{kind}_forecast"
+        train, fc, ev = work / kind, work / f"{kind}_forecast", work / f"{kind}_evaluate"
         assert main(["train", "--model", kind, "--input", csv, "--config", str(config),
                      *PIPE, *DESK, "--seed", str(30 + i), "--out-dir", str(train)]) == 0, kind
         assert main(["forecast", "--mode", "iterative", "--input", csv, "--model-dir",
                      str(train), *PIPE, "--out-dir", str(fc)]) == 0, kind
-        files = [train / "loss_trace.csv", *sorted(train.glob("*.bin")),
-                 *(fc / name for name in FORECAST_CSVS)]
-        digests.update({f"{p.parent.name}/{p.name}": _sha256(p) for p in files})
-    return digests
+        assert main(["evaluate", "--horizons", "2,4", "--basis", "original", "--input", csv,
+                     "--model-dir", str(train), *PIPE, "--out-dir", str(ev)]) == 0, kind
+        files += [train / "loss_trace.csv", *sorted(train.glob("*.bin")),
+                  *(fc / name for name in FORECAST_CSVS), *_outputs(ev)]
+    reports = [a for kind in KINDS
+               for a in ("--report", str(work / f"{kind}_evaluate" / "metrics_report.json"))]
+    assert main(["compare", *reports, "--input", csv, *PIPE,
+                 "--out-dir", str(work / "compare")]) == 0
+    assert main(["perturb", "--model", "gru", "--layers", "1,2", "--epoch-grid", "1,2",
+                 "--input", csv, "--config", str(config), *PIPE, *DESK, "--seed", "40",
+                 "--out-dir", str(work / "perturb")]) == 0
+    files += [*_outputs(work / "compare"), *_outputs(work / "perturb")]
+    return {f"{p.parent.name}/{p.name}": _sha256(p) for p in files}
 
 
 def write_fixture() -> None:

@@ -646,13 +646,13 @@ def test_perturb_cells_record_the_settings_they_ran_with(tmp_path, data_csv):
     with that cell's layer count and epoch budget."""
     out = tmp_path / "perturb"
     assert main(["perturb", "--input", str(data_csv), "--model", "gru",
-                 "--layers", "0,1", "--epoch-grid", "1,2", "--hidden-units", "2",
+                 "--layers", "1,2", "--epoch-grid", "1,2", "--hidden-units", "2",
                  "--batch-size", "64", *PIPE, "--out-dir", str(out)]) == 0
     config = load_manifest(out / "perturb_manifest.json").config
     resolved = {k: config[k] for k in TrainConfig.KEYS}
     assert (resolved["seq_len"], resolved["horizon"], resolved["sma_window"]) == (6, 3, 3)
     cells = json.loads((out / "perturb.json").read_text())["cells"]
-    assert [(c["layers"], c["epochs"]) for c in cells] == [(0, 1), (0, 2), (1, 1), (1, 2)]
+    assert [(c["layers"], c["epochs"]) for c in cells] == [(1, 1), (1, 2), (2, 1), (2, 2)]
     for cell in cells:
         expected = {**resolved, "hidden_layers": cell["layers"], "epochs": cell["epochs"]}
         assert cell["manifest"]["config"] == expected
@@ -682,7 +682,11 @@ def test_perturb_rejects_horizons_past_the_test_windows_before_training(
     ["evaluate", "--horizons", "1,3", "--weights", "1,inf"],
     ["perturb", "--model", "gru", "--layers", "1", "--epoch-grid", "1",
      "--hidden-units", "2", "--horizons", "0"],
-], ids=["negative-horizon", "zero-horizon", "nan-weight", "inf-weight", "perturb-zero-horizon"])
+    ["perturb", "--model", "gru", "--layers", "0", "--epoch-grid", "1", "--hidden-units", "2"],
+    ["perturb", "--model", "gru", "--layers=-2,1", "--epoch-grid", "1", "--hidden-units", "2"],
+    ["perturb", "--model", "gru", "--layers", "1", "--epoch-grid", "2,0", "--hidden-units", "2"],
+], ids=["negative-horizon", "zero-horizon", "nan-weight", "inf-weight", "perturb-zero-horizon",
+        "perturb-zero-layers", "perturb-negative-layers", "perturb-zero-epochs"])
 def test_bad_horizons_and_weights_exit_1(tmp_path, capsys, data_csv, gru_run, argv):
     if argv[0] == "evaluate":
         argv = [*argv, "--model-dir", str(gru_run)]

@@ -6,14 +6,14 @@ import pytest
 from tsgan.data import (TARGET_COLUMN, apply_scaler, build_features, fit_scaler,
                         inverse_scaler, make_synthetic_series, make_windows,
                         split_train_test)
-from tsgan.errors import ConfigError, DataError, DomainError, ShapeError
+from tsgan.errors import ConfigError, DataError, DomainError, NumericAbort, ShapeError
 from tsgan.evaluate import (ComparisonTable, MetricsReport, compare_models,
                             horizon_sweep, mape, persistence_report,
                             perturbation_study, rmse, spec_hidden_layers,
                             weighted_average)
 from tsgan.models import NetSpec, build_forecaster, build_network
 from tsgan.numcore import RngStream
-from tsgan.training import PersistencePredictor, TrainConfig, forecast
+from tsgan.training import PersistencePredictor, TrainConfig, forecast, train_forecaster
 
 
 def small_split(rows=60, seq_len=6, horizon=3, seed=0):
@@ -172,25 +172,34 @@ def test_persistence_report_and_baseline():
     np.testing.assert_array_equal(res.scaled, np.repeat(last[:, None], 3, axis=1))
 
 
-def test_perturbation_study_isolates_failures():
+def test_perturbation_study_isolates_failures(monkeypatch):
     train, test, scaler = small_split()
     cfg = TrainConfig(epochs=1, batch_size=32, lr_g=1e-3, hidden_units=3,
                       width_mult=1.0)
-    grid = perturbation_study("gru", [0, 1], [1, 2],
-                              {"train": train, "test": test, "scaler": scaler}, cfg)
-    assert grid.model_kind == "gru"
-    assert len(grid.cells) == 4
-    by_key = {(c["layers"], c["epochs"]): c for c in grid.cells}
-    assert by_key[(0, 1)]["status"] == "failed" and "error" in by_key[(0, 1)]
+    real_train = train_forecaster
+
+    def abort_two_layers(net, windows, cell_cfg):
+        if cell_cfg.hidden_layers == 2:
+            raise NumericAbort("non-finite loss")
+        return real_train(net, windows, cell_cfg)
+
+    monkeypatch.setattr("tsgan.evaluate.train_forecaster", abort_two_layers)
+    grid = perturbation_study("gru", [2, 1], [1, 2], train, test, scaler, cfg)
+    assert (grid["model"], grid["layer_grid"], grid["epoch_grid"]) == ("gru", [2, 1], [1, 2])
+    assert len(grid["cells"]) == 4
+    by_key = {(c["layers"], c["epochs"]): c for c in grid["cells"]}
+    assert by_key[(2, 1)]["status"] == "failed"
+    assert by_key[(2, 1)]["error"] == "non-finite loss"
     for epochs in (1, 2):
         cell = by_key[(1, epochs)]
         assert cell["status"] == "ok"
         assert cell["rmse"] > 0 and cell["mape"] > 0
         assert cell["manifest"]["config"]["epochs"] == epochs
 
-    with pytest.raises(ConfigError):
-        perturbation_study("gru", [], [1], {"train": train, "test": test,
-                                            "scaler": scaler}, cfg)
+    # an empty grid, or a grid value below 1, is refused before any cell runs
+    for layer_grid, epoch_grid in (([], [1]), ([0, 1], [1]), ([-2], [1]), ([1], [2, 0])):
+        with pytest.raises(ConfigError):
+            perturbation_study("gru", layer_grid, epoch_grid, train, test, scaler, cfg)
 
 
 def test_perturbation_study_propagates_programming_errors(monkeypatch):
@@ -201,8 +210,7 @@ def test_perturbation_study_propagates_programming_errors(monkeypatch):
 
     monkeypatch.setattr("tsgan.evaluate.train_forecaster", broken)
     with pytest.raises(TypeError, match="bad call"):
-        perturbation_study("gru", [1], [1], {"train": train, "test": test,
-                                             "scaler": scaler}, TrainConfig(epochs=1))
+        perturbation_study("gru", [1], [1], train, test, scaler, TrainConfig(epochs=1))
 
 
 def test_compare_models_sorts_and_appends_baseline():

@@ -365,7 +365,6 @@ def test_persistence_forecast_is_flat():
     from tsgan.data import inverse_scaler
     np.testing.assert_allclose(res.original, inverse_scaler(res.scaled, scaler, "Close"))
     assert res.model == "persistence" and res.mode == "direct"
-    assert all(len(d) == 3 for d in res.dates)
 
 
 def test_direct_equals_iterative_at_horizon_one():
