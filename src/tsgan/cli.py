@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import zip_longest
 from pathlib import Path
 from typing import NamedTuple
 
@@ -237,8 +238,9 @@ def _cmd_forecast(args, out_dir: Path, cfg, run):
     predicted = result.original[0]
     dates = (bundle.test.target_dates(0)[:horizon] if bundle.test.dates
              else list(range(1, horizon + 1)))
+    # one row per predicted step; past window 0's targets, date and actual are empty
     outputs.append(write_csv(out_dir / "forecast_plot.csv", ["date", "actual", "predicted"],
-                             zip(dates, actual, predicted)))
+                             zip_longest(dates, actual, predicted)))
     return {"mode": args.mode, "forecast_horizon": horizon}, [], outputs
 
 

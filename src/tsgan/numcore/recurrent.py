@@ -11,12 +11,19 @@ layout follows the cuDNN RNN design (Appleyard et al., arXiv:1604.01946):
   operand [1 | x] times each gate's packed [b; W_in], one GEMM per gate, is
   written gate-major, then moved by one copy of contiguous (batch, units)
   blocks into the (seq, k, batch, units) buffer of the time loop;
-- the time loop multiplies only the hidden state by the stacked hidden rows,
-  and works with `out=` and in-place ufuncs on those blocks;
+- the time loop multiplies only the hidden state by the stacked hidden rows;
 - the gate sigmoid is 0.5*(1 + tanh(a/2)); its a/2 is folded once into the
   halved packed weights and hidden rows of the sigmoid gates, which is exact;
 - the hidden states live in a private (seq+1, batch, units) buffer whose
   row 0 is the zero initial state; the output is a batch-major copy.
+
+At desk scale a kernel's time is Python dispatch, about a dozen numpy calls
+per timestep on tiny blocks, so each call is made cheap: every timestep's views
+come from one `zip` over the time-major buffers (reversed for BPTT), and every
+op is a numpy function bound to a local name, given its output positionally
+(no `out=` keyword to parse) and the sigmoid's 1 and 0.5 as 0-d arrays (no
+Python float to convert). The loops use no augmented operator, so each op is a
+counted numpy call (see test_recurrent).
 
 A tape is single-use, so the backward works inside the forward's private
 buffers. It turns the stored gates and states into the loop-invariant BPTT
@@ -27,9 +34,10 @@ a time-major (seq*batch, units) slab (the LSTM copies its slabs out of the gate
 buffer, three into spent buffers). A gate's bias and kernel gradients land in
 one (1+feat+units, units) array [db; dW] whose slices are returned: h_in^T @ slab
 gives its hidden rows, [1|x]^T @ slab its bias and input rows; dx is summed from
-time-major products and transposed once. Nothing is kept from the forward for
-this: [1|x] is rebuilt, in the spent gate buffer with dx's sum when 1+feat <=
-k*units, in fresh scratch otherwise.
+time-major products and transposed once. When [1|x] fits the gate buffer
+(1+feat <= k*units), the forward builds it there and the backward rebuilds it
+in the spent gates, where dx is summed too; otherwise the forward's fresh [1|x]
+is the one array kept for the backward, which frees it once read.
 
 The output array, x.data and the output gradient are never written, and the
 backward closure holds arrays only: a Tensor in it would tie the tape into a
@@ -42,6 +50,12 @@ import numpy as np
 
 from ..errors import ShapeError
 from .tensor import Tensor, _record, as_tensor, takes_gradient
+
+# the sigmoid's 1 + tanh(a/2) and its halving: a Python float operand would be
+# converted to an array at every call. Read-only, as every kernel shares them.
+_ONE = np.array(1.0)
+_HALF = np.array(0.5)
+_ONE.flags.writeable = _HALF.flags.writeable = False
 
 
 def _check(op: str, x: Tensor, kernels: tuple, biases: tuple) -> tuple:
@@ -72,10 +86,11 @@ def _ones_x(xd: np.ndarray, spent: np.ndarray) -> np.ndarray:
     return ones_x.reshape(seq * batch, 1 + feat)
 
 
-def _input_gates(xd: np.ndarray, ws: tuple, biases: tuple, halved: int) -> np.ndarray:
+def _input_gates(xd: np.ndarray, ws: tuple, biases: tuple, halved: int) -> tuple:
     """Each gate's pre-activation from x and its bias at every timestep, as the time
     loop's (seq, k, batch, units) buffer. The first `halved` gates are scaled by 0.5
-    (the sigmoid's a/2) in their packed weights, which is exact."""
+    (the sigmoid's a/2) in their packed weights, which is exact. Also returns a list
+    holding [1|x] when it did not fit the buffer, for the backward to pop, else empty."""
     batch, seq, feat = xd.shape
     k, units = len(ws), ws[0].shape[1]
     packed = np.empty((k, 1 + feat, units))  # each gate's [b; W_in]
@@ -85,9 +100,10 @@ def _input_gates(xd: np.ndarray, ws: tuple, biases: tuple, halved: int) -> np.nd
     # the temporary before the buffer that outlives it: the reverse raised peak RSS
     gate_major = np.empty((k, seq * batch, units))
     gates = np.empty((seq, k, batch, units))  # holds [1|x] until the copy overwrites it
-    np.matmul(_ones_x(xd, gates), packed, out=gate_major)  # one GEMM per gate
+    ones_x = _ones_x(xd, gates)
+    np.matmul(ones_x, packed, out=gate_major)  # one GEMM per gate
     np.copyto(gates, gate_major.reshape(k, seq, batch, units).transpose(1, 0, 2, 3))
-    return gates
+    return gates, [ones_x] if 1 + feat > k * units else []
 
 
 def _hidden_rows(ws: tuple, feat: int) -> np.ndarray:
@@ -103,20 +119,21 @@ def _sig_factor(s: np.ndarray, other: np.ndarray, out: np.ndarray) -> None:
 
 
 def _input_grads(xd: np.ndarray, x_grad: bool, ws: tuple, slabs: list, grads: list,
-                 spent: np.ndarray) -> tuple:
+                 spent: np.ndarray, kept: list) -> tuple:
     """(dx, dW0, db0, dW1, db1, ...) from each gate's time-major (seq*batch, units)
     pre-activation gradient in `slabs`. `grads` holds each gate's [db; dW] with its
-    hidden rows written; [1|x]^T @ slab writes its bias and input rows. dx (None when
+    hidden rows written; [1|x]^T @ slab writes its bias and input rows, with [1|x] popped
+    from `kept` (the forward's, see _input_gates) or rebuilt in `spent`. dx (None when
     x needs no gradient) is summed time-major, in the spent buffer with [1|x] when
     they fit, and transposed once; the returned dx holds each later share until
     then. The last slab is popped once read: a fresh one held nowhere else is freed
     before dx is made.
     """
     batch, seq, feat = xd.shape
-    ones_x = _ones_x(xd, spent)
+    ones_x = kept.pop() if kept else _ones_x(xd, spent)
     for j, g in enumerate(grads):
         np.matmul(ones_x.T, slabs[j], out=g[:1 + feat])
-    del ones_x  # freed here when it did not fit
+    del ones_x  # freed here when it did not fit the spent buffer
     dx = None
     if x_grad:
         acc = _scratch(spent, (seq * batch, feat))
@@ -144,29 +161,28 @@ def gru_sequence(x, Wz, bz, Wr, br, Wh, bh) -> Tensor:
     w_zr *= 0.5
     w_hh = ws[2][feat:]
     # pre-activations z | r (halved) | hhat, overwritten step by step with the gate values
-    gates = _input_gates(xd, ws, biases, halved=2)
+    gates, kept = _input_gates(xd, ws, biases, halved=2)
+    z, r, hhat = gates.transpose(1, 0, 2, 3)
     hs = np.empty((seq + 1, batch, units))
     hs[0] = 0.0
     s2 = np.empty((batch, 2 * units))
     s2_gates = s2.reshape(batch, 2, units).transpose(1, 0, 2)
     s1 = np.empty((batch, units))
     rh = np.empty((batch, units))
-    for t in range(seq):
-        g = gates[t]
-        zr, hhat = g[:2], g[2]
-        h, h_new = hs[t], hs[t + 1]
-        np.dot(h, w_zr, out=s2)
-        zr += s2_gates
-        np.tanh(zr, out=zr)
-        zr += 1.0
-        zr *= 0.5
-        np.multiply(g[1], h, out=rh)
-        np.dot(rh, w_hh, out=s1)
-        hhat += s1
-        np.tanh(hhat, out=hhat)
-        np.subtract(h, hhat, out=h_new)
-        h_new *= g[0]
-        h_new += hhat
+    add, mul, sub, tanh, dot = np.add, np.multiply, np.subtract, np.tanh, np.dot
+    for zr_t, z_t, r_t, hhat_t, h, h_new in zip(gates[:, :2], z, r, hhat, hs[:-1], hs[1:]):
+        dot(h, w_zr, s2)
+        add(zr_t, s2_gates, zr_t)
+        tanh(zr_t, zr_t)
+        add(zr_t, _ONE, zr_t)
+        mul(zr_t, _HALF, zr_t)
+        mul(r_t, h, rh)
+        dot(rh, w_hh, s1)
+        add(hhat_t, s1, hhat_t)
+        tanh(hhat_t, hhat_t)
+        sub(h, hhat_t, h_new)
+        mul(h_new, z_t, h_new)
+        add(h_new, hhat_t, h_new)
     out = Tensor(hs[1:].transpose(1, 0, 2).copy())  # a view when batch == 1
 
     @takes_gradient
@@ -175,7 +191,6 @@ def gru_sequence(x, Wz, bz, Wr, br, Wh, bh) -> Tensor:
         # itself, which a sibling's gradient may share, and this copy is written after the
         # loop. Popped, the output gradient is freed here unless a sibling shares it.
         g_seq = box.pop().transpose(1, 0, 2).copy()
-        z, r, hhat = gates.transpose(1, 0, 2, 3)
         h_prev = hs[:-1]
         # loop-invariant factors, each overwritten in the loop by its gate's gradient;
         # the candidate's factor takes the candidate's own slot
@@ -187,27 +202,27 @@ def gru_sequence(x, Wz, bz, Wr, br, Wh, bh) -> Tensor:
         dz *= dr  # (h_prev - hhat) z(1-z)
         np.multiply(hhat, hhat, out=hhat)
         np.subtract(1.0, hhat, out=hhat)
-        hhat *= dr  # (1-hhat^2)(1-z)
+        np.multiply(hhat, dr, out=hhat)  # (1-hhat^2)(1-z)
         _sig_factor(r, h_prev, dr)  # h_prev r(1-r)
         w_hh_t = np.ascontiguousarray(w_hh.T)
         w_zr_t = np.ascontiguousarray(_hidden_rows(ws[:2], feat).T)
         dh = np.zeros((batch, units))
         d_rh = np.empty((batch, units))
-        for t in range(seq - 1, -1, -1):
-            z_t, r_t, da_t = gates[t]
-            d_t = d[:, t]
-            dz_t, dr_t = d_t
-            dh += g_seq[t]
-            da_t *= dh
-            np.dot(da_t, w_hh_t, out=d_rh)
-            dz_t *= dh
-            dr_t *= d_rh
-            dh *= z_t
-            d_rh *= r_t
-            dh += d_rh
-            np.copyto(s2_gates, d_t)
-            np.dot(s2, w_zr_t, out=s1)
-            dh += s1
+        add, mul, dot, copyto = np.add, np.multiply, np.dot, np.copyto
+        steps = zip(z[::-1], r[::-1], hhat[::-1], dz[::-1], dr[::-1],
+                    d.transpose(1, 0, 2, 3)[::-1], g_seq[::-1])
+        for z_t, r_t, da_t, dz_t, dr_t, d_t, g_t in steps:
+            add(dh, g_t, dh)
+            mul(da_t, dh, da_t)
+            dot(da_t, w_hh_t, d_rh)
+            mul(dz_t, dh, dz_t)
+            mul(dr_t, d_rh, dr_t)
+            mul(dh, z_t, dh)
+            mul(d_rh, r_t, d_rh)
+            add(dh, d_rh, dh)
+            copyto(s2_gates, d_t)
+            dot(s2, w_zr_t, s1)
+            add(dh, s1, dh)
         np.copyto(g_seq, hhat)  # the candidate's gradient
         slabs = [s.reshape(-1, units) for s in (dz, dr, g_seq)]
         del g_seq  # its slab is the last: _input_grads frees it once read
@@ -217,7 +232,7 @@ def gru_sequence(x, Wz, bz, Wr, br, Wh, bh) -> Tensor:
         np.matmul(h_in, slabs[1], out=grads[1][1 + feat:])
         np.multiply(r, h_prev, out=h_prev)  # what the candidate's hidden rows saw: r*h
         np.matmul(h_in, slabs[2], out=grads[2][1 + feat:])
-        return _input_grads(xd, x_grad, ws, slabs, grads, gates)  # r was gates' last use
+        return _input_grads(xd, x_grad, ws, slabs, grads, gates, kept)  # r: gates' last use
 
     return _record("gru_sequence", out, (x, *params), bw)
 
@@ -236,33 +251,31 @@ def lstm_sequence(x, Wf, bf, Wi, bi, Wo, bo, Wg, bg) -> Tensor:
     w_h = _hidden_rows(ws, feat)
     w_h[:, :3 * units] *= 0.5
     # pre-activations f | i | o (halved) | g, overwritten step by step with the gate values
-    gates = _input_gates(xd, ws, biases, halved=3)
+    gates, kept = _input_gates(xd, ws, biases, halved=3)
+    f, i, o, cand = gates.transpose(1, 0, 2, 3)
     hs = np.empty((seq + 1, batch, units))
     cs = np.empty((seq + 1, batch, units))
     hs[0] = cs[0] = 0.0
     s4 = np.empty((batch, 4 * units))
     s4_gates = s4.reshape(batch, 4, units).transpose(1, 0, 2)
     s1 = np.empty((batch, units))
-    for t in range(seq):
-        g = gates[t]
-        sig = g[:3]
-        f, i, o, cand = g
-        c = cs[t + 1]
-        np.dot(hs[t], w_h, out=s4)
-        g += s4_gates
-        np.tanh(g, out=g)
-        sig += 1.0
-        sig *= 0.5
-        np.multiply(f, cs[t], out=c)
-        np.multiply(i, cand, out=s1)
-        c += s1
-        np.tanh(c, out=s1)
-        np.multiply(o, s1, out=hs[t + 1])
+    add, mul, tanh, dot = np.add, np.multiply, np.tanh, np.dot
+    steps = zip(gates, gates[:, :3], f, i, o, cand, hs[:-1], hs[1:], cs[:-1], cs[1:])
+    for g_t, sig_t, f_t, i_t, o_t, cand_t, h, h_new, c, c_new in steps:
+        dot(h, w_h, s4)
+        add(g_t, s4_gates, g_t)
+        tanh(g_t, g_t)
+        add(sig_t, _ONE, sig_t)
+        mul(sig_t, _HALF, sig_t)
+        mul(f_t, c, c_new)
+        mul(i_t, cand_t, s1)
+        add(c_new, s1, c_new)
+        tanh(c_new, s1)
+        mul(o_t, s1, h_new)
     out = Tensor(hs[1:].transpose(1, 0, 2).copy())  # a view when batch == 1
 
     @takes_gradient
     def bw(box):
-        f, i, o, cand = gates.transpose(1, 0, 2, 3)
         c_prev, tc = cs[:-1], cs[1:]
         # loop-invariant factors in the gates' own slots, each overwritten in the loop by
         # its gate's gradient; the forget gate's values move to f_val, tc takes o(1-tanh^2 c)
@@ -278,26 +291,26 @@ def lstm_sequence(x, Wf, bf, Wi, bi, Wo, bo, Wg, bg) -> Tensor:
         _sig_factor(i, cand, spare)  # g i(1-i)
         np.multiply(cand, cand, out=cand)
         np.subtract(1.0, cand, out=cand)
-        cand *= i  # i(1-g^2)
+        np.multiply(cand, i, out=cand)  # i(1-g^2)
         np.copyto(i, spare)
         np.copyto(spare, box.pop().transpose(1, 0, 2))  # the output gradient, time-major
         w_h_t = np.ascontiguousarray(_hidden_rows(ws, feat).T)
         dh = np.zeros((batch, units))
         dc = np.zeros((batch, units))
-        for t in range(seq - 1, -1, -1):
-            d_t = gates[t]
-            df_t, di_t, do_t, dg_t = d_t
-            fo_t = tc[t]
-            dh += spare[t]
-            fo_t *= dh
-            dc += fo_t
-            df_t *= dc
-            di_t *= dc
-            do_t *= dh
-            dg_t *= dc
-            dc *= f_val[t]
-            np.copyto(s4_gates, d_t)
-            np.dot(s4, w_h_t, out=dh)
+        add, mul, dot, copyto = np.add, np.multiply, np.dot, np.copyto
+        steps = zip(gates[::-1], f[::-1], i[::-1], o[::-1], cand[::-1], tc[::-1],
+                    spare[::-1], f_val[::-1])
+        for d_t, df_t, di_t, do_t, dg_t, fo_t, g_t, f_t in steps:
+            add(dh, g_t, dh)
+            mul(fo_t, dh, fo_t)
+            add(dc, fo_t, dc)
+            mul(df_t, dc, df_t)
+            mul(di_t, dc, di_t)
+            mul(do_t, dh, do_t)
+            mul(dg_t, dc, dg_t)
+            mul(dc, f_t, dc)
+            copyto(s4_gates, d_t)
+            dot(s4, w_h_t, dh)
         # each gate's gradient, copied out time-major into a spent buffer but the last
         slabs = [s.reshape(-1, units) for s in (tc, f_val, spare, np.empty_like(spare))]
         h_in = hs[:-1].reshape(-1, units).T
@@ -305,6 +318,6 @@ def lstm_sequence(x, Wf, bf, Wi, bi, Wo, bo, Wg, bg) -> Tensor:
         for j, g in enumerate(grads):
             np.copyto(slabs[j].reshape(seq, batch, units), gates[:, j])
             np.matmul(h_in, slabs[j], out=g[1 + feat:])
-        return _input_grads(xd, x_grad, ws, slabs, grads, gates)
+        return _input_grads(xd, x_grad, ws, slabs, grads, gates, kept)
 
     return _record("lstm_sequence", out, (x, *params), bw)

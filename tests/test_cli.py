@@ -508,6 +508,25 @@ def test_forecast_artifacts_and_steps(tmp_path, data_csv, gru_run):
     assert manifest.config["model"] == "gru"
 
 
+def test_iterative_forecast_past_the_horizon_plots_every_step(tmp_path, data_csv, gru_run):
+    """--steps beyond the window horizon writes one plot row per predicted step; the
+    steps past window 0's targets have no date and no actual value."""
+    out = tmp_path / "fc"
+    steps = 3 + 2  # PIPE's horizon + 2
+    rc = main(["forecast", "--input", str(data_csv), "--model-dir", str(gru_run),
+               "--mode", "iterative", "--steps", str(steps), *PIPE, "--out-dir", str(out)])
+    assert rc == 0
+    with open(out / "forecast_plot.csv", newline="") as fh:
+        plot = list(csv.reader(fh))
+    assert len(plot) == steps + 1
+    assert plot[0] == ["date", "actual", "predicted"]
+    with open(out / "forecast_original.csv", newline="") as fh:
+        original = list(csv.reader(fh))
+    assert [row[2] for row in plot[1:]] == original[1][1:]
+    assert all(row[0] and row[1] for row in plot[1:4])
+    assert all(row[:2] == ["", ""] for row in plot[4:])
+
+
 def test_generate_from_timegan(tmp_path, data_csv, timegan_run):
     out = tmp_path / "gen"
     rc = main(["generate", "--input", str(data_csv), "--model-dir",

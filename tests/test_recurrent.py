@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cell_oracle import unroll
+import tsgan.numcore.recurrent as recurrent
 from tsgan.errors import ShapeError
 from tsgan.models import NetSpec, build_network
 from tsgan.numcore import (RngStream, Tape, Tensor, add, backward, gru_sequence,
@@ -52,6 +53,9 @@ def _grads(run, x, cell, weights):
 @example(kind="lstm", batch=7, seq=5, feat=24, units=3, seed=2)
 @example(kind="gru", batch=9, seq=6, feat=20, units=7, seed=3)
 @example(kind="lstm", batch=4, seq=8, feat=23, units=6, seed=4)
+# a time loop that runs once, and the batch-1 output copy
+@example(kind="gru", batch=1, seq=1, feat=5, units=2, seed=5)
+@example(kind="lstm", batch=1, seq=1, feat=9, units=2, seed=6)
 @given(kind=st.sampled_from(["gru", "lstm"]), batch=st.integers(1, 64),
        seq=st.integers(1, 40), feat=st.integers(1, 24), units=st.integers(1, 16),
        seed=st.integers(0, 2**16))
@@ -140,6 +144,52 @@ def test_fused_kernel_rejects_bad_input_shapes(kind, shape):
     cell = _cell(kind, 2, 3, 2)
     with pytest.raises(ShapeError):
         _fused(kind, cell, Tensor(np.zeros(shape)))
+
+
+class _CountingNumpy:
+    """numpy whose functions count their calls; types and constants pass through."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return attr(*args, **kwargs)
+        return counted
+
+
+def _dispatch_counts(kind, seq, counter):
+    """`counter`'s calls in one forward and in its backward at batch 3, feat 2, units 4."""
+    cell = _cell(kind, 2, 4, 7)
+    x = Tensor(np.ones((3, seq, 2)), requires_grad=True)
+    start = counter.calls
+    with Tape() as tape:
+        out = _fused(kind, cell, x)
+        forward = counter.calls - start
+        loss = tsum(out)
+    start = counter.calls
+    backward(tape, loss)
+    return forward, counter.calls - start
+
+
+# numpy calls per timestep of each time loop (forward, backward): every op in the loops
+# is a numpy function called by name, none an augmented operator, so all are counted
+STEP_CALLS = {"gru": (12, 11), "lstm": (10, 10)}
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+def test_time_loops_make_a_fixed_number_of_numpy_calls_per_step(kind, monkeypatch):
+    counter = _CountingNumpy()
+    monkeypatch.setattr(recurrent, "np", counter)
+    for seq in (2, 9):
+        counts = [_dispatch_counts(kind, n, counter) for n in (seq, seq + 1)]
+        per_step = tuple(b - a for a, b in zip(*counts))
+        assert per_step == STEP_CALLS[kind], seq
 
 
 # Peak bytes one backward allocates, over a (batch, seq, units) array's: the
