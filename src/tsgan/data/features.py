@@ -100,13 +100,19 @@ def newest_feature_row(raw: np.ndarray, sma_window: int) -> np.ndarray:
 
     Each SMA is a per-column mean over the last `sma_window` rows, not
     trailing_sma's cumulative sum, so it agrees with build_features to
-    rounding only.
+    rounding only. The SMAs reduce one contiguous copy of the last rows along
+    its innermost axis, column by column.
     """
+    n, _, channels = raw.shape
     last, prev = raw[:, -1], raw[:, -2]
-    diff = np.zeros_like(last)
+    row = np.empty((n, 3 * channels))
+    row[:, :channels] = last
+    diff = row[:, channels:2 * channels]
+    diff[...] = 0.0
     np.divide(last - prev, prev, out=diff, where=prev != 0.0)
-    sma = [raw[:, -sma_window:, c].mean(axis=1) for c in range(raw.shape[2])]
-    return np.column_stack([last, diff, *sma])
+    tail = np.ascontiguousarray(raw[:, -sma_window:].transpose(0, 2, 1))
+    row[:, 2 * channels:] = tail.mean(axis=2)
+    return row
 
 
 def features_to_csv(features: FeatureMatrix) -> str:

@@ -50,6 +50,8 @@ _LAYER_KINDS = {"gru": (("units",), (3,), 3), "lstm": (("units",), (3,), 3),
 # order of its fused sequence kernel: W<gate>, b<gate> per gate.
 _GATES = {"gru": "zrh", "lstm": "fiog"}
 _SEQUENCE_KERNELS = {"gru": gru_sequence, "lstm": lstm_sequence}
+# The arrays of each recurrent kind's state: h, plus c for the LSTM.
+_STATE_PARTS = {"gru": 1, "lstm": 2}
 
 # Field types of a serialized NetSpec; `layers` holds one JSON object per layer.
 _SPEC_FIELD_TYPES = {"name": str, "input_dim": int, "input_rank": int, "layers": list}
@@ -176,11 +178,14 @@ class Network:
         return self.spec.name
 
     def forward(self, x: Tensor, mode: str = "eval", rng: RngStream | None = None,
-                start: int = 0, stop: int | None = None) -> Tensor:
+                start: int = 0, stop: int | None = None, states: list | None = None):
         """Run layers [start, stop) of the network (all of them by default).
 
         Dropout fires only in train mode (needs an rng). The input must have the
         rank layer `start` takes, and the network's input width when `start` is 0.
+        Given `states`, one initial state per recurrent layer in [start, stop), in
+        order (a tuple of (batch, units) arrays each, see gru_sequence and
+        lstm_sequence), returns (output, their states at every step).
         """
         spec = self.spec
         if mode not in ("train", "eval"):
@@ -193,10 +198,20 @@ class Network:
             width = f" with width {spec.input_dim}" if start == 0 else ""
             raise ShapeError(f"{spec.name}: layer {start} expects a rank-{spec.ranks[start]} "
                              f"input{width}, got shape {x.shape}")
+        layers = spec.layers[start:stop]
+        if states is not None:
+            recurrent = sum(layer["kind"] in _SEQUENCE_KERNELS for layer in layers)
+            if len(states) != recurrent:
+                raise ConfigError(f"{spec.name}: {len(states)} initial states for the "
+                                  f"{recurrent} recurrent layers in [{start}, {stop})")
+            carried, states = iter(states), []
         out = x
-        for layer, params in zip(spec.layers[start:stop], self._layer_params[start:stop]):
+        for layer, params in zip(layers, self._layer_params[start:stop]):
             kind = layer["kind"]
-            if kind in _SEQUENCE_KERNELS:
+            if kind in _SEQUENCE_KERNELS and states is not None:
+                out, state = _SEQUENCE_KERNELS[kind](out, *params, state=next(carried))
+                states.append(state)
+            elif kind in _SEQUENCE_KERNELS:
                 out = _SEQUENCE_KERNELS[kind](out, *params)
             elif kind == "last_step":
                 out = slice_tensor(out, (slice(None), out.shape[1] - 1, slice(None)))
@@ -208,7 +223,25 @@ class Network:
                 out = reshape(out, (out.shape[0], out.shape[1] * out.shape[2]))
             elif kind == "dropout":
                 out = dropout(out, layer["rate"], mode=mode, rng=rng)
-        return out
+        return out if states is None else (out, states)
+
+    def row_bytes(self, stop: int) -> int:
+        """Bytes one input row (one sequence at one timestep) holds in the largest layer
+        call before `stop`: its input, and a recurrent layer's input and output, [1|x],
+        its two gate buffers and its states."""
+        width = most = self.spec.input_dim
+        for layer in self.spec.layers[:stop]:
+            if layer["kind"] in _GATES:
+                gates = len(_GATES[layer["kind"]])
+                most = max(most, 2 * width + 1 + (2 * gates + 4) * layer["units"])
+            width = layer.get("units", width)
+        return 8 * (self.spec.input_dim + most)
+
+    def zero_states(self, batch: int, stop: int) -> list:
+        """Zero initial states of the recurrent layers before `stop`, as forward takes them."""
+        return [tuple(np.zeros((batch, layer["units"]))
+                      for _ in range(_STATE_PARTS[layer["kind"]]))
+                for layer in self.spec.layers[:stop] if layer["kind"] in _STATE_PARTS]
 
     def clone(self) -> "Network":
         """Frozen value copy (a fresh vector, same spec)."""

@@ -15,7 +15,13 @@ layout follows the cuDNN RNN design (Appleyard et al., arXiv:1604.01946):
 - the gate sigmoid is 0.5*(1 + tanh(a/2)); its a/2 is folded once into the
   halved packed weights and hidden rows of the sigmoid gates, which is exact;
 - the hidden states live in a private (seq+1, batch, units) buffer whose
-  row 0 is the zero initial state; the output is a batch-major copy.
+  row 0 is the initial state, zero unless the call passes one (as cuDNN's RNN
+  API takes hx/cx); the output is a batch-major copy.
+
+A call given an initial state also hands back every step's state, so a caller
+can carry a sequence on from any step (the staged iterative forecast in
+training/synthesis does). The state is plain arrays and stays off the tape: the
+backward returns no gradient for it.
 
 At desk scale a kernel's time is Python dispatch, about a dozen numpy calls
 per timestep on tiny blocks, so each call is made cheap: every timestep's views
@@ -46,6 +52,8 @@ reference cycle that only the cycle collector frees.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ShapeError
@@ -71,9 +79,16 @@ def _check(op: str, x: Tensor, kernels: tuple, biases: tuple) -> tuple:
     return batch, seq, feat, units
 
 
+def _initial(op: str, state: tuple, parts: int, batch: int, units: int) -> None:
+    """Validate an initial state: `parts` arrays of shape (batch, units)."""
+    if len(state) != parts or any(np.shape(s) != (batch, units) for s in state):
+        raise ShapeError(f"{op}: needs an initial state of {parts} (batch, units) = "
+                         f"{(batch, units)} arrays, got {[np.shape(s) for s in state]}")
+
+
 def _scratch(spent: np.ndarray, shape: tuple) -> np.ndarray:
     """An array of `shape` laid over the start of a spent buffer when it fits, else fresh."""
-    size = int(np.prod(shape))
+    size = math.prod(shape)
     return spent.reshape(-1)[:size].reshape(shape) if size <= spent.size else np.empty(shape)
 
 
@@ -145,16 +160,22 @@ def _input_grads(xd: np.ndarray, x_grad: bool, ws: tuple, slabs: list, grads: li
     return (dx, *(a for g in grads for a in (g[1:], g[0])))
 
 
-def gru_sequence(x, Wz, bz, Wr, br, Wh, bh) -> Tensor:
+def gru_sequence(x, Wz, bz, Wr, br, Wh, bh, state: tuple | None = None):
     """GRU over a (batch, seq, feat) input; returns every hidden state, (batch, seq, units).
 
     z = sigmoid([x,h] Wz + bz); r = sigmoid([x,h] Wr + br)
     hhat = tanh([x, r*h] Wh + bh); h' = (1-z)*hhat + z*h
+
+    Given `state`, a tuple (h0,) of one (batch, units) array, the loop starts from
+    h0 and the call returns (output, (h,)): h is every step's state, which for a
+    GRU is the output's own array.
     """
     x = as_tensor(x)
     params = tuple(as_tensor(p) for p in (Wz, bz, Wr, br, Wh, bh))
     kernels, biases = params[0::2], params[1::2]
     batch, seq, feat, units = _check("gru_sequence", x, kernels, biases)
+    if state is not None:
+        _initial("gru_sequence", state, 1, batch, units)
     # the backward holds arrays only: a Tensor would tie its tape into a reference cycle
     xd, x_grad, ws = x.data, x.requires_grad, tuple(w.data for w in kernels)
     w_zr = _hidden_rows(ws[:2], feat)
@@ -164,7 +185,7 @@ def gru_sequence(x, Wz, bz, Wr, br, Wh, bh) -> Tensor:
     gates, kept = _input_gates(xd, ws, biases, halved=2)
     z, r, hhat = gates.transpose(1, 0, 2, 3)
     hs = np.empty((seq + 1, batch, units))
-    hs[0] = 0.0
+    hs[0] = 0.0 if state is None else state[0]
     s2 = np.empty((batch, 2 * units))
     s2_gates = s2.reshape(batch, 2, units).transpose(1, 0, 2)
     s1 = np.empty((batch, units))
@@ -234,19 +255,26 @@ def gru_sequence(x, Wz, bz, Wr, br, Wh, bh) -> Tensor:
         np.matmul(h_in, slabs[2], out=grads[2][1 + feat:])
         return _input_grads(xd, x_grad, ws, slabs, grads, gates, kept)  # r: gates' last use
 
-    return _record("gru_sequence", out, (x, *params), bw)
+    out = _record("gru_sequence", out, (x, *params), bw)
+    return out if state is None else (out, (out.data,))
 
 
-def lstm_sequence(x, Wf, bf, Wi, bi, Wo, bo, Wg, bg) -> Tensor:
+def lstm_sequence(x, Wf, bf, Wi, bi, Wo, bo, Wg, bg, state: tuple | None = None):
     """LSTM over a (batch, seq, feat) input; returns every hidden state, (batch, seq, units).
 
     f, i, o = sigmoid(gate affines on [x,h]); g = tanh(candidate affine on [x,h])
     c' = f*c + i*g; h' = o*tanh(c')
+
+    Given `state`, a tuple (h0, c0) of (batch, units) arrays, the loop starts from
+    them and the call returns (output, (h, c)): every step's hidden state (the
+    output's own array) and cell state, each (batch, seq, units).
     """
     x = as_tensor(x)
     params = tuple(as_tensor(p) for p in (Wf, bf, Wi, bi, Wo, bo, Wg, bg))
     kernels, biases = params[0::2], params[1::2]
     batch, seq, feat, units = _check("lstm_sequence", x, kernels, biases)
+    if state is not None:
+        _initial("lstm_sequence", state, 2, batch, units)
     xd, x_grad, ws = x.data, x.requires_grad, tuple(w.data for w in kernels)
     w_h = _hidden_rows(ws, feat)
     w_h[:, :3 * units] *= 0.5
@@ -255,7 +283,10 @@ def lstm_sequence(x, Wf, bf, Wi, bi, Wo, bo, Wg, bg) -> Tensor:
     f, i, o, cand = gates.transpose(1, 0, 2, 3)
     hs = np.empty((seq + 1, batch, units))
     cs = np.empty((seq + 1, batch, units))
-    hs[0] = cs[0] = 0.0
+    if state is None:
+        hs[0] = cs[0] = 0.0
+    else:
+        hs[0], cs[0] = state
     s4 = np.empty((batch, 4 * units))
     s4_gates = s4.reshape(batch, 4, units).transpose(1, 0, 2)
     s1 = np.empty((batch, units))
@@ -273,6 +304,8 @@ def lstm_sequence(x, Wf, bf, Wi, bi, Wo, bo, Wg, bg) -> Tensor:
         tanh(c_new, s1)
         mul(o_t, s1, h_new)
     out = Tensor(hs[1:].transpose(1, 0, 2).copy())  # a view when batch == 1
+    # copied before a backward turns the cell states into tanh(c)
+    cells = None if state is None else cs[1:].transpose(1, 0, 2).copy()
 
     @takes_gradient
     def bw(box):
@@ -320,4 +353,5 @@ def lstm_sequence(x, Wf, bf, Wi, bi, Wo, bo, Wg, bg) -> Tensor:
             np.matmul(h_in, slabs[j], out=g[1 + feat:])
         return _input_grads(xd, x_grad, ws, slabs, grads, gates, kept)
 
-    return _record("lstm_sequence", out, (x, *params), bw)
+    out = _record("lstm_sequence", out, (x, *params), bw)
+    return out if state is None else (out, (out.data, cells))

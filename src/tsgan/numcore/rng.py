@@ -21,6 +21,22 @@ def _key_to_int(part) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def _entropy_words(parts) -> np.ndarray:
+    """The uint32 words SeedSequence makes of a list of non-negative ints: each part's
+    32-bit words, least significant first, and one word for 0. Handed over as one
+    array, numpy uses them as they are instead of converting each int in Python."""
+    words = []
+    for part in parts:
+        if part < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(part & 0xFFFFFFFF)
+        part >>= 32
+        while part:
+            words.append(part & 0xFFFFFFFF)
+            part >>= 32
+    return np.array(words, dtype=np.uint32)
+
+
 class RngStream:
     """Deterministic random source keyed by (seed, derivation key)."""
 
@@ -32,7 +48,7 @@ class RngStream:
     def _bits(self) -> np.random.Generator:
         """The stream's generator; its state depends only on (seed, key), not on when it is built."""
         if self._gen is None:
-            entropy = [self.seed & 0xFFFFFFFFFFFFFFFF, *self.key]
+            entropy = _entropy_words((self.seed & 0xFFFFFFFFFFFFFFFF, *self.key))
             self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
         return self._gen
 

@@ -5,12 +5,34 @@ maps a (count, seq_len, features) batch to a (count, width) matrix of scaled
 close predictions, the first `width` steps of the trained head (head_width).
 forecast() then runs either the direct multi-step head or the iterative
 single-step roll-forward, which rebuilds raw prices, derived features, and
-scaling at every step.
+scaling after every step.
+
+An iterative forecast of H steps over windows of L rows reads H future windows:
+window k is rows k..k+L-1 of the window rolled forward, whose rows from L on are
+built from the predicted closes. The per-step re-run makes one predict() call per
+step over every window, so each layer runs H calls of L timesteps. The staged
+roll instead carries each future window's recurrent state, for a recurrent
+forecaster or conditional generator whose layers before last_step work per
+timestep (gru, lstm, dropout, dense):
+- a first pass runs all H windows, stacked window-major, from zero states over
+  their known rows, in pieces of L // H rows (at least one), so that no layer call
+  holds more window rows than a predict() call does; each window keeps its state
+  after its last known row, and window 0's head gives step 0;
+- each step s then advances the windows still open by the row built from step
+  s-1, from their carried states, and window s's head gives step s.
+Each layer runs L + H - 1 timesteps in all instead of L * H, in about 2H - 1
+calls instead of H; the roll runs where the timesteps it saves outweigh the calls
+it adds (_roll_pays), which windows of a few rows per step do not. ROLL_BYTES caps
+a first-pass call, and a larger forecast rolls in independent chunks of windows.
+TimeGAN, persistence and any object known only by predict() keep the re-run.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..data.features import FEATURE_COLUMNS, newest_feature_row
 from ..data.ohlcv import RAW_COLUMNS, TARGET_COLUMN
@@ -23,6 +45,19 @@ from .gan import gen_latent_dim
 from .timegan import require_timegan_nets
 
 FORECAST_MODES = ("direct", "iterative")
+
+# Bytes one layer call of the staged roll's first pass may hold (see Network.row_bytes):
+# a forecast over more windows rolls in independent chunks of them.
+ROLL_BYTES = 64 * 2**20
+# What one more layer call costs in timesteps of a time loop: about 80 us of kernel
+# set-up and roll bookkeeping against 10-15 us a timestep at desk scale (2-core
+# x86-64 box, OpenBLAS). The staged roll runs only when the timesteps it saves
+# outweigh the layer calls it adds (see _roll_pays).
+_CALL_STEPS = 8
+
+# Layer kinds that work per timestep, so that the staged roll can carry them on
+_PER_STEP = ("gru", "lstm", "dropout", "dense")
+_CLOSE_RAW = RAW_COLUMNS.index(TARGET_COLUMN)
 
 
 class ForecasterPredictor:
@@ -37,13 +72,17 @@ class ForecasterPredictor:
     def predict(self, inputs: np.ndarray, width: int) -> np.ndarray:
         return self.net.forward(Tensor(inputs)).data[:, :width]
 
+    def noise(self, count: int, seq_len: int, calls: int) -> np.ndarray:
+        """The input columns the next `calls` predict() calls add to their windows: none."""
+        return np.empty((calls, count, seq_len, 0))
+
 
 class GanPredictor:
     """Conditional generator sampler: feature history + seeded noise -> close path."""
 
     def __init__(self, gen: Network, n_features: int, seed: int):
         require_finite_params(gen)
-        self.gen = gen
+        self.net = gen
         self.name = gen.name
         self.latent_dim = gen_latent_dim(gen, n_features)
         self.head_width = gen.spec.layers[-1]["units"]
@@ -52,9 +91,17 @@ class GanPredictor:
 
     def predict(self, inputs: np.ndarray, width: int) -> np.ndarray:
         count, seq_len, _ = inputs.shape
-        z = self._rng.child("z", self._calls).normal((count, seq_len, self.latent_dim))
-        self._calls += 1
-        return self.gen.forward(Tensor(np.concatenate([inputs, z], axis=2))).data[:, :width]
+        z = self.noise(count, seq_len, 1)[0]
+        return self.net.forward(Tensor(np.concatenate([inputs, z], axis=2))).data[:, :width]
+
+    def noise(self, count: int, seq_len: int, calls: int) -> np.ndarray:
+        """The z the next `calls` predict() calls would draw, (calls, count, seq_len,
+        latent_dim), call n's from the ("z", n) child stream; those calls count as made."""
+        z = np.empty((calls, count, seq_len, self.latent_dim))
+        for k, z_k in enumerate(z):
+            z_k[...] = self._rng.child("z", self._calls + k).normal(z_k.shape)
+        self._calls += calls
+        return z
 
 
 class TimeganPredictor:
@@ -151,11 +198,11 @@ def _iterative_forecast(predictor, windows: WindowDataset, horizon: int,
                         scaler: ScalerParams | None) -> np.ndarray:
     """Roll 1-step predictions forward, rebuilding features from raw prices.
 
-    All windows roll forward together: each step is one predict() call over
-    the whole (count, seq_len, features) batch. The predicted closes are
-    appended to a (count, seq_len + step, 6) raw-price buffer; the other raw
-    channels carry their last observed values forward; diffs and SMAs are
-    recomputed from the buffer and rescaled before the windows shift.
+    All windows roll forward together. Future window k reads rows k..k+L-1 of
+    one (count, L + horizon - 1, features) row buffer, whose row L+s-1 is built
+    from step s-1's predicted closes (see _append_row). The staged roll drives
+    the predictors it can (see _roll_stop); the others make one predict() call
+    per step over the whole batch.
     """
     if scaler is None:
         raise ConfigError("iterative forecasting needs the fitted scaler")
@@ -170,18 +217,115 @@ def _iterative_forecast(predictor, windows: WindowDataset, horizon: int,
     if tuple(windows.feature_names) != FEATURE_COLUMNS:
         raise DataError("iterative forecasting rebuilds the build_features columns, "
                         f"but the windows hold {windows.feature_names}")
-    close_raw_pos = RAW_COLUMNS.index(TARGET_COLUMN)
-    out = np.empty((windows.count, horizon))
-    window = windows.inputs
-    raw = inverse_scale_matrix(window, scaler)[:, :, :len(RAW_COLUMNS)]
-    for step in range(horizon):
-        out[:, step] = predictor.predict(window, 1)[:, 0]
-        new_raw = raw[:, -1].copy()
-        new_raw[:, close_raw_pos] = inverse_scaler(out[:, step], scaler, TARGET_COLUMN)
-        raw = np.concatenate([raw, new_raw[:, None]], axis=1)
-        feat = newest_feature_row(raw, sma_window)
-        feat_scaled = (feat - scaler.mins) / (scaler.maxs - scaler.mins)
-        window = np.concatenate([window[:, 1:], feat_scaled[:, None]], axis=1)
+    count, seq_len, width = windows.inputs.shape
+    rows = np.zeros((count, seq_len + horizon - 1, width))
+    rows[:, :seq_len] = windows.inputs
+    raw = np.empty((count, seq_len + horizon - 1, len(RAW_COLUMNS)))
+    raw[:, :seq_len] = inverse_scale_matrix(windows.inputs, scaler)[:, :, :len(RAW_COLUMNS)]
+    out = np.empty((count, horizon))
+    stop = _roll_stop(predictor)
+    # a first-pass call of the staged roll holds no more window rows than one
+    # predict() call over the batch, and at most ROLL_BYTES
+    piece = max(1, seq_len // horizon)
+    if stop is None or not _roll_pays(seq_len, horizon, piece):
+        for step in range(horizon):
+            if step:
+                _append_row(rows, raw, seq_len + step - 1, out[:, step - 1], scaler, sma_window)
+            out[:, step] = predictor.predict(rows[:, step:step + seq_len], 1)[:, 0]
+        return out
+    z = predictor.noise(count, seq_len, horizon)
+    chunk = max(1, ROLL_BYTES // (horizon * piece * predictor.net.row_bytes(stop)))
+    for lo in range(0, count, chunk):
+        part = slice(lo, lo + chunk)
+        extend = partial(_append_row, rows[part], raw[part], scaler=scaler,
+                         sma_window=sma_window)
+        out[part] = _staged_roll(predictor.net, stop, rows[part], z[:, part], extend, piece)
+    return out
+
+
+def _append_row(rows: np.ndarray, raw: np.ndarray, at: int, closes: np.ndarray,
+                scaler: ScalerParams, sma_window: int) -> None:
+    """Row `at` of the raw-price and scaled-feature buffers from predicted scaled closes:
+    the other raw channels carry row at-1 forward, and the diffs and SMAs are
+    recomputed from the raw rows up to `at`."""
+    raw[:, at] = raw[:, at - 1]
+    raw[:, at, _CLOSE_RAW] = inverse_scaler(closes, scaler, TARGET_COLUMN)
+    feat = newest_feature_row(raw[:, :at + 1], sma_window)
+    rows[:, at] = (feat - scaler.mins) / (scaler.maxs - scaler.mins)
+
+
+def _roll_stop(predictor) -> int | None:
+    """The index of the last_step layer when the staged roll can drive `predictor`, else None."""
+    if not isinstance(predictor, (ForecasterPredictor, GanPredictor)):
+        return None
+    kinds = [layer["kind"] for layer in predictor.net.spec.layers]
+    if "last_step" not in kinds:
+        return None
+    stop = kinds.index("last_step")
+    return stop if all(kind in _PER_STEP for kind in kinds[:stop]) else None
+
+
+def _roll_pays(seq_len: int, horizon: int, piece: int) -> bool:
+    """Whether the staged roll, ceil(L / piece) + H - 1 layer calls over L + H - 1
+    timesteps, costs less than the per-step re-run, H calls over L * H timesteps."""
+    calls = -(-seq_len // piece) + horizon - 1
+    return (seq_len - 1) * (horizon - 1) > _CALL_STEPS * (calls - horizon)
+
+
+def _staged_roll(net: Network, stop: int, rows: np.ndarray, z: np.ndarray, extend,
+                 piece: int) -> np.ndarray:
+    """The (count, H) scaled closes of H future windows, rolled in one staged pass.
+
+    `rows` is the (count, L+H-1, features) row buffer, its first L rows known and
+    the rest zero until extend(at, closes) writes row `at` from the step before's
+    closes. `z` holds each future window's extra input columns, (H, count, L, n).
+    """
+    horizon, count, seq_len, extra = z.shape
+    width = rows.shape[2]
+    out = np.empty((count, horizon))
+    # window k's rows, window-major: (H, count, L, features), a view of `rows`
+    by_count, by_row, by_feature = rows.strides
+    windows = as_strided(rows, (horizon, count, seq_len, width),
+                         (by_row, by_count, by_row, by_feature), writeable=False)
+    # The first pass runs every window from a zero state in pieces of `piece` rows.
+    # Window k knows its rows 0..L-1-k, so a piece runs the windows with a known row
+    # in it, a prefix of the window-major stack; the outputs of rows not yet known
+    # (zero) are never read, and each window keeps its state after its last known row.
+    running = net.zero_states(horizon * count, stop)
+    carried = [[np.zeros((horizon, count, s.shape[1])) for s in layer] for layer in running]
+    x = np.empty((horizon, count, piece, width + extra))
+    for t0 in range(0, seq_len, piece):
+        t1 = min(seq_len, t0 + piece)
+        n = min(horizon, seq_len - t0)
+        x_p = x[:n, :, :t1 - t0]
+        x_p[..., :width] = windows[:n, :, t0:t1]
+        x_p[..., width:] = z[:n, :, t0:t1]
+        block = [tuple(s[:n * count] for s in layer) for layer in running]
+        trunk, states = net.forward(Tensor(x_p.reshape(n * count, t1 - t0, -1)), stop=stop,
+                                    states=block)
+        ends = np.arange(max(0, seq_len - t1), n)  # last known row L-1-k in [t0, t1)
+        if ends.size:
+            for layer, got in zip(carried, states):
+                for c, s in zip(layer, got):
+                    c[ends] = s.reshape(n, count, t1 - t0, -1)[ends, :, seq_len - 1 - ends - t0]
+        running = [tuple(s[:, -1] for s in layer) for layer in states]
+    out[:, 0] = net.forward(Tensor(trunk.data[:count, -1]), start=stop + 1).data[:, 0]
+    for step in range(1, horizon):
+        at = seq_len + step - 1
+        extend(at, out[:, step - 1])
+        # row `at` is row at-k of each window k still open; window `step` ends on it
+        ks = np.arange(step, min(horizon, at + 1))
+        open_windows = slice(step, ks[-1] + 1)
+        batch = ks.size * count
+        x = np.empty((ks.size, count, width + extra))
+        x[..., :width] = rows[:, at]
+        x[..., width:] = z[ks, :, at - ks]
+        block = [tuple(c[open_windows].reshape(batch, -1) for c in layer) for layer in carried]
+        trunk, states = net.forward(Tensor(x.reshape(batch, 1, -1)), stop=stop, states=block)
+        for layer, got in zip(carried, states):
+            for c, s in zip(layer, got):
+                c[open_windows] = s.reshape(ks.size, count, -1)
+        out[:, step] = net.forward(Tensor(trunk.data[:count, -1]), start=stop + 1).data[:, 0]
     return out
 
 

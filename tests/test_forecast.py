@@ -4,10 +4,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forecast_oracle import iterative_forecast
+from test_recurrent import SAME_BLAS
+import tsgan.models.network as network
+import tsgan.training.synthesis as synthesis
 from tsgan.data import (FEATURE_COLUMNS, PriceSeries, apply_scaler, build_features,
                         fit_scaler, make_synthetic_series, make_windows)
 from tsgan.errors import DataError
@@ -37,26 +40,128 @@ def _model(kind, seed):
     rng = RngStream(seed, ("forecast-test", kind))
     if kind == "timegan":
         return build_timegan(feature_dim=18, hidden_dim=3, rng=rng)
-    return build_forecaster(kind, layers=1, units=3, seq_len=6, horizon=2,
+    if kind == "gan":
+        # two recurrent layers and a per-step dense between them: all carried by the roll
+        spec = NetSpec("gen", 18 + 2, [
+            {"kind": "gru", "units": 3}, {"kind": "dense", "units": 4, "activation": "tanh"},
+            {"kind": "dropout", "rate": 0.2}, {"kind": "lstm", "units": 2},
+            {"kind": "last_step"}, {"kind": "dense", "units": 2, "activation": "sigmoid"}])
+        return GanPredictor(build_network(spec, rng), 18, seed)
+    return build_forecaster(kind, layers=2, units=3, seq_len=6, horizon=2,
                             input_dim=18, rng=rng)
 
 
+class _PredictOnly:
+    """A predictor known only by predict(): the iterative forecast re-runs it per step."""
+
+    def __init__(self, predictor):
+        self.predictor = predictor
+        self.name = predictor.name
+        self.head_width = predictor.head_width
+
+    def predict(self, inputs, width):
+        return self.predictor.predict(inputs, width)
+
+
+def _forecast(model, windows, horizon, staged):
+    """An iterative forecast, with the staged roll forced on wherever it applies (and
+    H > 1), or off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(synthesis, "_CALL_STEPS", 0 if staged else 10**9)
+        return forecast(model, windows, horizon, mode="iterative", scaler=SCALER).scaled
+
+
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(["gru", "lstm", "timegan"]), count=st.integers(1, 6),
-       horizon=st.integers(1, 4), seed=st.integers(0, 2**16))
-def test_batched_iterative_forecast_matches_the_per_window_oracle(kind, count, horizon, seed):
+@example(kind="gan", count=3, horizon=9, seed=1, staged=True)
+@example(kind="gan", count=1, horizon=4, seed=2, staged=True)
+@example(kind="lstm", count=5, horizon=8, seed=3, staged=True)
+@given(kind=st.sampled_from(["gru", "lstm", "gan", "timegan"]), count=st.integers(1, 6),
+       horizon=st.integers(1, 9), seed=st.integers(0, 2**16), staged=st.booleans())
+def test_batched_iterative_forecast_matches_the_per_window_oracle(kind, count, horizon, seed,
+                                                                  staged):
+    """Horizons past seq_len (6) start some future windows on predicted rows. The
+    generator draws its noise per predict() call, so it is checked against the
+    per-step re-run of the same predictor, over two forecasts in turn."""
     model = _model(kind, seed)
     draw = np.random.default_rng(seed)
     windows = DS.take(draw.choice(DS.count, count, replace=False), "test")
-    got = forecast(model, windows, horizon, mode="iterative", scaler=SCALER).scaled
-    want = iterative_forecast(as_predictor(model, windows), windows, horizon, SCALER)
+    got = _forecast(model, windows, horizon, staged)
     assert got.shape == (count, horizon)
+    if kind == "gan":
+        rerun = _PredictOnly(_model(kind, seed))
+        again = _forecast(model, windows, horizon, staged)
+        for mine in (got, again):
+            want = _forecast(rerun, windows, horizon, staged)
+            np.testing.assert_allclose(mine, want, rtol=0, atol=TOL)
+        return
+    want = iterative_forecast(as_predictor(model, windows), windows, horizon, SCALER)
     np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
 
     idx = np.sort(draw.choice(count, draw.integers(1, count + 1), replace=False))
-    part = forecast(model, windows.take(idx, "test"), horizon, mode="iterative",
-                    scaler=SCALER).scaled
+    part = _forecast(model, windows.take(idx, "test"), horizon, staged)
     np.testing.assert_allclose(part, got[idx], rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("kind", ["gru", "gan"])
+@pytest.mark.parametrize("chunk", [4, 8])
+def test_a_chunked_staged_roll_gives_the_single_pass(kind, chunk, monkeypatch):
+    """With the byte cap forced below one pass, the windows roll in independent chunks.
+    Chunks are multiples of 4 windows, so the products keep their rows' rounding."""
+    monkeypatch.setattr(synthesis, "_CALL_STEPS", 0)
+    windows = DS.take(np.arange(24), "test")
+    single = forecast(_model(kind, 3), windows, 7, mode="iterative", scaler=SCALER).scaled
+    model = _model(kind, 3)
+    net = model.net if kind == "gan" else model
+    stop = [layer["kind"] for layer in net.spec.layers].index("last_step")
+    monkeypatch.setattr(synthesis, "ROLL_BYTES", 7 * net.row_bytes(stop) * chunk)
+    calls = Counter()
+    roll = synthesis._staged_roll
+
+    def counted(net, stop, rows, *args):
+        calls[rows.shape[0]] += 1
+        return roll(net, stop, rows, *args)
+
+    monkeypatch.setattr(synthesis, "_staged_roll", counted)
+    chunked = forecast(model, windows, 7, mode="iterative", scaler=SCALER).scaled
+    assert calls == {chunk: 24 // chunk}
+    if SAME_BLAS:
+        assert chunked.tobytes() == single.tobytes()
+    np.testing.assert_allclose(chunked, single, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+@pytest.mark.parametrize("horizon", [1, 2, 3, 4, 9])
+def test_staged_roll_runs_each_layer_over_L_plus_H_minus_1_timesteps(kind, horizon,
+                                                                     monkeypatch):
+    """The first pass runs the window's rows in pieces of seq_len // H rows (at least
+    one); each later step advances the open windows by one row."""
+    monkeypatch.setattr(synthesis, "_CALL_STEPS", 0)
+    seq_len, steps, kernel = DS.seq_len, [], network._SEQUENCE_KERNELS[kind]
+
+    def counted(x, *args, **kwargs):
+        steps.append(x.shape[1])
+        return kernel(x, *args, **kwargs)
+
+    monkeypatch.setitem(network._SEQUENCE_KERNELS, kind, counted)
+    forecast(_model(kind, 4), DS.take(np.arange(5), "test"), horizon, mode="iterative",
+             scaler=SCALER)
+    piece = max(1, seq_len // horizon)
+    want = [min(piece, seq_len - t) for t in range(0, seq_len, piece)] + [1] * (horizon - 1)
+    if horizon == 1:  # nothing to stage: one predict() call
+        want = [seq_len]
+    assert steps[0::2] == steps[1::2] == want  # the forecaster's two layers in turn
+    assert sum(want) == seq_len + horizon - 1
+
+
+@pytest.mark.parametrize("seq_len, horizon, staged", [(30, 10, True), (80, 5, True),
+                                                      (6, 3, False), (6, 9, False)])
+def test_the_staged_roll_runs_where_its_saved_timesteps_outweigh_its_added_calls(
+        seq_len, horizon, staged):
+    """recurrent-desk's and generator-full's forecasts stage; wgan-critic's re-runs:
+    over 6 rows, the first pass in pieces makes five layer calls against the
+    re-run's three while saving ten timesteps."""
+    piece = max(1, seq_len // horizon)
+    assert synthesis._roll_pays(seq_len, horizon, piece) == staged
 
 
 class _Recorder:

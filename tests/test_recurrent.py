@@ -1,6 +1,7 @@
 """Fused GRU/LSTM sequence kernels against the per-step cell oracle."""
 
 import gc
+import json
 import tracemalloc
 import weakref
 
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cell_oracle import unroll
+from test_kernel_digests import FIXTURE, blas_probe
 import tsgan.numcore.recurrent as recurrent
 from tsgan.errors import ShapeError
 from tsgan.models import NetSpec, build_network
@@ -32,8 +34,8 @@ def _cell(kind, feat, units, seed):
     return cell
 
 
-def _fused(kind, cell, x):
-    return KERNELS[kind](x, *(cell[f"{p}{g}"] for g in GATES[kind] for p in "Wb"))
+def _fused(kind, cell, x, state=None):
+    return KERNELS[kind](x, *(cell[f"{p}{g}"] for g in GATES[kind] for p in "Wb"), state=state)
 
 
 def _grads(run, x, cell, weights):
@@ -144,6 +146,66 @@ def test_fused_kernel_rejects_bad_input_shapes(kind, shape):
     cell = _cell(kind, 2, 3, 2)
     with pytest.raises(ShapeError):
         _fused(kind, cell, Tensor(np.zeros(shape)))
+
+
+# the arrays of each kind's state: h, plus c for the LSTM
+STATE_PARTS = {"gru": 1, "lstm": 2}
+# Bit for bit only with the BLAS build the digest fixtures were written with; another
+# build may round a product of a different row count differently.
+SAME_BLAS = json.loads(FIXTURE.read_text())["blas_probe"] == blas_probe()
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["gru", "lstm"]), batch=st.sampled_from([4, 8, 12]),
+       seq=st.integers(2, 12), feat=st.integers(1, 12), units=st.integers(1, 8),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_a_call_from_another_calls_last_state_continues_it(kind, batch, seq, feat, units,
+                                                           seed, data):
+    """The batch is a multiple of 4: this BLAS rounds the last rows of a product whose
+    row count is not one (the input side's seq*batch rows) differently."""
+    split = data.draw(st.integers(1, seq - 1), label="split")
+    cell = _cell(kind, feat, units, seed)
+    x = np.random.default_rng(seed).normal(size=(batch, seq, feat))
+    zeros = tuple(np.zeros((batch, units)) for _ in range(STATE_PARTS[kind]))
+    whole, states = _fused(kind, cell, Tensor(x), state=zeros)
+    assert whole.data.tobytes() == _fused(kind, cell, Tensor(x)).data.tobytes()
+    assert [s.shape for s in states] == [(batch, seq, units)] * STATE_PARTS[kind]
+    assert states[0] is whole.data
+    head, head_states = _fused(kind, cell, Tensor(x[:, :split]), state=zeros)
+    tail, tail_states = _fused(kind, cell, Tensor(x[:, split:]),
+                               state=tuple(s[:, -1] for s in head_states))
+    pairs = [(whole.data, (head.data, tail.data)),
+             *((s, parts) for s, parts in zip(states, zip(head_states, tail_states)))]
+    for want, parts in pairs:
+        got = np.concatenate(parts, axis=1)
+        if SAME_BLAS:
+            assert got.tobytes() == want.tobytes()
+        np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+def test_initial_state_of_the_wrong_shape_is_refused(kind):
+    cell = _cell(kind, 2, 3, 2)
+    x = Tensor(np.zeros((4, 5, 2)))
+    for state in [(np.zeros((4, 2)),) * STATE_PARTS[kind],
+                  (np.zeros((4, 3)),) * (STATE_PARTS[kind] + 1)]:
+        with pytest.raises(ShapeError, match="initial state"):
+            _fused(kind, cell, x, state=state)
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+def test_a_zero_state_gives_the_gradients_of_no_state(kind):
+    """The state stays off the tape; from zeros, x and the parameters get the
+    gradients of a call given no state."""
+    cell = _cell(kind, 3, 4, 6)
+    draw = np.random.default_rng(6)
+    x = Tensor(draw.normal(size=(4, 5, 3)), requires_grad=True)
+    weights = draw.normal(size=(4, 5, 4))
+    zeros = tuple(np.zeros((4, 4)) for _ in range(STATE_PARTS[kind]))
+    _, with_state = _grads(lambda: _fused(kind, cell, x, state=zeros)[0], x, cell, weights)
+    _, without = _grads(lambda: _fused(kind, cell, x), x, cell, weights)
+    for a, b in zip(with_state, without):
+        assert a.tobytes() == b.tobytes()
 
 
 class _CountingNumpy:

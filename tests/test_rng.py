@@ -1,9 +1,11 @@
 """Seeded stream determinism and child-stream independence."""
 
 import numpy as np
+import pytest
 
 from test_training import small_windows, tiny_disc, tiny_gen
 from tsgan.numcore import RngStream
+from tsgan.numcore.rng import _entropy_words
 from tsgan.training import TrainConfig, train_wgan
 
 
@@ -96,3 +98,16 @@ def test_wgan_epoch_builds_one_philox_per_stream_drawn_from(monkeypatch):
     assert built[0] == len(drawn) > 0
     # the generator has no dropout: its gdrop and gdropg streams are never drawn
     assert derived[0] > len(drawn)
+
+
+def test_entropy_words_give_the_pool_a_list_of_ints_gives():
+    parts = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    for entropy in [*([p] for p in parts), parts, parts[::-1]]:
+        want = np.random.SeedSequence(entropy).generate_state(8)
+        got = np.random.SeedSequence(_entropy_words(entropy)).generate_state(8)
+        np.testing.assert_array_equal(got, want)
+    # a negative key part is refused as numpy refuses it in a list
+    with pytest.raises(ValueError, match="non-negative"):
+        np.random.SeedSequence([3, -1])
+    with pytest.raises(ValueError, match="non-negative"):
+        RngStream(0, (3, -1)).normal((2,))
