@@ -24,7 +24,9 @@ from ..numcore import (
     concat,
     conv1d,
     dropout,
+    gru_pack,
     gru_sequence,
+    lstm_pack,
     lstm_sequence,
     matmul,
     relu,
@@ -50,6 +52,8 @@ _LAYER_KINDS = {"gru": (("units",), (3,), 3), "lstm": (("units",), (3,), 3),
 # order of its fused sequence kernel: W<gate>, b<gate> per gate.
 _GATES = {"gru": "zrh", "lstm": "fiog"}
 _SEQUENCE_KERNELS = {"gru": gru_sequence, "lstm": lstm_sequence}
+# Each recurrent kind's pack function: its kernel's weights packed once for many calls.
+_PACKS = {"gru": gru_pack, "lstm": lstm_pack}
 # The arrays of each recurrent kind's state: h, plus c for the LSTM.
 _STATE_PARTS = {"gru": 1, "lstm": 2}
 
@@ -178,14 +182,18 @@ class Network:
         return self.spec.name
 
     def forward(self, x: Tensor, mode: str = "eval", rng: RngStream | None = None,
-                start: int = 0, stop: int | None = None, states: list | None = None):
+                start: int = 0, stop: int | None = None, states: list | None = None,
+                packs: list | None = None):
         """Run layers [start, stop) of the network (all of them by default).
 
         Dropout fires only in train mode (needs an rng). The input must have the
         rank layer `start` takes, and the network's input width when `start` is 0.
         Given `states`, one initial state per recurrent layer in [start, stop), in
         order (a tuple of (batch, units) arrays each, see gru_sequence and
-        lstm_sequence), returns (output, their states at every step).
+        lstm_sequence), returns (output, their states at every step). Given `packs`,
+        one packed weight tuple per recurrent layer in [start, stop), in order (see
+        pack), the kernels use them instead of packing the weights again; only a
+        forward that records nothing on a tape may take them.
         """
         spec = self.spec
         if mode not in ("train", "eval"):
@@ -199,20 +207,28 @@ class Network:
             raise ShapeError(f"{spec.name}: layer {start} expects a rank-{spec.ranks[start]} "
                              f"input{width}, got shape {x.shape}")
         layers = spec.layers[start:stop]
+        for given, what in ((states, "initial states"), (packs, "weight packs")):
+            if given is not None:
+                recurrent = sum(layer["kind"] in _SEQUENCE_KERNELS for layer in layers)
+                if len(given) != recurrent:
+                    raise ConfigError(f"{spec.name}: {len(given)} {what} for the "
+                                      f"{recurrent} recurrent layers in [{start}, {stop})")
         if states is not None:
-            recurrent = sum(layer["kind"] in _SEQUENCE_KERNELS for layer in layers)
-            if len(states) != recurrent:
-                raise ConfigError(f"{spec.name}: {len(states)} initial states for the "
-                                  f"{recurrent} recurrent layers in [{start}, {stop})")
             carried, states = iter(states), []
+        if packs is not None:
+            packs = iter(packs)
         out = x
         for layer, params in zip(layers, self._layer_params[start:stop]):
             kind = layer["kind"]
-            if kind in _SEQUENCE_KERNELS and states is not None:
-                out, state = _SEQUENCE_KERNELS[kind](out, *params, state=next(carried))
-                states.append(state)
-            elif kind in _SEQUENCE_KERNELS:
-                out = _SEQUENCE_KERNELS[kind](out, *params)
+            if kind in _SEQUENCE_KERNELS:
+                # only what was given is passed: a kernel wrapper may take no keywords
+                kw = {} if packs is None else {"packed": next(packs)}
+                if states is None:
+                    out = _SEQUENCE_KERNELS[kind](out, *params, **kw)
+                else:
+                    out, state = _SEQUENCE_KERNELS[kind](out, *params, state=next(carried),
+                                                         **kw)
+                    states.append(state)
             elif kind == "last_step":
                 out = slice_tensor(out, (slice(None), out.shape[1] - 1, slice(None)))
             elif kind in ("dense", "conv1d"):
@@ -242,6 +258,14 @@ class Network:
         return [tuple(np.zeros((batch, layer["units"]))
                       for _ in range(_STATE_PARTS[layer["kind"]]))
                 for layer in self.spec.layers[:stop] if layer["kind"] in _STATE_PARTS]
+
+    def pack(self, stop: int) -> list:
+        """The packed weights of the recurrent layers before `stop` (see gru_pack and
+        lstm_pack), as forward takes them. A pack is a copy: it holds until the weights
+        are next written, so a caller packs once per use and keeps no pack past it."""
+        return [_PACKS[layer["kind"]](*params)
+                for layer, params in zip(self.spec.layers[:stop], self._layer_params)
+                if layer["kind"] in _PACKS]
 
     def clone(self) -> "Network":
         """Frozen value copy (a fresh vector, same spec)."""

@@ -11,7 +11,7 @@ from .optim import (
     clip_weights,
     optimizer_step,
 )
-from .recurrent import gru_sequence, lstm_sequence
+from .recurrent import gru_pack, gru_sequence, lstm_pack, lstm_sequence
 from .rng import RngStream
 from .tensor import (
     Tape,

@@ -23,6 +23,15 @@ can carry a sequence on from any step (the staged iterative forecast in
 training/synthesis does). The state is plain arrays and stays off the tape: the
 backward returns no gradient for it.
 
+The packed weights, each gate's [b; W_in] and the stacked hidden rows, with the
+sigmoid gates halved, come from one pack function per cell kind (gru_pack,
+lstm_pack). A kernel packs them itself unless the call passes `packed`. Packing
+copies every weight (the hidden rows of a 1024-unit layer are 16 MB), so a caller
+that makes many calls over unchanged weights, as the staged forecast does, packs
+once and passes the pack to each call; cuDNN likewise transforms its weights once
+and reuses them at every step. A pack is a copy that later writes to the weights
+never reach, so a call that records on a tape refuses one with a GraphError.
+
 At desk scale a kernel's time is Python dispatch, about a dozen numpy calls
 per timestep on tiny blocks, so each call is made cheap: every timestep's views
 come from one `zip` over the time-major buffers (reversed for BPTT), and every
@@ -56,8 +65,8 @@ import math
 
 import numpy as np
 
-from ..errors import ShapeError
-from .tensor import Tensor, _record, as_tensor, takes_gradient
+from ..errors import GraphError, ShapeError
+from .tensor import Tensor, _record, active_tape, as_tensor, takes_gradient
 
 # the sigmoid's 1 + tanh(a/2) and its halving: a Python float operand would be
 # converted to an array at every call. Read-only, as every kernel shares them.
@@ -101,29 +110,75 @@ def _ones_x(xd: np.ndarray, spent: np.ndarray) -> np.ndarray:
     return ones_x.reshape(seq * batch, 1 + feat)
 
 
-def _input_gates(xd: np.ndarray, ws: tuple, biases: tuple, halved: int) -> tuple:
-    """Each gate's pre-activation from x and its bias at every timestep, as the time
-    loop's (seq, k, batch, units) buffer. The first `halved` gates are scaled by 0.5
-    (the sigmoid's a/2) in their packed weights, which is exact. Also returns a list
-    holding [1|x] when it did not fit the buffer, for the backward to pop, else empty."""
-    batch, seq, feat = xd.shape
+def _hidden_rows(ws: tuple, feat: int) -> np.ndarray:
+    """The stacked hidden rows of the gate kernels, (units, k*units)."""
+    return np.concatenate([w[feat:] for w in ws], axis=1)
+
+
+def _arrays(*params) -> tuple:
+    return tuple(as_tensor(p).data for p in params)
+
+
+def _input_rows(ws: tuple, biases: tuple, halved: int) -> np.ndarray:
+    """Each gate's [b; W_in], (k, 1+feat, units); the first `halved` gates are scaled
+    by 0.5 (the sigmoid's a/2), which is exact."""
     k, units = len(ws), ws[0].shape[1]
-    packed = np.empty((k, 1 + feat, units))  # each gate's [b; W_in]
+    feat = ws[0].shape[0] - units
+    packed = np.empty((k, 1 + feat, units))
     for p, w, b in zip(packed, ws, biases):
-        p[0], p[1:] = b.data, w[:feat]
+        p[0], p[1:] = b, w[:feat]
     packed[:halved] *= 0.5
+    return packed
+
+
+def gru_pack(Wz, bz, Wr, br, Wh, bh) -> tuple:
+    """The GRU's packed weights (w_zr, w_in): the z and r gates' stacked hidden rows,
+    halved, (units, 2*units), and each gate's [b; W_in] with z and r halved,
+    (3, 1+feat, units). Both are copies, blind to later writes to the weights."""
+    ws, bs = _arrays(Wz, Wr, Wh), _arrays(bz, br, bh)
+    w_zr = _hidden_rows(ws[:2], ws[0].shape[0] - ws[0].shape[1])
+    w_zr *= 0.5
+    return w_zr, _input_rows(ws, bs, halved=2)
+
+
+def lstm_pack(Wf, bf, Wi, bi, Wo, bo, Wg, bg) -> tuple:
+    """The LSTM's packed weights (w_h, w_in): all four gates' stacked hidden rows with
+    f, i and o halved, (units, 4*units), and each gate's [b; W_in] with f, i and o
+    halved, (4, 1+feat, units). Both are copies, blind to later writes to the weights."""
+    ws, bs = _arrays(Wf, Wi, Wo, Wg), _arrays(bf, bi, bo, bg)
+    units = ws[0].shape[1]
+    w_h = _hidden_rows(ws, ws[0].shape[0] - units)
+    w_h[:, :3 * units] *= 0.5
+    return w_h, _input_rows(ws, bs, halved=3)
+
+
+def _given_pack(op: str, packed: tuple, inputs: tuple, feat: int, units: int,
+                hidden_gates: int) -> None:
+    """Validate packed weights handed to a kernel: only a call that records no tape
+    node may take them, and they must have the pack function's shapes."""
+    if active_tape() is not None and any(t.requires_grad for t in inputs):
+        raise GraphError(f"{op}: packed weights are for calls off the tape, but this "
+                         f"call records on one")
+    want = [(units, hidden_gates * units), ((len(inputs) - 1) // 2, 1 + feat, units)]
+    got = [np.shape(p) for p in packed]
+    if got != want:
+        raise ShapeError(f"{op}: needs packed weights of shapes {want}, got {got}")
+
+
+def _input_gates(xd: np.ndarray, w_in: np.ndarray) -> tuple:
+    """Each gate's pre-activation from x and its bias at every timestep, as the time
+    loop's (seq, k, batch, units) buffer, from each gate's packed [b; W_in] in `w_in`.
+    Also returns a list holding [1|x] when it did not fit the buffer, for the backward
+    to pop, else empty."""
+    batch, seq, feat = xd.shape
+    k, _, units = w_in.shape
     # the temporary before the buffer that outlives it: the reverse raised peak RSS
     gate_major = np.empty((k, seq * batch, units))
     gates = np.empty((seq, k, batch, units))  # holds [1|x] until the copy overwrites it
     ones_x = _ones_x(xd, gates)
-    np.matmul(ones_x, packed, out=gate_major)  # one GEMM per gate
+    np.matmul(ones_x, w_in, out=gate_major)  # one GEMM per gate
     np.copyto(gates, gate_major.reshape(k, seq, batch, units).transpose(1, 0, 2, 3))
     return gates, [ones_x] if 1 + feat > k * units else []
-
-
-def _hidden_rows(ws: tuple, feat: int) -> np.ndarray:
-    """The stacked hidden rows of the gate kernels, (units, k*units)."""
-    return np.concatenate([w[feat:] for w in ws], axis=1)
 
 
 def _sig_factor(s: np.ndarray, other: np.ndarray, out: np.ndarray) -> None:
@@ -160,7 +215,8 @@ def _input_grads(xd: np.ndarray, x_grad: bool, ws: tuple, slabs: list, grads: li
     return (dx, *(a for g in grads for a in (g[1:], g[0])))
 
 
-def gru_sequence(x, Wz, bz, Wr, br, Wh, bh, state: tuple | None = None):
+def gru_sequence(x, Wz, bz, Wr, br, Wh, bh, state: tuple | None = None,
+                 packed: tuple | None = None):
     """GRU over a (batch, seq, feat) input; returns every hidden state, (batch, seq, units).
 
     z = sigmoid([x,h] Wz + bz); r = sigmoid([x,h] Wr + br)
@@ -176,13 +232,16 @@ def gru_sequence(x, Wz, bz, Wr, br, Wh, bh, state: tuple | None = None):
     batch, seq, feat, units = _check("gru_sequence", x, kernels, biases)
     if state is not None:
         _initial("gru_sequence", state, 1, batch, units)
+    if packed is None:
+        packed = gru_pack(*params)
+    else:
+        _given_pack("gru_sequence", packed, (x, *params), feat, units, 2)
     # the backward holds arrays only: a Tensor would tie its tape into a reference cycle
     xd, x_grad, ws = x.data, x.requires_grad, tuple(w.data for w in kernels)
-    w_zr = _hidden_rows(ws[:2], feat)
-    w_zr *= 0.5
-    w_hh = ws[2][feat:]
+    w_zr, w_hh = packed[0], ws[2][feat:]
     # pre-activations z | r (halved) | hhat, overwritten step by step with the gate values
-    gates, kept = _input_gates(xd, ws, biases, halved=2)
+    gates, kept = _input_gates(xd, packed[1])
+    del packed  # a pack built here is freed before the time loop
     z, r, hhat = gates.transpose(1, 0, 2, 3)
     hs = np.empty((seq + 1, batch, units))
     hs[0] = 0.0 if state is None else state[0]
@@ -259,7 +318,8 @@ def gru_sequence(x, Wz, bz, Wr, br, Wh, bh, state: tuple | None = None):
     return out if state is None else (out, (out.data,))
 
 
-def lstm_sequence(x, Wf, bf, Wi, bi, Wo, bo, Wg, bg, state: tuple | None = None):
+def lstm_sequence(x, Wf, bf, Wi, bi, Wo, bo, Wg, bg, state: tuple | None = None,
+                  packed: tuple | None = None):
     """LSTM over a (batch, seq, feat) input; returns every hidden state, (batch, seq, units).
 
     f, i, o = sigmoid(gate affines on [x,h]); g = tanh(candidate affine on [x,h])
@@ -275,11 +335,15 @@ def lstm_sequence(x, Wf, bf, Wi, bi, Wo, bo, Wg, bg, state: tuple | None = None)
     batch, seq, feat, units = _check("lstm_sequence", x, kernels, biases)
     if state is not None:
         _initial("lstm_sequence", state, 2, batch, units)
+    if packed is None:
+        packed = lstm_pack(*params)
+    else:
+        _given_pack("lstm_sequence", packed, (x, *params), feat, units, 4)
     xd, x_grad, ws = x.data, x.requires_grad, tuple(w.data for w in kernels)
-    w_h = _hidden_rows(ws, feat)
-    w_h[:, :3 * units] *= 0.5
+    w_h = packed[0]
     # pre-activations f | i | o (halved) | g, overwritten step by step with the gate values
-    gates, kept = _input_gates(xd, ws, biases, halved=3)
+    gates, kept = _input_gates(xd, packed[1])
+    del packed  # a pack built here is freed before the time loop
     f, i, o, cand = gates.transpose(1, 0, 2, 3)
     hs = np.empty((seq + 1, batch, units))
     cs = np.empty((seq + 1, batch, units))

@@ -24,6 +24,9 @@ Each layer runs L + H - 1 timesteps in all instead of L * H, in about 2H - 1
 calls instead of H; the roll runs where the timesteps it saves outweigh the calls
 it adds (_roll_pays), which windows of a few rows per step do not. ROLL_BYTES caps
 a first-pass call, and a larger forecast rolls in independent chunks of windows.
+The roll packs each recurrent layer's weights once per forecast (Network.pack)
+and every trunk call of every chunk takes those packs, so no call repacks weights
+that cannot change during it; the packs are dropped when the forecast returns.
 TimeGAN, persistence and any object known only by predict() keep the re-run.
 """
 
@@ -49,10 +52,13 @@ FORECAST_MODES = ("direct", "iterative")
 # Bytes one layer call of the staged roll's first pass may hold (see Network.row_bytes):
 # a forecast over more windows rolls in independent chunks of them.
 ROLL_BYTES = 64 * 2**20
-# What one more layer call costs in timesteps of a time loop: about 80 us of kernel
-# set-up and roll bookkeeping against 10-15 us a timestep at desk scale (2-core
-# x86-64 box, OpenBLAS). The staged roll runs only when the timesteps it saves
-# outweigh the layer calls it adds (see _roll_pays).
+# What one more layer call costs in timesteps of a time loop. With the weights
+# packed once per forecast, a trunk call through Network.forward with carried
+# states still takes about 30-70 us of set-up at desk scale, against 5-40 us a
+# timestep as the call grows from 32 to 288 rows (2-core x86-64 box, OpenBLAS, by
+# timeit against the call's length), so a call costs about 2-10 timesteps. The
+# staged roll runs only when the timesteps it saves outweigh the layer calls it
+# adds (see _roll_pays).
 _CALL_STEPS = 8
 
 # Layer kinds that work per timestep, so that the staged roll can carry them on
@@ -235,11 +241,14 @@ def _iterative_forecast(predictor, windows: WindowDataset, horizon: int,
         return out
     z = predictor.noise(count, seq_len, horizon)
     chunk = max(1, ROLL_BYTES // (horizon * piece * predictor.net.row_bytes(stop)))
+    # packed once for every layer call of every chunk, and dropped with this call
+    packs = predictor.net.pack(stop)
     for lo in range(0, count, chunk):
         part = slice(lo, lo + chunk)
         extend = partial(_append_row, rows[part], raw[part], scaler=scaler,
                          sma_window=sma_window)
-        out[part] = _staged_roll(predictor.net, stop, rows[part], z[:, part], extend, piece)
+        out[part] = _staged_roll(predictor.net, stop, rows[part], z[:, part], extend, piece,
+                                 packs)
     return out
 
 
@@ -273,12 +282,13 @@ def _roll_pays(seq_len: int, horizon: int, piece: int) -> bool:
 
 
 def _staged_roll(net: Network, stop: int, rows: np.ndarray, z: np.ndarray, extend,
-                 piece: int) -> np.ndarray:
+                 piece: int, packs: list) -> np.ndarray:
     """The (count, H) scaled closes of H future windows, rolled in one staged pass.
 
     `rows` is the (count, L+H-1, features) row buffer, its first L rows known and
     the rest zero until extend(at, closes) writes row `at` from the step before's
     closes. `z` holds each future window's extra input columns, (H, count, L, n).
+    `packs` holds net.pack(stop), which every trunk call takes.
     """
     horizon, count, seq_len, extra = z.shape
     width = rows.shape[2]
@@ -302,7 +312,7 @@ def _staged_roll(net: Network, stop: int, rows: np.ndarray, z: np.ndarray, exten
         x_p[..., width:] = z[:n, :, t0:t1]
         block = [tuple(s[:n * count] for s in layer) for layer in running]
         trunk, states = net.forward(Tensor(x_p.reshape(n * count, t1 - t0, -1)), stop=stop,
-                                    states=block)
+                                    states=block, packs=packs)
         ends = np.arange(max(0, seq_len - t1), n)  # last known row L-1-k in [t0, t1)
         if ends.size:
             for layer, got in zip(carried, states):
@@ -321,7 +331,8 @@ def _staged_roll(net: Network, stop: int, rows: np.ndarray, z: np.ndarray, exten
         x[..., :width] = rows[:, at]
         x[..., width:] = z[ks, :, at - ks]
         block = [tuple(c[open_windows].reshape(batch, -1) for c in layer) for layer in carried]
-        trunk, states = net.forward(Tensor(x.reshape(batch, 1, -1)), stop=stop, states=block)
+        trunk, states = net.forward(Tensor(x.reshape(batch, 1, -1)), stop=stop, states=block,
+                                    packs=packs)
         for layer, got in zip(carried, states):
             for c, s in zip(layer, got):
                 c[open_windows] = s.reshape(ks.size, count, -1)

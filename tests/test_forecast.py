@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from forecast_oracle import iterative_forecast
 from test_recurrent import SAME_BLAS
 import tsgan.models.network as network
+import tsgan.numcore.recurrent as recurrent
 import tsgan.training.synthesis as synthesis
 from tsgan.data import (FEATURE_COLUMNS, PriceSeries, apply_scaler, build_features,
                         fit_scaler, make_synthetic_series, make_windows)
@@ -151,6 +152,58 @@ def test_staged_roll_runs_each_layer_over_L_plus_H_minus_1_timesteps(kind, horiz
         want = [seq_len]
     assert steps[0::2] == steps[1::2] == want  # the forecaster's two layers in turn
     assert sum(want) == seq_len + horizon - 1
+
+
+def _net(kind, seed):
+    model = _model(kind, seed)
+    return model.net if kind == "gan" else model
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm", "gan"])
+def test_a_staged_forecast_packs_each_recurrent_layer_once(kind, monkeypatch):
+    """Every trunk call of the roll, over three chunks of windows, takes the packs made
+    once at the start of the forecast; no kernel packs its weights again."""
+    monkeypatch.setattr(synthesis, "_CALL_STEPS", 0)
+    net = _net(kind, 6)
+    stop = [layer["kind"] for layer in net.spec.layers].index("last_step")
+    monkeypatch.setattr(synthesis, "ROLL_BYTES", 7 * net.row_bytes(stop) * 4)
+    packs, calls = Counter(), []
+    for cell, pack in list(network._PACKS.items()):
+        def counted(*params, cell=cell, pack=pack):
+            packs[cell] += 1
+            return pack(*params)
+
+        monkeypatch.setitem(network._PACKS, cell, counted)
+        monkeypatch.setattr(recurrent, f"{cell}_pack", counted)
+    for cell, kernel in list(network._SEQUENCE_KERNELS.items()):
+        def given(x, *params, kernel=kernel, **kwargs):
+            calls.append("packed" in kwargs)
+            return kernel(x, *params, **kwargs)
+
+        monkeypatch.setitem(network._SEQUENCE_KERNELS, cell, given)
+    forecast(net, DS.take(np.arange(12), "test"), 7, mode="iterative", scaler=SCALER)
+    assert packs == Counter(layer["kind"] for layer in net.spec.layers
+                            if layer["kind"] in network._PACKS)
+    # per chunk, 6 first-pass pieces and 6 steps of 2 recurrent layers each
+    assert len(calls) == 3 * 12 * 2 and all(calls)
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm", "gan"])
+def test_a_forecast_reads_weights_written_in_place_since_the_last_one(kind, monkeypatch):
+    """No pack outlives its forecast: after an in-place update of the network's vector,
+    a forecast equals a fresh network's with the new weights."""
+    monkeypatch.setattr(synthesis, "_CALL_STEPS", 0)
+    net = _net(kind, 7)
+    windows = DS.take(np.arange(8), "test")
+
+    def run(model):
+        return forecast(model, windows, 7, mode="iterative", scaler=SCALER).scaled
+
+    before = run(net)
+    np.multiply(net.params.flat, 0.75, out=net.params.flat)
+    after = run(net)
+    assert after.tobytes() == run(Network(net.spec, net.params.flat.copy())).tobytes()
+    assert not np.array_equal(after, before)
 
 
 @pytest.mark.parametrize("seq_len, horizon, staged", [(30, 10, True), (80, 5, True),

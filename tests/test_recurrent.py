@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 from cell_oracle import unroll
 from test_kernel_digests import FIXTURE, blas_probe
 import tsgan.numcore.recurrent as recurrent
-from tsgan.errors import ShapeError
+from tsgan.errors import GraphError, ShapeError
 from tsgan.models import NetSpec, build_network
-from tsgan.numcore import (RngStream, Tape, Tensor, add, backward, gru_sequence,
-                           lstm_sequence, mean, mul, tsum)
+from tsgan.numcore import (RngStream, Tape, Tensor, add, backward, gru_pack, gru_sequence,
+                           lstm_pack, lstm_sequence, mean, mul, tsum)
 
 KERNELS = {"gru": gru_sequence, "lstm": lstm_sequence}
+PACKS = {"gru": gru_pack, "lstm": lstm_pack}
 GATES = {"gru": "zrh", "lstm": "fiog"}
 TOL = 1e-12
 
@@ -34,8 +35,13 @@ def _cell(kind, feat, units, seed):
     return cell
 
 
-def _fused(kind, cell, x, state=None):
-    return KERNELS[kind](x, *(cell[f"{p}{g}"] for g in GATES[kind] for p in "Wb"), state=state)
+def _weights(kind, cell):
+    """The cell's parameters in its kernel's argument order."""
+    return [cell[f"{p}{g}"] for g in GATES[kind] for p in "Wb"]
+
+
+def _fused(kind, cell, x, state=None, packed=None):
+    return KERNELS[kind](x, *_weights(kind, cell), state=state, packed=packed)
 
 
 def _grads(run, x, cell, weights):
@@ -206,6 +212,66 @@ def test_a_zero_state_gives_the_gradients_of_no_state(kind):
     _, without = _grads(lambda: _fused(kind, cell, x), x, cell, weights)
     for a, b in zip(with_state, without):
         assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+# batch 1 (the output copy is a view) and a time loop that runs once
+@example(kind="gru", batch=1, seq=7, feat=5, units=3, seed=1, carried=False)
+@example(kind="lstm", batch=1, seq=4, feat=9, units=2, seed=2, carried=True)
+@example(kind="gru", batch=6, seq=1, feat=4, units=5, seed=3, carried=True)
+@example(kind="lstm", batch=5, seq=1, feat=3, units=4, seed=4, carried=False)
+@given(kind=st.sampled_from(["gru", "lstm"]), batch=st.integers(1, 16),
+       seq=st.integers(1, 12), feat=st.integers(1, 24), units=st.integers(1, 8),
+       seed=st.integers(0, 2**16), carried=st.booleans())
+def test_a_call_given_packed_weights_equals_one_that_packs_them(kind, batch, seq, feat, units,
+                                                               seed, carried):
+    """The same ops in the same order either way, so bit for bit on any BLAS; two calls
+    share one pack, which no call writes."""
+    cell = _cell(kind, feat, units, seed)
+    draw = np.random.default_rng(seed)
+    x = Tensor(draw.normal(size=(batch, seq, feat)))
+    state = (tuple(draw.normal(size=(batch, units)) for _ in range(STATE_PARTS[kind]))
+             if carried else None)
+    packed = PACKS[kind](*_weights(kind, cell))
+    kept = [p.copy() for p in packed]
+    want = _fused(kind, cell, x, state=state)
+    for _ in range(2):
+        got = _fused(kind, cell, x, state=state, packed=packed)
+        if carried:
+            assert [s.tobytes() for s in got[1]] == [s.tobytes() for s in want[1]]
+            got = got[0]
+        assert got.data.tobytes() == (want[0] if carried else want).data.tobytes()
+    assert [p.tobytes() for p in packed] == [p.tobytes() for p in kept]
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+def test_packed_weights_of_the_wrong_shape_are_refused(kind):
+    cell = _cell(kind, 2, 3, 2)
+    x = Tensor(np.zeros((4, 5, 2)))
+    packed = PACKS[kind](*_weights(kind, cell))
+    wider = PACKS[kind](*_weights(kind, _cell(kind, 3, 3, 2)))  # another input width
+    narrower = PACKS[kind](*_weights(kind, _cell(kind, 2, 2, 2)))  # fewer units
+    for bad in [packed[:1], packed[::-1], (*packed, packed[0]), (narrower[0], packed[1]),
+                (packed[0], wider[1]), narrower]:
+        with pytest.raises(ShapeError, match="packed weights"):
+            _fused(kind, cell, x, packed=bad)
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+def test_packed_weights_are_refused_on_a_recording_tape(kind):
+    """A pack is a copy its weights' updates never reach, so a call that records
+    gradients for them must pack them itself. Off the tape, or with nothing to
+    record, a pack is taken."""
+    cell = _cell(kind, 2, 3, 5)
+    x = Tensor(np.ones((2, 4, 2)))
+    packed = PACKS[kind](*_weights(kind, cell))
+    with Tape() as tape:
+        with pytest.raises(GraphError, match="packed weights"):
+            _fused(kind, cell, x, packed=packed)
+        constants = {k: Tensor(v.data) for k, v in cell.items()}
+        _fused(kind, constants, x, packed=packed)
+    assert tape.nodes == []
+    _fused(kind, cell, x, packed=packed)
 
 
 class _CountingNumpy:
