@@ -157,8 +157,8 @@ def param_shapes(spec: NetSpec) -> list[tuple[str, tuple]]:
 def trunk_end(spec: NetSpec) -> int:
     """Index of the spec's first dropout layer, or the layer count if it has none.
 
-    The layers before it draw no randomness, so every train-mode forward on one
-    input gives the same trunk values; only the head from here on differs.
+    The layers before it draw no randomness, so every forward on one input
+    gives the same trunk values, whatever its rng; only the head from here on differs.
     """
     return next((i for i, layer in enumerate(spec.layers) if layer["kind"] == "dropout"),
                 len(spec.layers))
@@ -181,23 +181,20 @@ class Network:
     def name(self) -> str:
         return self.spec.name
 
-    def forward(self, x: Tensor, mode: str = "eval", rng: RngStream | None = None,
-                start: int = 0, stop: int | None = None, states: list | None = None,
-                packs: list | None = None):
+    def forward(self, x: Tensor, rng: RngStream | None = None, start: int = 0,
+                stop: int | None = None, carry: list | None = None):
         """Run layers [start, stop) of the network (all of them by default).
 
-        Dropout fires only in train mode (needs an rng). The input must have the
-        rank layer `start` takes, and the network's input width when `start` is 0.
-        Given `states`, one initial state per recurrent layer in [start, stop), in
-        order (a tuple of (batch, units) arrays each, see gru_sequence and
-        lstm_sequence), returns (output, their states at every step). Given `packs`,
-        one packed weight tuple per recurrent layer in [start, stop), in order (see
-        pack), the kernels use them instead of packing the weights again; only a
-        forward that records nothing on a tape may take them.
+        Dropout layers draw their masks from `rng` when it is given and pass values
+        through when it is not. The input must have the rank layer `start` takes, and
+        the network's input width when `start` is 0. Given `carry`, one (state, pack)
+        pair per recurrent layer in [start, stop), in order: the layer starts from the
+        state (a tuple of (batch, units) arrays, see gru_sequence and lstm_sequence)
+        and runs on the packed weights (see pack), and the call returns (output, those
+        layers' states at every step). Only a forward that records nothing on a tape
+        may take a carry.
         """
         spec = self.spec
-        if mode not in ("train", "eval"):
-            raise ConfigError(f"{spec.name}: mode must be 'train' or 'eval', got {mode!r}")
         stop = len(spec.layers) if stop is None else stop
         if not 0 <= start <= stop <= len(spec.layers):
             raise ConfigError(f"{spec.name}: layer range [{start}, {stop}) is outside "
@@ -207,27 +204,23 @@ class Network:
             raise ShapeError(f"{spec.name}: layer {start} expects a rank-{spec.ranks[start]} "
                              f"input{width}, got shape {x.shape}")
         layers = spec.layers[start:stop]
-        for given, what in ((states, "initial states"), (packs, "weight packs")):
-            if given is not None:
-                recurrent = sum(layer["kind"] in _SEQUENCE_KERNELS for layer in layers)
-                if len(given) != recurrent:
-                    raise ConfigError(f"{spec.name}: {len(given)} {what} for the "
-                                      f"{recurrent} recurrent layers in [{start}, {stop})")
-        if states is not None:
-            carried, states = iter(states), []
-        if packs is not None:
-            packs = iter(packs)
+        if carry is not None:
+            recurrent = sum(layer["kind"] in _SEQUENCE_KERNELS for layer in layers)
+            if len(carry) != recurrent:
+                raise ConfigError(f"{spec.name}: {len(carry)} carried states for the "
+                                  f"{recurrent} recurrent layers in [{start}, {stop})")
+            carry, states = iter(carry), []
         out = x
         for layer, params in zip(layers, self._layer_params[start:stop]):
             kind = layer["kind"]
             if kind in _SEQUENCE_KERNELS:
-                # only what was given is passed: a kernel wrapper may take no keywords
-                kw = {} if packs is None else {"packed": next(packs)}
-                if states is None:
-                    out = _SEQUENCE_KERNELS[kind](out, *params, **kw)
+                # no keywords without a carry: a kernel wrapper may take none
+                if carry is None:
+                    out = _SEQUENCE_KERNELS[kind](out, *params)
                 else:
-                    out, state = _SEQUENCE_KERNELS[kind](out, *params, state=next(carried),
-                                                         **kw)
+                    state, packed = next(carry)
+                    out, state = _SEQUENCE_KERNELS[kind](out, *params, state=state,
+                                                         packed=packed)
                     states.append(state)
             elif kind == "last_step":
                 out = slice_tensor(out, (slice(None), out.shape[1] - 1, slice(None)))
@@ -238,33 +231,34 @@ class Network:
             elif kind == "flatten":
                 out = reshape(out, (out.shape[0], out.shape[1] * out.shape[2]))
             elif kind == "dropout":
-                out = dropout(out, layer["rate"], mode=mode, rng=rng)
-        return out if states is None else (out, states)
+                out = dropout(out, layer["rate"], rng)
+        return out if carry is None else (out, states)
 
-    def row_bytes(self, stop: int) -> int:
+    def row_bytes(self) -> int:
         """Bytes one input row (one sequence at one timestep) holds in the largest layer
-        call before `stop`: its input, and a recurrent layer's input and output, [1|x],
-        its two gate buffers and its states."""
+        call: its input, and a recurrent layer's input and output, [1|x], its two gate
+        buffers and its states. No layer turns a rank-2 value back into a sequence, so
+        every recurrent layer comes before last_step, as for pack and zero_states."""
         width = most = self.spec.input_dim
-        for layer in self.spec.layers[:stop]:
+        for layer in self.spec.layers:
             if layer["kind"] in _GATES:
                 gates = len(_GATES[layer["kind"]])
                 most = max(most, 2 * width + 1 + (2 * gates + 4) * layer["units"])
             width = layer.get("units", width)
         return 8 * (self.spec.input_dim + most)
 
-    def zero_states(self, batch: int, stop: int) -> list:
-        """Zero initial states of the recurrent layers before `stop`, as forward takes them."""
+    def zero_states(self, batch: int) -> list:
+        """Zero initial states of the recurrent layers, in order, as a carry holds them."""
         return [tuple(np.zeros((batch, layer["units"]))
                       for _ in range(_STATE_PARTS[layer["kind"]]))
-                for layer in self.spec.layers[:stop] if layer["kind"] in _STATE_PARTS]
+                for layer in self.spec.layers if layer["kind"] in _STATE_PARTS]
 
-    def pack(self, stop: int) -> list:
-        """The packed weights of the recurrent layers before `stop` (see gru_pack and
-        lstm_pack), as forward takes them. A pack is a copy: it holds until the weights
+    def pack(self) -> list:
+        """The packed weights of the recurrent layers, in order (see gru_pack and
+        lstm_pack), as a carry holds them. A pack is a copy: it holds until the weights
         are next written, so a caller packs once per use and keeps no pack past it."""
         return [_PACKS[layer["kind"]](*params)
-                for layer, params in zip(self.spec.layers[:stop], self._layer_params)
+                for layer, params in zip(self.spec.layers, self._layer_params)
                 if layer["kind"] in _PACKS]
 
     def clone(self) -> "Network":
@@ -273,7 +267,7 @@ class Network:
 
 
 def forward_stacked(net: Network, first, second) -> tuple[Tensor, Tensor]:
-    """net's eval-mode outputs on two batches from one forward over them stacked on axis 0.
+    """net's dropout-free outputs on two batches from one forward over them stacked on axis 0.
 
     Rows do not interact in a forward, so each half is that batch's own output
     up to rounding; the backward pass sums a parameter's gradient over both

@@ -379,40 +379,26 @@ def log(x) -> Tensor:
     return _record("log", out, (x,), bw)
 
 
-def mean(x, axis: int | None = None) -> Tensor:
+def mean(x) -> Tensor:
     x = as_tensor(x)
     if x.size == 0:
         raise ShapeError("mean: empty tensor")
-    x_shape = x.shape
-    if axis is None:
-        out = Tensor(x.data.mean())
-        n = x.size
+    x_shape, n = x.shape, x.size
+    out = Tensor(x.data.mean())
 
-        def bw(g):
-            return (np.full(x_shape, np.asarray(g).sum() / n),)
-    else:
-        out = Tensor(x.data.mean(axis=axis))
-        n = x_shape[axis]
-
-        def bw(g):
-            return (np.broadcast_to(np.expand_dims(g, axis), x_shape) / n,)
+    def bw(g):
+        return (np.full(x_shape, np.asarray(g).sum() / n),)
 
     return _record("mean", out, (x,), bw)
 
 
-def tsum(x, axis: int | None = None) -> Tensor:
+def tsum(x) -> Tensor:
     x = as_tensor(x)
     x_shape = x.shape
-    if axis is None:
-        out = Tensor(x.data.sum())
+    out = Tensor(x.data.sum())
 
-        def bw(g):
-            return (np.full(x_shape, np.asarray(g).sum()),)
-    else:
-        out = Tensor(x.data.sum(axis=axis))
-
-        def bw(g):
-            return (np.broadcast_to(np.expand_dims(g, axis), x_shape).copy(),)
+    def bw(g):
+        return (np.full(x_shape, np.asarray(g).sum()),)
 
     return _record("sum", out, (x,), bw)
 
@@ -514,17 +500,13 @@ def conv1d(x, w, stride: int = 1) -> Tensor:
     return _record("conv1d", out, (x, w), bw)
 
 
-def dropout(x, rate: float, mode: str = "train", rng=None) -> Tensor:
-    """Inverted dropout; in eval mode the op is the identity."""
+def dropout(x, rate: float, rng=None) -> Tensor:
+    """Inverted dropout with a mask drawn from `rng`; without an rng the op is the identity."""
     x = as_tensor(x)
     if not 0.0 <= rate < 1.0:
         raise DomainError(f"dropout: rate must be in [0, 1), got {rate}")
-    if mode == "eval" or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
-    if mode != "train":
-        raise DomainError(f"dropout: mode must be 'train' or 'eval', got {mode!r}")
-    if rng is None:
-        raise DomainError("dropout: train mode requires an RngStream for the mask")
     keep = rng.uniform(0.0, 1.0, x.shape) >= rate
     scale = keep / (1.0 - rate)
     out = Tensor(x.data * scale)

@@ -33,7 +33,7 @@ def train_forecaster(net: Network, windows, cfg: TrainConfig, hook=None) -> Loss
         y = Tensor(windows.targets[idx])
 
         def loss_fn():
-            pred = net.forward(x, mode="train", rng=rng.child("drop", epoch, bi))
+            pred = net.forward(x, rng=rng.child("drop", epoch, bi))
             return mse(pred, y)
 
         return train_step(opt, net.params, loss_fn, "forecaster step", epoch, bi), None, None

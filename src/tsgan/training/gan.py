@@ -95,11 +95,10 @@ def train_gan(gen: Network, disc: Network, windows, cfg: TrainConfig,
         # tape; the discriminator step sees its values only
         g_tape = Tape()
         with g_tape:
-            trunk = gen.forward(gen_in, mode="train", stop=cut)
+            trunk = gen.forward(gen_in, stop=cut)
 
         # discriminator ascent on V, generator frozen (fake off every tape)
-        fake = gen.forward(trunk.detach(), mode="train",
-                           rng=rng.child("gdrop", epoch, bi), start=cut)
+        fake = gen.forward(trunk.detach(), rng=rng.child("gdrop", epoch, bi), start=cut)
 
         def value_fn():
             return gan_value(*disc_real_fake(disc, hist, real, fake.data))
@@ -110,8 +109,7 @@ def train_gan(gen: Network, disc: Network, windows, cfg: TrainConfig,
 
         # generator step against the updated discriminator, finishing g_tape
         def g_loss_fn():
-            fake2 = gen.forward(trunk, mode="train",
-                                rng=rng.child("gdrop2", epoch, bi), start=cut)
+            fake2 = gen.forward(trunk, rng=rng.child("gdrop2", epoch, bi), start=cut)
             if cfg.loss_mode == "zero_sum":
                 d_real2, d_fake2 = disc_real_fake(disc, hist, real, fake2)
                 return generator_cost(d_fake2, "zero_sum", d_real=d_real2)

@@ -58,7 +58,9 @@ ROLL_BYTES = 64 * 2**20
 # timestep as the call grows from 32 to 288 rows (2-core x86-64 box, OpenBLAS, by
 # timeit against the call's length), so a call costs about 2-10 timesteps. The
 # staged roll runs only when the timesteps it saves outweigh the layer calls it
-# adds (see _roll_pays).
+# adds (see _roll_pays). Both paths stay: forced on every forecast, the roll cut
+# perfbench's wgan-critic forecast (6-row windows, 3 steps) from a median 231k to
+# 196k windows/s, -15%, slower in 6 of 6 alternating runs of 6 s (same box).
 _CALL_STEPS = 8
 
 # Layer kinds that work per timestep, so that the staged roll can carry them on
@@ -240,9 +242,9 @@ def _iterative_forecast(predictor, windows: WindowDataset, horizon: int,
             out[:, step] = predictor.predict(rows[:, step:step + seq_len], 1)[:, 0]
         return out
     z = predictor.noise(count, seq_len, horizon)
-    chunk = max(1, ROLL_BYTES // (horizon * piece * predictor.net.row_bytes(stop)))
+    chunk = max(1, ROLL_BYTES // (horizon * piece * predictor.net.row_bytes()))
     # packed once for every layer call of every chunk, and dropped with this call
-    packs = predictor.net.pack(stop)
+    packs = predictor.net.pack()
     for lo in range(0, count, chunk):
         part = slice(lo, lo + chunk)
         extend = partial(_append_row, rows[part], raw[part], scaler=scaler,
@@ -288,7 +290,7 @@ def _staged_roll(net: Network, stop: int, rows: np.ndarray, z: np.ndarray, exten
     `rows` is the (count, L+H-1, features) row buffer, its first L rows known and
     the rest zero until extend(at, closes) writes row `at` from the step before's
     closes. `z` holds each future window's extra input columns, (H, count, L, n).
-    `packs` holds net.pack(stop), which every trunk call takes.
+    `packs` holds net.pack(), which every trunk call carries with its states.
     """
     horizon, count, seq_len, extra = z.shape
     width = rows.shape[2]
@@ -301,7 +303,7 @@ def _staged_roll(net: Network, stop: int, rows: np.ndarray, z: np.ndarray, exten
     # Window k knows its rows 0..L-1-k, so a piece runs the windows with a known row
     # in it, a prefix of the window-major stack; the outputs of rows not yet known
     # (zero) are never read, and each window keeps its state after its last known row.
-    running = net.zero_states(horizon * count, stop)
+    running = net.zero_states(horizon * count)
     carried = [[np.zeros((horizon, count, s.shape[1])) for s in layer] for layer in running]
     x = np.empty((horizon, count, piece, width + extra))
     for t0 in range(0, seq_len, piece):
@@ -310,9 +312,10 @@ def _staged_roll(net: Network, stop: int, rows: np.ndarray, z: np.ndarray, exten
         x_p = x[:n, :, :t1 - t0]
         x_p[..., :width] = windows[:n, :, t0:t1]
         x_p[..., width:] = z[:n, :, t0:t1]
-        block = [tuple(s[:n * count] for s in layer) for layer in running]
+        carry = [(tuple(s[:n * count] for s in layer), pack)
+                 for layer, pack in zip(running, packs)]
         trunk, states = net.forward(Tensor(x_p.reshape(n * count, t1 - t0, -1)), stop=stop,
-                                    states=block, packs=packs)
+                                    carry=carry)
         ends = np.arange(max(0, seq_len - t1), n)  # last known row L-1-k in [t0, t1)
         if ends.size:
             for layer, got in zip(carried, states):
@@ -330,9 +333,9 @@ def _staged_roll(net: Network, stop: int, rows: np.ndarray, z: np.ndarray, exten
         x = np.empty((ks.size, count, width + extra))
         x[..., :width] = rows[:, at]
         x[..., width:] = z[ks, :, at - ks]
-        block = [tuple(c[open_windows].reshape(batch, -1) for c in layer) for layer in carried]
-        trunk, states = net.forward(Tensor(x.reshape(batch, 1, -1)), stop=stop, states=block,
-                                    packs=packs)
+        carry = [(tuple(c[open_windows].reshape(batch, -1) for c in layer), pack)
+                 for layer, pack in zip(carried, packs)]
+        trunk, states = net.forward(Tensor(x.reshape(batch, 1, -1)), stop=stop, carry=carry)
         for layer, got in zip(carried, states):
             for c, s in zip(layer, got):
                 c[open_windows] = s.reshape(ks.size, count, -1)

@@ -60,8 +60,7 @@ def train_wgan(gen: Network, critic: Network, windows, cfg: TrainConfig,
         feats, hist, real = windows.inputs[idx], history[idx], windows.targets[idx]
         z = rng.child("z", epoch, group, t).normal((idx.size, windows.seq_len, latent))
         gen_in = Tensor(np.concatenate([feats, z], axis=2))
-        fake = gen.forward(gen_in, mode="train",
-                           rng=rng.child("gdrop", epoch, group, t)).detach()
+        fake = gen.forward(gen_in, rng=rng.child("gdrop", epoch, group, t)).detach()
 
         def estimate_fn():
             return critic_estimate(*disc_real_fake(critic, hist, real, fake.data))
@@ -83,7 +82,7 @@ def train_wgan(gen: Network, critic: Network, windows, cfg: TrainConfig,
         gen_in = Tensor(np.concatenate([feats, z], axis=2))
 
         def g_loss_fn():
-            fake = gen.forward(gen_in, mode="train", rng=rng.child("gdropg", epoch, group))
+            fake = gen.forward(gen_in, rng=rng.child("gdropg", epoch, group))
             return -mean(critic.forward(disc_sequence(hist, fake)))
 
         g_loss = train_step(opt_g, gen.params, g_loss_fn, "generator step", epoch, group)

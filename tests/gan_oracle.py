@@ -65,8 +65,7 @@ def train_gan(gen, disc, windows, cfg, hook=None) -> LossTrace:
         z = rng.child("z", epoch, bi).normal((idx.size, windows.seq_len, latent))
         gen_in = Tensor(np.concatenate([feats, z], axis=2))
 
-        fake = gen.forward(gen_in, mode="train",
-                           rng=rng.child("gdrop", epoch, bi)).detach()
+        fake = gen.forward(gen_in, rng=rng.child("gdrop", epoch, bi)).detach()
 
         def value_fn():
             return gan_value(*disc_real_fake(disc, hist, real, fake.data))
@@ -76,8 +75,7 @@ def train_gan(gen, disc, windows, cfg, hook=None) -> LossTrace:
             hook({"event": "disc_step", "epoch": epoch, "batch": bi, "value": v})
 
         def g_loss_fn():
-            fake2 = gen.forward(gen_in, mode="train",
-                                rng=rng.child("gdrop2", epoch, bi))
+            fake2 = gen.forward(gen_in, rng=rng.child("gdrop2", epoch, bi))
             if cfg.loss_mode == "zero_sum":
                 d_real2, d_fake2 = disc_real_fake(disc, hist, real, fake2)
                 return generator_cost(d_fake2, "zero_sum", d_real=d_real2)

@@ -285,7 +285,7 @@ def test_criterion_05_wgan_schedule_and_update_signs():
 
     z = rng.child("z", 0, 0, 0).normal((idx.size, ds.seq_len, latent))
     fake = gen_b.forward(Tensor(np.concatenate([feats, z], axis=2)),
-                         mode="train", rng=rng.child("gdrop", 0, 0, 0)).detach()
+                         rng=rng.child("gdrop", 0, 0, 0)).detach()
     opt_c = OptimizerState("rmsprop", cfg1.lr_d, direction="ascend")
     with Tape() as tape:
         # one critic forward over the real and fake batches stacked, as the loop
@@ -301,7 +301,7 @@ def test_criterion_05_wgan_schedule_and_update_signs():
     opt_g = OptimizerState("rmsprop", cfg1.lr_g, direction="descend")
     with Tape() as tape:
         fake = gen_b.forward(Tensor(np.concatenate([feats, z], axis=2)),
-                             mode="train", rng=rng.child("gdropg", 0, 0))
+                             rng=rng.child("gdropg", 0, 0))
         g_loss = -mean(critic_b.forward(disc_sequence(hist, fake)))
     gmap = backward(tape, g_loss)
     optimizer_step(opt_g, gen_b.params, leaf_grads(tape, gen_b.params, gmap))

@@ -113,8 +113,7 @@ def test_a_chunked_staged_roll_gives_the_single_pass(kind, chunk, monkeypatch):
     single = forecast(_model(kind, 3), windows, 7, mode="iterative", scaler=SCALER).scaled
     model = _model(kind, 3)
     net = model.net if kind == "gan" else model
-    stop = [layer["kind"] for layer in net.spec.layers].index("last_step")
-    monkeypatch.setattr(synthesis, "ROLL_BYTES", 7 * net.row_bytes(stop) * chunk)
+    monkeypatch.setattr(synthesis, "ROLL_BYTES", 7 * net.row_bytes() * chunk)
     calls = Counter()
     roll = synthesis._staged_roll
 
@@ -165,8 +164,7 @@ def test_a_staged_forecast_packs_each_recurrent_layer_once(kind, monkeypatch):
     once at the start of the forecast; no kernel packs its weights again."""
     monkeypatch.setattr(synthesis, "_CALL_STEPS", 0)
     net = _net(kind, 6)
-    stop = [layer["kind"] for layer in net.spec.layers].index("last_step")
-    monkeypatch.setattr(synthesis, "ROLL_BYTES", 7 * net.row_bytes(stop) * 4)
+    monkeypatch.setattr(synthesis, "ROLL_BYTES", 7 * net.row_bytes() * 4)
     packs, calls = Counter(), []
     for cell, pack in list(network._PACKS.items()):
         def counted(*params, cell=cell, pack=pack):

@@ -13,7 +13,7 @@ from tsgan.models import (NetSpec, Network, build_critic, build_discriminator,
                           save_checkpoint, scale_width, trunk_end)
 from tsgan.models.builders import (DISC_CONV_FILTERS, DISC_DENSE_UNITS,
                                    GENERATOR_DENSE_UNITS, GENERATOR_GRU_UNITS)
-from tsgan.numcore import RngStream, Tensor, mean
+from tsgan.numcore import RngStream, Tensor, dropout, mean
 
 
 def _cell(kind, input_dim, units, rng):
@@ -153,6 +153,37 @@ def test_forward_runs_a_layer_range():
     for start, stop in [(-1, None), (3, 2), (0, 9)]:
         with pytest.raises(ConfigError, match="layer range"):
             gen.forward(x, start=start, stop=stop)
+
+
+def test_dropout_follows_the_rng():
+    """Given an rng, a forward masks its dropout layer as dropout() does with that rng;
+    without one, the layer passes its input through."""
+    gen = build_generator(2, 6, 3, RngStream(0, ("g",)), feature_dim=4, width_mult=1 / 32)
+    x = Tensor(np.random.default_rng(2).normal(size=(5, 6, 6)))
+    cut = trunk_end(gen.spec)
+    h = gen.forward(x, stop=cut)
+    masked = dropout(h, gen.spec.layers[cut]["rate"], RngStream(3, ("drop",)))
+    assert not np.array_equal(masked.data, h.data)
+    np.testing.assert_array_equal(gen.forward(x, rng=RngStream(3, ("drop",))).data,
+                                  gen.forward(masked, start=cut + 1).data)
+    np.testing.assert_array_equal(gen.forward(x).data, gen.forward(h, start=cut + 1).data)
+
+
+def test_a_carried_call_on_a_network_without_last_step_equals_a_plain_one():
+    """A TimeGAN supervisor (three GRU layers, then a per-step dense head) run from zero
+    states on its packed weights gives its plain forward bit for bit, and returns each
+    GRU layer's states at every step."""
+    net = build_timegan(feature_dim=5, hidden_dim=3, rng=RngStream(4, ("tg",)))["supervisor"]
+    x = Tensor(np.random.default_rng(3).uniform(size=(4, 7, 3)))
+    carry = list(zip(net.zero_states(4), net.pack()))
+    out, states = net.forward(x, carry=carry)
+    assert out.data.tobytes() == net.forward(x).data.tobytes()
+    assert len(states) == 3
+    for i, state in enumerate(states):
+        assert len(state) == 1
+        assert state[0].tobytes() == net.forward(x, stop=i + 1).data.tobytes()
+    with pytest.raises(ConfigError, match="2 carried states for the 3 recurrent layers"):
+        net.forward(x, carry=carry[:2])
 
 
 def test_trunk_end_is_the_first_dropout_layer():

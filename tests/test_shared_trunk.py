@@ -30,7 +30,7 @@ def test_three_gru_gen_output_depends_on_its_dropout_mask():
     ds, _ = small_windows()
     x = Tensor(np.concatenate([ds.inputs, np.zeros((ds.count, 6, 2))], axis=2))
     gen = three_gru_gen()
-    a, b = (gen.forward(x, mode="train", rng=RngStream(0, (k,))).data for k in "ab")
+    a, b = (gen.forward(x, rng=RngStream(0, (k,))).data for k in "ab")
     assert not np.array_equal(a, b)
 
 

@@ -85,11 +85,10 @@ def test_non_broadcastable_shapes_rejected():
         Tensor(np.ones((3, 2))) + Tensor(np.ones((4, 2)))
 
 
-def test_mean_and_sum_with_axis():
+def test_mean_and_sum_reduce_every_entry():
     x = np.arange(12.0).reshape(3, 4)
     assert mean(Tensor(x)).item() == pytest.approx(x.mean())
-    np.testing.assert_allclose(mean(Tensor(x), axis=0).data, x.mean(axis=0))
-    np.testing.assert_allclose(tsum(Tensor(x), axis=1).data, x.sum(axis=1))
+    assert tsum(Tensor(x)).item() == pytest.approx(x.sum())
 
 
 def test_zero_d_values_keep_shape_zero_d():
@@ -248,29 +247,28 @@ def test_conv1d_shape_errors():
 
 def test_dropout_eval_mode_is_identity():
     x = Tensor(np.arange(8.0), requires_grad=True)
-    out = dropout(x, 0.4, mode="eval")
+    out = dropout(x, 0.4)
     assert out is x
 
 
 def test_dropout_train_mode_masks_and_rescales():
     x = Tensor(np.ones((200, 50)))
-    out = dropout(x, 0.4, mode="train", rng=RngStream(7, ("mask",))).data
+    out = dropout(x, 0.4, RngStream(7, ("mask",))).data
     kept = out != 0.0
     np.testing.assert_allclose(out[kept], 1.0 / 0.6)
     assert 0.55 < kept.mean() < 0.65
 
 
-def test_dropout_requires_rng_in_train_mode():
-    with pytest.raises(DomainError):
-        dropout(Tensor(np.ones(3)), 0.5, mode="train")
-    with pytest.raises(DomainError):
-        dropout(Tensor(np.ones(3)), 1.0, mode="train", rng=RngStream(0, ("m",)))
+def test_dropout_rate_must_be_below_one():
+    for rng in (None, RngStream(0, ("m",))):
+        with pytest.raises(DomainError):
+            dropout(Tensor(np.ones(3)), 1.0, rng)
 
 
 def test_dropout_gradient_uses_the_same_mask():
     x = Tensor(np.ones(400), requires_grad=True)
     with Tape() as rec:
-        out = dropout(x, 0.25, mode="train", rng=RngStream(3, ("mask",)))
+        out = dropout(x, 0.25, RngStream(3, ("mask",)))
         loss = tsum(out)
     g = backward(rec, loss)[x.tape_id]
     np.testing.assert_allclose(g, out.data)
@@ -448,9 +446,10 @@ def test_a_closure_that_takes_its_gradient_holds_the_only_reference():
 
 
 # --- random op graphs against central differences ---------------------------
-# Every node is 2-D and at most MAX_DIM on a side. mean, concat, slice and
-# reshape act on one axis or view; gru/lstm read an (r, c) node as r sequences
-# of c one-feature steps and flatten their (r, c, units) output back to 2-D.
+# Every node is 2-D and at most MAX_DIM on a side. mean reduces to a (1, 1) node;
+# concat, slice and reshape act on one axis or view; gru/lstm read an (r, c) node
+# as r sequences of c one-feature steps and flatten their (r, c, units) output
+# back to 2-D.
 GRAPH_OPS = ("add", "sub", "mul", "matmul", "sigmoid", "tanh", "mean", "concat",
              "slice", "reshape", "gru", "lstm")
 MAX_DIM = 6
@@ -466,7 +465,7 @@ def _recurrent(kind, x, *cell):
 _APPLY = {
     "add": add, "sub": sub, "mul": mul, "matmul": matmul,
     "sigmoid": sigmoid, "tanh": tanh,
-    "mean": lambda x, axis: reshape(mean(x, axis=axis), (1, -1) if axis == 0 else (-1, 1)),
+    "mean": lambda x: reshape(mean(x), (1, 1)),
     "concat": lambda x, other, axis: concat([x, other], axis=axis),
     "slice": slice_tensor,
     "reshape": reshape,
@@ -510,8 +509,7 @@ def _draw_graph(draw, rng):
         elif op in ("sigmoid", "tanh"):
             refs, shape = [x], (r, c)
         elif op == "mean":
-            axis = draw(st.integers(0, 1))
-            refs, args, shape = [x], (axis,), ((1, c) if axis == 0 else (r, 1))
+            refs, shape = [x], (1, 1)
         elif op == "concat" and max(r, c) < MAX_DIM:
             axis = draw(st.sampled_from([a for a in (0, 1) if (r, c)[a] < MAX_DIM]))
             n = draw(st.integers(1, min(MAX_DIM - (r, c)[axis], 3)))
