@@ -23,12 +23,12 @@ from ..numcore import (
     Tensor,
     concat,
     conv1d,
+    dense,
     dropout,
     gru_pack,
     gru_sequence,
     lstm_pack,
     lstm_sequence,
-    matmul,
     relu,
     reshape,
     sigmoid,
@@ -224,9 +224,10 @@ class Network:
                     states.append(state)
             elif kind == "last_step":
                 out = slice_tensor(out, (slice(None), out.shape[1] - 1, slice(None)))
-            elif kind in ("dense", "conv1d"):
-                out = (matmul(out, params[0]) if kind == "dense"
-                       else conv1d(out, params[0], stride=layer["stride"]))
+            elif kind == "dense":
+                out = dense(out, *params, layer.get("activation") or "linear")
+            elif kind == "conv1d":
+                out = conv1d(out, params[0], stride=layer["stride"])
                 out = _ACTIVATIONS[layer.get("activation") or "linear"](out + params[1])
             elif kind == "flatten":
                 out = reshape(out, (out.shape[0], out.shape[1] * out.shape[2]))

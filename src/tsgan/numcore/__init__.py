@@ -20,21 +20,15 @@ from .tensor import (
     add,
     as_tensor,
     backward,
-    clamp,
     concat,
     conv1d,
+    dense,
     dropout,
     leaf_grads,
-    log,
-    matmul,
-    mean,
     mul,
-    neg,
     relu,
     reshape,
     sigmoid,
     slice_tensor,
-    sub,
     tanh,
-    tsum,
 )

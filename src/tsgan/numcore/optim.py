@@ -7,11 +7,12 @@ parameters' order, and that vector is the only gradient layout an update takes:
 its length is checked once, then it is read as it is with one finite check and
 never written. An update runs two blockwise passes of BLOCK elements over it.
 The first computes each block's new moments and values into BLOCK-sized
-scratch and checks them for non-finite values, writing nothing, so an update
-that aborts changes nothing. The second writes them in place: the blocks whose
-results the scratch still holds (all of them when the parameters fit in one
-block, else the last) are copied, and every other block repeats the same
-arithmetic straight into the moments and the parameter vector. A backward
+scratch and checks both for non-finite values (a finite gradient whose square
+overflows leaves an infinite moment but a finite value), writing nothing, so
+an update that aborts changes nothing. The second writes them in place: the
+blocks whose results the scratch still holds (all of them when the parameters
+fit in one block, else the last) are copied, and every other block repeats the
+same arithmetic straight into the moments and the parameter vector. A backward
 closure reads the parameter arrays live at op time, so a parameter whose tape
 backward has not consumed yet is a GraphError before anything is written, for
 an update and for a clip alike. The check sees only the tape each parameter
@@ -141,6 +142,9 @@ def optimizer_step(state: OptimizerState, params: ParamVector | ParamGroup,
         gb, part = g[lo : lo + p.size], {k: buf[at] for k, buf in scratch.items()}
         _advance(state.algo, {k: m[lo : lo + p.size] for k, m in moments.items()}, gb, part,
                  part["tmp"])
+        for k in moments:  # a finite g whose square overflows leaves an infinite moment
+            require_finite(params, part[k], f"non-finite moment {k!r} for parameter {{!r}} "
+                           "after update", lo)
         _step(state, t, gb, part, part["step"], part["tmp"])
         require_finite(params, np.subtract(p, part["step"], out=part["step"]),
                        "non-finite value for parameter {!r} after update", lo)

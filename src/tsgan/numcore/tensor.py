@@ -57,22 +57,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, index):
         return slice_tensor(self, index)
@@ -137,18 +125,6 @@ class Tape:
         _ACTIVE.pop()
         return False
 
-    def _assign(self, t: Tensor) -> int:
-        tid = self._next_id
-        self._next_id += 1
-        t.tape_id = tid
-        t._tape = self
-        return tid
-
-    def _input_id(self, t: Tensor) -> int:
-        if t._tape is not self:
-            self._leaves[self._assign(t)] = t
-        return t.tape_id
-
 
 def active_tape() -> Tape | None:
     return _ACTIVE[-1] if _ACTIVE else None
@@ -160,16 +136,33 @@ def as_tensor(x) -> Tensor:
 
 def _record(op: str, out: Tensor, inputs: tuple, backward_fn) -> Tensor:
     """Record an op on the active tape if an input requires a gradient. Only such inputs
-    join it (as leaves if new); others get None in in_ids and keep tape_id and _tape."""
-    tape = active_tape()
-    if tape is None or not any(t.requires_grad for t in inputs):
+    join it (as leaves if new, ids in input order before the output's); others get None
+    in in_ids and keep tape_id and _tape. Every op calls it, so it returns before any
+    other work when no tape is active or no input needs a gradient."""
+    if not _ACTIVE:
         return out
+    for t in inputs:
+        if t.requires_grad:
+            break
+    else:
+        return out
+    tape = _ACTIVE[-1]
     if tape.consumed:
         raise GraphError("computation record already consumed; build a fresh Tape per step")
-    in_ids = tuple(tape._input_id(t) if t.requires_grad else None for t in inputs)
-    out_id = tape._assign(out)
-    out.requires_grad = True
-    tape.nodes.append((op, out_id, in_ids, backward_fn, out.shape))
+    in_ids = []
+    tid = tape._next_id
+    for t in inputs:
+        if not t.requires_grad:
+            in_ids.append(None)
+            continue
+        if t._tape is not tape:
+            t.tape_id, t._tape = tid, tape
+            tape._leaves[tid] = t
+            tid += 1
+        in_ids.append(t.tape_id)
+    out.tape_id, out._tape, out.requires_grad = tid, tape, True
+    tape._next_id = tid + 1
+    tape.nodes.append((op, tid, tuple(in_ids), backward_fn, out.shape))
     return out
 
 
@@ -237,6 +230,8 @@ def leaf_grads(record: Tape, params: dict, gmap: dict) -> np.ndarray:
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient down to `shape` after numpy broadcasting."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -264,20 +259,6 @@ def add(a, b) -> Tensor:
     return _record("add", out, (a, b), bw)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out = Tensor(a.data - b.data)
-    except ValueError:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} are not broadcastable") from None
-    a_shape, b_shape = a.shape, b.shape
-
-    def bw(g):
-        return _unbroadcast(g, a_shape), -_unbroadcast(g, b_shape)
-
-    return _record("sub", out, (a, b), bw)
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     try:
@@ -292,36 +273,6 @@ def mul(a, b) -> Tensor:
     return _record("mul", out, (a, b), bw)
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(-a.data)
-
-    def bw(g):
-        return (-g,)
-
-    return _record("neg", out, (a,), bw)
-
-
-def matmul(a, b) -> Tensor:
-    """2-D @ 2-D, or batched 3-D @ 2-D (shared right operand)."""
-    a, b = as_tensor(a), as_tensor(b)
-    if b.ndim != 2 or a.ndim not in (2, 3):
-        raise ShapeError(f"matmul: unsupported ranks for shapes {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ for shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data @ b.data)
-    a_data, b_data = a.data, b.data
-
-    if a.ndim == 2:
-        def bw(g):
-            return g @ b_data.T, a_data.T @ g
-    else:
-        def bw(g):
-            return g @ b_data.T, np.tensordot(a_data, g, axes=([0, 1], [0, 1]))
-
-    return _record("matmul", out, (a, b), bw)
-
-
 def _sigmoid(d: np.ndarray) -> np.ndarray:
     """Logistic function as 0.5*(1 + tanh(x/2)): no overflow at any input, one allocation."""
     t = 0.5 * d
@@ -331,76 +282,82 @@ def _sigmoid(d: np.ndarray) -> np.ndarray:
     return t
 
 
-def sigmoid(x) -> Tensor:
+def _sigmoid_rule(d):
+    y = _sigmoid(d)
+    return y, y
+
+
+def _tanh_rule(d):
+    y = np.tanh(d)
+    return y, y
+
+
+def _relu_rule(d):
+    mask = d > 0
+    return np.where(mask, d, 0.0), mask
+
+
+# Each activation: forward(input) -> (output, what its gradient keeps), and
+# gradient(output gradient, kept) -> input gradient. The activation primitives and
+# dense share them, so a dense layer rounds as its matmul, add and activation would.
+ACTIVATION_RULES = {
+    "sigmoid": (_sigmoid_rule, lambda g, y: g * y * (1.0 - y)),
+    "tanh": (_tanh_rule, lambda g, y: g * (1.0 - y * y)),
+    "relu": (_relu_rule, lambda g, mask: g * mask),
+    "linear": (lambda d: (d, None), lambda g, _: g),
+}
+
+
+def _activate(kind: str, x) -> Tensor:
     x = as_tensor(x)
-    y = _sigmoid(x.data)
-    out = Tensor(y)
+    forward, gradient = ACTIVATION_RULES[kind]
+    y, kept = forward(x.data)
 
     def bw(g):
-        return (g * y * (1.0 - y),)
+        return (gradient(g, kept),)
 
-    return _record("sigmoid", out, (x,), bw)
+    return _record(kind, Tensor(y), (x,), bw)
+
+
+def sigmoid(x) -> Tensor:
+    return _activate("sigmoid", x)
 
 
 def tanh(x) -> Tensor:
-    x = as_tensor(x)
-    y = np.tanh(x.data)
-    out = Tensor(y)
-
-    def bw(g):
-        return (g * (1.0 - y * y),)
-
-    return _record("tanh", out, (x,), bw)
+    return _activate("tanh", x)
 
 
 def relu(x) -> Tensor:
-    x = as_tensor(x)
-    mask = x.data > 0
-    out = Tensor(np.where(mask, x.data, 0.0))
+    return _activate("relu", x)
+
+
+def dense(x, w, b, activation: str) -> Tensor:
+    """activation(x @ w + b) as one node, x of shape (batch, in) or (batch, seq, in), w
+    (in, out), b (out,), activation a key of ACTIVATION_RULES. Values and gradients equal
+    those of a matmul, an add and the activation recorded in turn, bit for bit; x's
+    gradient is not computed when x needs none."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if w.ndim != 2 or x.ndim not in (2, 3) or b.shape != w.shape[1:]:
+        raise ShapeError(f"dense: unsupported shapes {x.shape}, {w.shape} and {b.shape}")
+    if x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"dense: inner dimensions differ for shapes {x.shape} and {w.shape}")
+    if activation not in ACTIVATION_RULES:
+        raise DomainError(f"dense: unknown activation {activation!r}")
+    forward, gradient = ACTIVATION_RULES[activation]
+    z = x.data @ w.data
+    z += b.data
+    y, kept = forward(z)
+    x_data, w_data, x_grad = x.data, w.data, x.requires_grad
 
     def bw(g):
-        return (g * mask,)
+        g = gradient(g, kept)
+        if x_data.ndim == 2:
+            gw, gb = x_data.T @ g, g.sum(axis=(0,))
+        else:
+            gw, gb = np.tensordot(x_data, g, axes=([0, 1], [0, 1])), g.sum(axis=(0, 1))
+        return (g @ w_data.T if x_grad else None), gw, gb
 
-    return _record("relu", out, (x,), bw)
-
-
-def log(x) -> Tensor:
-    """Natural log; non-positive input is a diagnosed error, never a silent NaN."""
-    x = as_tensor(x)
-    lo = x.data.min() if x.size else 1.0
-    if lo <= 0.0:
-        raise DomainError(f"log: non-positive input (min value {lo!r})")
-    x_data = x.data
-    out = Tensor(np.log(x_data))
-
-    def bw(g):
-        return (g / x_data,)
-
-    return _record("log", out, (x,), bw)
-
-
-def mean(x) -> Tensor:
-    x = as_tensor(x)
-    if x.size == 0:
-        raise ShapeError("mean: empty tensor")
-    x_shape, n = x.shape, x.size
-    out = Tensor(x.data.mean())
-
-    def bw(g):
-        return (np.full(x_shape, np.asarray(g).sum() / n),)
-
-    return _record("mean", out, (x,), bw)
-
-
-def tsum(x) -> Tensor:
-    x = as_tensor(x)
-    x_shape = x.shape
-    out = Tensor(x.data.sum())
-
-    def bw(g):
-        return (np.full(x_shape, np.asarray(g).sum()),)
-
-    return _record("sum", out, (x,), bw)
+    return _record("dense", Tensor(y), (x, w, b), bw)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -454,18 +411,6 @@ def reshape(x, shape) -> Tensor:
         return (g.reshape(x_shape),)
 
     return _record("reshape", out, (x,), bw)
-
-
-def clamp(x, lo: float, hi: float) -> Tensor:
-    """Clip values into [lo, hi]; gradient passes only where the value was kept."""
-    x = as_tensor(x)
-    out = Tensor(np.clip(x.data, lo, hi))
-    mask = (x.data >= lo) & (x.data <= hi)
-
-    def bw(g):
-        return (g * mask,)
-
-    return _record("clamp", out, (x,), bw)
 
 
 def conv1d(x, w, stride: int = 1) -> Tensor:

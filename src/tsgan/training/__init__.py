@@ -7,7 +7,8 @@ from .losses import (
     GENERATOR_LOSS_MODES,
     PROB_FLOOR,
     bce,
-    clamp_probs,
+    critic_estimate,
+    critic_generator_cost,
     discriminator_cost,
     gan_value,
     generator_cost,
@@ -29,4 +30,4 @@ from .synthesis import (
 from .step import minibatches
 from .timegan import TIMEGAN_NET_NAMES, phase_budgets, train_timegan
 from .trace import CSV_COLUMNS, LossTrace
-from .wgan import critic_estimate, train_wgan
+from .wgan import train_wgan

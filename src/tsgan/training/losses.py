@@ -1,40 +1,74 @@
-"""Adversarial objectives and their exact algebraic identities.
+"""Training objectives and exact adversarial identities.
 
-All functions take Tensors (or arrays) of discriminator probabilities and
-return scalar Tensors, so they are recordable for differentiation. Inputs
-are clamped into [PROB_FLOOR, 1 - PROB_FLOOR] before any log, making
-saturation a bounded value instead of a NaN.
+All losses take Tensors (or arrays) and return scalar Tensors, each recorded as
+one tape node whose values and gradients are those of the unfused chain of
+primitives (clamp, log, mean, sub, mul, neg) it replaces, bit for bit.
+Discriminator probabilities are clamped into [PROB_FLOOR, 1 - PROB_FLOOR]
+before any log, making saturation a bounded value instead of a NaN.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DataError, DomainError
-from ..numcore import Tensor, as_tensor, clamp, log, mean
+from ..errors import DataError, DomainError, ShapeError
+from ..numcore import Tensor, as_tensor
+from ..numcore.tensor import _record, _unbroadcast
 
 PROB_FLOOR = 1e-7
 
 GENERATOR_LOSS_MODES = ("nonsaturating", "minimax", "zero_sum")
 
 
-def clamp_probs(p) -> Tensor:
+def _mean_term(x) -> tuple:
+    """(x, mean x, the map from the mean's output gradient to x's)."""
+    x = as_tensor(x)
+    if x.size == 0:
+        raise ShapeError("mean: empty tensor")
+    shape, n = x.shape, x.size
+    return x, x.data.mean(), lambda g: np.full(shape, np.asarray(g).sum() / n)
+
+
+def _log_term(p, complement: bool) -> tuple:
+    """(p, mean log q, the map from that mean's output gradient to p's), where q is c, or
+    1 - c when `complement`, and c is p clamped into [PROB_FLOOR, 1 - PROB_FLOOR]."""
     p = as_tensor(p)
     if p.size == 0:
         raise DataError("empty probability batch")
-    return clamp(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    c = np.clip(p.data, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    kept = (p.data >= PROB_FLOOR) & (p.data <= 1.0 - PROB_FLOOR)
+    q = 1.0 - c if complement else c
+    _, value, mean_grad = _mean_term(np.log(q))
+
+    def grad(g):
+        gq = mean_grad(g) / q
+        return (-gq if complement else gq) * kept
+
+    return p, value, grad
+
+
+def _loss(op: str, terms: list, combine, spread) -> Tensor:
+    """combine(term values) recorded as one node over the terms' inputs; spread(g) gives
+    each term's output gradient from the loss's, which its map carries to its input."""
+    inputs, values, grads = zip(*terms)
+    out = Tensor(combine(*values))
+
+    def bw(g):
+        return tuple(grad(gt) for grad, gt in zip(grads, spread(g)))
+
+    return _record(op, out, inputs, bw)
 
 
 def gan_value(d_real, d_fake) -> Tensor:
     """V = mean log D(x) + mean log(1 - D(G(z))), the minimax game value."""
-    pr = clamp_probs(d_real)
-    pf = clamp_probs(d_fake)
-    return mean(log(pr)) + mean(log(1.0 - pf))
+    return _loss("gan_value", [_log_term(d_real, False), _log_term(d_fake, True)],
+                 lambda r, f: r + f, lambda g: (g, g))
 
 
 def discriminator_cost(d_real, d_fake) -> Tensor:
     """J_D = -V/2, the cost the discriminator minimizes."""
-    return -0.5 * gan_value(d_real, d_fake)
+    return _loss("discriminator_cost", [_log_term(d_real, False), _log_term(d_fake, True)],
+                 lambda r, f: (r + f) * -0.5, lambda g: (g * -0.5,) * 2)
 
 
 def generator_cost(d_fake, mode: str = "nonsaturating", d_real=None) -> Tensor:
@@ -47,30 +81,51 @@ def generator_cost(d_fake, mode: str = "nonsaturating", d_real=None) -> Tensor:
     if mode not in GENERATOR_LOSS_MODES:
         raise DomainError(f"unknown generator loss mode {mode!r}; "
                           f"expected one of {GENERATOR_LOSS_MODES}")
-    pf = clamp_probs(d_fake)
     if mode == "nonsaturating":
-        return -mean(log(pf))
+        return _loss("generator_cost", [_log_term(d_fake, False)],
+                     lambda f: -f, lambda g: (-g,))
     if mode == "minimax":
-        return mean(log(1.0 - pf))
+        return _loss("generator_cost", [_log_term(d_fake, True)], lambda f: f, lambda g: (g,))
     if d_real is None:
         raise DomainError("zero_sum generator cost needs the real-batch probabilities")
-    return -discriminator_cost(d_real, d_fake)
+    return _loss("generator_cost", [_log_term(d_real, False), _log_term(d_fake, True)],
+                 lambda r, f: -((r + f) * -0.5), lambda g: (-g * -0.5,) * 2)
 
 
 def bce(p, target: float) -> Tensor:
     """Binary cross-entropy of probabilities against a constant 0/1 target."""
-    pc = clamp_probs(p)
-    if target == 1.0:
-        return -mean(log(pc))
-    if target == 0.0:
-        return -mean(log(1.0 - pc))
-    raise DomainError(f"bce target must be 0 or 1, got {target}")
+    if target not in (0.0, 1.0):
+        raise DomainError(f"bce target must be 0 or 1, got {target}")
+    return _loss("bce", [_log_term(p, target == 0.0)], lambda m: -m, lambda g: (-g,))
 
 
 def mse(a, b) -> Tensor:
+    """mean (a - b)^2, a and b broadcast together."""
     a, b = as_tensor(a), as_tensor(b)
-    diff = a - b
-    return mean(diff * diff)
+    try:
+        diff = a.data - b.data
+    except ValueError:
+        raise ShapeError(f"mse: shapes {a.shape} and {b.shape} are not broadcastable") from None
+    _, value, mean_grad = _mean_term(diff * diff)
+    a_shape, b_shape = a.shape, b.shape
+
+    def bw(g):
+        half = mean_grad(g) * diff
+        gd = half + half
+        return _unbroadcast(gd, a_shape), -_unbroadcast(gd, b_shape)
+
+    return _record("mse", Tensor(value), (a, b), bw)
+
+
+def critic_estimate(f_real, f_fake) -> Tensor:
+    """(1/m) sum f(x) - (1/m) sum f(g(z)), the quantity the WGAN critic ascends."""
+    return _loss("critic_estimate", [_mean_term(f_real), _mean_term(f_fake)],
+                 lambda r, f: r - f, lambda g: (g, -g))
+
+
+def critic_generator_cost(f_fake) -> Tensor:
+    """-(1/m) sum f(g(z)), the quantity the WGAN generator descends."""
+    return _loss("critic_generator_cost", [_mean_term(f_fake)], lambda f: -f, lambda g: (-g,))
 
 
 def optimal_discriminator(p_density, q_density):

@@ -19,20 +19,16 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..models.network import Network
-from ..numcore import OptimizerState, RngStream, Tensor, clip_weights, mean
+from ..numcore import OptimizerState, RngStream, Tensor, clip_weights
 from .config import TrainConfig
 from .gan import _check_gan_shapes, disc_real_fake, disc_sequence
+from .losses import critic_estimate, critic_generator_cost
 from .step import run_epochs, train_step
 from .trace import LossTrace
 
 # Critic and generator both step with RMSProp, as in Arjovsky et al.; the
 # `optimizer` config key does not apply to the WGAN.
 WGAN_OPTIMIZER = "rmsprop"
-
-
-def critic_estimate(f_real: Tensor, f_fake: Tensor) -> Tensor:
-    """(1/m) sum f(x) - (1/m) sum f(g(z)), the quantity the critic ascends."""
-    return mean(f_real) - mean(f_fake)
 
 
 def train_wgan(gen: Network, critic: Network, windows, cfg: TrainConfig,
@@ -83,7 +79,7 @@ def train_wgan(gen: Network, critic: Network, windows, cfg: TrainConfig,
 
         def g_loss_fn():
             fake = gen.forward(gen_in, rng=rng.child("gdropg", epoch, group))
-            return -mean(critic.forward(disc_sequence(hist, fake)))
+            return critic_generator_cost(critic.forward(disc_sequence(hist, fake)))
 
         g_loss = train_step(opt_g, gen.params, g_loss_fn, "generator step", epoch, group)
         if hook is not None:

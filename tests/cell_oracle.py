@@ -9,7 +9,8 @@ without the layer prefix (Wz, bz, ... or Wf, bf, ...).
 import numpy as np
 
 from tsgan.errors import ShapeError
-from tsgan.numcore import Tensor, concat, matmul, reshape, sigmoid, slice_tensor, tanh
+from tape_oracle import matmul, sub
+from tsgan.numcore import Tensor, concat, reshape, sigmoid, slice_tensor, tanh
 
 
 def gru_cell_forward(cell: dict, x: Tensor, h: Tensor) -> Tensor:
@@ -27,7 +28,7 @@ def gru_cell_forward(cell: dict, x: Tensor, h: Tensor) -> Tensor:
     r = sigmoid(matmul(xh, cell["Wr"]) + cell["br"])
     xrh = concat([x, r * h], axis=1)
     hhat = tanh(matmul(xrh, cell["Wh"]) + cell["bh"])
-    return (1.0 - z) * hhat + z * h
+    return sub(1.0, z) * hhat + z * h
 
 
 def lstm_cell_forward(cell: dict, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:

@@ -1,0 +1,168 @@
+"""Tape primitives that tsgan's own code no longer records, and the unfused chains
+that its one-node ops replace.
+
+Every dense layer is one `dense` node and every loss one node. The chains below
+record each step as its own primitive, as the layer executor and the losses did
+before they were fused; the tests hold the fused ops to them bit for bit, in
+values and in gradients. The primitives also serve the tests as building blocks
+for gradient checks and probe losses.
+"""
+
+import numpy as np
+
+from tsgan.errors import DataError, DomainError, ShapeError
+from tsgan.numcore import Tensor, add, as_tensor, relu, sigmoid, tanh
+from tsgan.numcore.tensor import _record, _unbroadcast
+from tsgan.training import GENERATOR_LOSS_MODES, PROB_FLOOR
+
+# --- primitives --------------------------------------------------------------
+
+
+def sub(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    try:
+        out = Tensor(a.data - b.data)
+    except ValueError:
+        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} are not broadcastable") from None
+    a_shape, b_shape = a.shape, b.shape
+
+    def bw(g):
+        return _unbroadcast(g, a_shape), -_unbroadcast(g, b_shape)
+
+    return _record("sub", out, (a, b), bw)
+
+
+def neg(a) -> Tensor:
+    a = as_tensor(a)
+    out = Tensor(-a.data)
+
+    def bw(g):
+        return (-g,)
+
+    return _record("neg", out, (a,), bw)
+
+
+def matmul(a, b) -> Tensor:
+    """2-D @ 2-D, or batched 3-D @ 2-D (shared right operand)."""
+    a, b = as_tensor(a), as_tensor(b)
+    if b.ndim != 2 or a.ndim not in (2, 3):
+        raise ShapeError(f"matmul: unsupported ranks for shapes {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[0]:
+        raise ShapeError(f"matmul: inner dimensions differ for shapes {a.shape} and {b.shape}")
+    out = Tensor(a.data @ b.data)
+    a_data, b_data = a.data, b.data
+
+    if a.ndim == 2:
+        def bw(g):
+            return g @ b_data.T, a_data.T @ g
+    else:
+        def bw(g):
+            return g @ b_data.T, np.tensordot(a_data, g, axes=([0, 1], [0, 1]))
+
+    return _record("matmul", out, (a, b), bw)
+
+
+def log(x) -> Tensor:
+    """Natural log; non-positive input is a diagnosed error, never a silent NaN."""
+    x = as_tensor(x)
+    lo = x.data.min() if x.size else 1.0
+    if lo <= 0.0:
+        raise DomainError(f"log: non-positive input (min value {lo!r})")
+    x_data = x.data
+    out = Tensor(np.log(x_data))
+
+    def bw(g):
+        return (g / x_data,)
+
+    return _record("log", out, (x,), bw)
+
+
+def mean(x) -> Tensor:
+    x = as_tensor(x)
+    if x.size == 0:
+        raise ShapeError("mean: empty tensor")
+    x_shape, n = x.shape, x.size
+    out = Tensor(x.data.mean())
+
+    def bw(g):
+        return (np.full(x_shape, np.asarray(g).sum() / n),)
+
+    return _record("mean", out, (x,), bw)
+
+
+def tsum(x) -> Tensor:
+    x = as_tensor(x)
+    x_shape = x.shape
+    out = Tensor(x.data.sum())
+
+    def bw(g):
+        return (np.full(x_shape, np.asarray(g).sum()),)
+
+    return _record("sum", out, (x,), bw)
+
+
+def clamp(x, lo: float, hi: float) -> Tensor:
+    """Clip values into [lo, hi]; gradient passes only where the value was kept."""
+    x = as_tensor(x)
+    out = Tensor(np.clip(x.data, lo, hi))
+    mask = (x.data >= lo) & (x.data <= hi)
+
+    def bw(g):
+        return (g * mask,)
+
+    return _record("clamp", out, (x,), bw)
+
+
+# --- the unfused chains --------------------------------------------------------
+
+_ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu, "linear": lambda x: x}
+
+
+def dense(x, w, b, activation: str) -> Tensor:
+    """A dense layer as three nodes: matmul, add and activation."""
+    return _ACTIVATIONS[activation](add(matmul(x, w), b))
+
+
+def clamp_probs(p) -> Tensor:
+    p = as_tensor(p)
+    if p.size == 0:
+        raise DataError("empty probability batch")
+    return clamp(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
+
+
+def gan_value(d_real, d_fake) -> Tensor:
+    pr = clamp_probs(d_real)
+    pf = clamp_probs(d_fake)
+    return mean(log(pr)) + mean(log(sub(1.0, pf)))
+
+
+def discriminator_cost(d_real, d_fake) -> Tensor:
+    return -0.5 * gan_value(d_real, d_fake)
+
+
+def generator_cost(d_fake, mode: str = "nonsaturating", d_real=None) -> Tensor:
+    assert mode in GENERATOR_LOSS_MODES
+    pf = clamp_probs(d_fake)
+    if mode == "nonsaturating":
+        return neg(mean(log(pf)))
+    if mode == "minimax":
+        return mean(log(sub(1.0, pf)))
+    return neg(discriminator_cost(d_real, d_fake))
+
+
+def bce(p, target: float) -> Tensor:
+    pc = clamp_probs(p)
+    return neg(mean(log(pc if target == 1.0 else sub(1.0, pc))))
+
+
+def mse(a, b) -> Tensor:
+    diff = sub(a, b)
+    return mean(diff * diff)
+
+
+def critic_estimate(f_real, f_fake) -> Tensor:
+    return sub(mean(f_real), mean(f_fake))
+
+
+def critic_generator_cost(f_fake) -> Tensor:
+    return neg(mean(f_fake))

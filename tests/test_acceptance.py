@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from gradtools import analytic_grads, numeric_grads
+from tape_oracle import mean, neg
 from test_training import small_windows, tiny_disc, tiny_gen
 from tsgan.cli import main
 from tsgan.data import (apply_scaler, build_features, fit_scaler,
@@ -26,7 +27,7 @@ from tsgan.manifest import load_manifest, rerun
 from tsgan.models import (NetSpec, build_forecaster, build_network,
                           build_timegan, scale_width)
 from tsgan.numcore import (OptimizerState, RngStream, Tape, Tensor, backward,
-                           clip_weights, concat, leaf_grads, mean, optimizer_step,
+                           clip_weights, concat, leaf_grads, optimizer_step,
                            slice_tensor)
 from tsgan.stats import ks_statistic
 from tsgan.training import (TrainConfig, critic_estimate, disc_sequence,
@@ -302,7 +303,7 @@ def test_criterion_05_wgan_schedule_and_update_signs():
     with Tape() as tape:
         fake = gen_b.forward(Tensor(np.concatenate([feats, z], axis=2)),
                              rng=rng.child("gdropg", 0, 0))
-        g_loss = -mean(critic_b.forward(disc_sequence(hist, fake)))
+        g_loss = neg(mean(critic_b.forward(disc_sequence(hist, fake))))
     gmap = backward(tape, g_loss)
     optimizer_step(opt_g, gen_b.params, leaf_grads(tape, gen_b.params, gmap))
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from optim_oracle import OracleState, oracle_clip, oracle_step
+from tape_oracle import mean
 from test_kernel_digests import FIXTURE as DIGESTS
 from test_kernel_digests import blas_probe
 from tsgan.errors import GraphError, NumericAbort
@@ -18,7 +19,7 @@ from tsgan.models import (NetSpec, build_forecaster, build_timegan, load_checkpo
                           save_checkpoint)
 from tsgan.models.network import build_network, param_shapes, require_finite_params
 from tsgan.numcore import (OptimizerState, RngStream, Tape, Tensor, backward, clip_weights,
-                           leaf_grads, mean, mul, optimizer_step)
+                           leaf_grads, mul, optimizer_step)
 from tsgan.numcore.optim import BLOCK, OPTIMIZERS, ParamGroup, ParamVector
 from tsgan.training import step as step_module
 from tsgan.training import wgan as wgan_module

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsgan.numcore import Tape, Tensor, backward, gru_sequence, lstm_sequence, mul, tsum
+from tape_oracle import tsum
+from tsgan.numcore import Tape, Tensor, backward, gru_sequence, lstm_sequence, mul
 
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "kernel_digests.json"
 KERNELS = {"gru": (gru_sequence, 3), "lstm": (lstm_sequence, 4)}

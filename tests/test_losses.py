@@ -5,7 +5,7 @@ import pytest
 
 from tsgan.errors import DataError, DomainError
 from tsgan.numcore import Tape, Tensor, backward
-from tsgan.training import (PROB_FLOOR, bce, clamp_probs, discriminator_cost,
+from tsgan.training import (PROB_FLOOR, bce, discriminator_cost,
                             gan_value, generator_cost, jensen_shannon_divergence,
                             mse, optimal_discriminator)
 
@@ -25,10 +25,20 @@ def test_indifferent_discriminator_value():
 
 
 def test_clamp_probs_floors_and_ceilings():
-    out = clamp_probs(np.array([0.0, 0.5, 1.0])).data
-    np.testing.assert_allclose(out, [PROB_FLOOR, 0.5, 1.0 - PROB_FLOOR])
-    with pytest.raises(DataError):
-        clamp_probs(np.array([]))
+    """Every probability loss clamps into [PROB_FLOOR, 1 - PROB_FLOOR] before its log and
+    refuses an empty batch."""
+    p = np.array([0.0, 0.5, 1.0])
+    c = np.array([PROB_FLOOR, 0.5, 1.0 - PROB_FLOOR])
+    assert bce(p, 1.0).item() == -np.log(c).mean()
+    assert bce(p, 0.0).item() == -np.log(1.0 - c).mean()
+    assert gan_value(p, p).item() == np.log(c).mean() + np.log(1.0 - c).mean()
+    empty = np.array([])
+    for loss in (lambda: bce(empty, 1.0), lambda: gan_value(empty, p),
+                 lambda: gan_value(p, empty), lambda: discriminator_cost(p, empty),
+                 lambda: generator_cost(empty), lambda: generator_cost(empty, "minimax"),
+                 lambda: generator_cost(p, "zero_sum", d_real=empty)):
+        with pytest.raises(DataError):
+            loss()
 
 
 def test_discriminator_cost_is_half_the_negated_value():

@@ -5,6 +5,7 @@ import pytest
 
 from cell_oracle import gru_cell_forward, lstm_cell_forward
 from gradtools import check_gradients
+from tape_oracle import mean
 from tsgan.errors import ConfigError, DataError, ShapeError
 from tsgan.models import (NetSpec, Network, build_critic, build_discriminator,
                           build_forecaster, build_generator, build_network,
@@ -13,7 +14,7 @@ from tsgan.models import (NetSpec, Network, build_critic, build_discriminator,
                           save_checkpoint, scale_width, trunk_end)
 from tsgan.models.builders import (DISC_CONV_FILTERS, DISC_DENSE_UNITS,
                                    GENERATOR_DENSE_UNITS, GENERATOR_GRU_UNITS)
-from tsgan.numcore import RngStream, Tensor, dropout, mean
+from tsgan.numcore import RngStream, Tensor, dropout
 
 
 def _cell(kind, input_dim, units, rng):

@@ -139,6 +139,21 @@ def test_update_that_overflows_changes_nothing():
     _assert_same(before, state, params)
 
 
+@pytest.mark.parametrize("direction", ["descend", "ascend"])
+@pytest.mark.parametrize("algo, moment", [("adam", "v"), ("rmsprop", "sq")])
+def test_gradient_whose_square_overflows_changes_nothing(algo, moment, direction):
+    """|g| above about 1.3e154 squares to inf: the second moment would stay infinite and
+    the parameter would never move again, so the update aborts naming it."""
+    params = _params({"a": [1.0, 2.0], "b": [3.0]})
+    state = OptimizerState(algo, 0.1, direction=direction)
+    optimizer_step(state, params, np.array([0.5, -0.5, 0.25]))
+    before = _snapshot(state, params)
+    with np.errstate(over="ignore"), \
+            pytest.raises(NumericAbort, match=f"moment '{moment}' for parameter 'b'"):
+        optimizer_step(state, params, np.array([0.1, 0.1, 1e200]))
+    _assert_same(before, state, params)
+
+
 def test_missing_gradient_is_a_graph_error():
     """A gradient vector one element short is refused before anything moves."""
     for algo in OPTIMIZERS:

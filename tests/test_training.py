@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tape_oracle import mean
 from tsgan.data import (apply_scaler, build_features, fit_scaler,
                         make_synthetic_series, make_windows)
 from tsgan.errors import ConfigError, DataError, GraphError, NumericAbort
 from tsgan.models import NetSpec, build_forecaster, build_network, build_timegan
-from tsgan.numcore import OptimizerState, RngStream, Tape, Tensor, active_tape, mean
+from tsgan.numcore import OptimizerState, RngStream, Tape, Tensor, active_tape
 from tsgan.training import (LossTrace, PersistencePredictor, TimeganPredictor,
                             TrainConfig, as_predictor, critic_estimate, disc_sequence,
                             forecast, gen_latent_dim, gen_output_dim,
