@@ -370,8 +370,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
         raise ShapeError(
             f"concat: shapes {[t.shape for t in ts]} do not align on axis {axis}"
         ) from None
-    sizes = [t.shape[axis] for t in ts]
-    offsets = np.cumsum(sizes)[:-1]
+    offsets = list(accumulate(t.shape[axis] for t in ts))[:-1]
 
     def bw(g):
         return tuple(np.ascontiguousarray(p) for p in np.split(g, offsets, axis=axis))
