@@ -1,12 +1,13 @@
 """Layer specs, parameter initialization, and the one layer executor.
 
 A NetSpec is an ordered list of layer descriptions, checked whole when it is
-built: each layer's kind, fields and activation, and the rank of the input it
-takes. A Network couples one NetSpec with the ParamVector it lays out itself:
-name -> Tensor, each value a view into one float64 vector, in the spec's
-canonical order. Network.forward walks the layer list, so every architecture
-in the toolkit (generator, discriminator, critic, forecasters, TimeGAN
-sub-networks) shares one executor and one checkpoint format.
+built: each layer's kind, fields and activation (dense and conv1d layers take
+one, other kinds none), and the rank of the input it takes. A Network couples
+one NetSpec with the ParamVector it lays out itself: name -> Tensor, each value
+a view into one float64 vector, in the spec's canonical order. Network.forward
+walks the layer list, so every architecture in the toolkit (generator,
+discriminator, critic, forecasters, TimeGAN sub-networks) shares one executor
+and one checkpoint format.
 """
 
 from __future__ import annotations
@@ -29,17 +30,15 @@ from ..numcore import (
     gru_sequence,
     lstm_pack,
     lstm_sequence,
-    relu,
     reshape,
-    sigmoid,
     slice_tensor,
-    tanh,
 )
 from ..numcore.optim import require_finite
-from ..numcore.tensor import ParamVector
+from ..numcore.tensor import ACTIVATION_RULES, ParamVector
 
-_ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu, "linear": lambda x: x}
-ACTIVATIONS = tuple(_ACTIVATIONS)
+ACTIVATIONS = tuple(ACTIVATION_RULES)
+# The layer kinds that apply an activation; on any other kind one is refused.
+_ACTIVATED_KINDS = ("dense", "conv1d")
 
 # Each layer kind: the fields it reads (positive ints, except dropout's rate, in
 # [0, 1)), the input ranks it takes, and the rank it hands on (None: the one it got).
@@ -81,6 +80,9 @@ class NetSpec:
                 raise ConfigError(f"{name}: layer {i} ({kind}) fields are missing or "
                                   f"invalid: {', '.join(bad)}")
             act = layer.get("activation")
+            if act is not None and kind not in _ACTIVATED_KINDS:
+                raise ConfigError(f"{name}: layer {i} ({kind}) applies no activation, "
+                                  f"got {act!r}")
             if act is not None and act not in ACTIVATIONS:
                 raise ConfigError(f"{name}: layer {i} has unknown activation {act!r}")
             if ranks[-1] not in takes:
@@ -227,8 +229,7 @@ class Network:
             elif kind == "dense":
                 out = dense(out, *params, layer.get("activation") or "linear")
             elif kind == "conv1d":
-                out = conv1d(out, params[0], stride=layer["stride"])
-                out = _ACTIVATIONS[layer.get("activation") or "linear"](out + params[1])
+                out = conv1d(out, *params, layer.get("activation") or "linear", layer["stride"])
             elif kind == "flatten":
                 out = reshape(out, (out.shape[0], out.shape[1] * out.shape[2]))
             elif kind == "dropout":

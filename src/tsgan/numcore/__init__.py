@@ -17,7 +17,6 @@ from .tensor import (
     Tape,
     Tensor,
     active_tape,
-    add,
     as_tensor,
     backward,
     concat,
@@ -25,10 +24,6 @@ from .tensor import (
     dense,
     dropout,
     leaf_grads,
-    mul,
-    relu,
     reshape,
-    sigmoid,
     slice_tensor,
-    tanh,
 )

@@ -1,10 +1,14 @@
 """Dense float64 tensors with single-use reverse-mode differentiation.
 
 Values are numpy arrays in row-major order. Gradient tracking is explicit:
-while a Tape is active, every primitive op with an input that requires a
-gradient records a backward closure onto it, and only such inputs join the tape.
-One training step builds one tape and consumes it with a single backward() call,
-which returns plain gradient arrays; tapes are never reused.
+while a Tape is active, every op with an input that requires a gradient records
+one backward closure onto it, and only such inputs join the tape. Every layer is
+one node that applies its own activation (dense and conv1d here, the recurrent
+kernels in recurrent.py), and every loss in tsgan.training is one node; the
+unfused primitives they replace (add, mul, the activations) are kept as oracles
+in the tests' tape_oracle.py. One training step builds one tape and consumes it
+with a single backward() call, which returns plain gradient arrays; tapes are
+never reused.
 """
 
 from __future__ import annotations
@@ -50,20 +54,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; every arm routes through the recorded primitives below.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __getitem__(self, index):
-        return slice_tensor(self, index)
 
 
 class ParamVector(dict):
@@ -245,34 +235,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # primitive ops
 # ---------------------------------------------------------------------------
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out = Tensor(a.data + b.data)
-    except ValueError:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} are not broadcastable") from None
-    a_shape, b_shape = a.shape, b.shape
-
-    def bw(g):
-        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
-
-    return _record("add", out, (a, b), bw)
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out = Tensor(a.data * b.data)
-    except ValueError:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} are not broadcastable") from None
-    a_data, b_data = a.data, b.data
-
-    def bw(g):
-        return _unbroadcast(g * b_data, a_data.shape), _unbroadcast(g * a_data, b_data.shape)
-
-    return _record("mul", out, (a, b), bw)
-
-
 def _sigmoid(d: np.ndarray) -> np.ndarray:
     """Logistic function as 0.5*(1 + tanh(x/2)): no overflow at any input, one allocation."""
     t = 0.5 * d
@@ -298,8 +260,8 @@ def _relu_rule(d):
 
 
 # Each activation: forward(input) -> (output, what its gradient keeps), and
-# gradient(output gradient, kept) -> input gradient. The activation primitives and
-# dense share them, so a dense layer rounds as its matmul, add and activation would.
+# gradient(output gradient, kept) -> input gradient. dense and conv1d apply them, so a
+# layer rounds as its unfused product, add and activation primitives would.
 ACTIVATION_RULES = {
     "sigmoid": (_sigmoid_rule, lambda g, y: g * y * (1.0 - y)),
     "tanh": (_tanh_rule, lambda g, y: g * (1.0 - y * y)),
@@ -308,27 +270,10 @@ ACTIVATION_RULES = {
 }
 
 
-def _activate(kind: str, x) -> Tensor:
-    x = as_tensor(x)
-    forward, gradient = ACTIVATION_RULES[kind]
-    y, kept = forward(x.data)
-
-    def bw(g):
-        return (gradient(g, kept),)
-
-    return _record(kind, Tensor(y), (x,), bw)
-
-
-def sigmoid(x) -> Tensor:
-    return _activate("sigmoid", x)
-
-
-def tanh(x) -> Tensor:
-    return _activate("tanh", x)
-
-
-def relu(x) -> Tensor:
-    return _activate("relu", x)
+def _activation_rule(op: str, activation: str) -> tuple:
+    if activation not in ACTIVATION_RULES:
+        raise DomainError(f"{op}: unknown activation {activation!r}")
+    return ACTIVATION_RULES[activation]
 
 
 def dense(x, w, b, activation: str) -> Tensor:
@@ -341,9 +286,7 @@ def dense(x, w, b, activation: str) -> Tensor:
         raise ShapeError(f"dense: unsupported shapes {x.shape}, {w.shape} and {b.shape}")
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"dense: inner dimensions differ for shapes {x.shape} and {w.shape}")
-    if activation not in ACTIVATION_RULES:
-        raise DomainError(f"dense: unknown activation {activation!r}")
-    forward, gradient = ACTIVATION_RULES[activation]
+    forward, gradient = _activation_rule("dense", activation)
     z = x.data @ w.data
     z += b.data
     y, kept = forward(z)
@@ -412,9 +355,13 @@ def reshape(x, shape) -> Tensor:
     return _record("reshape", out, (x,), bw)
 
 
-def conv1d(x, w, stride: int = 1) -> Tensor:
-    """Valid 1-D convolution over (batch, length, in_ch) with kernel (k, in_ch, out_ch)."""
-    x, w = as_tensor(x), as_tensor(w)
+def conv1d(x, w, b, activation: str, stride: int) -> Tensor:
+    """activation(valid 1-D convolution of x + b) as one node, x of shape (batch, length,
+    in_ch), kernel w (k, in_ch, out_ch), b (out_ch,), activation a key of
+    ACTIVATION_RULES. Values and gradients equal those of a bias-free convolution, an add
+    and the activation recorded in turn, bit for bit; x's gradient is not computed when x
+    needs none."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim != 3 or w.ndim != 3:
         raise ShapeError(f"conv1d: expected 3-D input and kernel, got {x.shape} and {w.shape}")
     if stride < 1:
@@ -423,25 +370,32 @@ def conv1d(x, w, stride: int = 1) -> Tensor:
     k, kc_in, out_ch = w.shape
     if kc_in != in_ch:
         raise ShapeError(f"conv1d: channel mismatch between input {x.shape} and kernel {w.shape}")
+    if b.shape != (out_ch,):
+        raise ShapeError(f"conv1d: bias of shape {b.shape} does not fit kernel {w.shape}")
     if length < k:
         raise ShapeError(f"conv1d: input length {length} shorter than kernel {k}")
+    forward, gradient = _activation_rule("conv1d", activation)
     out_len = (length - k) // stride + 1
-    x_data, w_data = x.data, w.data
-    y = np.zeros((batch, out_len, out_ch))
+    x_data, w_data, x_grad = x.data, w.data, x.requires_grad
+    z = np.zeros((batch, out_len, out_ch))
     spans = [slice(i, i + stride * (out_len - 1) + 1, stride) for i in range(k)]
     for i, span in enumerate(spans):
-        y += x_data[:, span, :] @ w_data[i]
-    out = Tensor(y)
+        z += x_data[:, span, :] @ w_data[i]
+    z += b.data
+    y, kept = forward(z)
 
     def bw(g):
-        gx = np.zeros_like(x_data)
+        g = gradient(g, kept)
+        gb = g.sum(axis=(0, 1))
         gw = np.zeros_like(w_data)
+        gx = np.zeros_like(x_data) if x_grad else None
         for i, span in enumerate(spans):
             gw[i] = np.tensordot(x_data[:, span, :], g, axes=([0, 1], [0, 1]))
-            gx[:, span, :] += g @ w_data[i].T
-        return gx, gw
+            if x_grad:
+                gx[:, span, :] += g @ w_data[i].T
+        return gx, gw, gb
 
-    return _record("conv1d", out, (x, w), bw)
+    return _record("conv1d", Tensor(y), (x, w, b), bw)
 
 
 def dropout(x, rate: float, rng=None) -> Tensor:

@@ -15,6 +15,7 @@ from .losses import (
     jensen_shannon_divergence,
     mse,
     optimal_discriminator,
+    weighted_sum,
 )
 from .synthesis import (
     FORECAST_MODES,

@@ -2,7 +2,8 @@
 
 All losses take Tensors (or arrays) and return scalar Tensors, each recorded as
 one tape node whose values and gradients are those of the unfused chain of
-primitives (clamp, log, mean, sub, mul, neg) it replaces, bit for bit.
+primitives (clamp, log, mean, sub, add, mul, neg) it replaces, bit for bit; a
+weighted sum of losses is one node too.
 Discriminator probabilities are clamped into [PROB_FLOOR, 1 - PROB_FLOOR]
 before any log, making saturation a bounded value instead of a NaN.
 """
@@ -126,6 +127,22 @@ def critic_estimate(f_real, f_fake) -> Tensor:
 def critic_generator_cost(f_fake) -> Tensor:
     """-(1/m) sum f(g(z)), the quantity the WGAN generator descends."""
     return _loss("critic_generator_cost", [_mean_term(f_fake)], lambda f: -f, lambda g: (-g,))
+
+
+def weighted_sum(losses, weights) -> Tensor:
+    """w1*l1 + w2*l2 + ..., added left to right, over scalar losses and float weights."""
+    losses, weights = [as_tensor(t) for t in losses], [float(w) for w in weights]
+    if not losses or len(losses) != len(weights) or any(t.shape != () for t in losses):
+        raise ShapeError(f"weighted_sum: {len(weights)} weights for losses of shapes "
+                         f"{[t.shape for t in losses]}")
+    total = weights[0] * losses[0].data
+    for w, t in zip(weights[1:], losses[1:]):
+        total = total + w * t.data
+
+    def bw(g):
+        return tuple(g * w for w in weights)
+
+    return _record("weighted_sum", Tensor(total), tuple(losses), bw)
 
 
 def optimal_discriminator(p_density, q_density):

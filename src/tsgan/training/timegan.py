@@ -24,7 +24,7 @@ from ..models.network import forward_stacked, require_finite_params
 from ..numcore import OptimizerState, RngStream, Tape, Tensor, slice_tensor
 from ..numcore.tensor import ParamGroup
 from .config import TrainConfig
-from .losses import bce, mse
+from .losses import bce, mse, weighted_sum
 from .step import run_epochs, train_step
 from .trace import LossTrace
 
@@ -61,7 +61,7 @@ def _one_step_shift_loss(sup_out: Tensor, h: Tensor) -> Tensor:
 def joint_disc_loss(disc, h_real: Tensor, h_fake: Tensor) -> Tensor:
     """BCE of disc on real (target 1) and fake (target 0) latents, one stacked forward."""
     d_real, d_fake = forward_stacked(disc, h_real, h_fake)
-    return bce(d_real, 1.0) + bce(d_fake, 0.0)
+    return weighted_sum([bce(d_real, 1.0), bce(d_fake, 0.0)], [1.0, 1.0])
 
 
 def train_timegan(nets: dict, windows, cfg: TrainConfig, hook=None) -> LossTrace:
@@ -147,7 +147,8 @@ def train_timegan(nets: dict, windows, cfg: TrainConfig, hook=None) -> LossTrace
             terms["adv"] = bce(nets["discriminator"].forward(h_hat), 1.0)
             sup = _one_step_shift_loss(sup_h, h)
             recon = mse(nets["recovery"].forward(h), x)
-            return terms["adv"] + cfg.sup_weight * sup + cfg.recon_weight * recon
+            return weighted_sum([terms["adv"], sup, recon],
+                                [1.0, cfg.sup_weight, cfg.recon_weight])
 
         g_loss = train_step(opt_joint, joint_params, g_loss_fn, "joint generator step",
                             epoch, bi, tape=joint_tape)

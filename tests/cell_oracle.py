@@ -9,8 +9,8 @@ without the layer prefix (Wz, bz, ... or Wf, bf, ...).
 import numpy as np
 
 from tsgan.errors import ShapeError
-from tape_oracle import matmul, sub
-from tsgan.numcore import Tensor, concat, reshape, sigmoid, slice_tensor, tanh
+from tape_oracle import add, matmul, mul, sigmoid, sub, tanh
+from tsgan.numcore import Tensor, concat, reshape, slice_tensor
 
 
 def gru_cell_forward(cell: dict, x: Tensor, h: Tensor) -> Tensor:
@@ -24,11 +24,11 @@ def gru_cell_forward(cell: dict, x: Tensor, h: Tensor) -> Tensor:
     if x.ndim != 2 or h.ndim != 2 or x.shape[0] != h.shape[0]:
         raise ShapeError(f"gru step: batch shapes disagree, x {x.shape} vs h {h.shape}")
     xh = concat([x, h], axis=1)
-    z = sigmoid(matmul(xh, cell["Wz"]) + cell["bz"])
-    r = sigmoid(matmul(xh, cell["Wr"]) + cell["br"])
-    xrh = concat([x, r * h], axis=1)
-    hhat = tanh(matmul(xrh, cell["Wh"]) + cell["bh"])
-    return sub(1.0, z) * hhat + z * h
+    z = sigmoid(add(matmul(xh, cell["Wz"]), cell["bz"]))
+    r = sigmoid(add(matmul(xh, cell["Wr"]), cell["br"]))
+    xrh = concat([x, mul(r, h)], axis=1)
+    hhat = tanh(add(matmul(xrh, cell["Wh"]), cell["bh"]))
+    return add(mul(sub(1.0, z), hhat), mul(z, h))
 
 
 def lstm_cell_forward(cell: dict, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
@@ -41,12 +41,12 @@ def lstm_cell_forward(cell: dict, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tens
     if x.ndim != 2 or h.ndim != 2 or x.shape[0] != h.shape[0]:
         raise ShapeError(f"lstm step: batch shapes disagree, x {x.shape} vs h {h.shape}")
     xh = concat([x, h], axis=1)
-    f = sigmoid(matmul(xh, cell["Wf"]) + cell["bf"])
-    i = sigmoid(matmul(xh, cell["Wi"]) + cell["bi"])
-    o = sigmoid(matmul(xh, cell["Wo"]) + cell["bo"])
-    g = tanh(matmul(xh, cell["Wg"]) + cell["bg"])
-    c_new = f * c + i * g
-    h_new = o * tanh(c_new)
+    f = sigmoid(add(matmul(xh, cell["Wf"]), cell["bf"]))
+    i = sigmoid(add(matmul(xh, cell["Wi"]), cell["bi"]))
+    o = sigmoid(add(matmul(xh, cell["Wo"]), cell["bo"]))
+    g = tanh(add(matmul(xh, cell["Wg"]), cell["bg"]))
+    c_new = add(mul(f, c), mul(i, g))
+    h_new = mul(o, tanh(c_new))
     return h_new, c_new
 
 

@@ -19,7 +19,7 @@ from tsgan.models.network import forward_stacked
 from tsgan.numcore import OptimizerState, RngStream, Tensor
 from tsgan.training import LossTrace, critic_estimate
 from tsgan.training.gan import _check_gan_shapes, disc_real_fake, disc_sequence
-from tsgan.training.losses import bce, gan_value, generator_cost, mse
+from tsgan.training.losses import bce, gan_value, generator_cost, mse, weighted_sum
 from tsgan.training.step import run_epochs, train_step
 from tsgan.training.timegan import (_merged, _one_step_shift_loss, joint_disc_loss,
                                     phase_budgets, require_timegan_nets)
@@ -43,7 +43,8 @@ def zero_sum_cost_two_forward(disc, hist, real, fake):
 
 
 def timegan_disc_bce_two_forward(disc, h_real, h_fake):
-    return bce(disc.forward(h_real), 1.0) + bce(disc.forward(h_fake), 0.0)
+    return weighted_sum([bce(disc.forward(h_real), 1.0), bce(disc.forward(h_fake), 0.0)],
+                        [1.0, 1.0])
 
 
 def supervisor_two_forward(supervisor, e_hat, h):
@@ -161,7 +162,8 @@ def train_timegan(nets, windows, cfg, hook=None) -> LossTrace:
             terms["adv"] = bce(nets["discriminator"].forward(h_hat), 1.0)
             sup = _one_step_shift_loss(sup_h, h)
             recon = mse(nets["recovery"].forward(h), x)
-            return terms["adv"] + cfg.sup_weight * sup + cfg.recon_weight * recon
+            return weighted_sum([terms["adv"], sup, recon],
+                                [1.0, cfg.sup_weight, cfg.recon_weight])
 
         g_loss = train_step(opt_joint, joint_params, g_loss_fn, "joint generator step",
                             epoch, bi)

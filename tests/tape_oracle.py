@@ -1,21 +1,95 @@
 """Tape primitives that tsgan's own code no longer records, and the unfused chains
 that its one-node ops replace.
 
-Every dense layer is one `dense` node and every loss one node. The chains below
-record each step as its own primitive, as the layer executor and the losses did
-before they were fused; the tests hold the fused ops to them bit for bit, in
-values and in gradients. The primitives also serve the tests as building blocks
-for gradient checks and probe losses.
+Every layer is one node (`dense`, `conv1d`, the recurrent kernels) and every
+loss one node, a weighted sum of losses included. The chains below record each
+step as its own primitive, as the layer executor and the losses did before they
+were fused; the tests hold the fused ops to them bit for bit, in values and in
+gradients. The primitives also serve the tests as building blocks for gradient
+checks and probe losses, in place of arithmetic on Tensors.
 """
 
 import numpy as np
 
 from tsgan.errors import DataError, DomainError, ShapeError
-from tsgan.numcore import Tensor, add, as_tensor, relu, sigmoid, tanh
-from tsgan.numcore.tensor import _record, _unbroadcast
+from tsgan.numcore import Tensor, as_tensor
+from tsgan.numcore.tensor import ACTIVATION_RULES, _record, _unbroadcast
 from tsgan.training import GENERATOR_LOSS_MODES, PROB_FLOOR
 
 # --- primitives --------------------------------------------------------------
+
+
+def add(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    try:
+        out = Tensor(a.data + b.data)
+    except ValueError:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} are not broadcastable") from None
+    a_shape, b_shape = a.shape, b.shape
+
+    def bw(g):
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
+
+    return _record("add", out, (a, b), bw)
+
+
+def mul(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    try:
+        out = Tensor(a.data * b.data)
+    except ValueError:
+        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} are not broadcastable") from None
+    a_data, b_data = a.data, b.data
+
+    def bw(g):
+        return _unbroadcast(g * b_data, a_data.shape), _unbroadcast(g * a_data, b_data.shape)
+
+    return _record("mul", out, (a, b), bw)
+
+
+def _activate(kind: str, x) -> Tensor:
+    x = as_tensor(x)
+    forward, gradient = ACTIVATION_RULES[kind]
+    y, kept = forward(x.data)
+
+    def bw(g):
+        return (gradient(g, kept),)
+
+    return _record(kind, Tensor(y), (x,), bw)
+
+
+def sigmoid(x) -> Tensor:
+    return _activate("sigmoid", x)
+
+
+def tanh(x) -> Tensor:
+    return _activate("tanh", x)
+
+
+def relu(x) -> Tensor:
+    return _activate("relu", x)
+
+
+def conv(x, w, stride: int = 1) -> Tensor:
+    """Valid 1-D convolution over (batch, length, in_ch) with kernel (k, in_ch, out_ch),
+    no bias and no activation."""
+    x, w = as_tensor(x), as_tensor(w)
+    out_len = (x.shape[1] - w.shape[0]) // stride + 1
+    x_data, w_data = x.data, w.data
+    y = np.zeros((x.shape[0], out_len, w.shape[2]))
+    spans = [slice(i, i + stride * (out_len - 1) + 1, stride) for i in range(w.shape[0])]
+    for i, span in enumerate(spans):
+        y += x_data[:, span, :] @ w_data[i]
+
+    def bw(g):
+        gx = np.zeros_like(x_data)
+        gw = np.zeros_like(w_data)
+        for i, span in enumerate(spans):
+            gw[i] = np.tensordot(x_data[:, span, :], g, axes=([0, 1], [0, 1]))
+            gx[:, span, :] += g @ w_data[i].T
+        return gx, gw
+
+    return _record("conv", Tensor(y), (x, w), bw)
 
 
 def sub(a, b) -> Tensor:
@@ -123,6 +197,20 @@ def dense(x, w, b, activation: str) -> Tensor:
     return _ACTIVATIONS[activation](add(matmul(x, w), b))
 
 
+def conv1d(x, w, b, activation: str, stride: int) -> Tensor:
+    """A conv layer as three nodes: convolution, add and activation."""
+    return _ACTIVATIONS[activation](add(conv(x, w, stride), b))
+
+
+def weighted_sum(losses, weights) -> Tensor:
+    """w1*l1 + w2*l2 + ... as a mul node per term and an add node per term after the first."""
+    terms = [mul(t, w) for t, w in zip(losses, weights)]
+    total = terms[0]
+    for t in terms[1:]:
+        total = add(total, t)
+    return total
+
+
 def clamp_probs(p) -> Tensor:
     p = as_tensor(p)
     if p.size == 0:
@@ -133,11 +221,11 @@ def clamp_probs(p) -> Tensor:
 def gan_value(d_real, d_fake) -> Tensor:
     pr = clamp_probs(d_real)
     pf = clamp_probs(d_fake)
-    return mean(log(pr)) + mean(log(sub(1.0, pf)))
+    return add(mean(log(pr)), mean(log(sub(1.0, pf))))
 
 
 def discriminator_cost(d_real, d_fake) -> Tensor:
-    return -0.5 * gan_value(d_real, d_fake)
+    return mul(gan_value(d_real, d_fake), -0.5)
 
 
 def generator_cost(d_fake, mode: str = "nonsaturating", d_real=None) -> Tensor:
@@ -157,7 +245,7 @@ def bce(p, target: float) -> Tensor:
 
 def mse(a, b) -> Tensor:
     diff = sub(a, b)
-    return mean(diff * diff)
+    return mean(mul(diff, diff))
 
 
 def critic_estimate(f_real, f_fake) -> Tensor:

@@ -257,6 +257,20 @@ def test_checkpoint_whose_spec_feeds_a_gru_rank_2_exits_2_at_load(tmp_path, caps
     assert err == ["error: gru_forecaster: layer 1 (gru) takes a rank-3 input, gets rank 2"]
 
 
+def test_checkpoint_with_an_activation_on_its_gru_layer_exits_2(tmp_path, capsys, data_csv,
+                                                                gru_run):
+    """A gru layer applies no activation, so a spec that names one is refused at load."""
+    run = tmp_path / "run"
+    shutil.copytree(gru_run, run)
+    path = run / "model.json"
+    path.write_text(_edit(path.read_text(), "spec", "layers", 0, "activation", value="relu"))
+    capsys.readouterr()
+    assert main(["forecast", "--input", str(data_csv), "--model-dir", str(run), *PIPE,
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: gru_forecaster: layer 0 (gru) applies no activation, got 'relu'"]
+
+
 def _edited_csv(edit):
     """A case that ingests data_csv with `edit` applied to its text (to str or bytes)."""
     def argv(tmp_path, data_csv, run):

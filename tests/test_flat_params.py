@@ -5,13 +5,14 @@ bytes."""
 import json
 import tracemalloc
 import weakref
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from optim_oracle import OracleState, oracle_clip, oracle_step
-from tape_oracle import mean
+from tape_oracle import add, mean, mul
 from test_kernel_digests import FIXTURE as DIGESTS
 from test_kernel_digests import blas_probe
 from tsgan.errors import GraphError, NumericAbort
@@ -19,7 +20,7 @@ from tsgan.models import (NetSpec, build_forecaster, build_timegan, load_checkpo
                           save_checkpoint)
 from tsgan.models.network import build_network, param_shapes, require_finite_params
 from tsgan.numcore import (OptimizerState, RngStream, Tape, Tensor, backward, clip_weights,
-                           leaf_grads, mul, optimizer_step)
+                           leaf_grads, optimizer_step)
 from tsgan.numcore.optim import BLOCK, OPTIMIZERS, ParamGroup, ParamVector
 from tsgan.training import step as step_module
 from tsgan.training import wgan as wgan_module
@@ -150,7 +151,8 @@ def test_leaf_grads_vector_steps_like_a_plain_dict(algo, direction):
     state, oracle = OptimizerState(algo, 1e-2, direction), OracleState(algo, 1e-2, direction)
     for step in range(3):
         with Tape() as tape:
-            loss = sum(mean(mul(mul(p, p), float(i + step))) for i, p in enumerate(group.values()))
+            loss = reduce(add, (mean(mul(mul(p, p), float(i + step)))
+                                for i, p in enumerate(group.values())))
         gmap = backward(tape, loss)
         grads = leaf_grads(tape, group, gmap)
         plain = {name: gmap[p.tape_id].copy() for name, p in group.items()}

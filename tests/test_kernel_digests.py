@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tape_oracle import tsum
-from tsgan.numcore import Tape, Tensor, backward, gru_sequence, lstm_sequence, mul
+from tape_oracle import mul, tsum
+from tsgan.numcore import Tape, Tensor, backward, gru_sequence, lstm_sequence
 
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "kernel_digests.json"
 KERNELS = {"gru": (gru_sequence, 3), "lstm": (lstm_sequence, 4)}

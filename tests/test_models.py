@@ -89,6 +89,22 @@ def test_netspec_roundtrip_and_validation():
         NetSpec("bad", 0, [])
 
 
+@pytest.mark.parametrize("layer", [
+    {"kind": "gru", "units": 3}, {"kind": "lstm", "units": 3}, {"kind": "dropout", "rate": 0.5},
+    {"kind": "flatten", "flat_width": 4}, {"kind": "last_step"},
+], ids=lambda layer: layer["kind"])
+def test_netspec_refuses_an_activation_on_a_kind_that_applies_none(layer):
+    """Only dense and conv1d layers apply an activation; on any other kind it would be
+    ignored, so it is refused: from code a ConfigError, from a loaded spec a DataError."""
+    layers = [{**layer, "activation": "relu"}]
+    text = rf"bad: layer 0 \({layer['kind']}\) applies no activation, got 'relu'"
+    with pytest.raises(ConfigError, match=text):
+        NetSpec("bad", 4, layers)
+    with pytest.raises(DataError, match=text):
+        NetSpec.from_dict({"name": "bad", "input_dim": 4, "layers": layers})
+    assert NetSpec("ok", 4, [layer]).layers == [layer]
+
+
 def test_netspec_from_dict_reads_no_bool_as_a_width():
     """A JSON `true` loads as Python's True, an int equal to 1; it is no input width."""
     d = NetSpec("demo", 4, [{"kind": "dense", "units": 2}]).to_dict()

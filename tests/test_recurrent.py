@@ -11,13 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cell_oracle import unroll
-from tape_oracle import mean, tsum
+from tape_oracle import add, mean, mul, tsum
 from test_kernel_digests import FIXTURE, blas_probe
 import tsgan.numcore.recurrent as recurrent
 from tsgan.errors import GraphError, ShapeError
 from tsgan.models import NetSpec, build_network
-from tsgan.numcore import (RngStream, Tape, Tensor, add, backward, gru_pack, gru_sequence,
-                           lstm_pack, lstm_sequence, mul)
+from tsgan.numcore import (RngStream, Tape, Tensor, backward, gru_pack, gru_sequence, lstm_pack,
+                           lstm_sequence)
 
 KERNELS = {"gru": gru_sequence, "lstm": lstm_sequence}
 PACKS = {"gru": gru_pack, "lstm": lstm_pack}

@@ -13,6 +13,7 @@ import gan_oracle
 import numpy as np
 import pytest
 
+from tape_oracle import add
 from test_training import tiny_disc
 from tsgan.models import build_discriminator, build_timegan, min_discriminator_len
 from tsgan.models.network import forward_stacked
@@ -132,7 +133,7 @@ def test_timegan_supervisor_forwards_match_two_forwards():
         def fn():
             # a stand-in term on h_hat plus the supervised term on supervisor(h)
             h_hat, sup_h = forwards(sup, e_hat, h)
-            return mse(h_hat, target) + _one_step_shift_loss(sup_h, h)
+            return add(mse(h_hat, target), _one_step_shift_loss(sup_h, h))
         return fn
 
     _assert_close(loss(forward_stacked), loss(gan_oracle.supervisor_two_forward),
