@@ -14,7 +14,7 @@ from .artifacts import csv_text, is_a
 from .data.ohlcv import TARGET_COLUMN
 from .data.scaling import ScalerParams, inverse_scaler
 from .data.windows import WindowDataset
-from .errors import ConfigError, DataError, DomainError, ShapeError, ToolkitError
+from .errors import ConfigError, DataError, DomainError, NumericAbort, ShapeError
 from .models.builders import build_forecaster, scale_width
 from .numcore import RngStream
 from .training.config import TrainConfig
@@ -188,7 +188,8 @@ def persistence_report(test_windows: WindowDataset, horizons=DEFAULT_HORIZONS,
 def perturbation_study(model_kind: str, layer_grid, epoch_grid, train: WindowDataset,
                        test: WindowDataset, scaler: ScalerParams | None, cfg: TrainConfig,
                        horizons=None) -> dict:
-    """One seeded training run per (layers, epochs) cell; failures don't abort.
+    """One seeded training run per (layers, epochs) cell; a cell whose run aborts on a
+    non-finite value is recorded as failed, and any other error propagates.
 
     Returns the perturb.json document: the model kind, both grids and one dict
     per cell, in grid order.
@@ -218,7 +219,7 @@ def perturbation_study(model_kind: str, layer_grid, epoch_grid, train: WindowDat
                                        name=f"{model_kind}-l{layers}-e{epochs}")
                 cells.append({"layers": layers, "epochs": epochs, "status": "ok",
                               **report.weighted, "manifest": manifest})
-            except ToolkitError as e:  # a failed cell is data, not an abort
+            except NumericAbort as e:  # a cell's own run failed: data, not an abort
                 cells.append({
                     "layers": layers, "epochs": epochs, "status": "failed",
                     "error": str(e), "manifest": manifest,

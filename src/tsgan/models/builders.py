@@ -7,7 +7,7 @@ turns the generator's {1024, 512, 256, 128, 64} into {32, 16, 8, 4, 2}).
 
 from __future__ import annotations
 
-from ..errors import ConfigError, ShapeError
+from ..errors import ConfigError
 from ..numcore import RngStream
 from .network import Network, NetSpec, build_network
 
@@ -91,7 +91,7 @@ def build_discriminator(
         raise ConfigError(f"discriminator: head must be 'sigmoid' or 'linear', got {head!r}")
     min_len = min_discriminator_len()
     if seq_len < min_len:
-        raise ShapeError(
+        raise ConfigError(
             f"discriminator: input length {seq_len} too short for "
             f"{len(DISC_CONV_FILTERS)} conv layers (kernel {DISC_KERNEL}, "
             f"stride {DISC_STRIDE}); minimum is {min_len}"

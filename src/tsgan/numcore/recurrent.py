@@ -43,7 +43,8 @@ counted numpy call (see test_recurrent).
 A tape is single-use, so the backward works inside the forward's private
 buffers. It turns the stored gates and states into the loop-invariant BPTT
 factors, mostly in the gates' own slots, and the time loop, which reads a
-time-major copy of the output gradient (popped at once, see takes_gradient),
+time-major copy of the output gradient (the closure deletes its argument once
+copied, so the output gradient is freed there unless a sibling shares it),
 overwrites each factor with its gate's gradient. Each gate's gradient is then
 a time-major (seq*batch, units) slab (the LSTM copies its slabs out of the gate
 buffer, three into spent buffers). A gate's bias and kernel gradients land in
@@ -66,7 +67,7 @@ import math
 import numpy as np
 
 from ..errors import GraphError, ShapeError
-from .tensor import Tensor, _record, active_tape, as_tensor, takes_gradient
+from .tensor import Tensor, _record, active_tape, as_tensor
 
 # the sigmoid's 1 + tanh(a/2) and its halving: a Python float operand would be
 # converted to an array at every call. Read-only, as every kernel shares them.
@@ -265,12 +266,12 @@ def gru_sequence(x, Wz, bz, Wr, br, Wh, bh, state: tuple | None = None,
         add(h_new, hhat_t, h_new)
     out = Tensor(hs[1:].transpose(1, 0, 2).copy())  # a view when batch == 1
 
-    @takes_gradient
-    def bw(box):
+    def bw(g):
         # a private copy: at batch 1 ascontiguousarray would hand back the output gradient
         # itself, which a sibling's gradient may share, and this copy is written after the
-        # loop. Popped, the output gradient is freed here unless a sibling shares it.
-        g_seq = box.pop().transpose(1, 0, 2).copy()
+        # loop. Deleted, the output gradient is freed here unless a sibling shares it.
+        g_seq = g.transpose(1, 0, 2).copy()
+        del g
         h_prev = hs[:-1]
         # loop-invariant factors, each overwritten in the loop by its gate's gradient;
         # the candidate's factor takes the candidate's own slot
@@ -371,8 +372,7 @@ def lstm_sequence(x, Wf, bf, Wi, bi, Wo, bo, Wg, bg, state: tuple | None = None,
     # copied before a backward turns the cell states into tanh(c)
     cells = None if state is None else cs[1:].transpose(1, 0, 2).copy()
 
-    @takes_gradient
-    def bw(box):
+    def bw(g):
         c_prev, tc = cs[:-1], cs[1:]
         # loop-invariant factors in the gates' own slots, each overwritten in the loop by
         # its gate's gradient; the forget gate's values move to f_val, tc takes o(1-tanh^2 c)
@@ -390,7 +390,8 @@ def lstm_sequence(x, Wf, bf, Wi, bi, Wo, bo, Wg, bg, state: tuple | None = None,
         np.subtract(1.0, cand, out=cand)
         np.multiply(cand, i, out=cand)  # i(1-g^2)
         np.copyto(i, spare)
-        np.copyto(spare, box.pop().transpose(1, 0, 2))  # the output gradient, time-major
+        np.copyto(spare, g.transpose(1, 0, 2))  # the output gradient, time-major
+        del g
         w_h_t = np.ascontiguousarray(_hidden_rows(ws, feat).T)
         dh = np.zeros((batch, units))
         dc = np.zeros((batch, units))

@@ -156,22 +156,15 @@ def _record(op: str, out: Tensor, inputs: tuple, backward_fn) -> Tensor:
     return out
 
 
-def takes_gradient(backward_fn):
-    """Mark a backward closure that takes its output gradient as a one-item list and pops
-    it, so it holds the only reference and may free the gradient before it returns. An
-    argument passed as such stays held by the caller until the call returns on CPython
-    3.10, whatever the closure deletes."""
-    backward_fn.takes_gradient = True
-    return backward_fn
-
-
 def backward(record: Tape, loss: Tensor) -> dict[int, np.ndarray]:
     """Reverse pass from a scalar loss on the record (a constant never is); returns
     {tape_id: np.ndarray} for every leaf, zeros for one the loss does not reach.
 
     The record is consumed; a second backward on it is rejected. Each node is
     taken off the record before its closure runs, so the arrays it holds are
-    freed at their last use, even while a parameter's `_tape` points here.
+    freed at their last use, even while a parameter's `_tape` points here. A
+    closure is called with its output gradient as the only reference to it, so
+    one that deletes its argument frees the gradient before it returns.
     """
     if record.consumed:
         raise GraphError("double backward: this computation record was already consumed")
@@ -186,12 +179,8 @@ def backward(record: Tape, loss: Tensor) -> dict[int, np.ndarray]:
         _, out_id, in_ids, backward_fn, _ = record.nodes.pop()
         if out_id not in grads:
             continue
-        # no loop name keeps an output gradient (the names are cleared after each node),
-        # so a closure that takes it from a list holds the only reference
-        if getattr(backward_fn, "takes_gradient", False):
-            contribs = backward_fn([grads.pop(out_id)])
-        else:
-            contribs = backward_fn(grads.pop(out_id))
+        # no loop name keeps an output gradient (the names are cleared after each node)
+        contribs = backward_fn(grads.pop(out_id))
         for in_id, contrib in zip(in_ids, contribs):
             if in_id is None or contrib is None:
                 continue
@@ -216,19 +205,6 @@ def leaf_grads(record: Tape, params: dict, gmap: dict) -> np.ndarray:
         raise GraphError(f"no gradients on this record for parameters: {sorted(missing)}")
     return np.concatenate([np.zeros(0), *(gmap[p.tape_id] for p in params.values())],
                           axis=None)
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient down to `shape` after numpy broadcasting."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gs, s) in enumerate(zip(g.shape, shape)) if s == 1 and gs != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +255,10 @@ def _activation_rule(op: str, activation: str) -> tuple:
 def dense(x, w, b, activation: str) -> Tensor:
     """activation(x @ w + b) as one node, x of shape (batch, in) or (batch, seq, in), w
     (in, out), b (out,), activation a key of ACTIVATION_RULES. Values and gradients equal
-    those of a matmul, an add and the activation recorded in turn, bit for bit; x's
-    gradient is not computed when x needs none."""
+    those of a matmul, an add and the activation recorded in turn, bit for bit; the
+    backward flattens x's and the gradient's leading axes into rows, so w's and b's
+    gradients are one product and one sum at either rank. x's gradient is not computed
+    when x needs none."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if w.ndim != 2 or x.ndim not in (2, 3) or b.shape != w.shape[1:]:
         raise ShapeError(f"dense: unsupported shapes {x.shape}, {w.shape} and {b.shape}")
@@ -294,11 +272,9 @@ def dense(x, w, b, activation: str) -> Tensor:
 
     def bw(g):
         g = gradient(g, kept)
-        if x_data.ndim == 2:
-            gw, gb = x_data.T @ g, g.sum(axis=(0,))
-        else:
-            gw, gb = np.tensordot(x_data, g, axes=([0, 1], [0, 1])), g.sum(axis=(0, 1))
-        return (g @ w_data.T if x_grad else None), gw, gb
+        rows = g.reshape(-1, g.shape[-1])
+        gw = x_data.reshape(-1, x_data.shape[-1]).T @ rows
+        return (g @ w_data.T if x_grad else None), gw, rows.sum(axis=0)
 
     return _record("dense", Tensor(y), (x, w, b), bw)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import DataError, DomainError, ShapeError
 from ..numcore import Tensor, as_tensor
-from ..numcore.tensor import _record, _unbroadcast
+from ..numcore.tensor import _record
 
 PROB_FLOOR = 1e-7
 
@@ -101,19 +101,17 @@ def bce(p, target: float) -> Tensor:
 
 
 def mse(a, b) -> Tensor:
-    """mean (a - b)^2, a and b broadcast together."""
+    """mean (a - b)^2 over two arrays of one shape; unequal shapes are a ShapeError."""
     a, b = as_tensor(a), as_tensor(b)
-    try:
-        diff = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"mse: shapes {a.shape} and {b.shape} are not broadcastable") from None
+    if a.shape != b.shape:
+        raise ShapeError(f"mse: shapes {a.shape} and {b.shape} differ")
+    diff = a.data - b.data
     _, value, mean_grad = _mean_term(diff * diff)
-    a_shape, b_shape = a.shape, b.shape
 
     def bw(g):
         half = mean_grad(g) * diff
         gd = half + half
-        return _unbroadcast(gd, a_shape), -_unbroadcast(gd, b_shape)
+        return gd, -gd
 
     return _record("mse", Tensor(value), (a, b), bw)
 

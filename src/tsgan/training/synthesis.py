@@ -115,10 +115,11 @@ class GanPredictor:
 class TimeganPredictor:
     """Forecast by rolling the supervisor forward in latent space.
 
-    The window is embedded, the supervisor's one-step-ahead latent extends
-    the sequence step by step, and recovery maps the appended latents back
-    to scaled features, from which the close column is read. Each step of
-    `width` costs one supervisor and one recovery call.
+    The window is embedded once and the supervisor's one-step-ahead latent
+    extends the sequence step by step: the supervisor runs over the embedded
+    window once from zero states, then one timestep per step from its carried
+    state, L + width - 1 timesteps in all. Recovery maps every step's latent
+    back to scaled features in one call, and the close column is read.
     """
 
     def __init__(self, nets: dict, close_index: int, head_width: int):
@@ -129,14 +130,18 @@ class TimeganPredictor:
         self.head_width = head_width
 
     def predict(self, inputs: np.ndarray, width: int) -> np.ndarray:
-        h = self.nets["embedder"].forward(Tensor(inputs)).data
-        out = np.empty((inputs.shape[0], width))
-        for step in range(width):
-            nxt = self.nets["supervisor"].forward(Tensor(h)).data[:, -1:, :]
-            h = np.concatenate([h, nxt], axis=1)
-            rec = self.nets["recovery"].forward(Tensor(nxt)).data
-            out[:, step] = rec[:, 0, self.close_index]
-        return out
+        sup, count = self.nets["supervisor"], inputs.shape[0]
+        h = self.nets["embedder"].forward(Tensor(inputs))
+        carry = list(zip(sup.zero_states(count), sup.pack()))
+        latents = []
+        for _ in range(width):
+            out, states = sup.forward(h, carry=carry)
+            h = Tensor(out.data[:, -1:])
+            latents.append(h.data)
+            carry = [(tuple(s[:, -1] for s in state), pack)
+                     for state, (_, pack) in zip(states, carry)]
+        rec = self.nets["recovery"].forward(Tensor(np.concatenate(latents))).data
+        return rec[:, 0, self.close_index].reshape(width, count).T
 
 
 class PersistencePredictor:

@@ -1,14 +1,17 @@
-"""Reference iterative forecast: one window and one step at a time.
+"""Reference forecasts: one window and one step at a time, and TimeGAN's re-run.
 
-The batched roll-forward in tsgan.training.synthesis replaced this
+The batched roll-forward in tsgan.training.synthesis replaced the
 per-window loop; the tests keep it as the oracle that path is checked
 against. It takes validated inputs (a scaler and windows built from a
 FeatureMatrix) and calls predict() for one step of a batch of one window.
+TimeGAN's direct forecast, which now carries the supervisor's state from
+step to step, is checked against the re-run it replaced.
 """
 
 import numpy as np
 
 from tsgan.data import RAW_COLUMNS, inverse_scale_matrix, inverse_scaler
+from tsgan.numcore import Tensor
 
 
 def feature_row(raw: np.ndarray, names: list[str], sma_window: int) -> np.ndarray:
@@ -49,4 +52,16 @@ def iterative_forecast(predictor, windows, horizon: int, scaler) -> np.ndarray:
             feat = feature_row(raw, windows.feature_names, windows.sma_window)
             feat_scaled = (feat - scaler.mins) / (scaler.maxs - scaler.mins)
             window = np.vstack([window[1:], feat_scaled])
+    return out
+
+
+def timegan_direct(nets, close_index: int, inputs: np.ndarray, width: int) -> np.ndarray:
+    """(count, width) scaled closes: the supervisor re-run over the whole growing latent
+    sequence at every step, and recovery once per step on the appended latent."""
+    h = nets["embedder"].forward(Tensor(inputs)).data
+    out = np.empty((inputs.shape[0], width))
+    for step in range(width):
+        nxt = nets["supervisor"].forward(Tensor(h)).data[:, -1:, :]
+        h = np.concatenate([h, nxt], axis=1)
+        out[:, step] = nets["recovery"].forward(Tensor(nxt)).data[:, 0, close_index]
     return out

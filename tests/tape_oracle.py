@@ -13,10 +13,23 @@ import numpy as np
 
 from tsgan.errors import DataError, DomainError, ShapeError
 from tsgan.numcore import Tensor, as_tensor
-from tsgan.numcore.tensor import ACTIVATION_RULES, _record, _unbroadcast
+from tsgan.numcore.tensor import ACTIVATION_RULES, _record
 from tsgan.training import GENERATOR_LOSS_MODES, PROB_FLOOR
 
 # --- primitives --------------------------------------------------------------
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum a gradient down to `shape` after numpy broadcasting."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, (gs, s) in enumerate(zip(g.shape, shape)) if s == 1 and gs != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
 
 
 def add(a, b) -> Tensor:
@@ -126,12 +139,12 @@ def matmul(a, b) -> Tensor:
     out = Tensor(a.data @ b.data)
     a_data, b_data = a.data, b.data
 
-    if a.ndim == 2:
-        def bw(g):
-            return g @ b_data.T, a_data.T @ g
-    else:
-        def bw(g):
-            return g @ b_data.T, np.tensordot(a_data, g, axes=([0, 1], [0, 1]))
+    def bw(g):
+        # b's gradient over a's leading axes flattened into rows, as dense takes it: numpy's
+        # dot (under tensordot) multiplies a one-element operand as a scalar, which keeps
+        # a -0.0 product that the GEMM of two one-row operands sums to +0.0
+        rows = a_data.reshape(-1, a_data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        return g @ b_data.T, rows
 
     return _record("matmul", out, (a, b), bw)
 

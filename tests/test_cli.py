@@ -708,6 +708,33 @@ def test_perturb_rejects_horizons_past_the_test_windows_before_training(
     assert not (out / "perturb.json").exists()
 
 
+def test_perturb_exits_on_a_programming_error_instead_of_failing_a_cell(
+        tmp_path, capsys, monkeypatch, data_csv):
+    def broken(*args, **kwargs):
+        raise GraphError("loss tensor is not on this computation record")
+
+    monkeypatch.setattr("tsgan.evaluate.train_forecaster", broken)
+    out = tmp_path / "perturb"
+    capsys.readouterr()
+    rc = main(["perturb", "--input", str(data_csv), "--model", "gru", "--layers", "1",
+               "--epoch-grid", "1", "--hidden-units", "2", *PIPE, "--out-dir", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: loss tensor is not on this computation record"]
+    assert not (out / "perturb.json").exists()
+
+
+@pytest.mark.parametrize("model", ["gan", "wgan"])
+def test_a_window_too_short_for_the_discriminator_exits_1(tmp_path, capsys, data_csv, model):
+    """seq_len + horizon (9) is below the conv stack's 85 rows: a usage error."""
+    capsys.readouterr()
+    rc = main(["train", "--input", str(data_csv), "--model", model, "--epochs", "1", *PIPE,
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: discriminator: input length 9 too short")
+
+
 @pytest.mark.parametrize("argv", [
     ["evaluate", "--horizons=-2,3"],
     ["evaluate", "--horizons", "0"],

@@ -6,7 +6,8 @@ import pytest
 from tsgan.data import (TARGET_COLUMN, apply_scaler, build_features, fit_scaler,
                         inverse_scaler, make_synthetic_series, make_windows,
                         split_train_test)
-from tsgan.errors import ConfigError, DataError, DomainError, NumericAbort, ShapeError
+from tsgan.errors import (ConfigError, DataError, DomainError, GraphError, NumericAbort,
+                          ShapeError)
 from tsgan.evaluate import (ComparisonTable, MetricsReport, compare_models,
                             horizon_sweep, mape, persistence_report,
                             perturbation_study, rmse, spec_hidden_layers,
@@ -202,14 +203,18 @@ def test_perturbation_study_isolates_failures(monkeypatch):
             perturbation_study("gru", layer_grid, epoch_grid, train, test, scaler, cfg)
 
 
-def test_perturbation_study_propagates_programming_errors(monkeypatch):
+@pytest.mark.parametrize("error", [TypeError, GraphError, ShapeError, ConfigError, DataError,
+                                   DomainError])
+def test_perturbation_study_propagates_programming_errors(monkeypatch, error):
+    """Only a NumericAbort, a cell's own run failing, is a failed cell: a programming or
+    usage error, or data that fails every cell alike, propagates."""
     train, test, scaler = small_split()
 
     def broken(*args, **kwargs):
-        raise TypeError("bad call")
+        raise error("bad call")
 
     monkeypatch.setattr("tsgan.evaluate.train_forecaster", broken)
-    with pytest.raises(TypeError, match="bad call"):
+    with pytest.raises(error, match="bad call"):
         perturbation_study("gru", [1], [1], train, test, scaler, TrainConfig(epochs=1))
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from forecast_oracle import iterative_forecast
+from forecast_oracle import iterative_forecast, timegan_direct
 from test_recurrent import SAME_BLAS
 import tsgan.models.network as network
 import tsgan.numcore.recurrent as recurrent
@@ -306,6 +306,37 @@ def test_timegan_iterative_step_is_one_embedder_supervisor_and_recovery_call(
     monkeypatch.setattr(Network, "forward", counted)
     forecast(nets, ds, horizon, mode="iterative", scaler=scaler)
     assert calls == {"embedder": horizon, "supervisor": horizon, "recovery": horizon}
+
+
+@pytest.mark.parametrize("width", [1, 4, 40])
+def test_timegan_direct_forecast_carries_the_supervisor_state(width, monkeypatch):
+    """Each supervisor layer runs the window's L timesteps once, then one per later step,
+    L + width - 1 in all, and the forecast stays within 1e-12 of the per-step re-run
+    (relative to its largest value)."""
+    nets = build_timegan(feature_dim=18, hidden_dim=3, rng=RngStream(8, ("direct",)))
+    want = timegan_direct(nets, DS.target_index, DS.inputs, width)
+    steps, running = Counter(), []
+    forward, kernel = Network.forward, network._SEQUENCE_KERNELS["gru"]
+
+    def named(net, *args, **kwargs):
+        running.append(net.name)
+        try:
+            return forward(net, *args, **kwargs)
+        finally:
+            running.pop()
+
+    def counted(x, *args, **kwargs):
+        steps[running[-1]] += x.shape[1]
+        return kernel(x, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "forward", named)
+    monkeypatch.setitem(network._SEQUENCE_KERNELS, "gru", counted)
+    got = TimeganPredictor(nets, DS.target_index, width).predict(DS.inputs, width)
+    layers = len(nets["supervisor"].spec.layers) - 1  # three gru layers, a dense head
+    assert steps == {"embedder": layers * DS.seq_len,
+                     "supervisor": layers * (DS.seq_len + width - 1), "recovery": layers}
+    assert got.shape == (DS.count, width)
+    np.testing.assert_allclose(got, want, rtol=0, atol=TOL * np.abs(want).max())
 
 
 @pytest.mark.parametrize("names", [

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tape_oracle as oracle
+from tsgan.errors import ShapeError
 from tsgan.models import (NetSpec, build_critic, build_discriminator, build_network,
                           min_discriminator_len)
 from tsgan.numcore import RngStream, Tape, Tensor, backward, conv1d, dense
@@ -194,9 +195,7 @@ def test_mean_losses_equal_their_chains(data, name, scale):
                     "critic_generator_cost": (critic_generator_cost,
                                               oracle.critic_generator_cost)}[name]
     arity = 1 if name == "critic_generator_cost" else 2
-    # mse's target may broadcast over the prediction's leading axes
-    second = shape[1:] if name == "mse" and data.draw(st.booleans()) else shape
-    arrays = [_normal(data.draw, s) for s in (shape, second)[:arity]]
+    arrays = [_normal(data.draw, shape) for _ in range(arity)]
     needs = data.draw(st.tuples(*[st.booleans()] * arity).filter(any))
     weights = np.array(scale)
     assert _run(fused, arrays, needs, weights) == _run(chain, arrays, needs, weights)
@@ -209,6 +208,13 @@ def test_each_probability_loss_records_one_node(name):
     with Tape() as tape:
         fused(*ps)
     assert len(tape.nodes) == 1
+
+
+@pytest.mark.parametrize("shapes", [((4,), (1,)), ((3, 2), (2,)), ((2, 3, 1), (2, 3)),
+                                    ((3, 2), (2, 3))])
+def test_mse_refuses_unequal_shapes(shapes):
+    with pytest.raises(ShapeError, match="mse: shapes"):
+        mse(*(np.zeros(s) for s in shapes))
 
 
 def test_mse_against_a_target_that_needs_no_gradient_records_one_node():

@@ -286,7 +286,7 @@ def test_discriminator_architecture_and_minimum_length():
     assert out.data.shape == (3, 1)
     assert np.all((out.data > 0) & (out.data < 1))
 
-    with pytest.raises(ShapeError) as err:
+    with pytest.raises(ConfigError) as err:
         build_discriminator(84, 1, RngStream(1, ("d2",)))
     assert "85" in str(err.value)
 

@@ -10,11 +10,11 @@ from hypothesis.extra import numpy as hnp
 
 from gradtools import check_gradients
 from tsgan.errors import DomainError, GraphError, ShapeError
-from tape_oracle import (add, clamp, log, matmul, mean, mul, neg, relu, sigmoid, sub, tanh,
-                         tsum)
+from tape_oracle import (_unbroadcast, add, clamp, log, matmul, mean, mul, neg, relu, sigmoid,
+                         sub, tanh, tsum)
 from tsgan.numcore import (RngStream, Tape, Tensor, backward, concat, conv1d, dropout,
                            gru_sequence, leaf_grads, lstm_sequence, reshape, slice_tensor)
-from tsgan.numcore.tensor import _record, _unbroadcast, takes_gradient
+from tsgan.numcore.tensor import _record
 
 
 def test_arithmetic_forward_values():
@@ -425,15 +425,12 @@ def test_tape_node_list_describes_the_graph():
 
 
 def test_a_closure_that_takes_its_gradient_holds_the_only_reference():
-    """backward() hands a takes_gradient closure its output gradient in a list and keeps
-    no name on it, so the closure can free it before it returns. A plain argument stays
-    held by the caller until the call returns on CPython 3.10."""
+    """backward() keeps no name on the output gradient it passes to a closure, so a
+    closure that deletes its argument frees the gradient before it returns."""
     x = Tensor(np.ones(3), requires_grad=True)
     freed = []
 
-    @takes_gradient
-    def bw(box):
-        g = box.pop()
+    def bw(g):
         ref = weakref.ref(g)
         del g
         freed.append(ref() is None)
