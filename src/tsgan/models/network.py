@@ -22,6 +22,7 @@ from ..errors import ConfigError, DataError, ShapeError
 from ..numcore import (
     RngStream,
     Tensor,
+    as_tensor,
     concat,
     conv1d,
     dense,
@@ -201,10 +202,11 @@ class Network:
         if not 0 <= start <= stop <= len(spec.layers):
             raise ConfigError(f"{spec.name}: layer range [{start}, {stop}) is outside "
                               f"its {len(spec.layers)} layers")
-        if x.ndim != spec.ranks[start] or (start == 0 and x.shape[-1] != spec.input_dim):
+        shape = x.data.shape
+        if len(shape) != spec.ranks[start] or (start == 0 and shape[-1] != spec.input_dim):
             width = f" with width {spec.input_dim}" if start == 0 else ""
             raise ShapeError(f"{spec.name}: layer {start} expects a rank-{spec.ranks[start]} "
-                             f"input{width}, got shape {x.shape}")
+                             f"input{width}, got shape {shape}")
         layers = spec.layers[start:stop]
         if carry is not None:
             recurrent = sum(layer["kind"] in _SEQUENCE_KERNELS for layer in layers)
@@ -225,13 +227,14 @@ class Network:
                                                          packed=packed)
                     states.append(state)
             elif kind == "last_step":
-                out = slice_tensor(out, (slice(None), out.shape[1] - 1, slice(None)))
+                out = slice_tensor(out, (slice(None), out.data.shape[1] - 1, slice(None)))
             elif kind == "dense":
                 out = dense(out, *params, layer.get("activation") or "linear")
             elif kind == "conv1d":
                 out = conv1d(out, *params, layer.get("activation") or "linear", layer["stride"])
             elif kind == "flatten":
-                out = reshape(out, (out.shape[0], out.shape[1] * out.shape[2]))
+                batch, length, channels = out.data.shape
+                out = reshape(out, (batch, length * channels))
             elif kind == "dropout":
                 out = dropout(out, layer["rate"], rng)
         return out if carry is None else (out, states)
@@ -276,8 +279,9 @@ def forward_stacked(net: Network, first, second) -> tuple[Tensor, Tensor]:
     halves at once. Losses and gradients agree with two separate forwards
     within 1e-12 (gradients relative to the network's largest entry).
     """
+    first = first if isinstance(first, Tensor) else as_tensor(first)
     out = net.forward(concat([first, second], axis=0))
-    m = first.shape[0]
+    m = first.data.shape[0]
     return slice_tensor(out, slice(None, m)), slice_tensor(out, slice(m, None))
 
 
@@ -293,7 +297,8 @@ def build_network(spec: NetSpec, rng: RngStream) -> Network:
     seeds give bit-identical parameters; each lands in its view of the one vector."""
     net = Network(spec, np.zeros(sum(math.prod(shape) for _, shape in param_shapes(spec))))
     for t in net.params.values():
-        if t.ndim > 1:
-            bound = 1.0 / np.sqrt(math.prod(t.shape[:-1]))
-            t.data[...] = rng.uniform(-bound, bound, t.shape)
+        shape = t.data.shape
+        if len(shape) > 1:
+            bound = 1.0 / np.sqrt(math.prod(shape[:-1]))
+            t.data[...] = rng.uniform(-bound, bound, shape)
     return net

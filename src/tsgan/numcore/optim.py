@@ -41,19 +41,30 @@ _MOMENTS = {"sgd": (), "adam": (("m", ADAM_BETA1, False), ("v", ADAM_BETA2, True
 BLOCK = 1 << 16  # elements per blockwise pass: a 6.2M-value update makes no whole-vector temporary
 
 
-def _vectors(params: ParamVector | ParamGroup) -> list[ParamVector]:
-    """The vectors under params, in params' order."""
-    return params.vectors if isinstance(params, ParamGroup) else [params]
-
-
 def require_finite(params: dict, values: np.ndarray, message: str, offset: int = 0) -> None:
     """NumericAbort(message naming the parameter) at the first non-finite entry of `values`,
     which lies over params' values in their order from `offset` entries in."""
     finite = np.isfinite(values)
-    if not finite.all():
-        ends = np.cumsum([t.size for t in params.values()])
+    if np.count_nonzero(finite) != finite.size:  # a count costs less than a reduction
+        ends = np.cumsum([t.data.size for t in params.values()])
         i = int(np.searchsorted(ends, offset + int(finite.argmin()), side="right"))
         raise NumericAbort(message.format(list(params)[i]))
+
+
+def _writable(params: ParamVector | ParamGroup) -> list[np.ndarray]:
+    """The vectors under params, in params' order, for an update or a clip to write.
+
+    A GraphError names the first parameter whose last tape backward has not consumed: its
+    backward closures still read the values a write would change. An earlier tape the
+    parameter joined is not seen. Then reading each vector names a parameter whose data
+    was rebound off it (ParamVector.flat)."""
+    for name, p in params.items():
+        if p._tape is not None and not p._tape.consumed:
+            raise GraphError(f"parameter {name!r} is on a tape that backward has not "
+                             "consumed; run backward before updating it")
+    if isinstance(params, ParamGroup):
+        return [vec.flat for vec in params.vectors]
+    return [params.flat]
 
 
 class OptimizerState:
@@ -73,36 +84,29 @@ class OptimizerState:
         self.moments: dict[str, np.ndarray] = {}
 
 
-def _advance(algo: str, old: dict, g: np.ndarray, out: dict, tmp: np.ndarray) -> None:
-    """Write the moments after gradient g, from their values `old`, into `out` (may be `old`)."""
-    for k, decay, squared in _MOMENTS[algo]:
-        np.multiply(np.multiply(g, g, out=tmp) if squared else g, 1.0 - decay, out=tmp)
-        np.add(np.multiply(old[k], decay, out=out[k]), tmp, out=out[k])
+def _advance(moments: tuple, old, g: np.ndarray, out, tmp: np.ndarray) -> None:
+    """Write the moments after gradient g, from their values `old`, into `out` (may be
+    `old`); `moments` is the algorithm's entry of _MOMENTS, and `old` and `out` hold one
+    array per moment in its order."""
+    for (_, decay, squared), m, m_out in zip(moments, old, out):
+        np.multiply(np.multiply(g, g, tmp) if squared else g, 1.0 - decay, tmp)
+        np.add(np.multiply(m, decay, m_out), tmp, m_out)
 
 
-def _step(state: OptimizerState, t: int, g, moments: dict, out, tmp) -> None:
+def _step(state: OptimizerState, t: int, g, moments, out, tmp) -> None:
     """Write into out the step down along g that the parameters take (the new value is
-    p - out), from the new moments; tmp is scratch."""
+    p - out), from the new moments, one array each in _MOMENTS' order; tmp is scratch."""
     if state.algo == "adam":  # lr * m_hat / (sqrt(v_hat) + eps)
-        np.divide(moments["v"], 1.0 - ADAM_BETA2 ** t, out=tmp)
-        np.add(np.sqrt(tmp, out=tmp), ADAM_EPS, out=tmp)
-        np.multiply(np.divide(moments["m"], 1.0 - ADAM_BETA1 ** t, out=out), state.lr, out=out)
+        m, v = moments
+        np.divide(v, 1.0 - ADAM_BETA2 ** t, tmp)
+        np.add(np.sqrt(tmp, tmp), ADAM_EPS, tmp)
+        np.multiply(np.divide(m, 1.0 - ADAM_BETA1 ** t, out), state.lr, out)
     else:  # lr * g, over sqrt(sq) + eps for rmsprop
-        np.multiply(g, state.lr, out=out)
+        np.multiply(g, state.lr, out)
         if state.algo == "rmsprop":
-            np.add(np.sqrt(moments["sq"], out=tmp), RMSPROP_EPS, out=tmp)
+            np.add(np.sqrt(moments[0], tmp), RMSPROP_EPS, tmp)
     if state.algo != "sgd":
-        np.divide(out, tmp, out=out)
-
-
-def _require_consumed(params: dict) -> None:
-    """GraphError naming the first parameter whose last tape backward has not consumed:
-    its backward closures still read the values an update would overwrite. An earlier
-    tape the parameter joined is not seen."""
-    for name, p in params.items():
-        if p._tape is not None and not p._tape.consumed:
-            raise GraphError(f"parameter {name!r} is on a tape that backward has not "
-                             "consumed; run backward before updating it")
+        np.divide(out, tmp, out)
 
 
 def optimizer_step(state: OptimizerState, params: ParamVector | ParamGroup,
@@ -115,52 +119,64 @@ def optimizer_step(state: OptimizerState, params: ParamVector | ParamGroup,
     consumed, is a GraphError. An update that raises leaves the parameters, the moments
     and the step count as they were.
     """
-    vectors = _vectors(params)
-    size = sum(vec.bounds[-1] for vec in vectors)
+    vectors = params.vectors if isinstance(params, ParamGroup) else [params]
+    size = 0
+    for vec in vectors:
+        size += vec.bounds[-1]
     if np.shape(g) != (size,):
         raise GraphError(f"gradient vector has shape {np.shape(g)}; the parameters "
                          f"need ({size},)")
-    _require_consumed(params)
+    flats = _writable(params)
     require_finite(params, g, "non-finite gradient for parameter {!r}")
     if state.direction == "ascend":  # a fresh vector: the caller's gradients are never written
         g = np.negative(g)
-    moments = state.moments or {k: np.zeros(size) for k, _, _ in _MOMENTS[state.algo]}
+    spec = _MOMENTS[state.algo]
+    moments = state.moments or {k: np.zeros(size) for k, _, _ in spec}
+    olds = list(moments.values())
+    # rows: each new moment, then the step (then the new values), then scratch
     room = min(size, BLOCK)
-    scratch = {k: np.empty(room) for k in [*moments, "step", "tmp"]}
+    scratch = np.empty((len(olds) + 2, room))
     t, blocks, lo = state.step_count + 1, [], 0
-    for vec in vectors:  # (values, offset in g) of each block
-        flat = vec.flat
+    for flat in flats:  # (values, offset in g) of each block
         blocks += [(flat[a : a + BLOCK], lo + a) for a in range(0, flat.size, BLOCK)]
         lo += flat.size
     # pass 1: new moments and values into the scratch, checked; nothing written. Blocks
     # lie side by side from g offset `base`, which moves up to a block that does not fit
     base = 0
     for p, lo in blocks:
-        if lo + p.size - base > room:
+        n = p.size
+        if lo + n - base > room:
             base = lo
-        at = slice(lo - base, lo - base + p.size)
-        gb, part = g[lo : lo + p.size], {k: buf[at] for k, buf in scratch.items()}
-        _advance(state.algo, {k: m[lo : lo + p.size] for k, m in moments.items()}, gb, part,
-                 part["tmp"])
-        for k in moments:  # a finite g whose square overflows leaves an infinite moment
-            require_finite(params, part[k], f"non-finite moment {k!r} for parameter {{!r}} "
-                           "after update", lo)
-        _step(state, t, gb, part, part["step"], part["tmp"])
-        require_finite(params, np.subtract(p, part["step"], out=part["step"]),
-                       "non-finite value for parameter {!r} after update", lo)
+        part = scratch[:, lo - base : lo - base + n]
+        *news, step, tmp = part
+        gb = g[lo : lo + n]
+        _advance(spec, [m[lo : lo + n] for m in olds], gb, news, tmp)
+        _step(state, t, gb, news, step, tmp)
+        np.subtract(p, step, step)
+        # one check of the new moments and values: a finite g whose square overflows
+        # leaves an infinite moment but a finite value, so the moments are named first
+        checked = part[:-1]
+        if np.count_nonzero(np.isfinite(checked)) != checked.size:
+            for (k, _, _), m in zip(spec, news):
+                require_finite(params, m, f"non-finite moment {k!r} for parameter {{!r}} "
+                               "after update", lo)
+            require_finite(params, step, "non-finite value for parameter {!r} after update",
+                           lo)
     # pass 2, last block first: the blocks from base on are copied from the scratch before
     # any earlier one repeats the same arithmetic in place, over the scratch
-    for k, m in moments.items():
-        m[base:] = scratch[k][: size - base]
+    for m, new in zip(olds, scratch):
+        m[base:] = new[: size - base]
+    steps, tmps = scratch[-2], scratch[-1]
     for p, lo in reversed(blocks):
+        n = p.size
         if lo >= base:
-            p[...] = scratch["step"][lo - base : lo - base + p.size]
+            p[...] = steps[lo - base : lo - base + n]
             continue
-        gb, block = g[lo : lo + p.size], {k: m[lo : lo + p.size] for k, m in moments.items()}
-        step, tmp = scratch["step"][: p.size], scratch["tmp"][: p.size]
-        _advance(state.algo, block, gb, block, tmp)
+        gb, block = g[lo : lo + n], [m[lo : lo + n] for m in olds]
+        step, tmp = steps[:n], tmps[:n]
+        _advance(spec, block, gb, block, tmp)
         _step(state, t, gb, block, step, tmp)
-        np.subtract(p, step, out=p)
+        np.subtract(p, step, p)
     state.step_count = t
     state.moments = moments
 
@@ -170,7 +186,7 @@ def clip_weights(params: ParamVector | ParamGroup, c: float) -> None:
     consumed is a GraphError, and nothing is clipped."""
     if not (c > 0.0):
         raise ConfigError(f"clip bound must be positive, got {c}")
-    _require_consumed(params)
-    for vec in _vectors(params):
-        flat = vec.flat
-        np.clip(flat, -c, c, out=flat)
+    for flat in _writable(params):
+        # np.clip's own arithmetic, max then min, without its Python wrappers
+        np.maximum(flat, -c, out=flat)
+        np.minimum(flat, c, out=flat)

@@ -34,11 +34,14 @@ never reach, so a call that records on a tape refuses one with a GraphError.
 
 At desk scale a kernel's time is Python dispatch, about a dozen numpy calls
 per timestep on tiny blocks, so each call is made cheap: every timestep's views
-come from one `zip` over the time-major buffers (reversed for BPTT), and every
-op is a numpy function bound to a local name, given its output positionally
-(no `out=` keyword to parse) and the sigmoid's 1 and 0.5 as 0-d arrays (no
-Python float to convert). The loops use no augmented operator, so each op is a
-counted numpy call (see test_recurrent).
+come from one `zip` over the time-major buffers (reversed for BPTT); every ufunc
+is bound to a local name and given its output positionally (no `out=` keyword to
+parse) and the sigmoid's 1 and 0.5 as 0-d arrays (no Python float to convert);
+the products call `np.ndarray.dot` and the copies are slice assignments, the C
+routines that `np.dot` and `np.copyto` reach only through numpy's
+`__array_function__` dispatch, a Python call each. The loops use no augmented
+operator, so each op is one counted call (see test_recurrent). The set-up
+makes no generator expression, which resumes a Python frame per item.
 
 A tape is single-use, so the backward works inside the forward's private
 buffers. It turns the stored gates and states into the loop-invariant BPTT
@@ -76,13 +79,25 @@ _HALF = np.array(0.5)
 _ONE.flags.writeable = _HALF.flags.writeable = False
 
 
-def _check(op: str, x: Tensor, kernels: tuple, biases: tuple) -> tuple:
-    """Validate shapes; returns (batch, seq, feat, units)."""
-    if x.ndim != 3 or min(x.shape[:2]) < 1:
-        raise ShapeError(f"{op}: needs a non-empty (batch, seq, feat) input, got {x.shape}")
-    batch, seq, feat = x.shape
-    units = kernels[0].shape[-1]
-    for w, b in zip(kernels, biases):
+def _tensors(*items) -> tuple:
+    """(the items as Tensors, their arrays); only an item that is not a Tensor is converted."""
+    tensors, arrays = [], []
+    for t in items:
+        if not isinstance(t, Tensor):
+            t = as_tensor(t)
+        tensors.append(t)
+        arrays.append(t.data)
+    return tensors, arrays
+
+
+def _check(op: str, xd: np.ndarray, ws: list, bs: list) -> tuple:
+    """Validate the shapes of x and of the gates' kernels and biases; returns
+    (batch, seq, feat, units)."""
+    if xd.ndim != 3 or min(xd.shape[:2]) < 1:
+        raise ShapeError(f"{op}: needs a non-empty (batch, seq, feat) input, got {xd.shape}")
+    batch, seq, feat = xd.shape
+    units = ws[0].shape[-1]
+    for w, b in zip(ws, bs):
         if w.shape != (feat + units, units) or b.shape != (units,):
             raise ShapeError(f"{op}: input width {feat} does not fit kernel {w.shape} "
                              f"and bias {b.shape}")
@@ -91,9 +106,10 @@ def _check(op: str, x: Tensor, kernels: tuple, biases: tuple) -> tuple:
 
 def _initial(op: str, state: tuple, parts: int, batch: int, units: int) -> None:
     """Validate an initial state: `parts` arrays of shape (batch, units)."""
-    if len(state) != parts or any(np.shape(s) != (batch, units) for s in state):
+    got = [np.shape(s) for s in state]
+    if got != [(batch, units)] * parts:
         raise ShapeError(f"{op}: needs an initial state of {parts} (batch, units) = "
-                         f"{(batch, units)} arrays, got {[np.shape(s) for s in state]}")
+                         f"{(batch, units)} arrays, got {got}")
 
 
 def _scratch(spent: np.ndarray, shape: tuple) -> np.ndarray:
@@ -111,16 +127,16 @@ def _ones_x(xd: np.ndarray, spent: np.ndarray) -> np.ndarray:
     return ones_x.reshape(seq * batch, 1 + feat)
 
 
-def _hidden_rows(ws: tuple, feat: int) -> np.ndarray:
+def _hidden_rows(ws: list, feat: int) -> np.ndarray:
     """The stacked hidden rows of the gate kernels, (units, k*units)."""
-    return np.concatenate([w[feat:] for w in ws], axis=1)
+    units = ws[0].shape[1]
+    rows = np.empty((units, len(ws) * units))
+    for j, w in enumerate(ws):
+        rows[:, j * units:(j + 1) * units] = w[feat:]
+    return rows
 
 
-def _arrays(*params) -> tuple:
-    return tuple(as_tensor(p).data for p in params)
-
-
-def _input_rows(ws: tuple, biases: tuple, halved: int) -> np.ndarray:
+def _input_rows(ws: list, biases: list, halved: int) -> np.ndarray:
     """Each gate's [b; W_in], (k, 1+feat, units); the first `halved` gates are scaled
     by 0.5 (the sigmoid's a/2), which is exact."""
     k, units = len(ws), ws[0].shape[1]
@@ -136,7 +152,8 @@ def gru_pack(Wz, bz, Wr, br, Wh, bh) -> tuple:
     """The GRU's packed weights (w_zr, w_in): the z and r gates' stacked hidden rows,
     halved, (units, 2*units), and each gate's [b; W_in] with z and r halved,
     (3, 1+feat, units). Both are copies, blind to later writes to the weights."""
-    ws, bs = _arrays(Wz, Wr, Wh), _arrays(bz, br, bh)
+    arrays = _tensors(Wz, bz, Wr, br, Wh, bh)[1]
+    ws, bs = arrays[0::2], arrays[1::2]
     w_zr = _hidden_rows(ws[:2], ws[0].shape[0] - ws[0].shape[1])
     w_zr *= 0.5
     return w_zr, _input_rows(ws, bs, halved=2)
@@ -146,20 +163,23 @@ def lstm_pack(Wf, bf, Wi, bi, Wo, bo, Wg, bg) -> tuple:
     """The LSTM's packed weights (w_h, w_in): all four gates' stacked hidden rows with
     f, i and o halved, (units, 4*units), and each gate's [b; W_in] with f, i and o
     halved, (4, 1+feat, units). Both are copies, blind to later writes to the weights."""
-    ws, bs = _arrays(Wf, Wi, Wo, Wg), _arrays(bf, bi, bo, bg)
+    arrays = _tensors(Wf, bf, Wi, bi, Wo, bo, Wg, bg)[1]
+    ws, bs = arrays[0::2], arrays[1::2]
     units = ws[0].shape[1]
     w_h = _hidden_rows(ws, ws[0].shape[0] - units)
     w_h[:, :3 * units] *= 0.5
     return w_h, _input_rows(ws, bs, halved=3)
 
 
-def _given_pack(op: str, packed: tuple, inputs: tuple, feat: int, units: int,
+def _given_pack(op: str, packed: tuple, inputs: list, feat: int, units: int,
                 hidden_gates: int) -> None:
     """Validate packed weights handed to a kernel: only a call that records no tape
     node may take them, and they must have the pack function's shapes."""
-    if active_tape() is not None and any(t.requires_grad for t in inputs):
-        raise GraphError(f"{op}: packed weights are for calls off the tape, but this "
-                         f"call records on one")
+    if active_tape() is not None:
+        for t in inputs:
+            if t.requires_grad:
+                raise GraphError(f"{op}: packed weights are for calls off the tape, but "
+                                 f"this call records on one")
     want = [(units, hidden_gates * units), ((len(inputs) - 1) // 2, 1 + feat, units)]
     got = [np.shape(p) for p in packed]
     if got != want:
@@ -178,7 +198,7 @@ def _input_gates(xd: np.ndarray, w_in: np.ndarray) -> tuple:
     gates = np.empty((seq, k, batch, units))  # holds [1|x] until the copy overwrites it
     ones_x = _ones_x(xd, gates)
     np.matmul(ones_x, w_in, out=gate_major)  # one GEMM per gate
-    np.copyto(gates, gate_major.reshape(k, seq, batch, units).transpose(1, 0, 2, 3))
+    gates[...] = gate_major.reshape(k, seq, batch, units).transpose(1, 0, 2, 3)
     return gates, [ones_x] if 1 + feat > k * units else []
 
 
@@ -189,8 +209,8 @@ def _sig_factor(s: np.ndarray, other: np.ndarray, out: np.ndarray) -> None:
     out *= other
 
 
-def _input_grads(xd: np.ndarray, x_grad: bool, ws: tuple, slabs: list, grads: list,
-                 spent: np.ndarray, kept: list) -> tuple:
+def _input_grads(xd: np.ndarray, x_grad: bool, ws: list, slabs: list, grads: list,
+                 spent: np.ndarray, kept: list) -> list:
     """(dx, dW0, db0, dW1, db1, ...) from each gate's time-major (seq*batch, units)
     pre-activation gradient in `slabs`. `grads` holds each gate's [db; dW] with its
     hidden rows written; [1|x]^T @ slab writes its bias and input rows, with [1|x] popped
@@ -212,8 +232,11 @@ def _input_grads(xd: np.ndarray, x_grad: bool, ws: tuple, slabs: list, grads: li
         dx = np.empty((batch, seq, feat))
         for dg, w in zip(slabs, ws):
             acc += np.matmul(dg, w[:feat].T, out=dx.reshape(-1, feat))
-        np.copyto(dx, acc.reshape(seq, batch, feat).transpose(1, 0, 2))
-    return (dx, *(a for g in grads for a in (g[1:], g[0])))
+        dx[...] = acc.reshape(seq, batch, feat).transpose(1, 0, 2)
+    out = [dx]
+    for g in grads:
+        out += g[1:], g[0]
+    return out
 
 
 def gru_sequence(x, Wz, bz, Wr, br, Wh, bh, state: tuple | None = None,
@@ -227,18 +250,16 @@ def gru_sequence(x, Wz, bz, Wr, br, Wh, bh, state: tuple | None = None,
     h0 and the call returns (output, (h,)): h is every step's state, which for a
     GRU is the output's own array.
     """
-    x = as_tensor(x)
-    params = tuple(as_tensor(p) for p in (Wz, bz, Wr, br, Wh, bh))
-    kernels, biases = params[0::2], params[1::2]
-    batch, seq, feat, units = _check("gru_sequence", x, kernels, biases)
+    inputs, arrays = _tensors(x, Wz, bz, Wr, br, Wh, bh)
+    # the backward holds arrays only: a Tensor would tie its tape into a reference cycle
+    xd, x_grad, ws = arrays[0], inputs[0].requires_grad, arrays[1::2]
+    batch, seq, feat, units = _check("gru_sequence", xd, ws, arrays[2::2])
     if state is not None:
         _initial("gru_sequence", state, 1, batch, units)
     if packed is None:
-        packed = gru_pack(*params)
+        packed = gru_pack(*inputs[1:])
     else:
-        _given_pack("gru_sequence", packed, (x, *params), feat, units, 2)
-    # the backward holds arrays only: a Tensor would tie its tape into a reference cycle
-    xd, x_grad, ws = x.data, x.requires_grad, tuple(w.data for w in kernels)
+        _given_pack("gru_sequence", packed, inputs, feat, units, 2)
     w_zr, w_hh = packed[0], ws[2][feat:]
     # pre-activations z | r (halved) | hhat, overwritten step by step with the gate values
     gates, kept = _input_gates(xd, packed[1])
@@ -250,7 +271,7 @@ def gru_sequence(x, Wz, bz, Wr, br, Wh, bh, state: tuple | None = None,
     s2_gates = s2.reshape(batch, 2, units).transpose(1, 0, 2)
     s1 = np.empty((batch, units))
     rh = np.empty((batch, units))
-    add, mul, sub, tanh, dot = np.add, np.multiply, np.subtract, np.tanh, np.dot
+    add, mul, sub, tanh, dot = np.add, np.multiply, np.subtract, np.tanh, np.ndarray.dot
     for zr_t, z_t, r_t, hhat_t, h, h_new in zip(gates[:, :2], z, r, hhat, hs[:-1], hs[1:]):
         dot(h, w_zr, s2)
         add(zr_t, s2_gates, zr_t)
@@ -289,7 +310,7 @@ def gru_sequence(x, Wz, bz, Wr, br, Wh, bh, state: tuple | None = None,
         w_zr_t = np.ascontiguousarray(_hidden_rows(ws[:2], feat).T)
         dh = np.zeros((batch, units))
         d_rh = np.empty((batch, units))
-        add, mul, dot, copyto = np.add, np.multiply, np.dot, np.copyto
+        add, mul, dot = np.add, np.multiply, np.ndarray.dot
         steps = zip(z[::-1], r[::-1], hhat[::-1], dz[::-1], dr[::-1],
                     d.transpose(1, 0, 2, 3)[::-1], g_seq[::-1])
         for z_t, r_t, da_t, dz_t, dr_t, d_t, g_t in steps:
@@ -301,11 +322,11 @@ def gru_sequence(x, Wz, bz, Wr, br, Wh, bh, state: tuple | None = None,
             mul(dh, z_t, dh)
             mul(d_rh, r_t, d_rh)
             add(dh, d_rh, dh)
-            copyto(s2_gates, d_t)
+            s2_gates[...] = d_t
             dot(s2, w_zr_t, s1)
             add(dh, s1, dh)
-        np.copyto(g_seq, hhat)  # the candidate's gradient
-        slabs = [s.reshape(-1, units) for s in (dz, dr, g_seq)]
+        g_seq[...] = hhat  # the candidate's gradient
+        slabs = [dz.reshape(-1, units), dr.reshape(-1, units), g_seq.reshape(-1, units)]
         del g_seq  # its slab is the last: _input_grads frees it once read
         h_in = h_prev.reshape(-1, units).T
         grads = [np.empty((1 + feat + units, units)) for _ in ws]
@@ -315,7 +336,7 @@ def gru_sequence(x, Wz, bz, Wr, br, Wh, bh, state: tuple | None = None,
         np.matmul(h_in, slabs[2], out=grads[2][1 + feat:])
         return _input_grads(xd, x_grad, ws, slabs, grads, gates, kept)  # r: gates' last use
 
-    out = _record("gru_sequence", out, (x, *params), bw)
+    out = _record("gru_sequence", out, inputs, bw)
     return out if state is None else (out, (out.data,))
 
 
@@ -330,17 +351,15 @@ def lstm_sequence(x, Wf, bf, Wi, bi, Wo, bo, Wg, bg, state: tuple | None = None,
     them and the call returns (output, (h, c)): every step's hidden state (the
     output's own array) and cell state, each (batch, seq, units).
     """
-    x = as_tensor(x)
-    params = tuple(as_tensor(p) for p in (Wf, bf, Wi, bi, Wo, bo, Wg, bg))
-    kernels, biases = params[0::2], params[1::2]
-    batch, seq, feat, units = _check("lstm_sequence", x, kernels, biases)
+    inputs, arrays = _tensors(x, Wf, bf, Wi, bi, Wo, bo, Wg, bg)
+    xd, x_grad, ws = arrays[0], inputs[0].requires_grad, arrays[1::2]
+    batch, seq, feat, units = _check("lstm_sequence", xd, ws, arrays[2::2])
     if state is not None:
         _initial("lstm_sequence", state, 2, batch, units)
     if packed is None:
-        packed = lstm_pack(*params)
+        packed = lstm_pack(*inputs[1:])
     else:
-        _given_pack("lstm_sequence", packed, (x, *params), feat, units, 4)
-    xd, x_grad, ws = x.data, x.requires_grad, tuple(w.data for w in kernels)
+        _given_pack("lstm_sequence", packed, inputs, feat, units, 4)
     w_h = packed[0]
     # pre-activations f | i | o (halved) | g, overwritten step by step with the gate values
     gates, kept = _input_gates(xd, packed[1])
@@ -355,7 +374,7 @@ def lstm_sequence(x, Wf, bf, Wi, bi, Wo, bo, Wg, bg, state: tuple | None = None,
     s4 = np.empty((batch, 4 * units))
     s4_gates = s4.reshape(batch, 4, units).transpose(1, 0, 2)
     s1 = np.empty((batch, units))
-    add, mul, tanh, dot = np.add, np.multiply, np.tanh, np.dot
+    add, mul, tanh, dot = np.add, np.multiply, np.tanh, np.ndarray.dot
     steps = zip(gates, gates[:, :3], f, i, o, cand, hs[:-1], hs[1:], cs[:-1], cs[1:])
     for g_t, sig_t, f_t, i_t, o_t, cand_t, h, h_new, c, c_new in steps:
         dot(h, w_h, s4)
@@ -377,25 +396,25 @@ def lstm_sequence(x, Wf, bf, Wi, bi, Wo, bo, Wg, bg, state: tuple | None = None,
         # loop-invariant factors in the gates' own slots, each overwritten in the loop by
         # its gate's gradient; the forget gate's values move to f_val, tc takes o(1-tanh^2 c)
         f_val, spare = np.empty((2, seq, batch, units))
-        np.copyto(f_val, f)
+        f_val[...] = f
         _sig_factor(f_val, c_prev, f)  # c_prev f(1-f)
         np.tanh(tc, out=tc)  # c_prev has been read; the cell states become tanh(c)
         _sig_factor(o, tc, spare)  # tanh(c) o(1-o)
         np.multiply(tc, tc, out=tc)
         np.subtract(1.0, tc, out=tc)
         np.multiply(o, tc, out=tc)  # o(1-tanh^2 c)
-        np.copyto(o, spare)
+        o[...] = spare
         _sig_factor(i, cand, spare)  # g i(1-i)
         np.multiply(cand, cand, out=cand)
         np.subtract(1.0, cand, out=cand)
         np.multiply(cand, i, out=cand)  # i(1-g^2)
-        np.copyto(i, spare)
-        np.copyto(spare, g.transpose(1, 0, 2))  # the output gradient, time-major
+        i[...] = spare
+        spare[...] = g.transpose(1, 0, 2)  # the output gradient, time-major
         del g
         w_h_t = np.ascontiguousarray(_hidden_rows(ws, feat).T)
         dh = np.zeros((batch, units))
         dc = np.zeros((batch, units))
-        add, mul, dot, copyto = np.add, np.multiply, np.dot, np.copyto
+        add, mul, dot = np.add, np.multiply, np.ndarray.dot
         steps = zip(gates[::-1], f[::-1], i[::-1], o[::-1], cand[::-1], tc[::-1],
                     spare[::-1], f_val[::-1])
         for d_t, df_t, di_t, do_t, dg_t, fo_t, g_t, f_t in steps:
@@ -407,16 +426,17 @@ def lstm_sequence(x, Wf, bf, Wi, bi, Wo, bo, Wg, bg, state: tuple | None = None,
             mul(do_t, dh, do_t)
             mul(dg_t, dc, dg_t)
             mul(dc, f_t, dc)
-            copyto(s4_gates, d_t)
+            s4_gates[...] = d_t
             dot(s4, w_h_t, dh)
         # each gate's gradient, copied out time-major into a spent buffer but the last
-        slabs = [s.reshape(-1, units) for s in (tc, f_val, spare, np.empty_like(spare))]
+        slabs = [tc.reshape(-1, units), f_val.reshape(-1, units), spare.reshape(-1, units),
+                 np.empty((seq * batch, units))]
         h_in = hs[:-1].reshape(-1, units).T
         grads = [np.empty((1 + feat + units, units)) for _ in ws]
         for j, g in enumerate(grads):
-            np.copyto(slabs[j].reshape(seq, batch, units), gates[:, j])
+            slabs[j].reshape(seq, batch, units)[...] = gates[:, j]
             np.matmul(h_in, slabs[j], out=g[1 + feat:])
         return _input_grads(xd, x_grad, ws, slabs, grads, gates, kept)
 
-    out = _record("lstm_sequence", out, (x, *params), bw)
+    out = _record("lstm_sequence", out, inputs, bw)
     return out if state is None else (out, (out.data, cells))

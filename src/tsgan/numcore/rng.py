@@ -14,11 +14,26 @@ import hashlib
 import numpy as np
 
 
-def _key_to_int(part) -> int:
-    if isinstance(part, (int, np.integer)):
-        return int(part)
-    digest = hashlib.sha256(str(part).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little")
+# Each string key part's int, filled the first time a stream meets the part, so that
+# a training loop's child streams run one SHA-256 per distinct part per process
+_STRING_KEYS: dict[str, int] = {}
+
+
+def _key_ints(parts) -> tuple:
+    """The key parts as ints: an int as it is, any other part the first 8 bytes
+    (little-endian) of the SHA-256 of its str."""
+    ints = []
+    for part in parts:
+        if isinstance(part, (int, np.integer)):
+            ints.append(int(part))
+            continue
+        text = str(part)
+        value = _STRING_KEYS.get(text)
+        if value is None:
+            digest = hashlib.sha256(text.encode("utf-8")).digest()
+            value = _STRING_KEYS[text] = int.from_bytes(digest[:8], "little")
+        ints.append(value)
+    return tuple(ints)
 
 
 def _entropy_words(parts) -> np.ndarray:
@@ -42,7 +57,7 @@ class RngStream:
 
     def __init__(self, seed: int, key: tuple = ()):
         self.seed = int(seed)
-        self.key = tuple(_key_to_int(k) for k in key)
+        self.key = _key_ints(key)
         self._gen = None
 
     def _bits(self) -> np.random.Generator:
@@ -54,7 +69,7 @@ class RngStream:
 
     def child(self, *key_parts) -> "RngStream":
         """Derive an independent stream; same (seed, key parts) always gives the same stream."""
-        return RngStream(self.seed, self.key + tuple(key_parts))
+        return RngStream(self.seed, self.key + key_parts)
 
     def normal(self, shape, loc=0.0, scale=1.0) -> np.ndarray:
         return self._bits().normal(loc, scale, size=shape).astype(np.float64, copy=False)

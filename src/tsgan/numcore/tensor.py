@@ -53,7 +53,7 @@ class Tensor:
         return Tensor(self.data)
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 class ParamVector(dict):
@@ -71,7 +71,7 @@ class ParamVector(dict):
     def __init__(self, shapes, flat: np.ndarray):
         super().__init__((name, Tensor(np.empty(shape), requires_grad=True))
                          for name, shape in shapes)
-        self.bounds = list(accumulate((t.size for t in self.values()), initial=0))
+        self.bounds = list(accumulate([t.data.size for t in self.values()], initial=0))
         if np.shape(flat) != (self.bounds[-1],):
             raise ShapeError(f"parameter vector of shape {np.shape(flat)} does not hold "
                              f"{self.bounds[-1]} values")
@@ -121,6 +121,9 @@ def active_tape() -> Tape | None:
 
 
 def as_tensor(x) -> Tensor:
+    """x itself when it is a Tensor, else a Tensor of its values. The ops take arrays as
+    well as Tensors, but test an input with isinstance before calling this: a Tensor,
+    what they are given on every training path, then costs no Python call."""
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
@@ -152,7 +155,7 @@ def _record(op: str, out: Tensor, inputs: tuple, backward_fn) -> Tensor:
         in_ids.append(t.tape_id)
     out.tape_id, out._tape, out.requires_grad = tid, tape, True
     tape._next_id = tid + 1
-    tape.nodes.append((op, tid, tuple(in_ids), backward_fn, out.shape))
+    tape.nodes.append((op, tid, tuple(in_ids), backward_fn, out.data.shape))
     return out
 
 
@@ -170,8 +173,8 @@ def backward(record: Tape, loss: Tensor) -> dict[int, np.ndarray]:
         raise GraphError("double backward: this computation record was already consumed")
     if not isinstance(loss, Tensor) or loss._tape is not record:
         raise GraphError("loss tensor is not on this computation record")
-    if loss.size != 1:
-        raise GraphError(f"loss must be scalar, got shape {loss.shape}")
+    if loss.data.size != 1:
+        raise GraphError(f"loss must be scalar, got shape {loss.data.shape}")
 
     record.consumed = True
     grads: dict[int, np.ndarray] = {loss.tape_id: np.ones_like(loss.data)}
@@ -203,7 +206,7 @@ def leaf_grads(record: Tape, params: dict, gmap: dict) -> np.ndarray:
                if p._tape is not record or p.tape_id not in gmap]
     if missing:
         raise GraphError(f"no gradients on this record for parameters: {sorted(missing)}")
-    return np.concatenate([np.zeros(0), *(gmap[p.tape_id] for p in params.values())],
+    return np.concatenate([np.zeros(0), *[gmap[p.tape_id] for p in params.values()]],
                           axis=None)
 
 
@@ -259,16 +262,20 @@ def dense(x, w, b, activation: str) -> Tensor:
     backward flattens x's and the gradient's leading axes into rows, so w's and b's
     gradients are one product and one sum at either rank. x's gradient is not computed
     when x needs none."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if w.ndim != 2 or x.ndim not in (2, 3) or b.shape != w.shape[1:]:
-        raise ShapeError(f"dense: unsupported shapes {x.shape}, {w.shape} and {b.shape}")
-    if x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"dense: inner dimensions differ for shapes {x.shape} and {w.shape}")
+    x = x if isinstance(x, Tensor) else as_tensor(x)
+    w = w if isinstance(w, Tensor) else as_tensor(w)
+    b = b if isinstance(b, Tensor) else as_tensor(b)
+    x_data, w_data, x_grad = x.data, w.data, x.requires_grad
+    if w_data.ndim != 2 or x_data.ndim not in (2, 3) or b.data.shape != w_data.shape[1:]:
+        raise ShapeError(f"dense: unsupported shapes {x_data.shape}, {w_data.shape} and "
+                         f"{b.data.shape}")
+    if x_data.shape[-1] != w_data.shape[0]:
+        raise ShapeError(f"dense: inner dimensions differ for shapes {x_data.shape} and "
+                         f"{w_data.shape}")
     forward, gradient = _activation_rule("dense", activation)
-    z = x.data @ w.data
+    z = x_data @ w_data
     z += b.data
     y, kept = forward(z)
-    x_data, w_data, x_grad = x.data, w.data, x.requires_grad
 
     def bw(g):
         g = gradient(g, kept)
@@ -280,16 +287,17 @@ def dense(x, w, b, activation: str) -> Tensor:
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
+    ts = [t if isinstance(t, Tensor) else as_tensor(t) for t in tensors]
     if not ts:
         raise ShapeError("concat: no inputs")
+    arrays = [t.data for t in ts]
     try:
-        out = Tensor(np.concatenate([t.data for t in ts], axis=axis))
+        out = Tensor(np.concatenate(arrays, axis=axis))
     except ValueError:
         raise ShapeError(
-            f"concat: shapes {[t.shape for t in ts]} do not align on axis {axis}"
+            f"concat: shapes {[a.shape for a in arrays]} do not align on axis {axis}"
         ) from None
-    offsets = list(accumulate(t.shape[axis] for t in ts))[:-1]
+    offsets = list(accumulate([a.shape[axis] for a in arrays[:-1]]))
 
     def bw(g):
         return tuple(np.ascontiguousarray(p) for p in np.split(g, offsets, axis=axis))
@@ -299,14 +307,14 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def slice_tensor(x, index) -> Tensor:
     """Basic indexing (ints and slices only); gradient scatters back into place."""
-    x = as_tensor(x)
+    x = x if isinstance(x, Tensor) else as_tensor(x)
     if not isinstance(index, tuple):
         index = (index,)
     for part in index:
         if not isinstance(part, (int, np.integer, slice)):
             raise ShapeError(f"slice: only ints and slices supported, got {type(part).__name__}")
     out = Tensor(np.ascontiguousarray(x.data[index]))
-    x_shape = x.shape
+    x_shape = x.data.shape
 
     def bw(g):
         gx = np.zeros(x_shape)
@@ -317,13 +325,12 @@ def slice_tensor(x, index) -> Tensor:
 
 
 def reshape(x, shape) -> Tensor:
-    x = as_tensor(x)
-    shape = tuple(shape)
+    x = x if isinstance(x, Tensor) else as_tensor(x)
+    shape, x_shape = tuple(shape), x.data.shape
     try:
         out = Tensor(x.data.reshape(shape))
     except ValueError:
-        raise ShapeError(f"reshape: cannot view shape {x.shape} as {shape}") from None
-    x_shape = x.shape
+        raise ShapeError(f"reshape: cannot view shape {x_shape} as {shape}") from None
 
     def bw(g):
         return (g.reshape(x_shape),)
@@ -337,22 +344,27 @@ def conv1d(x, w, b, activation: str, stride: int) -> Tensor:
     ACTIVATION_RULES. Values and gradients equal those of a bias-free convolution, an add
     and the activation recorded in turn, bit for bit; x's gradient is not computed when x
     needs none."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.ndim != 3 or w.ndim != 3:
-        raise ShapeError(f"conv1d: expected 3-D input and kernel, got {x.shape} and {w.shape}")
+    x = x if isinstance(x, Tensor) else as_tensor(x)
+    w = w if isinstance(w, Tensor) else as_tensor(w)
+    b = b if isinstance(b, Tensor) else as_tensor(b)
+    x_data, w_data, x_grad = x.data, w.data, x.requires_grad
+    if x_data.ndim != 3 or w_data.ndim != 3:
+        raise ShapeError(f"conv1d: expected 3-D input and kernel, got {x_data.shape} and "
+                         f"{w_data.shape}")
     if stride < 1:
         raise ShapeError(f"conv1d: stride must be >= 1, got {stride}")
-    batch, length, in_ch = x.shape
-    k, kc_in, out_ch = w.shape
+    batch, length, in_ch = x_data.shape
+    k, kc_in, out_ch = w_data.shape
     if kc_in != in_ch:
-        raise ShapeError(f"conv1d: channel mismatch between input {x.shape} and kernel {w.shape}")
-    if b.shape != (out_ch,):
-        raise ShapeError(f"conv1d: bias of shape {b.shape} does not fit kernel {w.shape}")
+        raise ShapeError(f"conv1d: channel mismatch between input {x_data.shape} and kernel "
+                         f"{w_data.shape}")
+    if b.data.shape != (out_ch,):
+        raise ShapeError(f"conv1d: bias of shape {b.data.shape} does not fit kernel "
+                         f"{w_data.shape}")
     if length < k:
         raise ShapeError(f"conv1d: input length {length} shorter than kernel {k}")
     forward, gradient = _activation_rule("conv1d", activation)
     out_len = (length - k) // stride + 1
-    x_data, w_data, x_grad = x.data, w.data, x.requires_grad
     z = np.zeros((batch, out_len, out_ch))
     spans = [slice(i, i + stride * (out_len - 1) + 1, stride) for i in range(k)]
     for i, span in enumerate(spans):
@@ -376,12 +388,12 @@ def conv1d(x, w, b, activation: str, stride: int) -> Tensor:
 
 def dropout(x, rate: float, rng=None) -> Tensor:
     """Inverted dropout with a mask drawn from `rng`; without an rng the op is the identity."""
-    x = as_tensor(x)
+    x = x if isinstance(x, Tensor) else as_tensor(x)
     if not 0.0 <= rate < 1.0:
         raise DomainError(f"dropout: rate must be in [0, 1), got {rate}")
     if rng is None or rate == 0.0:
         return x
-    keep = rng.uniform(0.0, 1.0, x.shape) >= rate
+    keep = rng.uniform(0.0, 1.0, x.data.shape) >= rate
     scale = keep / (1.0 - rate)
     out = Tensor(x.data * scale)
 

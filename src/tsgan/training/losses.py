@@ -21,25 +21,39 @@ PROB_FLOOR = 1e-7
 GENERATOR_LOSS_MODES = ("nonsaturating", "minimax", "zero_sum")
 
 
+def _mean_of(d: np.ndarray) -> tuple:
+    """(mean d, the map from the mean's output gradient to d's), for a non-empty d.
+    Both are ndarray.mean's arithmetic, the sum of all entries over their count, made
+    with numpy calls that run no Python code."""
+    shape, n = d.shape, d.size
+
+    def grad(g):
+        gd = np.empty(shape)
+        gd[...] = np.add.reduce(g, axis=None) / n
+        return gd
+
+    return np.add.reduce(d, axis=None) / n, grad
+
+
 def _mean_term(x) -> tuple:
     """(x, mean x, the map from the mean's output gradient to x's)."""
-    x = as_tensor(x)
-    if x.size == 0:
+    x = x if isinstance(x, Tensor) else as_tensor(x)
+    if x.data.size == 0:
         raise ShapeError("mean: empty tensor")
-    shape, n = x.shape, x.size
-    return x, x.data.mean(), lambda g: np.full(shape, np.asarray(g).sum() / n)
+    return (x, *_mean_of(x.data))
 
 
 def _log_term(p, complement: bool) -> tuple:
     """(p, mean log q, the map from that mean's output gradient to p's), where q is c, or
     1 - c when `complement`, and c is p clamped into [PROB_FLOOR, 1 - PROB_FLOOR]."""
-    p = as_tensor(p)
-    if p.size == 0:
+    p = p if isinstance(p, Tensor) else as_tensor(p)
+    d = p.data
+    if d.size == 0:
         raise DataError("empty probability batch")
-    c = np.clip(p.data, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    kept = (p.data >= PROB_FLOOR) & (p.data <= 1.0 - PROB_FLOOR)
+    c = np.clip(d, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    kept = (d >= PROB_FLOOR) & (d <= 1.0 - PROB_FLOOR)
     q = 1.0 - c if complement else c
-    _, value, mean_grad = _mean_term(np.log(q))
+    value, mean_grad = _mean_of(np.log(q))
 
     def grad(g):
         gq = mean_grad(g) / q
@@ -55,7 +69,7 @@ def _loss(op: str, terms: list, combine, spread) -> Tensor:
     out = Tensor(combine(*values))
 
     def bw(g):
-        return tuple(grad(gt) for grad, gt in zip(grads, spread(g)))
+        return [grad(gt) for grad, gt in zip(grads, spread(g))]
 
     return _record(op, out, inputs, bw)
 
@@ -102,11 +116,12 @@ def bce(p, target: float) -> Tensor:
 
 def mse(a, b) -> Tensor:
     """mean (a - b)^2 over two arrays of one shape; unequal shapes are a ShapeError."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"mse: shapes {a.shape} and {b.shape} differ")
+    a = a if isinstance(a, Tensor) else as_tensor(a)
+    b = b if isinstance(b, Tensor) else as_tensor(b)
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"mse: shapes {a.data.shape} and {b.data.shape} differ")
     diff = a.data - b.data
-    _, value, mean_grad = _mean_term(diff * diff)
+    value, mean_grad = _mean_of(diff * diff)
 
     def bw(g):
         half = mean_grad(g) * diff
@@ -129,16 +144,18 @@ def critic_generator_cost(f_fake) -> Tensor:
 
 def weighted_sum(losses, weights) -> Tensor:
     """w1*l1 + w2*l2 + ..., added left to right, over scalar losses and float weights."""
-    losses, weights = [as_tensor(t) for t in losses], [float(w) for w in weights]
-    if not losses or len(losses) != len(weights) or any(t.shape != () for t in losses):
+    losses = [t if isinstance(t, Tensor) else as_tensor(t) for t in losses]
+    weights = [float(w) for w in weights]
+    shapes = [t.data.shape for t in losses]
+    if not losses or len(losses) != len(weights) or shapes != [()] * len(shapes):
         raise ShapeError(f"weighted_sum: {len(weights)} weights for losses of shapes "
-                         f"{[t.shape for t in losses]}")
+                         f"{shapes}")
     total = weights[0] * losses[0].data
     for w, t in zip(weights[1:], losses[1:]):
         total = total + w * t.data
 
     def bw(g):
-        return tuple(g * w for w in weights)
+        return [g * w for w in weights]
 
     return _record("weighted_sum", Tensor(total), tuple(losses), bw)
 

@@ -263,11 +263,15 @@ def _append_row(rows: np.ndarray, raw: np.ndarray, at: int, closes: np.ndarray,
                 scaler: ScalerParams, sma_window: int) -> None:
     """Row `at` of the raw-price and scaled-feature buffers from predicted scaled closes:
     the other raw channels carry row at-1 forward, and the diffs and SMAs are
-    recomputed from the raw rows up to `at`."""
+    recomputed from the raw rows up to `at`. The close is inverted (inverse_scaler's
+    arithmetic) and the row scaled in place."""
     raw[:, at] = raw[:, at - 1]
-    raw[:, at, _CLOSE_RAW] = inverse_scaler(closes, scaler, TARGET_COLUMN)
+    i, close = scaler.index_of(TARGET_COLUMN), raw[:, at, _CLOSE_RAW]
+    np.multiply(closes, scaler.maxs[i] - scaler.mins[i], out=close)
+    close += scaler.mins[i]
     feat = newest_feature_row(raw[:, :at + 1], sma_window)
-    rows[:, at] = (feat - scaler.mins) / (scaler.maxs - scaler.mins)
+    np.subtract(feat, scaler.mins, out=feat)
+    np.divide(feat, scaler.maxs - scaler.mins, out=rows[:, at])
 
 
 def _roll_stop(predictor) -> int | None:
@@ -310,40 +314,45 @@ def _staged_roll(net: Network, stop: int, rows: np.ndarray, z: np.ndarray, exten
     # (zero) are never read, and each window keeps its state after its last known row.
     running = net.zero_states(horizon * count)
     carried = [[np.zeros((horizon, count, s.shape[1])) for s in layer] for layer in running]
+    # each pass's inputs, in buffers made once per roll; a forecaster adds no noise columns
     x = np.empty((horizon, count, piece, width + extra))
+    x_step = np.empty((horizon - 1, count, width + extra))
     for t0 in range(0, seq_len, piece):
         t1 = min(seq_len, t0 + piece)
         n = min(horizon, seq_len - t0)
         x_p = x[:n, :, :t1 - t0]
         x_p[..., :width] = windows[:n, :, t0:t1]
-        x_p[..., width:] = z[:n, :, t0:t1]
-        carry = [(tuple(s[:n * count] for s in layer), pack)
+        if extra:
+            x_p[..., width:] = z[:n, :, t0:t1]
+        carry = [(tuple([s[:n * count] for s in layer]), pack)
                  for layer, pack in zip(running, packs)]
         trunk, states = net.forward(Tensor(x_p.reshape(n * count, t1 - t0, -1)), stop=stop,
                                     carry=carry)
-        ends = np.arange(max(0, seq_len - t1), n)  # last known row L-1-k in [t0, t1)
-        if ends.size:
-            for layer, got in zip(carried, states):
-                for c, s in zip(layer, got):
-                    c[ends] = s.reshape(n, count, t1 - t0, -1)[ends, :, seq_len - 1 - ends - t0]
-        running = [tuple(s[:, -1] for s in layer) for layer in states]
+        for layer, got in zip(carried, states):
+            for c, s in zip(layer, got):
+                s = s.reshape(n, count, t1 - t0, -1)
+                for k in range(max(0, seq_len - t1), n):  # last known row L-1-k in [t0, t1)
+                    c[k] = s[k, :, seq_len - 1 - k - t0]
+        running = [tuple([s[:, -1] for s in layer]) for layer in states]
     out[:, 0] = net.forward(Tensor(trunk.data[:count, -1]), start=stop + 1).data[:, 0]
     for step in range(1, horizon):
         at = seq_len + step - 1
         extend(at, out[:, step - 1])
-        # row `at` is row at-k of each window k still open; window `step` ends on it
-        ks = np.arange(step, min(horizon, at + 1))
-        open_windows = slice(step, ks[-1] + 1)
-        batch = ks.size * count
-        x = np.empty((ks.size, count, width + extra))
+        # row `at` is row at-k of each window k still open, k in [step, end); window
+        # `step` ends on it
+        end = min(horizon, at + 1)
+        open_windows, batch = slice(step, end), (end - step) * count
+        x = x_step[:end - step]
         x[..., :width] = rows[:, at]
-        x[..., width:] = z[ks, :, at - ks]
-        carry = [(tuple(c[open_windows].reshape(batch, -1) for c in layer), pack)
+        if extra:
+            for k in range(step, end):
+                x[k - step, :, width:] = z[k, :, at - k]
+        carry = [(tuple([c[open_windows].reshape(batch, -1) for c in layer]), pack)
                  for layer, pack in zip(carried, packs)]
         trunk, states = net.forward(Tensor(x.reshape(batch, 1, -1)), stop=stop, carry=carry)
         for layer, got in zip(carried, states):
             for c, s in zip(layer, got):
-                c[open_windows] = s.reshape(ks.size, count, -1)
+                c[open_windows] = s.reshape(end - step, count, -1)
         out[:, step] = net.forward(Tensor(trunk.data[:count, -1]), start=stop + 1).data[:, 0]
     return out
 

@@ -276,10 +276,30 @@ def test_packed_weights_are_refused_on_a_recording_tape(kind):
 
 
 class _CountingNumpy:
-    """numpy whose functions count their calls; types and constants pass through."""
+    """numpy whose functions count their calls; types and constants pass through.
+
+    The kernels also call `np.ndarray.dot` and assign slices, which no numpy function
+    sees, so these count too: `ndarray` here is a stand-in whose `dot` counts, and
+    every array a function returns is a view of a subclass whose slice assignments
+    count (an array derived from it, a view or a ufunc's result, is one too).
+    """
 
     def __init__(self):
         self.calls = 0
+        counter = self
+
+        class Counted(np.ndarray):
+            def __setitem__(self, index, value):
+                counter.calls += 1
+                super().__setitem__(index, value)
+
+        class Ndarray:
+            @staticmethod
+            def dot(a, b, out):
+                counter.calls += 1
+                return np.ndarray.dot(a, b, out)
+
+        self._counted, self.ndarray = Counted, Ndarray
 
     def __getattr__(self, name):
         attr = getattr(np, name)
@@ -288,7 +308,8 @@ class _CountingNumpy:
 
         def counted(*args, **kwargs):
             self.calls += 1
-            return attr(*args, **kwargs)
+            out = attr(*args, **kwargs)
+            return out.view(self._counted) if type(out) is np.ndarray else out
         return counted
 
 
@@ -307,7 +328,8 @@ def _dispatch_counts(kind, seq, counter):
 
 
 # numpy calls per timestep of each time loop (forward, backward): every op in the loops
-# is a numpy function called by name, none an augmented operator, so all are counted
+# is a numpy ufunc or ndarray.dot called by name, or a slice assignment, none an
+# augmented operator, so all are counted
 STEP_CALLS = {"gru": (12, 11), "lstm": (10, 10)}
 
 
